@@ -21,9 +21,9 @@ schemas, loaders, pools and durability managers by hand:
   immutable release snapshots to concurrent readers while a single
   writer thread applies queued mutations (see docs/API.md "Serving").
 * ``service.query(...)`` on either serving backend — §5.4 point-lookup,
-  range-COUNT, group-by and distinct-count queries answered through the
-  release's partition index (:class:`~repro.query.QueryEngine` pushdown;
-  see docs/API.md "Querying releases").
+  range-COUNT, group-by and distinct-count queries answered by one
+  columnar scan of the release's partitions (:class:`~repro.query.
+  QueryEngine`; see docs/API.md "Querying releases").
 
 The migration table from the older layered API lives in ``docs/API.md``.
 """

@@ -1455,17 +1455,14 @@ def query_bench(
     Two phases against one :class:`~repro.serve.AnonymizerService`:
 
     **Phase A (deterministic, metered).**  Single-threaded: for each k,
-    answer the whole random-range workload through
-    ``service.query`` (index pushdown), cross-check every count against
-    the scalar leaf-scan oracle (the ``oracle`` column must read
-    ``match``), and report the §5.4 accuracy (average normalized error
-    falls as k falls) alongside the pushdown counters — ``pruned`` is the
-    number of subtrees discarded without being visited and ``aggregated``
-    the number answered from cached subtree totals without descending;
-    both being positive is the proof the engine is *not* doing a
-    disguised leaf scan.  Everything in this phase is a pure function of
-    the seed, so the ``query.*`` counters sit in the bench-regression
-    trail.
+    answer the whole random-range workload through ``service.query`` (a
+    columnar scan of the release), cross-check every count against the
+    scalar oracle :func:`~repro.query.ranges.count_anonymized` (the
+    ``oracle`` column must read ``match``), and report the §5.4 accuracy
+    (average normalized error falls as k falls) alongside ``scanned``,
+    the partition comparisons the scan made (partitions x queries).
+    Everything in this phase is a pure function of the seed, so the
+    ``query.*`` counters sit in the bench-regression trail.
 
     **Phase B (throughput, unmetered).**  For each entry of
     ``reader_counts``, that many reader threads split the workload and
@@ -1484,7 +1481,7 @@ def query_bench(
     import threading
 
     from repro import obs
-    from repro.query.ranges import count_anonymized_bulk
+    from repro.query.ranges import count_anonymized
     from repro.serve import AnonymizerService, ServiceConfig
 
     # Counter columns need the registry; collect locally when the caller
@@ -1500,13 +1497,12 @@ def query_bench(
     original_counts = count_original_bulk(workload, base)
     result = BenchTable(
         f"Query engine: {records:,} records, {queries} range-COUNT queries, "
-        f"pushdown vs live writer",
+        f"columnar scan vs live writer",
         [
             "workload",
             "queries",
             "avg error",
-            "pruned",
-            "aggregated",
+            "scanned",
             "oracle",
             "queries/s",
         ],
@@ -1519,21 +1515,18 @@ def query_bench(
         service.load(base)
         all_match = True
         for k in ks:
-            before_pruned = obs.OBS.counter_value("query.nodes_pruned")
-            before_aggregated = obs.OBS.counter_value("query.subtrees_aggregated")
+            before_scanned = obs.OBS.counter_value("query.partitions_scanned")
             answered = service.query(workload, k=k)  # cold: release + build
+            scanned = (
+                obs.OBS.counter_value("query.partitions_scanned") - before_scanned
+            )
             with Timer() as timer:
                 warm = service.query(workload, k=k)
-            pruned = obs.OBS.counter_value("query.nodes_pruned") - before_pruned
-            aggregated = (
-                obs.OBS.counter_value("query.subtrees_aggregated")
-                - before_aggregated
-            )
             snapshot = service.release(k)
-            oracle = count_anonymized_bulk(workload, snapshot.table)
+            oracle = [count_anonymized(query, snapshot.table) for query in workload]
             matches = (
                 answered.digest == snapshot.digest
-                and list(answered.values) == list(oracle)
+                and list(answered.values) == oracle
                 and warm.values == answered.values
             )
             all_match = all_match and matches
@@ -1542,16 +1535,17 @@ def query_bench(
                 for anonymized, original in zip(answered.values, original_counts)
             ]
             result.add(
-                f"k={k} pushdown",
+                f"k={k} scan",
                 len(workload),
                 sum(errors) / len(errors),
-                pruned,
-                aggregated,
+                scanned,
                 "match" if matches else "MISMATCH",
                 len(workload) / timer.elapsed,
             )
         extras["oracle_match"] = float(all_match)
-        extras["nodes_pruned"] = float(obs.OBS.counter_value("query.nodes_pruned"))
+        extras["partitions_scanned"] = float(
+            obs.OBS.counter_value("query.partitions_scanned")
+        )
         extras["engine_builds"] = float(
             obs.OBS.counter_value("query.engine_builds")
         )
@@ -1616,7 +1610,6 @@ def query_bench(
                 result.add(
                     f"{readers} readers vs writer",
                     answered_total,
-                    "-",
                     "-",
                     "-",
                     "-",

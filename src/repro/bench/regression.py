@@ -77,13 +77,11 @@ KEY_COUNTERS: tuple[str, ...] = (
     "cluster.routed_records",
     "cluster.releases",
     "cluster.cache_misses",
-    # The query-pushdown family: query_bench meters its deterministic
-    # phase only (the concurrent phase runs with the registry disabled).
+    # The query family: query_bench meters its deterministic phase only
+    # (the concurrent phase runs with the registry disabled).
     "query.engine_builds",
     "query.count_queries",
-    "query.nodes_pruned",
-    "query.subtrees_aggregated",
-    "query.leaves_scanned",
+    "query.partitions_scanned",
     "serve.queries",
 )
 

@@ -19,7 +19,7 @@
     repro recover --dir state/     # rebuild after a crash, publish a release
     repro checkpoint --dir state/  # offline checkpoint (bounds replay work)
     repro serve-bench              # serving throughput, cached vs uncached
-    repro query-bench              # query pushdown: accuracy + reader throughput
+    repro query-bench              # query serving: accuracy + reader throughput
     repro serve-demo --port 8787   # live service with /metrics + /healthz
     repro serve-demo --shards 4    # sharded cluster: 4 worker processes
     repro top --url http://127.0.0.1:8787   # refreshing telemetry dashboard
@@ -305,7 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("  recover (rebuild a durable anonymizer from --dir after a crash)")
         print("  checkpoint (snapshot a durable --dir, truncating its WAL)")
         print("  serve-bench (alias of 'serve': throughput under write load)")
-        print("  query-bench (alias of 'query_bench': pushdown accuracy + throughput)")
+        print("  query-bench (alias of 'query_bench': scan accuracy + throughput)")
         print("  serve-demo (live service exposing /metrics and /healthz; see --port)")
         print("  top     (refreshing dashboard over a telemetry endpoint; see --url)")
         for key in DRIVERS:
@@ -339,7 +339,7 @@ def _dispatch(name: str, arguments: argparse.Namespace) -> int:
     profiling = arguments.profile or arguments.profile_json is not None
     if name == "serve-bench":  # the serving figure's command-line spelling
         name = "serve"
-    if name == "query-bench":  # the query-pushdown figure's spelling
+    if name == "query-bench":  # the query figure's spelling
         name = "query_bench"
     if name == "stats":
         _stats_command(arguments)

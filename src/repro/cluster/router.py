@@ -16,6 +16,8 @@ ServiceProtocol` surface as the single-writer
 * ``release`` scatters a ``collect`` to every shard, stitches the sorted
   runs with global-grid seam repair (:mod:`repro.cluster.seams`), and
   caches the audited snapshot under the aggregated cluster epoch;
+* ``query`` answers from that assembled snapshot at the router, with no
+  per-shard query traffic;
 * ``epoch`` / ``health`` / ``metrics_text`` aggregate the shards —
   metrics as shard-labeled ``serve.*`` samples rolled up into one
   ``/metrics`` exposition.
@@ -45,7 +47,7 @@ from repro.cluster.seams import assemble_release
 from repro.cluster.worker import shard_worker_main
 from repro.core.anonymizer import DEFAULT_BASE_K
 from repro.core.leafscan import Constraint
-from repro.core.partition import AnonymizedTable, release_digest
+from repro.core.partition import release_digest
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -63,7 +65,7 @@ from repro.parallel.planner import (
     plan_record_shards,
     plan_uniform,
 )
-from repro.query.engine import QUERY_KINDS, QueryResult
+from repro.query.engine import QUERY_KINDS, QueryEngine, QueryResult
 from repro.query.ranges import RangeQuery
 from repro.serve.cache import CacheKey, ReleaseCache, ReleaseSnapshot
 from repro.serve.service import ServiceClosedError, ServiceConfig
@@ -259,8 +261,8 @@ class ShardedCluster:
             self._plan = plan_uniform(shards, lows, highs, DEFAULT_HILBERT_BITS)
         self._cache = ReleaseCache()
         self._release_lock = threading.Lock()
-        #: Installed per-shard query indexes: {k: release digest}.
-        self._query_installs: dict[int, str] = {}
+        #: Query engines over the latest release per k: {k: (digest, engine)}.
+        self._query_engines: dict[int, tuple[str, QueryEngine]] = {}
         self._query_lock = threading.Lock()
         self._closed = False
         self._shards: list[_ShardHandle] = []
@@ -663,42 +665,38 @@ class ShardedCluster:
         *,
         k: int,
         kind: str = "count",
-        timeout: float | None = None,
     ) -> QueryResult:
-        """Scatter-gather §5.4 queries with per-shard index pushdown.
+        """Answer §5.4 queries at the router from the assembled release.
 
-        Each shard holds a pushdown engine over its *slice* of the
-        current release (installed lazily, re-installed whenever the
-        release digest changes), descends it locally, and the router
-        merges the partial answers by elementwise sum.  The merge is
-        exact, not approximate: a COUNT is additive over any disjoint
-        split of per-partition record mass, and every shard's slice
-        carries the partition's *global* box, so intersection verdicts
-        agree across shards.  Distinct counts stay exact because exactly
-        one shard owns each partition (the owner flag sums to 1).  The
-        result is bit-identical to :meth:`AnonymizerService.query
+        :meth:`release` already holds the whole cluster-wide table, so the
+        router scans its columns (:class:`~repro.query.engine.
+        QueryEngine`, cached per k and validated by digest) and sends no
+        query traffic to the shards beyond the release's own epoch probe
+        and, on a cache miss, its ``collect``.  The result is
+        bit-identical to :meth:`AnonymizerService.query
         <repro.serve.service.AnonymizerService.query>` over the same
         release — the cluster differential suite asserts it.
 
         The whole batch is answered against ONE snapshot, whose epoch and
-        digest stamp the result.
+        digest stamp the result.  A dead shard raises
+        :class:`ServiceClosedError` (via :meth:`release`) rather than
+        answering from a stale release; a query whose dimension count
+        differs from the release's raises ``ValueError``.
         """
         self._assert_open()
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected {QUERY_KINDS}")
         batch = [queries] if isinstance(queries, RangeQuery) else list(queries)
+        snapshot = self.release(k)
         with self._query_lock:
-            snapshot = self.release(k)
-            self._ensure_query_install(k, snapshot, timeout)
-            boxes = [(query.box.lows, query.box.highs) for query in batch]
-            started = time.perf_counter()
-            futures = [
-                handle.submit("query", (k, snapshot.digest, kind, boxes), timeout)
-                for handle in self._shards
-            ]
-            deadline = self._config.request_timeout
-            replies = [future.result(deadline) for future in futures]
-        values = tuple(sum(parts) for parts in zip(*replies)) if batch else ()
+            cached = self._query_engines.get(k)
+            if cached is None or cached[0] != snapshot.digest:
+                cached = (snapshot.digest, QueryEngine(snapshot.table))
+                self._query_engines[k] = cached
+            elif OBS.enabled:
+                OBS.count("query.engine_cache_hits")
+        started = time.perf_counter()
+        values = tuple(cached[1].evaluate(batch, kind))
         if OBS.enabled:
             OBS.count("cluster.queries")
             OBS.observe("cluster.query_seconds", time.perf_counter() - started)
@@ -709,65 +707,6 @@ class ShardedCluster:
             epoch=snapshot.epoch,
             digest=snapshot.digest,
         )
-
-    def _ensure_query_install(
-        self, k: int, snapshot: ReleaseSnapshot, timeout: float | None
-    ) -> None:
-        """Install per-shard engine slices for this release digest (once).
-
-        Callers hold ``_query_lock``; each shard's dispatcher is FIFO, so
-        a later ``query`` op can never overtake its install.
-        """
-        if self._query_installs.get(k) == snapshot.digest:
-            return
-        slices = self._shard_slices(snapshot.table)
-        futures = []
-        for handle in self._shards:
-            lows, highs, counts, owned = slices[handle.index]
-            futures.append(
-                handle.submit(
-                    "install_query",
-                    (k, snapshot.digest, lows, highs, counts, owned),
-                    timeout,
-                )
-            )
-        deadline = self._config.request_timeout
-        for future in futures:
-            future.result(deadline)
-        self._query_installs[k] = snapshot.digest
-        if OBS.enabled:
-            OBS.count("cluster.query_installs")
-
-    def _shard_slices(
-        self, table: AnonymizedTable
-    ) -> list[tuple[list, list, list, list]]:
-        """Split a release into per-shard ``(lows, highs, counts, owned)``.
-
-        Records route to shards by the same plan that routed the writes,
-        so each shard's count is exactly the records it holds of that
-        partition; the owner flag goes to the first record's shard (the
-        minimal one — records within a partition are consecutive in
-        global key order, so their shards are non-decreasing).
-        """
-        slices: list[tuple[list, list, list, list]] = [
-            ([], [], [], []) for _ in self._shards
-        ]
-        for partition in table.partitions:
-            held: dict[int, int] = {}
-            owner: int | None = None
-            for record in partition.records:
-                shard = self.shard_of(record.point)
-                if owner is None:
-                    owner = shard
-                held[shard] = held.get(shard, 0) + 1
-            box = partition.box
-            for shard, count in held.items():
-                lows, highs, counts, owned = slices[shard]
-                lows.append(box.lows)
-                highs.append(box.highs)
-                counts.append(count)
-                owned.append(1 if shard == owner else 0)
-        return slices
 
     # -- observability -------------------------------------------------------
 

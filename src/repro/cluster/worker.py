@@ -68,47 +68,9 @@ def _collect_run(service: "AnonymizerService", plan: "ShardPlan") -> tuple:
     return (service.epoch, run)
 
 
-def _install_query_index(state: dict, args: tuple) -> bool:
-    """Build and pin the shard's pushdown engine for one release digest.
-
-    The router ships each shard its *slice* of the global release: for
-    every partition the shard holds records of, the partition's global
-    box, the count of records this shard holds, and an owned flag set on
-    exactly one shard.  Per-shard engines therefore answer with partial
-    sums that merge by elementwise addition into exactly the
-    single-engine answer (COUNT is additive over any disjoint split of
-    per-partition record mass, and every slice shares the global box so
-    intersection verdicts agree everywhere).
-    """
-    from repro.geometry.box import Box
-    from repro.query.engine import QueryEngine
-
-    k, digest, lows, highs, counts, owned = args
-    boxes = [Box(low, high) for low, high in zip(lows, highs)]
-    engine = QueryEngine.from_entries(boxes, counts, owned)
-    state[k] = (digest, engine)
-    return True
-
-
-def _answer_query(state: dict, args: tuple) -> list[int]:
-    from repro.geometry.box import Box
-    from repro.query.ranges import RangeQuery
-
-    k, digest, kind, boxes = args
-    installed = state.get(k)
-    if installed is None or installed[0] != digest:
-        raise RuntimeError(
-            f"no query index installed for k={k} digest={digest[:12]}; "
-            "the router must install before querying"
-        )
-    queries = [RangeQuery(Box(low, high)) for low, high in boxes]
-    return installed[1].evaluate(queries, kind)
-
-
 def _handle(
     service: "AnonymizerService",
     plan: "ShardPlan",
-    state: dict,
     op: str,
     args: tuple,
 ) -> object:
@@ -122,10 +84,6 @@ def _handle(
         return service.update(rid, old_point, record)
     if op == "collect":
         return _collect_run(service, plan)
-    if op == "install_query":
-        return _install_query_index(state, args)
-    if op == "query":
-        return _answer_query(state, args)
     if op == "epoch":
         return service.epoch
     if op == "barrier":
@@ -183,8 +141,6 @@ def shard_worker_main(
         Table(schema, ()), base_k=base_k, durability=durability
     )
     service = AnonymizerService(engine, service_config)
-    #: Installed pushdown engines, keyed by k: {k: (digest, QueryEngine)}.
-    query_state: dict = {}
     try:
         while True:
             try:
@@ -193,7 +149,7 @@ def shard_worker_main(
                 break
             seq, op, args = request  # type: ignore[misc]
             try:
-                result = _handle(service, plan, query_state, op, args)
+                result = _handle(service, plan, op, args)
             except BaseException as error:  # the reply *is* the error path
                 send_frame(sock, (seq, "err", _portable(error)))
             else:

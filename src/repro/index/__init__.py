@@ -20,13 +20,8 @@ Three loading paths are provided:
   Hilbert-curve ordering — implemented for the ablation the paper alludes
   to when it says non-sorting loading "worked better for higher dimensional
   data sets".
-
-:mod:`repro.index.aggregate` adds the read side: a packed static
-aggregate R-tree over release partitions that the serving query engine
-descends with MBR pruning (index pushdown).
 """
 
-from repro.index.aggregate import AggregateTree, PushdownStats
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.bulk import hilbert_bulk_load, str_bulk_load
 from repro.index.node import InternalNode, LeafNode, Node
@@ -40,10 +35,8 @@ from repro.index.split import (
 )
 
 __all__ = [
-    "AggregateTree",
     "BiasedSplitPolicy",
     "BufferTreeLoader",
-    "PushdownStats",
     "InternalNode",
     "LeafNode",
     "MidpointSplitPolicy",

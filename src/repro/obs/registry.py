@@ -104,17 +104,17 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "cluster.cache_misses",
     "cluster.shard_failures",
     "cluster.queries",
-    "cluster.query_installs",
     "query.engine_builds",
     "query.engine_cache_hits",
     "query.count_queries",
     "query.distinct_queries",
     "query.point_lookups",
     "query.groupby_queries",
+    # Never emitted: the columnar query scan has no index nodes to visit.
+    # Declared because perfbench/measures.py reads it from the registry
+    # snapshot and would raise KeyError without it.
     "query.nodes_visited",
-    "query.nodes_pruned",
-    "query.subtrees_aggregated",
-    "query.leaves_scanned",
+    # Partition comparisons: partitions x queries per scan.
     "query.partitions_scanned",
 )
 
@@ -310,30 +310,34 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-#: Cached ``git rev-parse`` result; resolved at most once per process.
-_GIT_REVISION: str | None = None
-_GIT_REVISION_RESOLVED = False
+#: Cached ``git`` results; each resolved at most once per process.
+_GIT_CACHE: dict[str, object] = {}
+
+
+def _git(*args: str) -> str | None:
+    """Stripped stdout of one ``git`` command, or None when it fails."""
+    try:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=5, check=True
+        ).stdout.strip()
+    except Exception:
+        return None
 
 
 def _git_revision() -> str | None:
     """The current short git revision, or None outside a repository."""
-    global _GIT_REVISION, _GIT_REVISION_RESOLVED
-    if not _GIT_REVISION_RESOLVED:
-        _GIT_REVISION_RESOLVED = True
-        try:
-            _GIT_REVISION = (
-                subprocess.run(
-                    ["git", "rev-parse", "--short", "HEAD"],
-                    capture_output=True,
-                    text=True,
-                    timeout=5,
-                    check=True,
-                ).stdout.strip()
-                or None
-            )
-        except Exception:
-            _GIT_REVISION = None
-    return _GIT_REVISION
+    if "revision" not in _GIT_CACHE:
+        _GIT_CACHE["revision"] = _git("rev-parse", "--short", "HEAD") or None
+    return _GIT_CACHE["revision"]  # type: ignore[return-value]
+
+
+def _git_dirty() -> bool | None:
+    """Whether the work tree differs from ``HEAD`` (tracked changes or
+    untracked files), or None when there is no revision to differ from."""
+    if "dirty" not in _GIT_CACHE:
+        status = _git("status", "--porcelain") if _git_revision() else None
+        _GIT_CACHE["dirty"] = None if status is None else bool(status)
+    return _GIT_CACHE["dirty"]  # type: ignore[return-value]
 
 
 def environment_block() -> dict[str, object]:
@@ -342,6 +346,7 @@ def environment_block() -> dict[str, object]:
     Makes ``--profile-json`` trails (and the bench trajectory) from
     different machines comparable: a slower run is explainable when the
     snapshot says which interpreter, platform and revision produced it.
+    ``git_dirty`` flags a work tree that differs from that revision.
     """
     return {
         "python": platform.python_version(),
@@ -351,6 +356,7 @@ def environment_block() -> dict[str, object]:
         "pointer_bits": sys.maxsize.bit_length() + 1,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_revision": _git_revision(),
+        "git_dirty": _git_dirty(),
     }
 
 

@@ -8,9 +8,9 @@ single-attribute zipcode ranges), and the evaluation/bucketing machinery
 behind Figures 12(a)-(d).
 
 :mod:`repro.query.engine` adds the serving-side path: a
-:class:`QueryEngine` answers the same queries through the partition
-index (MBR pruning with cached subtree totals) instead of scanning every
-partition, bit-identically to the scalar oracle retained here.
+:class:`QueryEngine` holds one release as numpy columns and answers the
+same queries with one chunked scan over every partition, equal to the
+scalar oracle :func:`count_anonymized` retained here.
 """
 
 from repro.query.accuracy import (

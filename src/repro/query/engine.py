@@ -1,9 +1,9 @@
-"""The serving-side query engine: §5.4 queries answered via index pushdown.
+"""The serving-side query engine: §5.4 queries as one columnar scan.
 
-A :class:`QueryEngine` is built once per release (cheap — one bottom-up
-packing pass over the partition MBRs) and then answers four query shapes
-against it, all reduced to aggregate descents of the packed tree in
-:mod:`repro.index.aggregate`:
+A :class:`QueryEngine` holds one release as numpy columns — partition
+``lows`` and ``highs`` (float64, one row per attribute) and ``sizes``
+(int64) — and answers four query shapes with the chunked broadcast of
+:func:`repro.query.ranges.intersecting_sums`:
 
 * **range COUNT** — sum of partition sizes over partitions intersecting
   the query box (the §5.4 anonymized-table semantics);
@@ -11,19 +11,14 @@ against it, all reduced to aggregate descents of the packed tree in
   (``box.contains_point(p)`` iff ``box.intersects(Box(p, p))``), plus
   access to the matching partitions themselves;
 * **distinct count** — the number of partitions (equivalence classes)
-  intersecting the query box, via the "owned" weight column;
+  intersecting the query box;
 * **group-by aggregate** — per-bin range COUNTs along one attribute.
 
-Every answer is bit-identical to the retained leaf-scan oracle
-(:func:`repro.query.ranges.count_anonymized`): the descent partitions the
-partition set exactly and sums the same integers (see the proof sketch in
-``repro.index.aggregate``).  The oracle stays the differential reference
-for the test suite, the same pattern the parallel and kernel fast paths
-follow.
-
-Engines built from a release table carry the table (so point lookups can
-return partitions); shard workers instead build entry-only engines from
-``(box, counts, owned)`` slices shipped by the cluster router.
+A release is a few thousand partition boxes, so every query scans all of
+them: no index to build or descend.  Answers equal the scalar oracle
+(:func:`repro.query.ranges.count_anonymized`) exactly — the same closed
+box comparisons, summed in int64 — and the differential suite holds
+every answer to it.
 """
 
 from __future__ import annotations
@@ -31,22 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.partition import AnonymizedTable, Partition
 from repro.geometry.box import Box
-from repro.index.aggregate import (
-    DEFAULT_FANOUT,
-    WEIGHT_OWNED,
-    WEIGHT_RECORDS,
-    AggregateTree,
-    PushdownStats,
-)
 from repro.obs import OBS
-from repro.query.ranges import RangeQuery
+from repro.query.ranges import (
+    RangeQuery,
+    intersecting_sums,
+    intersection_mask,
+    partition_columns,
+    query_columns,
+)
 
 #: Query kinds the serving layer accepts.
 QUERY_KINDS = ("count", "distinct")
-
-_KIND_WEIGHTS = {"count": WEIGHT_RECORDS, "distinct": WEIGHT_OWNED}
 
 _KIND_COUNTERS = {"count": "query.count_queries", "distinct": "query.distinct_queries"}
 
@@ -107,105 +101,66 @@ def group_by_queries(
 
 
 class QueryEngine:
-    """Index-pushdown query evaluation over one immutable release."""
+    """Columnar §5.4 query evaluation over one immutable release."""
 
-    def __init__(
-        self, table: AnonymizedTable, *, fanout: int = DEFAULT_FANOUT
-    ) -> None:
-        boxes = [partition.box for partition in table.partitions]
-        weights = [(len(partition), 1) for partition in table.partitions]
-        self._table: AnonymizedTable | None = table
-        self._tree = AggregateTree(boxes, weights, fanout=fanout)
-        self.stats = PushdownStats()
+    def __init__(self, table: AnonymizedTable) -> None:
+        self._table = table
+        self.lows, self.highs, self.sizes = partition_columns(table)
         if OBS.enabled:
             OBS.count("query.engine_builds")
-
-    @classmethod
-    def from_entries(
-        cls,
-        boxes: Sequence[Box],
-        counts: Sequence[int],
-        owned: Sequence[int] | None = None,
-        *,
-        fanout: int = DEFAULT_FANOUT,
-    ) -> "QueryEngine":
-        """Build an engine from bare ``(box, count, owned)`` entries.
-
-        This is the shard-worker constructor: the router ships each shard
-        its slice of every partition (the shared global box, the count of
-        records the shard holds, and an owned flag set on exactly one
-        shard), and per-shard answers merge by elementwise sum into the
-        single-engine answer.  No table is attached, so
-        :meth:`point_partitions` is unavailable.
-        """
-        engine = cls.__new__(cls)
-        if owned is None:
-            owned = [1] * len(counts)
-        if not (len(boxes) == len(counts) == len(owned)):
-            raise ValueError("boxes, counts and owned must have equal lengths")
-        engine._table = None
-        engine._tree = AggregateTree(
-            boxes, list(zip(counts, owned)), fanout=fanout
-        )
-        engine.stats = PushdownStats()
-        if OBS.enabled:
-            OBS.count("query.engine_builds")
-        return engine
 
     # -- properties ----------------------------------------------------------
 
     @property
     def partition_count(self) -> int:
-        return len(self._tree)
+        return len(self.sizes)
 
     @property
-    def bounds(self) -> Box | None:
-        return self._tree.bounds
+    def bounds(self) -> Box:
+        """The release MBR."""
+        return Box(
+            tuple(self.lows.min(axis=1).tolist()),
+            tuple(self.highs.max(axis=1).tolist()),
+        )
 
     @property
-    def table(self) -> AnonymizedTable | None:
+    def table(self) -> AnonymizedTable:
         return self._table
 
     # -- evaluation ----------------------------------------------------------
 
     def count(self, query: RangeQuery) -> int:
         """Range COUNT: total records of partitions intersecting the query."""
-        return self._aggregate(query, "count")
+        return self.evaluate([query])[0]
 
     def distinct_count(self, query: RangeQuery) -> int:
         """Number of distinct equivalence classes intersecting the query."""
-        return self._aggregate(query, "distinct")
+        return self.evaluate([query], "distinct")[0]
 
     def evaluate(self, queries: Sequence[RangeQuery], kind: str = "count") -> list[int]:
         """Answer a whole workload; ``kind`` is ``"count"`` or ``"distinct"``."""
-        if kind not in _KIND_WEIGHTS:
+        if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected {QUERY_KINDS}")
-        return [self._aggregate(query, kind) for query in queries]
+        values = self._scan(queries, self.sizes if kind == "count" else None)
+        if OBS.enabled:
+            OBS.count(_KIND_COUNTERS[kind], len(values))
+        return values
 
     def point_lookup(self, point: Sequence[float]) -> int:
         """Records that *might* match ``point``: the sizes of every
         partition whose box contains it (§5.4 point semantics)."""
-        query = point_query(point)
         if OBS.enabled:
             OBS.count("query.point_lookups")
-        return self._aggregate(query, "count", counted=False)
+        return self._scan([point_query(point)], self.sizes)[0]
 
     def point_partitions(self, point: Sequence[float]) -> tuple[Partition, ...]:
-        """The equivalence classes whose box contains ``point``.
-
-        Only table-backed engines can materialize partitions; entry-only
-        shard engines raise.
-        """
-        if self._table is None:
-            raise ValueError("engine was built from bare entries; no table attached")
-        query = point_query(point)
-        stats = PushdownStats()
-        indices = list(self._tree.matching(query.box, stats))
-        self._record(stats)
+        """The equivalence classes whose box contains ``point``."""
+        qlows, qhighs = self._columns([point_query(point)])
+        mask = intersection_mask(self.lows, self.highs, qlows, qhighs)[0]
         if OBS.enabled:
             OBS.count("query.point_lookups")
         partitions = self._table.partitions
-        return tuple(partitions[index] for index in indices)
+        return tuple(partitions[index] for index in np.flatnonzero(mask))
 
     def group_by_count(
         self,
@@ -216,36 +171,28 @@ class QueryEngine:
         """Per-bin range COUNTs along ``dimension``.
 
         ``base`` defaults to the engine's own bounds (the release MBR).
-        Returns ``(bin low, bin high, count)`` rows; an empty release
-        yields all-zero counts over the caller-supplied base.
+        Returns ``(bin low, bin high, count)`` rows.
         """
-        if base is None:
-            base = self.bounds
-            if base is None:
-                raise ValueError("empty release has no bounds; pass base explicitly")
-        queries = group_by_queries(base, dimension, edges)
+        queries = group_by_queries(
+            self.bounds if base is None else base, dimension, edges
+        )
         if OBS.enabled:
             OBS.count("query.groupby_queries")
         return [
-            (query.box.lows[dimension], query.box.highs[dimension], self.count(query))
-            for query in queries
+            (query.box.lows[dimension], query.box.highs[dimension], value)
+            for query, value in zip(queries, self.evaluate(queries))
         ]
 
     # -- internals -----------------------------------------------------------
 
-    def _aggregate(self, query: RangeQuery, kind: str, counted: bool = True) -> int:
-        stats = PushdownStats()
-        value = self._tree.aggregate(query.box, _KIND_WEIGHTS[kind], stats)
-        self._record(stats)
-        if counted and OBS.enabled:
-            OBS.count(_KIND_COUNTERS[kind])
-        return value
-
-    def _record(self, stats: PushdownStats) -> None:
-        self.stats.merge(stats)
+    def _columns(self, queries: Sequence[RangeQuery]) -> tuple[np.ndarray, np.ndarray]:
+        qlows, qhighs = query_columns(queries, len(self.lows))
         if OBS.enabled:
-            OBS.count("query.nodes_visited", stats.nodes_visited)
-            OBS.count("query.nodes_pruned", stats.nodes_pruned)
-            OBS.count("query.subtrees_aggregated", stats.subtrees_aggregated)
-            OBS.count("query.leaves_scanned", stats.leaves_scanned)
-            OBS.count("query.partitions_scanned", stats.entries_scanned)
+            OBS.count("query.partitions_scanned", len(queries) * len(self.sizes))
+        return qlows, qhighs
+
+    def _scan(
+        self, queries: Sequence[RangeQuery], weights: np.ndarray | None
+    ) -> list[int]:
+        qlows, qhighs = self._columns(queries)
+        return intersecting_sums(self.lows, self.highs, qlows, qhighs, weights).tolist()

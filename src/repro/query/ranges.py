@@ -16,6 +16,7 @@ credit the query with ``|P| * vol(P ∩ Q) / vol(P)`` — is provided as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,27 +81,98 @@ def count_anonymized(query: RangeQuery, table: AnonymizedTable) -> int:
 def count_anonymized_bulk(
     queries: list[RangeQuery], table: AnonymizedTable
 ) -> np.ndarray:
-    """Vectorized anonymized-table counts for a whole workload."""
-    lows = np.array([p.box.lows for p in table.partitions], dtype=np.float64)
-    highs = np.array([p.box.highs for p in table.partitions], dtype=np.float64)
-    # Integer partition sizes must stay integer: routing the bool mask
-    # through float64 loses exactness past 2**53 aggregate counts and the
-    # bulk path would silently diverge from the scalar oracle.
-    sizes = np.array([len(p) for p in table.partitions], dtype=np.int64)
-    qlows = np.array([q.box.lows for q in queries], dtype=np.float64)
-    qhighs = np.array([q.box.highs for q in queries], dtype=np.float64)
-    counts = np.zeros(len(queries), dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(1, lows.shape[0]))
-    for start in range(0, len(queries), chunk):
-        ql = qlows[start : start + chunk]
-        qh = qhighs[start : start + chunk]
-        # Boxes intersect iff they overlap on every attribute.
-        overlaps = np.logical_and(
-            (lows[None, :, :] <= qh[:, None, :]).all(axis=2),
-            (ql[:, None, :] <= highs[None, :, :]).all(axis=2),
+    """Vectorized anonymized-table counts for a whole workload.
+
+    The columnar twin of :func:`count_anonymized`; the serving
+    :class:`~repro.query.engine.QueryEngine` runs the same kernel over
+    columns it builds once per release.
+    """
+    lows, highs, sizes = partition_columns(table)
+    qlows, qhighs = query_columns(queries, len(lows))
+    return intersecting_sums(lows, highs, qlows, qhighs, sizes)
+
+
+#: Query x partition cells per broadcast chunk (bounds the mask's memory).
+_CHUNK_CELLS = 2_000_000
+
+
+def partition_columns(
+    table: AnonymizedTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A release as columns: ``lows`` and ``highs`` (one float64 row per
+    attribute, one column per partition) and int64 partition ``sizes``."""
+    partitions = table.partitions
+    shape = (len(partitions), partitions[0].box.dimensions)
+    lows = np.array([p.box.lows for p in partitions], dtype=np.float64)
+    highs = np.array([p.box.highs for p in partitions], dtype=np.float64)
+    sizes = np.array([len(p) for p in partitions], dtype=np.int64)
+    return (
+        np.ascontiguousarray(lows.reshape(shape).T),
+        np.ascontiguousarray(highs.reshape(shape).T),
+        sizes,
+    )
+
+
+def query_columns(
+    queries: Sequence[RangeQuery], dimensions: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Query boxes in the :func:`partition_columns` layout.
+
+    Raises ``ValueError`` when a query's dimension count differs from
+    ``dimensions``: box intersection would otherwise compare a prefix of
+    the attributes and silently ignore the rest.
+    """
+    for query in queries:
+        if query.dimensions != dimensions:
+            raise ValueError(
+                f"query has {query.dimensions} dimensions; "
+                f"the release has {dimensions}"
+            )
+    shape = (len(queries), dimensions)
+    lows = np.array([q.box.lows for q in queries], dtype=np.float64)
+    highs = np.array([q.box.highs for q in queries], dtype=np.float64)
+    return lows.reshape(shape).T, highs.reshape(shape).T
+
+
+def intersection_mask(
+    lows: np.ndarray, highs: np.ndarray, qlows: np.ndarray, qhighs: np.ndarray
+) -> np.ndarray:
+    """The (queries x partitions) mask of closed boxes that intersect.
+
+    Boxes intersect iff they overlap on every attribute, so the mask is
+    narrowed one attribute column at a time.
+    """
+    mask = np.ones((qlows.shape[1], lows.shape[1]), dtype=bool)
+    for low, high, qlow, qhigh in zip(lows, highs, qlows, qhighs):
+        mask &= low <= qhigh[:, None]
+        mask &= qlow[:, None] <= high
+    return mask
+
+
+def intersecting_sums(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    qlows: np.ndarray,
+    qhighs: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per query, the int64 sum of ``weights`` over intersecting
+    partitions (``None`` counts the partitions themselves).
+
+    Sums stay in integers: routing the mask through float64 would lose
+    exactness past 2**53 and diverge from the scalar oracle.
+    """
+    sums = np.zeros(qlows.shape[1], dtype=np.int64)
+    chunk = max(1, _CHUNK_CELLS // max(1, lows.shape[1]))
+    for start in range(0, len(sums), chunk):
+        stop = start + chunk
+        mask = intersection_mask(
+            lows, highs, qlows[:, start:stop], qhighs[:, start:stop]
         )
-        counts[start : start + chunk] = (overlaps * sizes[None, :]).sum(axis=1)
-    return counts
+        sums[start:stop] = (
+            mask.sum(axis=1) if weights is None else mask @ weights
+        )
+    return sums
 
 
 def estimate_anonymized(query: RangeQuery, table: AnonymizedTable) -> float:

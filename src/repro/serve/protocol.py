@@ -111,12 +111,13 @@ class ServiceProtocol(Protocol):
         k: int,
         kind: str = "count",
     ) -> "QueryResult":
-        """Answer §5.4 queries against the k-release via index pushdown.
+        """Answer §5.4 queries against the k-release with a columnar scan.
 
         The whole batch is evaluated against one snapshot; the result is
         stamped with that snapshot's epoch and digest, and its values are
-        bit-identical to the scalar oracle over the same snapshot (the
-        cluster merges per-shard pushdown answers exactly).
+        bit-identical to the scalar oracle over the same snapshot.  A
+        query whose dimension count differs from the release's raises
+        ``ValueError``.
         """
         ...
 

@@ -62,8 +62,8 @@ from repro.query.ranges import RangeQuery
 from repro.serve.cache import CacheKey, ReleaseCache, ReleaseSnapshot
 from repro.serve.queue import INSERT_KINDS, WriteOp, WriteQueue
 
-#: Pushdown engines cached per release recipe; oldest-built evicted beyond
-#: this (an engine is cheap to rebuild — one packing pass over the MBRs).
+#: Query engines cached per release recipe; oldest-built evicted beyond
+#: this (an engine is cheap to rebuild — one pass building the columns).
 MAX_QUERY_ENGINES = 8
 
 
@@ -462,7 +462,7 @@ class AnonymizerService:
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> QueryResult:
-        """Answer §5.4 queries against the k-release via index pushdown.
+        """Answer §5.4 queries against the k-release with a columnar scan.
 
         ``kind`` is ``"count"`` (records of intersecting partitions) or
         ``"distinct"`` (number of intersecting equivalence classes); point
@@ -473,6 +473,8 @@ class AnonymizerService:
         check which release state the answers reflect even while a writer
         is live.  Answers are bit-identical to running the scalar oracle
         :func:`repro.query.count_anonymized` over the same snapshot.
+        Raises ``ValueError`` for a query whose dimension count differs
+        from the release's.
         """
         self._assert_open()
         if kind not in QUERY_KINDS:
@@ -481,7 +483,7 @@ class AnonymizerService:
         snapshot = self.release(
             k, compacted=compacted, constraint=constraint, strategy=strategy
         )
-        engine = self._pushdown_engine(
+        engine = self._query_engine(
             (k, strategy, compacted, constraint), snapshot
         )
         started = time.perf_counter()
@@ -497,17 +499,16 @@ class AnonymizerService:
             digest=snapshot.digest,
         )
 
-    def _pushdown_engine(
+    def _query_engine(
         self, key: CacheKey, snapshot: ReleaseSnapshot
     ) -> QueryEngine:
-        """The cached pushdown engine for one release recipe.
+        """The cached query engine for one release recipe.
 
         Keyed by recipe, validated by digest: a digest match means the
         snapshot's table is bit-identical to the one the engine was built
         over, so reuse is safe across epochs whose writes did not change
-        this release.  The engine itself is immutable apart from its
-        advisory ``stats``, so handing one engine to many reader threads
-        is fine.
+        this release.  The engine is immutable, so handing one engine to
+        many reader threads is fine.
         """
         with self._query_lock:
             cached = self._query_engines.get(key)

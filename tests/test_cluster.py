@@ -3,7 +3,8 @@
 Covers the wire framing, the uniform shard planner, the ServiceProtocol
 surface, key routing (including cross-shard updates), configuration
 validation through ``repro.api``, fault surfacing when a shard worker is
-killed, and the shard-labeled metrics exposition.
+killed, router-side query answering, and the shard-labeled metrics
+exposition.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from repro.cluster import (
     recv_frame,
     send_frame,
 )
+from repro.cluster import router as router_module
 from repro.dataset.record import Record
 from repro.dataset.table import Table
+from repro.geometry.box import Box
 from repro.index.bulk import DEFAULT_HILBERT_BITS
 from repro.obs.live import parse_prometheus_text, prometheus_cluster_text
 from repro.obs.render import render_live
 from repro.parallel.planner import plan_uniform
+from repro.query import RangeQuery, count_anonymized
 from repro.serve import (
     AnonymizerService,
     ServiceClosedError,
@@ -240,6 +244,54 @@ def test_killed_shard_surfaces_closed_error_not_hang(schema3) -> None:
             )
         # The metrics endpoint still answers from the surviving shards.
         assert "repro_cluster_dead_shards 1" in cluster.metrics_text()
+    finally:
+        cluster.close()
+
+
+def test_cluster_query_answers_at_router_and_fails_on_dead_shard(
+    schema3, monkeypatch
+) -> None:
+    """Queries are answered from the release the router assembled: the
+    only per-shard ops are that release's epoch probe and, on a cache
+    miss, its ``collect``.  With a shard killed the router still holds
+    the old release, but it must refuse to answer from it."""
+    table = Table(schema3, random_records(240, seed=29))
+    cluster = ShardedCluster(table, ClusterConfig(shards=2, request_timeout=10.0))
+    ops: list[str] = []
+    submit = router_module._ShardHandle.submit
+
+    def recording(handle, op, args, timeout=None):  # noqa: ANN001, ANN202
+        ops.append(op)
+        return submit(handle, op, args, timeout)
+
+    try:
+        cluster.insert_batch(table)
+        monkeypatch.setattr(router_module._ShardHandle, "submit", recording)
+        queries = [
+            RangeQuery(Box((0.0, 0.0, 0.0), (50.0, 60.0, 70.0))),
+            RangeQuery(Box((20.0, 0.0, 40.0), (20.0, 100.0, 40.0))),
+        ]
+        answered = cluster.query(queries, k=5)
+        assert sorted(set(ops)) == ["collect", "epoch"]
+        ops.clear()
+        distinct = cluster.query(queries, k=5, kind="distinct")
+        assert ops == ["epoch", "epoch"]  # cached release: the probe alone
+        release = cluster.release(5).table
+        assert list(answered.values) == [
+            count_anonymized(query, release) for query in queries
+        ]
+        assert list(distinct.values) == [
+            sum(1 for p in release.partitions if p.box.intersects(query.box))
+            for query in queries
+        ]
+        with pytest.raises(ValueError, match="dimensions"):
+            cluster.query(RangeQuery(Box((0.0,), (100.0,))), k=5)
+        os.kill(cluster.worker_pids()[0], signal.SIGKILL)
+        time.sleep(0.2)
+        with pytest.raises(ServiceClosedError):
+            cluster.query(queries, k=5)
+        with pytest.raises(ServiceClosedError):
+            cluster.query(queries, k=5, kind="distinct")
     finally:
         cluster.close()
 

@@ -118,8 +118,10 @@ class TestRegistry:
             pass
         json.dumps(registry.snapshot("labelled"))
 
-    def test_snapshot_carries_environment_block(self) -> None:
+    def test_snapshot_carries_environment_block(self, monkeypatch) -> None:
         import platform
+
+        from repro.obs import registry as registry_module
 
         registry = MetricsRegistry()
         environment = registry.snapshot()["environment"]
@@ -127,6 +129,20 @@ class TestRegistry:
         assert environment["timestamp"]
         # git_revision may be None outside a repo, but the key must exist.
         assert "git_revision" in environment
+        # The dirty flag is None exactly when the revision is (no repo).
+        assert environment["git_dirty"] in (None, True, False)
+        assert (environment["git_dirty"] is None) == (
+            environment["git_revision"] is None
+        )
+
+        # Both are resolved once per process: later snapshots never shell out.
+        def no_git(*args, **kwargs):  # noqa: ANN002, ANN003, ANN202
+            raise AssertionError("git was run again")
+
+        monkeypatch.setattr(registry_module.subprocess, "run", no_git)
+        again = registry.snapshot()["environment"]
+        assert again["git_dirty"] == environment["git_dirty"]
+        assert again["git_revision"] == environment["git_revision"]
 
     def test_render_table_and_table_sink_share_one_renderer(self) -> None:
         import io

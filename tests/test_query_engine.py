@@ -1,14 +1,17 @@
-"""Differential suite for the pushdown query engine (§5.4 semantics).
+"""Differential suite for the columnar query engine (§5.4 semantics).
 
-The engine's contract is *bit-identity*: every answer produced through
-the packed aggregate R-tree — point lookups, range COUNTs, group-by
-aggregates, distinct counts — must equal the leaf-scan oracle
-(:func:`repro.query.ranges.count_anonymized`) exactly, never
-approximately.  The tier-1 cells check the engine, the serving wire-up,
-and one single-vs-cluster parity cell; the ``stress`` grid sweeps
-{census, agrawal} x k {5, 25} x workload shape, the shard grid, and an
-8-reader-vs-live-writer run where every answer must be reproducible
-against the exact release snapshot whose digest it carries.
+The engine's contract is *bit-identity*: every answer produced by the
+columnar scan — point lookups, range COUNTs, group-by aggregates,
+distinct counts — must equal the scalar oracle
+(:func:`repro.query.ranges.count_anonymized`, or a per-partition
+``Box.intersects`` count for distinct counts) exactly, never
+approximately.  ``count_anonymized_bulk`` runs the engine's own kernel,
+so it is never the reference here.  The tier-1 cells check the engine,
+the serving wire-up, and one single-vs-cluster parity cell; the
+``stress`` grid sweeps {census, agrawal} x k {5, 25} x workload shape,
+the shard grid, and an 8-reader-vs-live-writer run where every answer
+must be reproducible against the exact release snapshot whose digest it
+carries.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from repro.dataset.census import make_census_table
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.query.engine import QueryEngine, group_by_queries, point_query
-from repro.query.ranges import (
-    count_anonymized,
-    count_anonymized_bulk,
-    count_original,
-)
+from repro.query.ranges import RangeQuery, count_anonymized, count_original
 from repro.query.workload import random_range_workload, single_attribute_workload
 from repro.serve import AnonymizerService
 
@@ -53,8 +52,19 @@ def _workload(table: Table, shape: str, seed: int):
     raise AssertionError(shape)
 
 
+def _oracle(queries, table, kind: str = "count") -> list[int]:
+    """The scalar reference: COUNT via ``count_anonymized``, distinct as
+    the number of partitions whose box intersects the query."""
+    if kind == "count":
+        return [count_anonymized(query, table) for query in queries]
+    return [
+        sum(1 for p in table.partitions if p.box.intersects(query.box))
+        for query in queries
+    ]
+
+
 def _check_cell(dataset: str, records: int, k: int, shape: str, seed: int) -> None:
-    """One grid cell: engine == scalar oracle == bulk oracle, exactly."""
+    """One grid cell: every service answer == the scalar oracle, exactly."""
     table = _make_table(dataset, records, seed)
     engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
     with AnonymizerService(engine_core) as service:
@@ -64,28 +74,17 @@ def _check_cell(dataset: str, records: int, k: int, shape: str, seed: int) -> No
         snapshot = service.release(k)
         assert result.digest == snapshot.digest
         assert result.epoch == snapshot.epoch
-        oracle = count_anonymized_bulk(workload, snapshot.table)
-        assert list(result.values) == [int(value) for value in oracle]
-        # Spot-check the scalar oracle too: the bulk kernel is itself a
-        # derived artifact, so anchor a few cells to the pure-python count.
-        for query in workload[:5]:
-            assert count_anonymized(query, snapshot.table) == int(
-                oracle[workload.index(query)]
-            )
-        # Distinct counts reduce the same way: each intersecting partition
-        # contributes exactly one, so the oracle is a partition scan.
+        assert list(result.values) == _oracle(workload, snapshot.table)
         distinct = service.query(workload, k=k, kind="distinct")
-        for query, value in zip(workload, distinct.values):
-            expected = sum(
-                1 for p in snapshot.table.partitions if p.box.intersects(query.box)
-            )
-            assert value == expected
+        assert list(distinct.values) == _oracle(
+            workload, snapshot.table, "distinct"
+        )
 
 
 class TestEngineUnits:
     """Direct engine checks against hand-computable oracles."""
 
-    def test_pushdown_prunes_and_stays_exact(self) -> None:
+    def test_scan_matches_scalar_oracle(self) -> None:
         table = make_census_table(1_500, seed=3)
         engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
         with AnonymizerService(engine_core) as service:
@@ -93,13 +92,15 @@ class TestEngineUnits:
             snapshot = service.release(10)
         engine = QueryEngine(snapshot.table)
         workload = random_range_workload(table, QUERIES, seed=4)
-        values = engine.evaluate(workload)
-        oracle = count_anonymized_bulk(workload, snapshot.table)
-        assert list(values) == [int(value) for value in oracle]
-        # The acceptance gate: descending past every leaf would still be
-        # exact, but it would not be an index — pruning must happen.
-        assert engine.stats.nodes_pruned > 0
-        assert engine.stats.nodes_visited > 0
+        assert engine.evaluate(workload) == _oracle(workload, snapshot.table)
+        assert [engine.count(query) for query in workload] == _oracle(
+            workload, snapshot.table
+        )
+        assert [engine.distinct_count(query) for query in workload] == _oracle(
+            workload, snapshot.table, "distinct"
+        )
+        assert engine.partition_count == len(snapshot.table)
+        assert engine.evaluate([]) == []
 
     def test_point_lookup_matches_partition_scan(self) -> None:
         table = make_agrawal_table(800, seed=5)
@@ -154,6 +155,29 @@ class TestEngineUnits:
             with pytest.raises(ValueError):
                 service.query(random_range_workload(table, 1), k=5, kind="sum")
 
+    def test_rejects_queries_of_another_dimension_count(self) -> None:
+        """Box intersection zips coordinates, so a query with fewer (or
+        more) attributes than the release would compare a prefix and
+        silently answer; it must be refused instead."""
+        table = make_census_table(300, seed=9)
+        dimensions = table.schema.dimensions
+        engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
+        with AnonymizerService(engine_core) as service:
+            service.insert_batch(table)
+            for width in (1, dimensions - 1, dimensions + 1):
+                query = RangeQuery(Box((0.0,) * width, (1e9,) * width))
+                with pytest.raises(ValueError, match="dimensions"):
+                    service.query(query, k=5)
+                with pytest.raises(ValueError, match="dimensions"):
+                    service.query([query], k=5, kind="distinct")
+            # A well-formed query mixed with a malformed one is refused too.
+            good = random_range_workload(table, 1, seed=10)[0]
+            with pytest.raises(ValueError, match="dimensions"):
+                service.query([good, point_query((0.0,))], k=5)
+            assert service.query(good, k=5).values == (
+                count_anonymized(good, service.release(5).table),
+            )
+
 
 def test_query_differential_tier1_cells() -> None:
     _check_cell("census", 700, 5, "random_range", seed=11)
@@ -186,6 +210,11 @@ def _cluster_parity_cell(dataset: str, k: int, shards: int, seed: int) -> None:
         assert sharded.values == single.values
         sharded_distinct = cluster.query(workload, k=k, kind="distinct")
         assert sharded_distinct.values == single_distinct.values
+        release = cluster.release(k).table
+        assert list(sharded.values) == _oracle(workload, release)
+        assert list(sharded_distinct.values) == _oracle(
+            workload, release, "distinct"
+        )
 
 
 def test_cluster_query_parity_tier1_cell() -> None:
@@ -275,8 +304,7 @@ def test_readers_vs_live_writer_answers_are_epoch_consistent() -> None:
             for batch, result in observed:
                 if result.digest != final.digest:
                     continue
-                oracle = count_anonymized_bulk(list(batch), final.table)
-                assert list(result.values) == [int(value) for value in oracle]
+                assert list(result.values) == _oracle(batch, final.table)
                 replayed = True
             assert replayed, f"reader {index} never matched the final digest"
             verified += 1

@@ -58,12 +58,6 @@ from repro.index.split import (
     MinMarginSplitPolicy,
     WeightedSplitPolicy,
 )
-from repro.kernels import (
-    RecordBatch,
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
-)
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.discernibility import discernibility_penalty
 from repro.metrics.kl import kl_divergence
@@ -104,7 +98,6 @@ __all__ = [
     "RPlusTree",
     "RTreeAnonymizer",
     "Record",
-    "RecordBatch",
     "RecoveryError",
     "ReleaseRegistry",
     "ReleaseRejected",
@@ -129,7 +122,6 @@ __all__ = [
     "hierarchical_release",
     "intersection_attack",
     "is_k_anonymous",
-    "kernels_enabled",
     "kl_divergence",
     "leaf_scan",
     "linkage_attack",
@@ -140,8 +132,6 @@ __all__ = [
     "quality_report",
     "random_range_workload",
     "read_release_csv",
-    "scoped_kernels",
-    "set_kernels_enabled",
     "single_attribute_workload",
     "verify_k_bound",
     "verify_release",

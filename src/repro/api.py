@@ -150,17 +150,13 @@ class Anonymizer:
         workers: int | None = None,
         batch_size: int = 8_192,
         first_rid: int = 0,
-        use_kernels: bool | None = None,
     ) -> int:
         """Bulk-anonymize a table, record stream, or record file.
 
         Returns the number of records consumed.  ``workers`` selects the
         sharded parallel engine for file sources (deterministic for every
         worker count); it is rejected for in-memory sources, which have no
-        shardable byte ranges.  ``use_kernels`` overrides the process-wide
-        columnar-kernel default for this load (``None`` defers to it); the
-        result is bit-identical either way — the flag only trades the
-        scalar oracle path for the vectorized one.
+        shardable byte ranges.
         """
         if isinstance(source, (str, Path)):
             return self._engine.bulk_load_file(
@@ -168,7 +164,6 @@ class Anonymizer:
                 batch_size=batch_size,
                 first_rid=first_rid,
                 workers=workers,
-                use_kernels=use_kernels,
             )
         if workers is not None:
             raise ValueError(
@@ -204,7 +199,6 @@ class Anonymizer:
         constraints: "Constraint | Sequence[Constraint] | None" = None,
         compact: bool = True,
         strategy: str = "subtree",
-        use_kernels: bool | None = None,
     ) -> ReleaseResult:
         """Publish a k-anonymous release with its audit and digest.
 
@@ -220,7 +214,6 @@ class Anonymizer:
             compacted=compact,
             constraint=constraint,
             strategy=strategy,
-            use_kernels=use_kernels,
         )
         if AUDITOR.enabled and AUDITOR.latest is not None:
             audit = AUDITOR.latest

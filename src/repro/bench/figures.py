@@ -188,13 +188,15 @@ def fig7a_kernels(
     Measures the three per-record costs the bulk loader pays on every
     ingested record — encode to the on-disk format, decode pages back, and
     Hilbert keying — in both modes: the kernel runs the *whole* workload
-    (one million records by default) while the scalar oracle runs a
+    (one million records by default) while the per-record scalar code
+    (``struct`` pack/unpack, ``hilbert_key(quantize(...))``) runs a
     ``scalar_sample``-record slice of the same data, so the figure stays
     CI-sized without shrinking the vectorized side.  Speedups compare
     per-record cost, and the ``match`` column cross-checks the two modes'
     outputs on the shared slice — the kernels' bit-identity contract in
     bench form.
     """
+    import struct
     import tempfile
     from pathlib import Path
 
@@ -274,7 +276,14 @@ def fig7a_kernels(
             obs.OBS.count("kernels.decoded_pages", len(pages))
             obs.OBS.count("kernels.decoded_records", records)
         with Timer() as decode_scalar:
-            scalar_rows = list(reader.iter_points(batch_size, count=sample))
+            unpacker = struct.Struct(f"<{dimensions}i")
+            with open(path, "rb") as handle:
+                handle.seek(_HEADER.size)
+                payload = handle.read(sample * record_bytes)
+            scalar_rows = [
+                tuple(float(value) for value in values)
+                for values in unpacker.iter_unpack(payload)
+            ]
         decoded = np.concatenate(pages) if len(pages) > 1 else pages[0]
         decode_match = [
             tuple(row) for row in decoded[:sample].tolist()

@@ -60,7 +60,6 @@ KEY_COUNTERS: tuple[str, ...] = (
     "kernels.keyed_records",
     "kernels.decoded_pages",
     "kernels.decoded_records",
-    "kernels.group_mbrs",
     "parallel.shards",
     "parallel.shard_records",
     "wal.appends",

@@ -27,9 +27,7 @@
 The data-facing commands (``anonymize``, ``bench``, ``recover``,
 ``checkpoint``) share one option vocabulary — ``--dataset``, ``--k``,
 ``--out``, ``--workers``, ``--dir`` — and are all implemented on
-:mod:`repro.api`, the consolidated facade (see docs/API.md).  The old
-``--input`` spelling still works but warns once with a
-``DeprecationWarning``; use ``--dataset-file``.
+:mod:`repro.api`, the consolidated facade (see docs/API.md).
 
 Each experiment prints the same rows the paper plots; see EXPERIMENTS.md
 for the recorded paper-vs-measured comparison.  ``--profile`` switches the
@@ -44,43 +42,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Sequence
 
 from repro.bench.figures import DRIVERS
 from repro.bench.runner import environment_report
-
-#: Options that have already warned this process (deprecations warn once).
-_warned_options: set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    if old in _warned_options:
-        return
-    _warned_options.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new}", DeprecationWarning, stacklevel=4
-    )
-
-
-class _DeprecatedAlias(argparse.Action):
-    """An option spelling kept for compatibility; warns once when used."""
-
-    def __init__(
-        self, option_strings: list[str], dest: str, new_option: str = "", **kwargs: object
-    ) -> None:
-        self._new_option = new_option
-        super().__init__(option_strings, dest, **kwargs)  # type: ignore[arg-type]
-
-    def __call__(
-        self,
-        parser: argparse.ArgumentParser,
-        namespace: argparse.Namespace,
-        values: object,
-        option_string: str | None = None,
-    ) -> None:
-        _warn_deprecated(option_string or self.option_strings[0], self._new_option)
-        setattr(namespace, self.dest, values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,16 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     shared.add_argument(
-        "--no-kernels",
-        dest="no_kernels",
-        action="store_true",
-        help=(
-            "disable the numpy columnar kernels and run the scalar oracle "
-            "paths instead (output is bit-identical; kernels are only "
-            "faster — this switch exists for the differential CI jobs)"
-        ),
-    )
-    shared.add_argument(
         "--dataset",
         choices=("landsend", "census", "agrawal"),
         default="landsend",
@@ -169,15 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "bulk-load this binary record file instead of generating one "
             "(must match the --dataset schema)"
         ),
-    )
-    shared.add_argument(
-        "--input",
-        dest="dataset_file",
-        metavar="PATH",
-        action=_DeprecatedAlias,
-        new_option="--dataset-file",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,  # deprecated spelling of --dataset-file
     )
     shared.add_argument(
         "--out",
@@ -234,15 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve-demo: how long to keep the service alive under load (seconds)",
     )
     live.add_argument(
-        "--seconds",
-        dest="duration",
-        type=float,
-        action=_DeprecatedAlias,
-        new_option="--duration",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    live.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -291,10 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = _build_parser().parse_args(argv)
-    if getattr(arguments, "no_kernels", False):
-        from repro.kernels.config import set_kernels_enabled
-
-        set_kernels_enabled(False)
     name = arguments.experiment.lower()
     if name == "list":
         print("Available experiments:")

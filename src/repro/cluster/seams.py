@@ -46,7 +46,6 @@ def assemble_release(
     runs: Sequence[ShardRun],
     k: int,
     base_k: int,
-    use_kernels: bool | None = None,
 ) -> tuple[AnonymizedTable, dict[str, object]]:
     """Stitch per-shard runs into one audited k-anonymous release.
 
@@ -58,7 +57,7 @@ def assemble_release(
         "cluster.assemble", "cluster", k=k, shards=len(runs)
     ):
         groups = list(stitched_chunks(runs, k))
-        partitions = build_compacted_partitions(groups, use_kernels)
+        partitions = build_compacted_partitions(groups)
         if OBS.enabled:
             OBS.count("cluster.releases")
             OBS.count(

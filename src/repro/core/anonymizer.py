@@ -45,72 +45,21 @@ from repro.storage.buffer_pool import BufferPool
 DEFAULT_BASE_K = 5
 
 
-def build_compacted_partitions(
-    groups: Sequence[Sequence[Record]], use_kernels: bool | None = None
-) -> list[Partition]:
+def build_compacted_partitions(groups: Sequence[Sequence[Record]]) -> list[Partition]:
     """Each record group as a partition under its minimum bounding box.
 
     The one shared publish path for compacted releases: both
     :meth:`RTreeAnonymizer._emit_release` and the sharded serving
     cluster's seam assembly (:mod:`repro.cluster.seams`) build their
     partitions here, so a cluster release and a single-writer release
-    over the same groups are the same objects box for box.  With kernels
-    on, one ``reduceat`` pair over all groups' points replaces the
-    per-group per-record Python MBR folds; the resulting boxes are
-    bit-identical on integer-coded data (see :mod:`repro.kernels.boxes`
-    on signed zeros).
+    over the same groups are the same objects box for box.
     """
-    from repro.kernels.config import kernels_enabled
-
-    if kernels_enabled(use_kernels) and groups:
-        import numpy as np
-
-        from repro.kernels.boxes import group_mbrs
-
-        starts: list[int] = []
-        offset = 0
-        for group in groups:
-            starts.append(offset)
-            offset += len(group)
-        flat = np.array(
-            [r.point for group in groups for r in group],
-            dtype=np.float64,
-        )
-        boxes = group_mbrs(flat, starts)
-        if OBS.enabled:
-            OBS.count("kernels.group_mbrs", len(boxes))
-        return [
-            Partition.trusted(tuple(group), box)
-            for group, box in zip(groups, boxes)
-        ]
     return [
         Partition.trusted(
             tuple(group), Box.from_points(r.point for r in group)
         )
         for group in groups
     ]
-
-
-def _kernel_record_stream(
-    reader, batch_size: int, first_rid: int  # noqa: ANN001 - RecordFileReader
-) -> Iterable[Record]:
-    """File-order record stream via the columnar page decoder.
-
-    Yields exactly the records of ``reader.iter_records`` — same rids
-    (file position + ``first_rid``), same float points (int32 → float64 is
-    exact either way) — but pages are decoded with one ``frombuffer`` each
-    instead of per-record ``struct`` unpacking.
-    """
-    from repro.obs import OBS as _OBS
-
-    for position, points in reader.iter_point_batches(batch_size):
-        if _OBS.enabled:
-            _OBS.count("kernels.decoded_pages")
-            _OBS.count("kernels.decoded_records", points.shape[0])
-        rid = first_rid + position
-        for row in points.tolist():
-            yield Record(rid, tuple(row))
-            rid += 1
 
 
 class RTreeAnonymizer:
@@ -244,7 +193,6 @@ class RTreeAnonymizer:
         batch_size: int = 8_192,
         first_rid: int = 0,
         workers: int | None = None,
-        use_kernels: bool | None = None,
     ) -> int:
         """Bulk-anonymize straight from a binary record file (§5.2).
 
@@ -280,14 +228,9 @@ class RTreeAnonymizer:
             workers=workers or 0,
         ):
             if workers is None:
-                from repro.kernels.config import kernels_enabled
-
-                if kernels_enabled(use_kernels):
-                    stream: Iterable[Record] = _kernel_record_stream(
-                        reader, batch_size, first_rid
-                    )
-                else:
-                    stream = reader.iter_records(batch_size, first_rid=first_rid)
+                stream: Iterable[Record] = reader.iter_records(
+                    batch_size, first_rid=first_rid
+                )
             else:
                 from repro.parallel import scan_file_shards, shard_record_stream
 
@@ -298,7 +241,6 @@ class RTreeAnonymizer:
                     workers=workers,
                     batch_size=batch_size,
                     first_rid=first_rid,
-                    use_kernels=use_kernels,
                 )
                 stream = shard_record_stream(scan.runs)
             if self._durability is None:
@@ -392,7 +334,6 @@ class RTreeAnonymizer:
         compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
-        use_kernels: bool | None = None,
     ) -> AnonymizedTable:
         """Emit a k-anonymous release at granularity ``k`` (leaf scan, §3.2).
 
@@ -433,9 +374,7 @@ class RTreeAnonymizer:
         with OBS.span("anonymizer.anonymize"), TRACE.span(
             "anonymizer.release", "anonymizer", k=k, strategy=strategy
         ):
-            return self._emit_release(
-                k, compacted, constraint, strategy, use_kernels
-            )
+            return self._emit_release(k, compacted, constraint, strategy)
 
     def _emit_release(
         self,
@@ -443,7 +382,6 @@ class RTreeAnonymizer:
         compacted: bool,
         constraint: Constraint | None,
         strategy: str,
-        use_kernels: bool | None = None,
     ) -> AnonymizedTable:
         leaves = self._tree.leaves()
         if strategy == "subtree":
@@ -479,13 +417,12 @@ class RTreeAnonymizer:
                 records,
                 self._schema.domain_lows(),
                 self._schema.domain_highs(),
-                use_kernels=use_kernels,
             )
             groups = chunk_with_floor(ordered, k)
         else:
             raise ValueError(f"unknown grouping strategy {strategy!r}")
         if compacted:
-            partitions = build_compacted_partitions(groups, use_kernels)
+            partitions = build_compacted_partitions(groups)
         else:
             regions = self.leaf_regions()
             partitions = []

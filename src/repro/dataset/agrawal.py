@@ -126,8 +126,9 @@ class AgrawalGenerator:
             offset = 0
             while written < count:
                 size = min(batch_size, count - written)
-                for row in self.generate_points(size, stream_offset=offset):
-                    writer.write_point(row)
+                writer.write_batch(
+                    self.generate_points(size, stream_offset=offset)
+                )
                 written += size
                 offset += 1
             return written

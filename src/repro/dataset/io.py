@@ -18,12 +18,18 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
+from repro.kernels.codec import RECORD_DTYPE, decode_points, encode_points
+from repro.obs import OBS
 
 _MAGIC = b"RPR1"
 _HEADER = struct.Struct("<4sII")  # magic, dimensions, record count
+#: Records per page that :meth:`RecordFileWriter.write_all` encodes at once.
+_WRITE_PAGE_RECORDS = 8_192
 
 
 class RecordFileWriter:
@@ -52,25 +58,27 @@ class RecordFileWriter:
         self._count += 1
 
     def write_all(self, points: Iterable[Sequence[float]]) -> int:
-        """Append many records; returns how many were written."""
+        """Append many records, a page at a time through :meth:`write_batch`;
+        returns how many were written."""
         written = 0
+        page: list[Sequence[float]] = []
         for point in points:
-            self.write_point(point)
-            written += 1
+            page.append(point)
+            if len(page) == _WRITE_PAGE_RECORDS:
+                written += self.write_batch(page)
+                page = []
+        if page:
+            written += self.write_batch(page)
         return written
 
     def write_batch(self, points) -> int:  # noqa: ANN001 - ndarray or rows
         """Append an ``(N, dims)`` page in one buffer write.
 
-        The vectorized twin of a :meth:`write_point` loop — byte-identical
-        output (``np.rint`` rounds half-to-even exactly like ``round``),
-        one ``tobytes`` per page instead of one ``struct.pack`` per record.
-        Returns how many records were written.
+        Byte-identical to a :meth:`write_point` loop (``np.rint`` rounds
+        half-to-even exactly like ``round``), one ``tobytes`` per page
+        instead of one ``struct.pack`` per record.  Returns how many
+        records were written.
         """
-        import numpy as np
-
-        from repro.kernels.codec import encode_points
-
         rows = np.ascontiguousarray(points, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self._dimensions:
             raise ValueError(
@@ -110,21 +118,23 @@ class RecordFileReader:
         magic, dimensions, count = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{self._path}: not a repro record file")
+        if dimensions == 0:
+            raise ValueError(f"{self._path}: header claims 0 dimensions")
         self._dimensions = dimensions
         self._count = count
-        self._record_struct = struct.Struct(f"<{dimensions}i")
+        self._record_bytes = dimensions * RECORD_DTYPE.itemsize
         # The header's record count is a claim, not a fact: a crashed writer
         # (count backpatched only on close) or an externally truncated file
         # can disagree with the bytes actually present.  Validate up front so
         # slice readers never silently short-read past physical EOF.
         file_bytes = self._path.stat().st_size
-        available = (file_bytes - _HEADER.size) // self._record_struct.size
+        available = (file_bytes - _HEADER.size) // self._record_bytes
         if available < count:
             raise ValueError(
                 f"{self._path}: header claims {count} records but the file's "
                 f"{file_bytes} bytes hold only {available} whole records "
                 f"(truncated at byte offset "
-                f"{_HEADER.size + available * self._record_struct.size})"
+                f"{_HEADER.size + available * self._record_bytes})"
             )
 
     @property
@@ -136,19 +146,23 @@ class RecordFileReader:
 
     @property
     def record_bytes(self) -> int:
-        return self._record_struct.size
+        return self._record_bytes
 
-    def iter_points(
+    def iter_point_batches(
         self,
         batch_size: int = 8192,
         start: int = 0,
         count: int | None = None,
-    ) -> Iterator[tuple[float, ...]]:
-        """Yield quasi-identifier points one at a time, reading in batches.
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(position, (n, dims) float64 array)`` pages.
 
-        ``start``/``count`` select a contiguous slice of the file's records
-        (record indices, not bytes) — the sharded bulk-anonymization workers
-        use these offsets to stream disjoint slices of one file without any
+        The reader's one page loop: each page is read with one buffered
+        ``read`` and decoded with one ``frombuffer`` (int32 → float64 is
+        exact).  ``position`` is the file-record index of the page's first
+        row, so callers assign file-position rids.  ``start``/``count``
+        select a contiguous slice of the file's records (record indices,
+        not bytes) — the sharded bulk-anonymization workers use these
+        offsets to stream disjoint slices of one file without any
         coordination beyond the slice bounds.
         """
         if start < 0 or start > self._count:
@@ -161,7 +175,7 @@ class RecordFileReader:
                 f"slice [{start}, {start + remaining}) outside the file's "
                 f"{self._count} records"
             )
-        record_bytes = self._record_struct.size
+        record_bytes = self._record_bytes
         position = start
         with open(self._path, "rb") as handle:
             handle.seek(_HEADER.size + start * record_bytes)
@@ -181,57 +195,19 @@ class RecordFileReader:
                         f"(record {position + whole}): wanted {want} records, "
                         f"file ended after {whole}"
                     )
-                for values in self._record_struct.iter_unpack(chunk):
-                    yield tuple(float(v) for v in values)
+                yield position, decode_points(chunk, self._dimensions)
                 remaining -= want
                 position += want
 
-    def iter_point_batches(
+    def iter_points(
         self,
         batch_size: int = 8192,
         start: int = 0,
         count: int | None = None,
-    ) -> "Iterator[tuple[int, object]]":
-        """Yield ``(position, (n, dims) float64 array)`` pages.
-
-        The columnar twin of :meth:`iter_points`: each page is decoded with
-        one ``frombuffer`` instead of per-record ``struct`` calls, and the
-        decoded rows equal the scalar tuples exactly (int32 → float64 is
-        exact).  ``position`` is the file-record index of the page's first
-        row, so callers can assign the same file-position rids either way.
-        Short reads fail with the scalar path's exact message.
-        """
-        from repro.kernels.codec import decode_points
-
-        if start < 0 or start > self._count:
-            raise ValueError(
-                f"start {start} outside the file's {self._count} records"
-            )
-        remaining = self._count - start if count is None else count
-        if remaining < 0 or start + remaining > self._count:
-            raise ValueError(
-                f"slice [{start}, {start + remaining}) outside the file's "
-                f"{self._count} records"
-            )
-        record_bytes = self._record_struct.size
-        position = start
-        with open(self._path, "rb") as handle:
-            handle.seek(_HEADER.size + start * record_bytes)
-            reader = io.BufferedReader(handle, buffer_size=batch_size * record_bytes)
-            while remaining > 0:
-                want = min(remaining, batch_size)
-                chunk = reader.read(want * record_bytes)
-                whole = len(chunk) // record_bytes
-                if len(chunk) % record_bytes or whole < want:
-                    raise ValueError(
-                        f"{self._path}: short read at byte offset "
-                        f"{_HEADER.size + (position + whole) * record_bytes} "
-                        f"(record {position + whole}): wanted {want} records, "
-                        f"file ended after {whole}"
-                    )
-                yield position, decode_points(chunk, self._dimensions)
-                remaining -= want
-                position += want
+    ) -> Iterator[tuple[float, ...]]:
+        """Yield quasi-identifier points one at a time, read in pages."""
+        for _position, points in self.iter_point_batches(batch_size, start, count):
+            yield from map(tuple, points.tolist())
 
     def iter_records(
         self,
@@ -246,10 +222,14 @@ class RecordFileReader:
         record carries the same rid whether the file is read whole or in
         slices — what makes slice-parallel loads reproduce serial output.
         """
-        for offset, point in enumerate(
-            self.iter_points(batch_size, start=start, count=count)
-        ):
-            yield Record(first_rid + start + offset, point)
+        for position, points in self.iter_point_batches(batch_size, start, count):
+            if OBS.enabled:
+                OBS.count("kernels.decoded_pages")
+                OBS.count("kernels.decoded_records", points.shape[0])
+            rid = first_rid + position
+            for row in points.tolist():
+                yield Record(rid, tuple(row))
+                rid += 1
 
 
 def write_table(table: Table, path: str | Path) -> int:

@@ -23,16 +23,31 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.dataset.record import Record
 from repro.index.buffer_tree import BufferTreeLoader
-from repro.index.hilbert import hilbert_key, quantize
 from repro.index.rtree import RPlusTree
 from repro.index.split import best_threshold
-from repro.kernels.config import kernels_enabled
+from repro.kernels.hilbert import hilbert_keys_for_points
 from repro.obs import OBS, TRACE
 
 #: Grid resolution for Hilbert quantization.
 DEFAULT_HILBERT_BITS = 10
+
+
+def _hilbert_keys(
+    records: Sequence[Record],
+    lows: Sequence[float],
+    highs: Sequence[float],
+    bits: int,
+) -> list[int]:
+    """Every record's Hilbert key, via the batch kernel, as Python ints."""
+    points = np.array([record.point for record in records], dtype=np.float64)
+    keys = hilbert_keys_for_points(points, lows, highs, bits).tolist()
+    if OBS.enabled:
+        OBS.count("kernels.keyed_records", len(keys))
+    return keys
 
 
 def hilbert_sorted(
@@ -40,35 +55,18 @@ def hilbert_sorted(
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int = DEFAULT_HILBERT_BITS,
-    use_kernels: bool | None = None,
 ) -> list[Record]:
     """Records sorted by their Hilbert key over the given domain box.
 
-    With kernels on (the default), keys come from the batch Hilbert kernel
-    and ordering falls to one stable index sort over Python-int keys — the
-    same keys and the same tie order as the scalar ``sorted(key=...)``
-    path, which stays available as the differential oracle.
+    Keys come from the batch Hilbert kernel; one stable index sort over
+    them keeps input order between equal keys.
     """
     with TRACE.span("bulk.hilbert_sort", "bulk", records=len(records)):
-        if kernels_enabled(use_kernels) and len(records) > 1:
-            import numpy as np
-
-            from repro.kernels.hilbert import hilbert_keys_for_points
-
-            points = np.array(
-                [record.point for record in records], dtype=np.float64
-            )
-            keys = hilbert_keys_for_points(points, lows, highs, bits).tolist()
-            if OBS.enabled:
-                OBS.count("kernels.keyed_records", len(keys))
-            order = sorted(range(len(records)), key=keys.__getitem__)
-            return [records[index] for index in order]
-        return sorted(
-            records,
-            key=lambda record: hilbert_key(
-                quantize(record.point, lows, highs, bits), bits
-            ),
-        )
+        if len(records) < 2:
+            return list(records)
+        keys = _hilbert_keys(records, lows, highs, bits)
+        order = sorted(range(len(records)), key=keys.__getitem__)
+        return [records[index] for index in order]
 
 
 def hilbert_ordered(
@@ -76,7 +74,6 @@ def hilbert_ordered(
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int = DEFAULT_HILBERT_BITS,
-    use_kernels: bool | None = None,
 ) -> list[Record]:
     """Records sorted by ``(hilbert key, rid)`` over the given domain box.
 
@@ -91,29 +88,14 @@ def hilbert_ordered(
     two backends' releases bit-identical.
     """
     with TRACE.span("bulk.hilbert_order", "bulk", records=len(records)):
-        if kernels_enabled(use_kernels) and len(records) > 1:
-            import numpy as np
-
-            from repro.kernels.hilbert import hilbert_keys_for_points
-
-            points = np.array(
-                [record.point for record in records], dtype=np.float64
-            )
-            keys = hilbert_keys_for_points(points, lows, highs, bits).tolist()
-            if OBS.enabled:
-                OBS.count("kernels.keyed_records", len(keys))
-            order = sorted(
-                range(len(records)),
-                key=lambda index: (keys[index], records[index].rid),
-            )
-            return [records[index] for index in order]
-        return sorted(
-            records,
-            key=lambda record: (
-                hilbert_key(quantize(record.point, lows, highs, bits), bits),
-                record.rid,
-            ),
+        if len(records) < 2:
+            return list(records)
+        keys = _hilbert_keys(records, lows, highs, bits)
+        order = sorted(
+            range(len(records)),
+            key=lambda index: (keys[index], records[index].rid),
         )
+        return [records[index] for index in order]
 
 
 def hilbert_partitions(
@@ -122,7 +104,6 @@ def hilbert_partitions(
     highs: Sequence[float],
     k: int,
     bits: int = DEFAULT_HILBERT_BITS,
-    use_kernels: bool | None = None,
 ) -> list[list[Record]]:
     """Consecutive groups of ~2k records along the Hilbert curve.
 
@@ -130,7 +111,7 @@ def hilbert_partitions(
     into the last full group), so the grouping is k-anonymous.  Raises
     ``ValueError`` when the input holds fewer than ``k`` records in total.
     """
-    ordered = hilbert_sorted(records, lows, highs, bits, use_kernels)
+    ordered = hilbert_sorted(records, lows, highs, bits)
     return chunk_with_floor(ordered, k)
 
 
@@ -184,12 +165,11 @@ def hilbert_bulk_load(
     highs: Sequence[float],
     k: int,
     bits: int = DEFAULT_HILBERT_BITS,
-    use_kernels: bool | None = None,
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Build an R+-tree by buffer-loading the Hilbert-sorted stream."""
     with TRACE.span("bulk.hilbert_load", "bulk", records=len(records)):
-        ordered = hilbert_sorted(records, lows, highs, bits, use_kernels)
+        ordered = hilbert_sorted(records, lows, highs, bits)
         tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
         BufferTreeLoader(tree).load(ordered, charge_input=False)
         return tree

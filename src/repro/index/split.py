@@ -44,7 +44,7 @@ class SplitDecision:
 
 
 def best_threshold(
-    values: Sequence[float], min_count: int, use_kernels: bool | None = None
+    values: Sequence[float], min_count: int
 ) -> tuple[float, int] | None:
     """The most balanced legal threshold along one dimension.
 
@@ -54,12 +54,12 @@ def best_threshold(
     ``(threshold, left_count)`` or ``None`` when no boundary qualifies
     (single distinct value, or duplicates too concentrated).
     """
-    candidates = candidate_thresholds(values, min_count, use_kernels)
+    candidates = candidate_thresholds(values, min_count)
     return candidates[0] if candidates else None
 
 
 def candidate_thresholds(
-    values: Sequence[float], min_count: int, use_kernels: bool | None = None
+    values: Sequence[float], min_count: int
 ) -> list[tuple[float, int]]:
     """Promising legal thresholds along one dimension.
 
@@ -73,24 +73,9 @@ def candidate_thresholds(
 
     Each is returned as ``(threshold, left_count)`` and is legal: at least
     ``min_count`` values on both sides.  Empty when no boundary is legal.
-
-    With kernels on (the default) the sweep runs vectorized over the
-    sorted array's distinct-value runs; :func:`candidate_thresholds_scalar`
-    is the linear-sweep oracle it is proven identical to.
+    One linear sweep over the sorted values; on ties the first boundary
+    wins for both candidates.
     """
-    from repro.kernels.config import kernels_enabled
-
-    if kernels_enabled(use_kernels):
-        from repro.kernels.split import candidate_thresholds_batch
-
-        return candidate_thresholds_batch(values, min_count)
-    return candidate_thresholds_scalar(values, min_count)
-
-
-def candidate_thresholds_scalar(
-    values: Sequence[float], min_count: int
-) -> list[tuple[float, int]]:
-    """The original linear sweep — the kernel's differential oracle."""
     total = len(values)
     if total < 2 * min_count:
         return []

@@ -1,72 +1,25 @@
 """Numpy-backed columnar kernels for the anonymizer's hot paths.
 
-Every kernel here has a scalar twin elsewhere in the tree — the original
-pure-Python code, which stays in place as the *differential oracle*: the
-property suite proves element-wise equality, and the differential grid
-proves whole-pipeline releases are bit-identical with kernels on or off.
-
-The ``use_kernels`` flag (default on, ``REPRO_KERNELS=0`` or the CLI's
-``--no-kernels`` to disable) selects the path at the call sites; see
-``docs/KERNELS.md`` for the layout, the oracle-testing pattern, and the
-checklist for adding a kernel.
+Two kernels are the only production path for their operation: the record
+codec (page encode/decode) and batch Hilbert keying.  Each was measured
+faster than the scalar code it replaced; that scalar code now lives in the
+test suite as the differential oracle (``tests/oracles.py``).  See
+``docs/KERNELS.md`` for the measurements and the checklist for adding a
+kernel.
 """
 
-from repro.kernels.batch import RecordBatch
-from repro.kernels.boxes import (
-    array_to_boxes,
-    boxes_to_array,
-    group_mbrs,
-    intersect_masks,
-    intersections,
-    margins,
-    mbr_of_points,
-    union_all_boxes,
-    union_arrays,
-    volumes,
-)
-from repro.kernels.codec import (
-    RECORD_DTYPE,
-    decode_points,
-    encode_points,
-    points_to_tuples,
-)
-from repro.kernels.config import (
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
-)
+from repro.kernels.codec import RECORD_DTYPE, decode_points, encode_points
 from repro.kernels.hilbert import (
     hilbert_keys,
     hilbert_keys_for_points,
     quantize_batch,
 )
-from repro.kernels.split import (
-    best_threshold_batch,
-    candidate_thresholds_batch,
-)
 
 __all__ = [
-    "RecordBatch",
     "RECORD_DTYPE",
-    "array_to_boxes",
-    "best_threshold_batch",
-    "boxes_to_array",
-    "candidate_thresholds_batch",
     "decode_points",
     "encode_points",
-    "group_mbrs",
     "hilbert_keys",
     "hilbert_keys_for_points",
-    "intersect_masks",
-    "intersections",
-    "kernels_enabled",
-    "margins",
-    "mbr_of_points",
-    "points_to_tuples",
     "quantize_batch",
-    "scoped_kernels",
-    "set_kernels_enabled",
-    "union_all_boxes",
-    "union_arrays",
-    "volumes",
 ]

@@ -1,10 +1,11 @@
 """Vectorized record codec: one buffer op per page, not one struct per row.
 
 The on-disk format (``repro.dataset.io``) is rows of little-endian int32
-quasi-identifier values.  The scalar oracle packs and unpacks them one
-record at a time through the ``struct`` module; these kernels move whole
-pages through ``np.frombuffer``/``ndarray.tobytes``, which is byte-exact
-because a C-contiguous ``(N, dims)`` ``<i4`` array *is* the page layout.
+quasi-identifier values.  The per-record ``struct`` codec (the writer's
+``write_point`` and the test suite's page-decode oracle) packs and unpacks
+them one record at a time; these kernels move whole pages through
+``np.frombuffer``/``ndarray.tobytes``, which is byte-exact because a
+C-contiguous ``(N, dims)`` ``<i4`` array *is* the page layout.
 
 Bit-identity notes:
 
@@ -36,9 +37,9 @@ RECORD_DTYPE = np.dtype("<i4")
 def decode_points(chunk: bytes, dimensions: int) -> np.ndarray:
     """Decode a page of packed records into an ``(N, dims)`` float64 array.
 
-    ``chunk`` must hold a whole number of records; the scalar reader
-    enforces that with its short-read check, and this kernel re-checks so
-    a direct caller cannot silently drop a torn tail.
+    ``chunk`` must hold a whole number of records; the reader enforces
+    that with its short-read check, and this kernel re-checks so a direct
+    caller cannot silently drop a torn tail.
     """
     if dimensions <= 0:
         raise ValueError("dimensions must be positive")
@@ -72,7 +73,3 @@ def encode_points(points: np.ndarray | Sequence[Sequence[float]]) -> bytes:
         rounded.astype(RECORD_DTYPE)
     ).tobytes()
 
-
-def points_to_tuples(points: np.ndarray) -> list[tuple[float, ...]]:
-    """Materialize an ``(N, dims)`` array as the scalar reader's row tuples."""
-    return [tuple(row) for row in points.tolist()]

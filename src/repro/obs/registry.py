@@ -74,7 +74,6 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "kernels.keyed_records",
     "kernels.decoded_pages",
     "kernels.decoded_records",
-    "kernels.group_mbrs",
     "wal.appends",
     "wal.bytes",
     "wal.fsyncs",

@@ -47,16 +47,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.dataset.record import Record
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.bulk import DEFAULT_HILBERT_BITS
-from repro.index.hilbert import hilbert_key, quantize
 from repro.index.rtree import RPlusTree
+from repro.kernels.hilbert import hilbert_keys_for_points
 from repro.obs import OBS, TRACE
 from repro.parallel.planner import (
     DEFAULT_SAMPLE_SIZE,
@@ -102,69 +103,21 @@ def _scan_slice(task: tuple) -> tuple[list[_SubRun], dict[str, object]]:
     """One worker's job: stream a slice, key, range-partition, sort.
 
     Module-level so it pickles under every multiprocessing start method.
-    ``task`` is (source kind, payload, boundaries, lows, highs, bits,
-    use_kernels) where a ``"file"`` payload is (path, start, count,
-    first_rid, batch_size) — the worker opens its own reader and streams
-    the slice by record offsets — and a ``"records"`` payload is the slice
-    itself.  ``use_kernels`` arrives *resolved* (a plain bool) so the
-    parent's flag governs the children under every start method.
+    ``task`` is (source kind, payload, boundaries, lows, highs, bits) where
+    a ``"file"`` payload is (path, start, count, first_rid, batch_size) —
+    the worker opens its own reader and streams the slice by record
+    offsets, one decoded page at a time — and a ``"records"`` payload is
+    the slice itself.  Each page is keyed by the batch Hilbert kernel and
+    bucketed by ``np.searchsorted(..., side="right")``, which is
+    ``bisect_right`` over the plan's boundaries.
     """
     started = time.perf_counter()
-    kind, payload, boundaries, lows, highs, bits, use_kernels = task
-    if use_kernels:
-        buckets, scanned = _scan_slice_kernels(
-            kind, payload, boundaries, lows, highs, bits
-        )
-    else:
-        if kind == "file":
-            from repro.dataset.io import RecordFileReader
-
-            path, start, count, first_rid, batch_size = payload
-            stream: Iterable[Record] = RecordFileReader(path).iter_records(
-                batch_size, first_rid=first_rid, start=start, count=count
-            )
-        else:
-            stream = payload
-        buckets = [[] for _ in range(len(boundaries) + 1)]
-        scanned = 0
-        for record in stream:
-            key = hilbert_key(quantize(record.point, lows, highs, bits), bits)
-            buckets[bisect_right(boundaries, key)].append((key, record))
-            scanned += 1
-    for bucket in buckets:
-        bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
-    stats: dict[str, object] = {
-        "records": scanned,
-        "per_shard": [len(bucket) for bucket in buckets],
-        "seconds": time.perf_counter() - started,
-    }
-    return buckets, stats
-
-
-def _scan_slice_kernels(
-    kind: str,
-    payload: object,
-    boundaries: Sequence[int],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-) -> tuple[list[_SubRun], int]:
-    """The columnar scan: page-decode, batch-key, searchsorted bucketing.
-
-    Produces exactly the scalar loop's buckets — the batch Hilbert kernel
-    is element-wise equal to ``hilbert_key(quantize(...))``, and
-    ``np.searchsorted(..., side="right")`` is ``bisect_right`` — so the
-    merged shard runs are identical with the flag on or off.
-    """
-    import numpy as np
-
-    from repro.kernels.hilbert import hilbert_keys_for_points
-
+    kind, payload, boundaries, lows, highs, bits = task
     buckets: list[_SubRun] = [[] for _ in range(len(boundaries) + 1)]
     scanned = 0
 
     def bucket_batch(
-        points: "np.ndarray", rid_of: "list[int] | range", records: "list[Record] | None"
+        points: np.ndarray, rid_of: "list[int] | range", records: "list[Record] | None"
     ) -> None:
         nonlocal scanned
         if points.shape[0] == 0:
@@ -196,7 +149,7 @@ def _scan_slice_kernels(
     if kind == "file":
         from repro.dataset.io import RecordFileReader
 
-        path, start, count, first_rid, batch_size = payload  # type: ignore[misc]
+        path, start, count, first_rid, batch_size = payload
         reader = RecordFileReader(path)
         for position, points in reader.iter_point_batches(
             batch_size, start=start, count=count
@@ -207,13 +160,20 @@ def _scan_slice_kernels(
                 None,
             )
     else:
-        records = list(payload)  # type: ignore[arg-type]
+        records = list(payload)
         if records:
             points = np.array(
                 [record.point for record in records], dtype=np.float64
             )
             bucket_batch(points, [], records)
-    return buckets, scanned
+    for bucket in buckets:
+        bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
+    stats: dict[str, object] = {
+        "records": scanned,
+        "per_shard": [len(bucket) for bucket in buckets],
+        "seconds": time.perf_counter() - started,
+    }
+    return buckets, stats
 
 
 def _mp_context():
@@ -308,7 +268,6 @@ def scan_file_shards(
     batch_size: int = 8_192,
     first_rid: int = 0,
     plan: ShardPlan | None = None,
-    use_kernels: bool | None = None,
 ) -> ShardScan:
     """Plan and scan a record file into sorted shard runs.
 
@@ -316,11 +275,9 @@ def scan_file_shards(
     the parent never reads the input, only the workers' sorted runs.
     """
     from repro.dataset.io import RecordFileReader
-    from repro.kernels.config import kernels_enabled
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    kernels = kernels_enabled(use_kernels)
     reader = RecordFileReader(path)
     if plan is None:
         with OBS.span("parallel.plan"), TRACE.span(
@@ -334,7 +291,6 @@ def scan_file_shards(
                 bits,
                 sample_size,
                 batch_size,
-                use_kernels=kernels,
             )
     tasks = [
         (
@@ -344,7 +300,6 @@ def scan_file_shards(
             plan.lows,
             plan.highs,
             plan.bits,
-            kernels,
         )
         for start, count in slice_bounds(len(reader), workers)
     ]
@@ -367,7 +322,6 @@ def scan_record_shards(
     bits: int = DEFAULT_HILBERT_BITS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     plan: ShardPlan | None = None,
-    use_kernels: bool | None = None,
 ) -> ShardScan:
     """In-memory counterpart of :func:`scan_file_shards`.
 
@@ -376,11 +330,8 @@ def scan_record_shards(
     what lets the differential suite compare against serial baselines built
     from the very same record objects.
     """
-    from repro.kernels.config import kernels_enabled
-
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    kernels = kernels_enabled(use_kernels)
     if plan is None:
         with OBS.span("parallel.plan"), TRACE.span(
             "parallel.plan", "parallel", shards=shards or workers
@@ -392,7 +343,6 @@ def scan_record_shards(
                 highs,
                 bits,
                 sample_size,
-                use_kernels=kernels,
             )
     tasks = [
         (
@@ -402,7 +352,6 @@ def scan_record_shards(
             plan.lows,
             plan.highs,
             plan.bits,
-            kernels,
         )
         for start, count in slice_bounds(len(records), workers)
     ]
@@ -506,7 +455,6 @@ def parallel_hilbert_partitions(
     shards: int | None = None,
     bits: int = DEFAULT_HILBERT_BITS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    use_kernels: bool | None = None,
 ) -> list[list[Record]]:
     """Sharded counterpart of :func:`repro.index.bulk.hilbert_partitions`.
 
@@ -517,8 +465,7 @@ def parallel_hilbert_partitions(
         "parallel.partitions", "parallel", records=len(records), workers=workers
     ):
         scan = scan_record_shards(
-            records, lows, highs, workers, shards, bits, sample_size,
-            use_kernels=use_kernels,
+            records, lows, highs, workers, shards, bits, sample_size
         )
         return list(stitched_chunks(scan.runs, k))
 
@@ -532,7 +479,6 @@ def parallel_bulk_load(
     shards: int | None = None,
     bits: int = DEFAULT_HILBERT_BITS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    use_kernels: bool | None = None,
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Sharded counterpart of :func:`repro.index.bulk.hilbert_bulk_load`.
@@ -545,8 +491,7 @@ def parallel_bulk_load(
         "parallel.bulk_load", "parallel", records=len(records), workers=workers
     ):
         scan = scan_record_shards(
-            records, lows, highs, workers, shards, bits, sample_size,
-            use_kernels=use_kernels,
+            records, lows, highs, workers, shards, bits, sample_size
         )
         tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
         BufferTreeLoader(tree).load(
@@ -566,7 +511,6 @@ def parallel_bulk_load_file(
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
     first_rid: int = 0,
-    use_kernels: bool | None = None,
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Build an R⁺-tree from a record file with a sharded worker pool."""
@@ -583,7 +527,6 @@ def parallel_bulk_load_file(
             sample_size,
             batch_size,
             first_rid,
-            use_kernels=use_kernels,
         )
         tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
         BufferTreeLoader(tree).load(

@@ -21,8 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.dataset.record import Record
 from repro.index.hilbert import hilbert_key, quantize
+from repro.kernels.hilbert import hilbert_keys_for_points
 
 #: How many records the planner samples to estimate the key quantiles.
 DEFAULT_SAMPLE_SIZE = 2_048
@@ -106,31 +109,20 @@ def sample_record_keys(
     highs: Sequence[float],
     bits: int,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    use_kernels: bool | None = None,
 ) -> list[int]:
     """Stride-sample an in-memory record list and key the samples.
 
-    Both paths return plain Python ints (the kernel keys round-trip
-    through ``tolist``), so shard boundaries are identical objects either
-    way and the plan stays a pure function of the input.
+    The keys round-trip through ``tolist``, so they are plain Python ints
+    and the plan stays a pure function of the input.
     """
-    from repro.kernels.config import kernels_enabled
-
     stride = max(1, len(records) // max(1, sample_size))
     positions = range(0, len(records), stride)
-    if kernels_enabled(use_kernels) and len(positions) > 0:
-        import numpy as np
-
-        from repro.kernels.hilbert import hilbert_keys_for_points
-
-        points = np.array(
-            [records[index].point for index in positions], dtype=np.float64
-        )
-        return hilbert_keys_for_points(points, lows, highs, bits).tolist()
-    return [
-        hilbert_key(quantize(records[index].point, lows, highs, bits), bits)
-        for index in positions
-    ]
+    if len(positions) == 0:
+        return []
+    points = np.array(
+        [records[index].point for index in positions], dtype=np.float64
+    )
+    return hilbert_keys_for_points(points, lows, highs, bits).tolist()
 
 
 def sample_file_keys(
@@ -140,42 +132,27 @@ def sample_file_keys(
     bits: int,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
-    use_kernels: bool | None = None,
 ) -> list[int]:
     """Stride-sample a record file and key the samples.
 
-    Reads the file once in batches (cheap sequential I/O) but quantizes and
-    keys only every ``stride``-th record, so planning costs ``O(sample)``
-    key computations however large the file is.  The kernel path decodes
-    pages columnar-wise and keys the selected rows in one batch; the
-    sampled positions — and therefore the keys and the plan — are the same
-    either way.
+    Reads the file once in pages (cheap sequential I/O) but keys only every
+    ``stride``-th record, in one batch, so planning costs ``O(sample)`` key
+    computations however large the file is.
     """
     from repro.dataset.io import RecordFileReader
-    from repro.kernels.config import kernels_enabled
 
     reader = RecordFileReader(path)
     stride = max(1, len(reader) // max(1, sample_size))
-    if kernels_enabled(use_kernels):
-        import numpy as np
-
-        from repro.kernels.hilbert import hilbert_keys_for_points
-
-        sampled: list[np.ndarray] = []
-        for position, points in reader.iter_point_batches(batch_size):
-            first = -position % stride
-            if first < points.shape[0]:
-                sampled.append(points[first::stride])
-        if not sampled:
-            return []
-        return hilbert_keys_for_points(
-            np.concatenate(sampled, axis=0), lows, highs, bits
-        ).tolist()
-    keys: list[int] = []
-    for index, point in enumerate(reader.iter_points(batch_size)):
-        if index % stride == 0:
-            keys.append(hilbert_key(quantize(point, lows, highs, bits), bits))
-    return keys
+    sampled: list[np.ndarray] = []
+    for position, points in reader.iter_point_batches(batch_size):
+        first = -position % stride
+        if first < points.shape[0]:
+            sampled.append(points[first::stride])
+    if not sampled:
+        return []
+    return hilbert_keys_for_points(
+        np.concatenate(sampled, axis=0), lows, highs, bits
+    ).tolist()
 
 
 def plan_record_shards(
@@ -185,11 +162,10 @@ def plan_record_shards(
     highs: Sequence[float],
     bits: int,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    use_kernels: bool | None = None,
 ) -> ShardPlan:
     """A shard plan for an in-memory record list."""
     return plan_from_sample(
-        sample_record_keys(records, lows, highs, bits, sample_size, use_kernels),
+        sample_record_keys(records, lows, highs, bits, sample_size),
         shards,
         lows,
         highs,
@@ -205,13 +181,10 @@ def plan_file_shards(
     bits: int,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
-    use_kernels: bool | None = None,
 ) -> ShardPlan:
     """A shard plan for a binary record file."""
     return plan_from_sample(
-        sample_file_keys(
-            path, lows, highs, bits, sample_size, batch_size, use_kernels
-        ),
+        sample_file_keys(path, lows, highs, bits, sample_size, batch_size),
         shards,
         lows,
         highs,

@@ -211,9 +211,7 @@ class TestFileLoading:
 
         monkeypatch.setattr(io_module.RecordFileReader, "iter_records", short_iter)
         anonymizer = RTreeAnonymizer(table, base_k=5)
-        # The stub replaces the scalar iterator, so pin the scalar path —
-        # the kernel stream decodes pages directly and would bypass it.
-        consumed = anonymizer.bulk_load_file(str(path), use_kernels=False)
+        consumed = anonymizer.bulk_load_file(str(path))
         assert consumed == 120
         assert len(anonymizer) == 120
 

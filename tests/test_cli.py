@@ -1,20 +1,10 @@
-"""CLI: shared option vocabulary, deprecation shims, durable commands."""
+"""CLI: shared option vocabulary, durable commands, live telemetry."""
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
-
 from repro import cli
-
-
-@pytest.fixture(autouse=True)
-def reset_warned_options():
-    """Each test sees the warn-once state fresh."""
-    cli._warned_options.clear()
-    yield
-    cli._warned_options.clear()
 
 
 # -- shared option vocabulary -------------------------------------------------
@@ -54,30 +44,6 @@ def test_dataset_file_option_does_not_warn():
             ["anonymize", "--dataset-file", "points.bin"]
         )
     assert arguments.dataset_file == "points.bin"
-
-
-def test_input_alias_still_works_but_warns_deprecation():
-    parser = cli._build_parser()
-    with pytest.deprecated_call(match="--input is deprecated"):
-        arguments = parser.parse_args(["anonymize", "--input", "points.bin"])
-    assert arguments.dataset_file == "points.bin"
-
-
-def test_input_alias_warns_only_once():
-    parser = cli._build_parser()
-    with pytest.deprecated_call():
-        parser.parse_args(["anonymize", "--input", "a.bin"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parser.parse_args(["anonymize", "--input", "b.bin"])
-    assert not caught
-
-
-def test_seconds_alias_still_works_but_warns_deprecation():
-    parser = cli._build_parser()
-    with pytest.deprecated_call(match="--seconds is deprecated"):
-        arguments = parser.parse_args(["serve-demo", "--seconds", "2.5"])
-    assert arguments.duration == 2.5
 
 
 def test_duration_and_shards_defaults():

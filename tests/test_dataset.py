@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataset.io import RecordFileReader, RecordFileWriter, read_table, write_table
+from repro.dataset.io import (
+    _HEADER,
+    RecordFileReader,
+    RecordFileWriter,
+    read_table,
+    write_table,
+)
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, AttributeKind, Schema
 from repro.dataset.table import Table
@@ -139,6 +145,14 @@ class TestRecordIO:
         path = tmp_path / "tiny.rec"
         path.write_bytes(b"RP")
         with pytest.raises(ValueError):
+            RecordFileReader(path)
+
+    def test_zero_dimension_header_rejected(self, tmp_path) -> None:
+        """Regression: a header claiming 0 dimensions divided by a 0-byte
+        record width and raised ``ZeroDivisionError``."""
+        path = tmp_path / "flat.rec"
+        path.write_bytes(_HEADER.pack(b"RPR1", 0, 5))
+        with pytest.raises(ValueError, match="0 dimensions"):
             RecordFileReader(path)
 
     def test_read_table_synthesizes_schema(self, tmp_path, schema3: Schema) -> None:

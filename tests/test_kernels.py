@@ -1,16 +1,11 @@
-"""Property tests for the columnar kernels against their scalar oracles.
+"""Element-wise property tests for the columnar kernels.
 
-Every kernel in :mod:`repro.kernels` claims *bit-identity* with a scalar
-code path that predates it.  This suite makes that claim falsifiable:
-hypothesis drives each kernel and its oracle over the same inputs and the
-assertions demand exact equality — floats compare with ``==`` (and
-``repr`` where the sign of zero matters), byte strings byte-for-byte, and
-keys as Python integers, never through a tolerance.
-
-The one *defined* divergence — signed-zero fold direction in the MBR
-kernels — is pinned down by an explicit edge test instead of being
-papered over, so a change in numpy's tie-breaking would fail loudly here
-rather than silently shift release digests.
+Every kernel in :mod:`repro.kernels` — the record codec and batch Hilbert
+keying — claims *bit-identity* with per-record scalar code: ``struct``
+pack/unpack and ``hilbert_key(quantize(...))``.  Hypothesis drives each
+kernel and that scalar code over the same inputs and the assertions demand
+exact equality — floats compare with ``==``, byte strings byte-for-byte,
+and keys as Python integers, never through a tolerance.
 """
 
 from __future__ import annotations
@@ -23,43 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.record import Record
-from repro.geometry.box import Box, union_all
 from repro.index.hilbert import hilbert_key, quantize
-from repro.index.split import (
-    MidpointSplitPolicy,
-    candidate_thresholds,
-    candidate_thresholds_scalar,
-)
-from repro.kernels import (
-    RecordBatch,
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
-)
-from repro.kernels.boxes import (
-    array_to_boxes,
-    boxes_to_array,
-    group_mbrs,
-    intersect_masks,
-    intersections,
-    margins,
-    mbr_of_points,
-    union_all_boxes,
-    union_arrays,
-    volumes,
-)
-from repro.kernels.codec import decode_points, encode_points, points_to_tuples
+from repro.index.split import MidpointSplitPolicy
+from repro.kernels.codec import decode_points, encode_points
 from repro.kernels.hilbert import (
     hilbert_keys,
     hilbert_keys_for_points,
     quantize_batch,
 )
-from repro.kernels.split import best_threshold_batch, candidate_thresholds_batch
 
 # -- strategies ---------------------------------------------------------------
 
-#: Clean finite floats: no NaN/inf and no -0.0, so float equality is exact
-#: and the signed-zero fold caveat (tested separately) cannot trigger.
+#: Clean finite floats: no NaN/inf and no -0.0, so float equality is exact.
 finite = st.floats(
     allow_nan=False, allow_infinity=False, width=32
 ).map(lambda value: value + 0.0)
@@ -200,128 +170,6 @@ class TestQuantize:
         ]
 
 
-# -- MBR arithmetic -----------------------------------------------------------
-
-
-def _boxes_from(array: np.ndarray) -> list[Box]:
-    dims = array.shape[1] // 2
-    return [
-        Box(
-            tuple(min(a, b) for a, b in zip(row[:dims], row[dims:])),
-            tuple(max(a, b) for a, b in zip(row[:dims], row[dims:])),
-        )
-        for row in array.tolist()
-    ]
-
-
-class TestBoxKernels:
-    @given(point_arrays(coords=finite))
-    def test_mbr_of_points_equals_box_from_points(self, points) -> None:
-        kernel = mbr_of_points(points)
-        oracle = Box.from_points(points.tolist())
-        assert repr(kernel) == repr(oracle)  # repr catches a -0.0 drift
-
-    def test_mbr_rejects_empty_with_scalar_message(self) -> None:
-        with pytest.raises(ValueError, match="empty collection of points"):
-            mbr_of_points(np.empty((0, 2)))
-        with pytest.raises(ValueError, match="empty collection of points"):
-            Box.from_points([])
-
-    def test_signed_zero_fold_direction_is_the_defined_divergence(self) -> None:
-        """The one documented gap: numpy's min/max keep the *last* zero on a
-        ties-only axis while the scalar fold keeps the *first*.  Values are
-        equal (0.0 == -0.0); only the sign bit differs — impossible on the
-        integer-coded data releases are built from, and pinned here so a
-        numpy behavior change surfaces as a test failure."""
-        points = np.array([[0.0], [-0.0]])
-        kernel = mbr_of_points(points)
-        oracle = Box.from_points(points.tolist())
-        assert kernel == oracle  # dataclass equality: -0.0 == 0.0
-        assert repr(oracle.lows) == "(0.0,)"  # scalar keeps the first zero
-        assert repr(kernel.lows) == "(-0.0,)"  # kernel keeps the last zero
-
-    @given(
-        point_arrays(coords=finite, min_rows=1, max_rows=30),
-        st.lists(st.integers(1, 29), max_size=6),
-    )
-    def test_group_mbrs_equal_per_group_folds(self, points, cuts) -> None:
-        total = points.shape[0]
-        starts = sorted({0, *(cut for cut in cuts if cut < total)})
-        bounds = starts + [total]
-        kernel = group_mbrs(points, starts)
-        oracle = [
-            Box.from_points(points[left:right].tolist())
-            for left, right in zip(bounds, bounds[1:])
-        ]
-        assert [repr(box) for box in kernel] == [repr(box) for box in oracle]
-
-    def test_group_mbrs_validates_offsets(self) -> None:
-        points = np.zeros((4, 2))
-        assert group_mbrs(points, []) == []
-        with pytest.raises(ValueError, match="begin at 0"):
-            group_mbrs(points, [1])
-        with pytest.raises(ValueError, match="empty collection"):
-            group_mbrs(points, [0, 2, 2])
-        with pytest.raises(ValueError, match="empty collection"):
-            group_mbrs(points, [0, 4])  # trailing group is empty
-
-    @given(point_arrays(coords=finite, min_rows=1, max_rows=20, max_dims=3))
-    def test_union_volumes_margins_equal_box_methods(self, points) -> None:
-        dims = points.shape[1]
-        array = np.concatenate([points, points + np.abs(points)], axis=1)
-        boxes = _boxes_from(array)
-        packed = boxes_to_array(boxes)
-        assert repr(union_all_boxes(boxes)) == repr(union_all(boxes))
-        unioned = union_arrays(packed)
-        assert unioned.tolist() == list(
-            union_all(boxes).lows + union_all(boxes).highs
-        )
-        assert volumes(packed).tolist() == [box.area() for box in boxes]
-        assert margins(packed).tolist() == [box.margin() for box in boxes]
-        assert array_to_boxes(packed) == boxes
-        assert dims == boxes[0].dimensions
-
-    def test_union_rejects_empty_with_scalar_message(self) -> None:
-        with pytest.raises(ValueError, match="empty collection of boxes"):
-            boxes_to_array([])
-        with pytest.raises(ValueError, match="empty collection of boxes"):
-            union_arrays(np.empty((0, 4)))
-
-    def test_dims_one_degenerate_boxes(self) -> None:
-        # A single zero-width extent: area 0, margin 0, intersection = self.
-        box = Box((3.0,), (3.0,))
-        packed = boxes_to_array([box])
-        assert volumes(packed).tolist() == [box.area()] == [0.0]
-        assert margins(packed).tolist() == [box.margin()] == [0.0]
-        assert intersections(packed, box) == [box.intersection(box)] == [box]
-
-    @given(
-        point_arrays(coords=coded, min_rows=1, max_rows=20, max_dims=3),
-        st.lists(coded, min_size=6, max_size=6),
-    )
-    def test_intersections_equal_box_methods(self, points, probe_coords) -> None:
-        dims = points.shape[1]
-        array = np.concatenate([points, points + np.abs(points)], axis=1)
-        boxes = _boxes_from(array)
-        packed = boxes_to_array(boxes)
-        probe = Box(
-            tuple(
-                min(a, b)
-                for a, b in zip(probe_coords[:dims], probe_coords[dims : 2 * dims])
-            ),
-            tuple(
-                max(a, b)
-                for a, b in zip(probe_coords[:dims], probe_coords[dims : 2 * dims])
-            ),
-        )
-        assert intersect_masks(packed, probe).tolist() == [
-            box.intersects(probe) for box in boxes
-        ]
-        assert intersections(packed, probe) == [
-            box.intersection(probe) for box in boxes
-        ]
-
-
 # -- record codec -------------------------------------------------------------
 
 
@@ -346,7 +194,7 @@ class TestCodec:
             for values in packer.iter_unpack(chunk)
         ]
         decoded = decode_points(chunk, dims)
-        assert points_to_tuples(decoded) == expected
+        assert [tuple(row) for row in decoded.tolist()] == expected
         assert decoded.tolist() == points.tolist()  # int32 -> float64 is exact
 
     def test_int32_boundaries_round_trip(self) -> None:
@@ -384,38 +232,7 @@ class TestCodec:
             encode_points(np.array([[np.inf]]))
 
 
-# -- split thresholds ---------------------------------------------------------
-
-
-#: Tie-heavy value lists: a tiny alphabet forces duplicate runs, the case
-#: the run-boundary arithmetic must get exactly right.
-tie_heavy = st.lists(st.integers(0, 6).map(float), min_size=0, max_size=40)
-
-
-class TestThresholdKernel:
-    @given(tie_heavy, st.integers(1, 6))
-    def test_batch_equals_scalar_sweep(self, values, min_count: int) -> None:
-        assert candidate_thresholds_batch(values, min_count) == (
-            candidate_thresholds_scalar(values, min_count)
-        )
-
-    @given(st.lists(finite, min_size=0, max_size=40), st.integers(1, 6))
-    def test_batch_equals_scalar_sweep_on_floats(self, values, min_count) -> None:
-        assert candidate_thresholds_batch(values, min_count) == (
-            candidate_thresholds_scalar(values, min_count)
-        )
-
-    def test_empty_single_and_uniform_inputs(self) -> None:
-        assert candidate_thresholds_batch([], 1) == []
-        assert candidate_thresholds_batch([3.0], 1) == []
-        assert candidate_thresholds_batch([7.0] * 10, 1) == []
-        assert best_threshold_batch([5.0, 5.0], 1) is None
-
-    def test_dispatch_agrees_across_the_flag(self) -> None:
-        values = [1.0, 1.0, 2.0, 3.0, 50.0, 51.0]
-        assert candidate_thresholds(values, 1, use_kernels=True) == (
-            candidate_thresholds(values, 1, use_kernels=False)
-        )
+# -- split policies -----------------------------------------------------------
 
 
 class TestMidpointEmptyGuard:
@@ -426,70 +243,3 @@ class TestMidpointEmptyGuard:
     def test_undersized_groups_return_none(self) -> None:
         records = [Record(0, (1.0, 2.0)), Record(1, (3.0, 4.0))]
         assert MidpointSplitPolicy().choose_split(records, 2, (10.0, 10.0)) is None
-
-
-# -- RecordBatch --------------------------------------------------------------
-
-
-class TestRecordBatch:
-    @given(point_arrays(coords=coded, min_rows=0, max_rows=20))
-    def test_record_round_trip(self, points) -> None:
-        records = [
-            Record(rid, tuple(row)) for rid, row in enumerate(points.tolist())
-        ]
-        batch = RecordBatch.from_records(records)
-        assert len(batch) == len(records)
-        assert batch.to_records() == records
-        assert list(batch.iter_records()) == records
-
-    def test_empty_batch_shape(self) -> None:
-        batch = RecordBatch.from_records([])
-        assert len(batch) == 0
-        assert batch.points.shape == (0, 0)
-        assert batch.to_records() == []
-
-    def test_from_points_assigns_file_position_rids(self) -> None:
-        batch = RecordBatch.from_points(np.zeros((3, 2)), first_rid=10)
-        assert batch.rids.tolist() == [10, 11, 12]
-
-    def test_mbr_and_keys_route_through_the_kernels(self) -> None:
-        points = np.array([[1.0, 8.0], [5.0, 2.0]])
-        batch = RecordBatch.from_points(points)
-        assert batch.mbr() == Box((1.0, 2.0), (5.0, 8.0))
-        lows, highs = (0.0, 0.0), (10.0, 10.0)
-        assert batch.hilbert_keys(lows, highs, 4).tolist() == [
-            hilbert_key(quantize(row, lows, highs, 4), 4)
-            for row in points.tolist()
-        ]
-
-    def test_mismatched_rids_rejected(self) -> None:
-        with pytest.raises(ValueError, match="rids for"):
-            RecordBatch(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
-        with pytest.raises(ValueError, match="must be"):
-            RecordBatch(np.zeros(3), np.zeros(3, dtype=np.int64))
-
-
-# -- the enablement flag ------------------------------------------------------
-
-
-class TestKernelFlag:
-    def test_override_beats_process_default(self) -> None:
-        assert kernels_enabled(True) is True
-        assert kernels_enabled(False) is False
-
-    def test_scoped_toggle_restores(self) -> None:
-        before = kernels_enabled()
-        with scoped_kernels(not before):
-            assert kernels_enabled() is (not before)
-            with scoped_kernels(before):
-                assert kernels_enabled() is before
-            assert kernels_enabled() is (not before)
-        assert kernels_enabled() is before
-
-    def test_set_kernels_enabled_returns_previous(self) -> None:
-        before = set_kernels_enabled(False)
-        try:
-            assert kernels_enabled() is False
-        finally:
-            set_kernels_enabled(before)
-        assert kernels_enabled() is before

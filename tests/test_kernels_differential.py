@@ -1,16 +1,21 @@
-"""Kernels-on/kernels-off differential suite.
+"""Production-vs-oracle differential suite for the numpy kernel paths.
 
-The columnar kernels' contract is *bit-for-bit equality* with the scalar
-paths they replace: flipping ``use_kernels`` must never change a release.
-This suite enforces it end to end across a grid of datasets × k × worker
-counts, comparing leaf regions, partition boxes and membership, the
-release digest, and the audit record (modulo its sequence field) between
-the two modes — the same four levels as the serial/parallel differential
-suite, with the kernel flag as the axis instead of the worker count.
+Page decode, Hilbert keying, shard sampling and the shard scan each have
+one production path, a numpy kernel.  This suite holds every one of them
+to the scalar reference code in ``tests/oracles.py``, end to end and
+level by level:
+
+* releases — a file load through production (serial file order, or the
+  sharded engine at 1 and 4 workers) against the same anonymizer fed the
+  oracle's record stream, compared at the four levels of the
+  serial/parallel differential suite: leaf regions, partition boxes and
+  membership, the release digest, and the audit record (modulo its
+  sequence field);
+* the Hilbert order, the shard plans and the shard-scan buckets;
+* page decode and encode, byte for byte.
 
 One small cell runs in tier-1 on every push; the full grid carries the
-``stress`` marker and runs in the dedicated CI job alongside the byte-level
-writer/reader and loader differentials below.
+``stress`` marker and runs in the dedicated CI job.
 """
 
 from __future__ import annotations
@@ -22,13 +27,26 @@ import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import release_digest
+from repro.dataset import io as io_module
 from repro.dataset.agrawal import make_agrawal_table
 from repro.dataset.census import make_census_table
 from repro.dataset.io import RecordFileReader, RecordFileWriter, write_table
-from repro.index.bulk import hilbert_partitions, hilbert_sorted
-from repro.kernels import scoped_kernels
+from repro.index.bulk import (
+    DEFAULT_HILBERT_BITS as BITS,
+    chunk_with_floor,
+    hilbert_ordered,
+    hilbert_partitions,
+    hilbert_sorted,
+)
 from repro.obs import AUDITOR
-from repro.parallel.planner import plan_file_shards, plan_record_shards
+from repro.parallel.engine import _scan_slice
+from repro.parallel.planner import (
+    plan_file_shards,
+    plan_from_sample,
+    plan_record_shards,
+    slice_bounds,
+)
+from tests import oracles
 
 RECORDS = 600
 STRESS_RECORDS = 2_400
@@ -67,20 +85,32 @@ def record_files(tmp_path_factory):
 
 
 def _release_snapshot(
-    dataset: str, k: int, workers: int | None, records: int, path: str, on: bool
+    dataset: str, k: int, workers: int | None, records: int, path: str, oracle: bool
 ):
-    """Load from file and publish at k with the kernels forced on or off."""
+    """Load from file and publish at k, through production or the oracle.
+
+    The oracle feeds the loader the stream the production file load must
+    reproduce: file order for a serial load, the scalar sharded scan for a
+    ``workers``-way load.
+    """
     table = _table(dataset, records)
-    with scoped_kernels(on):
-        anonymizer = RTreeAnonymizer(table, base_k=min(5, k))
+    anonymizer = RTreeAnonymizer(table, base_k=min(5, k))
+    if not oracle:
         consumed = anonymizer.bulk_load_file(path, workers=workers)
-        assert consumed == records
-        AUDITOR.enable(reset=True)
-        try:
-            release = anonymizer.anonymize(k)
-            audit = dict(AUDITOR.latest)
-        finally:
-            AUDITOR.disable()
+    elif workers is None:
+        consumed = anonymizer.bulk_load(oracles.read_records(path))
+    else:
+        lows, highs = _domain(table)
+        consumed = anonymizer.bulk_load(
+            oracles.sharded_record_stream(path, lows, highs, workers)
+        )
+    assert consumed == records
+    AUDITOR.enable(reset=True)
+    try:
+        release = anonymizer.anonymize(k)
+        audit = dict(AUDITOR.latest)
+    finally:
+        AUDITOR.disable()
     audit.pop("sequence", None)
     regions = [
         (region.lows, region.highs) for region in anonymizer.leaf_regions()
@@ -92,15 +122,15 @@ def _release_snapshot(
     return regions, partitions, release_digest(release), audit
 
 
-def _assert_flag_invisible(dataset, k, workers, records, path) -> None:
-    fast = _release_snapshot(dataset, k, workers, records, path, on=True)
-    slow = _release_snapshot(dataset, k, workers, records, path, on=False)
+def _assert_matches_oracle(dataset, k, workers, records, path) -> None:
+    production = _release_snapshot(dataset, k, workers, records, path, oracle=False)
+    reference = _release_snapshot(dataset, k, workers, records, path, oracle=True)
     for name, got, expected in zip(
-        ("regions", "partitions", "digest", "audit"), fast, slow
+        ("regions", "partitions", "digest", "audit"), production, reference
     ):
         assert got == expected, (
-            f"{dataset} k={k} workers={workers}: {name} diverged across "
-            "the kernel flag"
+            f"{dataset} k={k} workers={workers}: {name} diverged from the "
+            "oracle release"
         )
 
 
@@ -108,7 +138,7 @@ def test_small_cell_release_identical_across_flag(record_files) -> None:
     """The tier-1 cell: serial and sharded, census at the default k."""
     path = record_files["census", RECORDS]
     for workers in (None, 2):
-        _assert_flag_invisible("census", 5, workers, RECORDS, path)
+        _assert_matches_oracle("census", 5, workers, RECORDS, path)
 
 
 @pytest.mark.stress
@@ -117,93 +147,117 @@ def test_release_identical_across_flag(
     dataset: str, k: int, workers: int, record_files
 ) -> None:
     path = record_files[dataset, STRESS_RECORDS]
-    _assert_flag_invisible(dataset, k, workers, STRESS_RECORDS, path)
+    _assert_matches_oracle(dataset, k, workers, STRESS_RECORDS, path)
 
 
 @pytest.mark.stress
 def test_forced_multiprocessing_identical_across_flag(
     monkeypatch, record_files
 ) -> None:
-    """Cross the real process boundary: the resolved flag rides inside the
-    worker task tuples, so a forced pool must behave like the in-process
-    fallback in both modes."""
+    """Cross the real process boundary: a forced pool of kernel scans must
+    reproduce the oracle's in-process scalar scan."""
     monkeypatch.setenv("REPRO_PARALLEL_POOL", "force")
     path = record_files["census", RECORDS]
-    _assert_flag_invisible("census", 5, 4, RECORDS, path)
+    _assert_matches_oracle("census", 5, 4, RECORDS, path)
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_hilbert_ordering_identical_across_flag(dataset: str) -> None:
-    """The loader's sort — keys, stable tie order, and grouping — is the
-    innermost surface the flag touches; compare it directly."""
+    """The loader's sort — keys, stable tie order, and grouping — and the
+    rid-tie-broken order of the ``hilbert`` release strategy."""
     table = _table(dataset, RECORDS)
     records = list(table.records)
     lows, highs = _domain(table)
-    assert hilbert_sorted(records, lows, highs, use_kernels=True) == (
-        hilbert_sorted(records, lows, highs, use_kernels=False)
+    assert hilbert_sorted(records, lows, highs) == (
+        oracles.hilbert_sorted(records, lows, highs)
     )
-    assert hilbert_partitions(records, lows, highs, 5, use_kernels=True) == (
-        hilbert_partitions(records, lows, highs, 5, use_kernels=False)
+    assert hilbert_ordered(records, lows, highs) == (
+        oracles.hilbert_ordered(records, lows, highs)
     )
+    assert hilbert_partitions(records, lows, highs, 5) == chunk_with_floor(
+        oracles.hilbert_sorted(records, lows, highs), 5
+    )
+    for few in (records[:0], records[:1]):
+        assert hilbert_sorted(few, lows, highs) == few
+        assert hilbert_ordered(few, lows, highs) == few
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_shard_plans_identical_across_flag(dataset: str, record_files) -> None:
-    """Planner sampling keys through the kernels must place the exact same
-    shard boundaries (they are plain Python ints on both paths)."""
+    """Planner sampling keys through the kernel must place the exact same
+    shard boundaries, and the kernel scan must fill the same buckets."""
     table = _table(dataset, RECORDS)
     records = list(table.records)
     lows, highs = _domain(table)
     path = record_files[dataset, RECORDS]
-    from repro.index.bulk import DEFAULT_HILBERT_BITS as BITS
-
     for shards in (2, 5):
-        assert plan_record_shards(
-            records, shards, lows, highs, BITS, use_kernels=True
-        ) == plan_record_shards(
-            records, shards, lows, highs, BITS, use_kernels=False
+        assert plan_record_shards(records, shards, lows, highs, BITS) == (
+            plan_from_sample(
+                oracles.sample_record_keys(records, lows, highs, BITS),
+                shards,
+                lows,
+                highs,
+                BITS,
+            )
         )
-        assert plan_file_shards(
-            path, shards, lows, highs, BITS, use_kernels=True
-        ) == plan_file_shards(
-            path, shards, lows, highs, BITS, use_kernels=False
-        )
+        plan = plan_file_shards(path, shards, lows, highs, BITS)
+        assert plan == oracles.file_shard_plan(path, shards, lows, highs)
+        geometry = (plan.boundaries, plan.lows, plan.highs, plan.bits)
+        for start, count in slice_bounds(RECORDS, 3):
+            file_task = ("file", (path, start, count, 0, 64)) + geometry
+            records_task = ("records", records[start : start + count]) + geometry
+            for task in (file_task, records_task):
+                buckets, stats = _scan_slice(task)
+                assert buckets == oracles.scan_slice(task)
+                assert stats["records"] == count
 
 
-def test_batch_writer_produces_byte_identical_files(tmp_path) -> None:
-    """``write_batch`` against a per-record ``write_point`` control file."""
+def test_batch_writer_produces_byte_identical_files(tmp_path, monkeypatch) -> None:
+    """``write_batch`` and the paged ``write_all`` (pages cut short so the
+    file spans several) against a per-record ``write_point`` control file."""
+    monkeypatch.setattr(io_module, "_WRITE_PAGE_RECORDS", 77)
     table = _table("census", RECORDS)
     points = [record.point for record in table.records]
     scalar_path = tmp_path / "scalar.records"
     batch_path = tmp_path / "batch.records"
+    paged_path = tmp_path / "paged.records"
     with RecordFileWriter(scalar_path, len(points[0])) as writer:
         for point in points:
             writer.write_point(point)
     with RecordFileWriter(batch_path, len(points[0])) as writer:
         written = writer.write_batch(np.array(points, dtype=np.float64))
     assert written == len(points)
+    with RecordFileWriter(paged_path, len(points[0])) as writer:
+        assert writer.write_all(iter(points)) == len(points)
     assert batch_path.read_bytes() == scalar_path.read_bytes()
+    assert paged_path.read_bytes() == scalar_path.read_bytes()
 
 
 def test_batch_reader_yields_the_scalar_rows(tmp_path) -> None:
-    """``iter_point_batches`` over every batch size tiles ``iter_points``
-    exactly, including the slice-window form the shard scanners use."""
+    """Every read surface — pages, points, records, and the slice windows
+    the shard scanners use — against the ``struct`` page decoder."""
     table = _table("census", RECORDS)
     path = tmp_path / "census.records"
     write_table(table, path)
     reader = RecordFileReader(path)
-    scalar = [tuple(point) for point in reader.iter_points()]
+    expected = list(oracles.read_records(path, first_rid=10))
+    rows = [record.point for record in expected]
     for batch_size in (1, 7, 256, 10_000):
-        rows: list[tuple[float, ...]] = []
+        paged: list[tuple[float, ...]] = []
         positions: list[int] = []
         for position, points in reader.iter_point_batches(batch_size):
             positions.append(position)
-            rows.extend(tuple(row) for row in points.tolist())
-        assert rows == scalar
+            paged.extend(tuple(row) for row in points.tolist())
+        assert paged == rows
         assert positions[0] == 0
+        assert list(reader.iter_points(batch_size)) == rows
+        assert list(reader.iter_records(batch_size, first_rid=10)) == expected
     window = list(reader.iter_point_batches(64, start=100, count=37))
     windowed = [
         tuple(row) for _, points in window for row in points.tolist()
     ]
-    assert windowed == scalar[100:137]
+    assert windowed == rows[100:137]
     assert window[0][0] == 100
+    assert list(reader.iter_records(16, start=100, count=37)) == list(
+        oracles.read_records(path, 16, start=100, count=37)
+    )

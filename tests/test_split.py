@@ -53,6 +53,32 @@ class TestThresholds:
         assert candidates[0] == (3, 3)  # balanced first
         assert (5, 5) in candidates  # gap 5 -> 100
 
+    @given(
+        st.lists(st.integers(0, 6).map(float), max_size=40),
+        st.integers(1, 6),
+    )
+    def test_balanced_then_widest_gap_on_tie_heavy_inputs(
+        self, values: list[float], min_count: int
+    ) -> None:
+        """Against the definition: of the legal boundaries between distinct
+        sorted values, the first closest to the median, then the first
+        widest gap unless it is the same boundary."""
+        ordered = sorted(values)
+        legal = [
+            (ordered[index], index + 1)
+            for index in range(len(ordered) - 1)
+            if ordered[index] != ordered[index + 1]
+            and min_count <= index + 1 <= len(ordered) - min_count
+        ]
+        expected = []
+        if legal:
+            balanced = min(legal, key=lambda cut: abs(cut[1] - len(values) / 2))
+            widest = max(
+                legal, key=lambda cut: ordered[cut[1]] - ordered[cut[1] - 1]
+            )
+            expected = [balanced] if widest == balanced else [balanced, widest]
+        assert candidate_thresholds(values, min_count) == expected
+
 
 class TestPartitioning:
     def test_partition_records(self) -> None:

@@ -19,12 +19,10 @@ paper-vs-measured record of every reproduced table and figure.
 
 from repro import api
 from repro.api import Anonymizer, ReleaseResult
-from repro.cluster import ClusterConfig, ShardedCluster
 from repro.serve import (
     AnonymizerService,
     ReleaseSnapshot,
     ServiceConfig,
-    ServiceProtocol,
     TelemetryConfig,
 )
 from repro.baselines.grid import GridFileAnonymizer, gridfile_anonymize
@@ -83,7 +81,6 @@ __all__ = [
     "Box",
     "BufferTreeLoader",
     "CensusGenerator",
-    "ClusterConfig",
     "ConstrainedSplitPolicy",
     "DurabilityConfig",
     "GridFile",
@@ -105,8 +102,6 @@ __all__ = [
     "ReleaseSnapshot",
     "Schema",
     "ServiceConfig",
-    "ServiceProtocol",
-    "ShardedCluster",
     "Table",
     "TelemetryConfig",
     "WeightedSplitPolicy",

@@ -20,7 +20,7 @@ schemas, loaders, pools and durability managers by hand:
   thread-safe :class:`~repro.serve.AnonymizerService` handle that serves
   immutable release snapshots to concurrent readers while a single
   writer thread applies queued mutations (see docs/API.md "Serving").
-* ``service.query(...)`` on either serving backend — §5.4 point-lookup,
+* ``service.query(...)`` on a serving handle — §5.4 point-lookup,
   range-COUNT, group-by and distinct-count queries answered by one
   columnar scan of the release's partitions (:class:`~repro.query.
   QueryEngine`; see docs/API.md "Querying releases").
@@ -45,7 +45,6 @@ from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import RecoveryResult
 from repro.durability.recovery import recover as _recover_directory
 from repro.index.split import SplitPolicy
-from repro.cluster import ClusterConfig, ShardedCluster
 from repro.obs import AUDITOR
 from repro.obs.audit import audit_release
 from repro.query.engine import (
@@ -59,7 +58,6 @@ from repro.serve import (
     AnonymizerService,
     ReleaseSnapshot,
     ServiceConfig,
-    ServiceProtocol,
     TelemetryConfig,
 )
 from repro.storage.buffer_pool import BufferPool
@@ -68,15 +66,12 @@ __all__ = [
     "Anonymizer",
     "AnonymizerService",
     "CheckpointResult",
-    "ClusterConfig",
     "QueryEngine",
     "QueryResult",
     "RangeQuery",
     "ReleaseResult",
     "ReleaseSnapshot",
     "ServiceConfig",
-    "ServiceProtocol",
-    "ShardedCluster",
     "TelemetryConfig",
     "group_by_queries",
     "open",
@@ -276,9 +271,7 @@ def open(
     leaf_capacity: int | None = None,
     serve: bool = False,
     service_config: ServiceConfig | None = None,
-    shards: int = 1,
-    cluster_config: ClusterConfig | None = None,
-) -> "Anonymizer | AnonymizerService | ShardedCluster":
+) -> "Anonymizer | AnonymizerService":
     """Create an anonymizer handle for a schema, table, or record file.
 
     A :class:`Schema` or :class:`Table` is used directly (a table's
@@ -291,24 +284,7 @@ def open(
     get cached, epoch-validated release snapshots while mutations flow
     through a bounded, group-committed write queue.  ``service_config``
     tunes the queue bound, batch size and cache.
-
-    ``shards`` > 1 (or an explicit ``cluster_config``) scales serving
-    across processes: the handle is a
-    :class:`~repro.cluster.ShardedCluster` — the same
-    :class:`~repro.serve.ServiceProtocol` surface, backed by one worker
-    process per contiguous Hilbert-key range.  The cluster owns its
-    engines, so the single-engine knobs (``durability``, ``pool``,
-    ``split_policy``, ``leaf_capacity``) are rejected — per-shard WALs
-    root at ``ClusterConfig.durability_dir`` instead.
     """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if cluster_config is not None and shards not in (1, cluster_config.shards):
-        raise ValueError(
-            f"shards={shards} disagrees with cluster_config.shards="
-            f"{cluster_config.shards}; pass one or make them match"
-        )
-    clustered = cluster_config is not None or shards > 1
     if isinstance(source, Schema):
         schema_table = Table(source, ())
     elif isinstance(source, Table):
@@ -320,34 +296,6 @@ def open(
             f"cannot open {type(source).__name__}: expected a Schema, "
             "Table, or record-file path"
         )
-    if clustered:
-        if not serve:
-            raise ValueError("shards/cluster_config require serve=True")
-        for name, value in (
-            ("durability", durability),
-            ("pool", pool),
-            ("split_policy", split_policy),
-            ("leaf_capacity", leaf_capacity),
-        ):
-            if value is not None:
-                raise ValueError(
-                    f"{name}= does not apply to a sharded cluster; each "
-                    "shard owns its engine (use ClusterConfig.durability_dir "
-                    "for per-shard WALs)"
-                )
-        if cluster_config is None:
-            cluster_config = ClusterConfig(
-                shards=shards,
-                service=service_config
-                if service_config is not None
-                else ServiceConfig(),
-            )
-        elif service_config is not None:
-            raise ValueError(
-                "pass service_config inside cluster_config.service when "
-                "opening a cluster"
-            )
-        return ShardedCluster(schema_table, cluster_config, base_k=base_k)
     engine = RTreeAnonymizer(
         schema_table,
         base_k=base_k,
@@ -367,26 +315,16 @@ def serve(
     source: "Schema | Table | str | Path",
     *,
     service_config: ServiceConfig | None = None,
-    shards: int = 1,
-    cluster_config: ClusterConfig | None = None,
     **kwargs: object,
-) -> ServiceProtocol:
-    """Shorthand for :func:`open` with ``serve=True``.
-
-    Returns the protocol type: an
-    :class:`~repro.serve.AnonymizerService` for ``shards=1``, a
-    :class:`~repro.cluster.ShardedCluster` beyond — both satisfy
-    :class:`~repro.serve.ServiceProtocol`.
-    """
+) -> AnonymizerService:
+    """Shorthand for :func:`open` with ``serve=True``."""
     handle = open(
         source,
         serve=True,
         service_config=service_config,
-        shards=shards,
-        cluster_config=cluster_config,
         **kwargs,  # type: ignore[arg-type]
     )
-    assert isinstance(handle, (AnonymizerService, ShardedCluster))
+    assert isinstance(handle, AnonymizerService)
     return handle
 
 

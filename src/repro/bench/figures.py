@@ -1323,132 +1323,6 @@ def serve_bench(
     return result
 
 
-def serve_cluster_bench(
-    records: int = 8_000,
-    write_rounds: int = 8,
-    write_batch: int = 400,
-    reads_per_round: int = 4,
-    k: int = 25,
-    base_k: int = 5,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    seed: int = 1,
-    repeats: int = 3,
-) -> BenchTable:
-    """Write-throughput scaling of the sharded serving cluster (repro.cluster).
-
-    Drives the *same* mixed workload — ``write_rounds`` rounds of one
-    routed ``write_batch`` insert group, a barrier, then
-    ``reads_per_round`` ``"hilbert"``-strategy releases — against a
-    shards=1 single-writer :class:`~repro.serve.AnonymizerService` and a
-    :class:`~repro.cluster.ShardedCluster` at each entry of
-    ``shard_counts`` beyond 1.  The single-writer applies every group on
-    one thread; the cluster fans the batch out to one worker process per
-    contiguous Hilbert-key range, so its group commits proceed in
-    parallel.  Every variant's final release digest is cross-checked
-    against the single-writer's (the ``digest`` column) — the scaling
-    must not cost bit-identity.
-
-    Timing protocol matches :func:`serve_bench`: per-round minima summed
-    across interleaved repeats.  ``speedup_<n>`` extras report each
-    cluster width's write throughput relative to shards=1, and
-    ``cpu_count`` records how many cores the host actually had — on a
-    single-core box the workers time-slice one CPU and the speedup
-    ceiling is 1.0 regardless of shard count.
-    """
-    import os
-
-    from repro import obs
-    from repro.cluster import ClusterConfig, ShardedCluster
-    from repro.serve import AnonymizerService, ServiceConfig
-
-    owns_obs = not obs.OBS.enabled
-    if owns_obs:
-        obs.enable()
-
-    table = LandsEndGenerator(seed).generate(
-        records + write_rounds * write_batch
-    )
-    base = Table(table.schema, tuple(table.records[:records]))
-    extra = table.records[records:]
-    result = BenchTable(
-        f"Sharded serving cluster: {records:,} base records, "
-        f"{write_rounds} rounds of {write_batch} routed inserts, "
-        f"k={k} releases",
-        ["shards", "writes", "reads", "writes/s", "reads/s", "digest"],
-    )
-    round_minima = {
-        shards: [float("inf")] * write_rounds for shards in shard_counts
-    }
-    digests: dict[int, str] = {}
-    counts: dict[int, tuple[int, int]] = {}
-    for pass_index in range(max(1, repeats)):
-        # Rotate the starting variant so machine drift lands evenly.
-        order = list(shard_counts)
-        rotation = pass_index % len(order)
-        order = order[rotation:] + order[:rotation]
-        for shards in order:
-            if shards == 1:
-                service = AnonymizerService(
-                    RTreeAnonymizer(table, base_k=base_k), ServiceConfig()
-                )
-            else:
-                service = ShardedCluster(
-                    base, ClusterConfig(shards=shards), base_k=base_k
-                )
-            try:
-                service.load(base)
-                reads = writes = 0
-                minima = round_minima[shards]
-                for round_index in range(write_rounds):
-                    start = round_index * write_batch
-                    with Timer() as timer:
-                        service.submit_insert_batch(
-                            extra[start : start + write_batch]
-                        )
-                        service.barrier()
-                        writes += write_batch
-                        for _ in range(reads_per_round):
-                            service.release(k, strategy="hilbert")
-                            reads += 1
-                    minima[round_index] = min(
-                        minima[round_index], timer.elapsed
-                    )
-                digests[shards] = service.release(
-                    k, strategy="hilbert"
-                ).digest
-                counts[shards] = (writes, reads)
-            finally:
-                service.close()
-    reference = digests[shard_counts[0]]
-    writes_per_second: dict[int, float] = {}
-    for shards in shard_counts:
-        writes, reads = counts[shards]
-        best_elapsed = sum(round_minima[shards])
-        writes_per_second[shards] = writes / best_elapsed
-        result.add(
-            shards,
-            writes,
-            reads,
-            writes / best_elapsed,
-            reads / best_elapsed,
-            "match" if digests[shards] == reference else "MISMATCH",
-        )
-    result.extras = {
-        "cpu_count": float(os.cpu_count() or 1),
-        "digests_match": float(
-            all(digest == reference for digest in digests.values())
-        ),
-    }
-    for shards in shard_counts[1:]:
-        result.extras[f"speedup_{shards}"] = (
-            writes_per_second[shards] / writes_per_second[shard_counts[0]]
-        )
-    if owns_obs:
-        obs.disable()
-        obs.reset()
-    return result
-
-
 def query_bench(
     records: int = 10_000,
     queries: int = 400,
@@ -1661,6 +1535,5 @@ DRIVERS: dict[str, Callable[..., BenchTable]] = {
     "multigranular": multigranular_report,
     "recovery": recovery_bench,
     "serve": serve_bench,
-    "serve_cluster": serve_cluster_bench,
     "query_bench": query_bench,
 }

@@ -73,9 +73,6 @@ KEY_COUNTERS: tuple[str, ...] = (
     "serve.write_groups",
     "serve.telemetry.scrapes",
     "serve.slow_ops",
-    "cluster.routed_records",
-    "cluster.releases",
-    "cluster.cache_misses",
     # The query family: query_bench meters its deterministic phase only
     # (the concurrent phase runs with the registry disabled).
     "query.engine_builds",
@@ -124,19 +121,6 @@ def core_figures(quick: bool = False) -> list[tuple[str, dict[str, object]]]:
                 },
             ),
             (
-                "serve_cluster",
-                {
-                    "records": 2_000,
-                    "write_rounds": 4,
-                    "write_batch": 100,
-                    "reads_per_round": 2,
-                    "k": 25,
-                    "shard_counts": (1, 2),
-                    "seed": 1,
-                    "repeats": 3,
-                },
-            ),
-            (
                 "query_bench",
                 {
                     "records": 2_000,
@@ -167,18 +151,6 @@ def core_figures(quick: bool = False) -> list[tuple[str, dict[str, object]]]:
                 "write_batch": 200,
                 "reads_per_round": 20,
                 "ks": (10, 25, 50),
-                "seed": 1,
-            },
-        ),
-        (
-            "serve_cluster",
-            {
-                "records": 8_000,
-                "write_rounds": 8,
-                "write_batch": 400,
-                "reads_per_round": 4,
-                "k": 25,
-                "shard_counts": (1, 2, 4),
                 "seed": 1,
             },
         ),

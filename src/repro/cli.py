@@ -21,7 +21,6 @@
     repro serve-bench              # serving throughput, cached vs uncached
     repro query-bench              # query serving: accuracy + reader throughput
     repro serve-demo --port 8787   # live service with /metrics + /healthz
-    repro serve-demo --shards 4    # sharded cluster: 4 worker processes
     repro top --url http://127.0.0.1:8787   # refreshing telemetry dashboard
 
 The data-facing commands (``anonymize``, ``bench``, ``recover``,
@@ -178,15 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="serve-demo: how long to keep the service alive under load (seconds)",
-    )
-    live.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "serve-demo: number of shard worker processes (1 = the "
-            "single-writer service, >1 = a sharded cluster)"
-        ),
     )
     live.add_argument(
         "--slow-op-log",
@@ -372,12 +362,9 @@ def _serve_demo_command(arguments: argparse.Namespace) -> int:
     Runs a telemetry-enabled :class:`~repro.serve.AnonymizerService` under
     a steady write/release load for ``--duration`` seconds, printing the
     endpoint URL first so a scraper (CI's smoke job, ``repro top``,
-    Prometheus) can attach while it runs.  ``--shards N`` (N > 1) serves
-    a :class:`~repro.cluster.ShardedCluster` instead — same protocol,
-    N worker processes, shard-labeled metrics on one endpoint.  With
-    ``--slow-op-log`` every operation slower than ``--slow-op-threshold``
-    lands in the JSONL log with its recent trace spans attached
-    (single-service only; a cluster's slow-op logs live in its shards).
+    Prometheus) can attach while it runs.  With ``--slow-op-log`` every
+    operation slower than ``--slow-op-threshold`` lands in the JSONL log
+    with its recent trace spans attached.
     """
     import time
 
@@ -398,25 +385,14 @@ def _serve_demo_command(arguments: argparse.Namespace) -> int:
         slow_op_log=arguments.slow_op_log,
         slow_op_threshold=arguments.slow_op_threshold,
     )
-    shards = arguments.shards
-    if shards > 1:
-        service = api.serve(
-            table.schema,
-            shards=shards,
-            cluster_config=api.ClusterConfig(shards=shards, telemetry=telemetry),
-        )
-    else:
-        service = api.serve(
-            table.schema,
-            service_config=api.ServiceConfig(telemetry=telemetry),
-        )
+    service = api.serve(
+        table.schema, service_config=api.ServiceConfig(telemetry=telemetry)
+    )
     try:
         print(f"serving telemetry at {service.telemetry_url}", flush=True)
-        backend = f"{shards} shard processes" if shards > 1 else "single writer"
         print(
             f"  GET /metrics (Prometheus text)  GET /healthz (JSON); "
-            f"load: {records:,} records, k={k}, "
-            f"{arguments.duration:g}s, {backend}",
+            f"load: {records:,} records, k={k}, {arguments.duration:g}s",
             flush=True,
         )
         deadline = time.monotonic() + arguments.duration
@@ -436,7 +412,7 @@ def _serve_demo_command(arguments: argparse.Namespace) -> int:
             f"served {releases} release(s) over {offset:,} records; "
             f"health={health['status']} epoch={health['epoch']}"
         )
-        slow_op_log = getattr(service, "slow_op_log", None)
+        slow_op_log = service.slow_op_log
         if slow_op_log is not None:
             print(
                 f"  slow ops:   {slow_op_log.recorded} recorded "

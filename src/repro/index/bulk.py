@@ -80,12 +80,8 @@ def hilbert_ordered(
     Unlike :func:`hilbert_sorted` — whose stable sort preserves *input*
     order between equal keys — the rid tie-break makes this order a pure
     function of the record **set**, independent of how the records arrive.
-    That is the property the sharded serving cluster relies on: each shard
-    sorts its own records by ``(key, rid)`` and, because shards own
-    contiguous ascending key ranges, concatenating the per-shard runs
-    reconstructs exactly this global order.  The single-writer ``hilbert``
-    release strategy sorts with the same function, which is what makes the
-    two backends' releases bit-identical.
+    The ``"hilbert"`` release strategy sorts with this function, which is
+    what makes its release independent of the tree's shape.
     """
     with TRACE.span("bulk.hilbert_order", "bulk", records=len(records)):
         if len(records) < 2:

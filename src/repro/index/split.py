@@ -438,79 +438,3 @@ def exhaustive_ncp_split(
                 dimension, float(values[legal[at]]), left_count, total - left_count
             )
     return best
-
-
-def exhaustive_ncp_split_small(
-    records: Sequence[Record],
-    min_count: int,
-    domain_extents: Sequence[float],
-    weights: Sequence[float] | None,
-    dimensions: Sequence[int],
-) -> SplitDecision | None:
-    """Pure-Python exhaustive boundary search for small record groups.
-
-    Same objective and same result set as :func:`exhaustive_ncp_split`,
-    but built for the minimum-size splits that dominate index maintenance:
-    per dimension, one sort plus two incremental sweeps maintain the
-    prefix / suffix normalized margins in O(n·d), so every legal boundary
-    is scored without numpy's per-call overhead.
-    """
-    total = len(records)
-    if total < 2 * min_count:
-        return None
-    points = [record.point for record in records]
-    inverse = [
-        1.0 / extent if extent > 0 else 0.0 for extent in domain_extents
-    ]
-    if weights is not None:
-        inverse = [i * w for i, w in zip(inverse, weights)]
-    best: SplitDecision | None = None
-    best_score = float("inf")
-    for dimension in dimensions:
-        order = sorted(range(total), key=lambda i: points[i][dimension])
-        values = [points[i][dimension] for i in order]
-        if values[0] == values[-1]:
-            continue
-        prefix = _running_margins(points, order, inverse)
-        suffix = _running_margins(points, order[::-1], inverse)[::-1]
-        for boundary in range(min_count - 1, total - min_count):
-            if values[boundary] == values[boundary + 1]:
-                continue
-            left_count = boundary + 1
-            score = left_count * prefix[boundary] + (total - left_count) * suffix[
-                boundary + 1
-            ]
-            if score < best_score:
-                best_score = score
-                best = SplitDecision(
-                    dimension, values[boundary], left_count, total - left_count
-                )
-    return best
-
-
-def _running_margins(
-    points: Sequence[Sequence[float]],
-    order: Sequence[int],
-    inverse: Sequence[float],
-) -> list[float]:
-    """``out[i]`` = normalized margin of the MBR of ``points[order[:i+1]]``.
-
-    Maintains per-dimension minima/maxima and the running margin sum,
-    updating only the dimensions a new point actually extends.
-    """
-    first = points[order[0]]
-    mins = list(first)
-    maxs = list(first)
-    margin = 0.0
-    out = [0.0] * len(order)
-    for position in range(1, len(order)):
-        point = points[order[position]]
-        for dimension, value in enumerate(point):
-            if value < mins[dimension]:
-                margin += (mins[dimension] - value) * inverse[dimension]
-                mins[dimension] = value
-            elif value > maxs[dimension]:
-                margin += (value - maxs[dimension]) * inverse[dimension]
-                maxs[dimension] = value
-        out[position] = margin
-    return out

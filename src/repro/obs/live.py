@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.obs import OBS, TRACE
 from repro.obs.sinks import JsonLinesSink
@@ -287,83 +287,6 @@ def prometheus_text(
     return "\n".join(lines) + "\n"
 
 
-def _labels_text(labels: Mapping[str, str] | None) -> str:
-    if not labels:
-        return ""
-    rendered = ",".join(
-        f'{key}="{value}"' for key, value in sorted(labels.items())
-    )
-    return "{" + rendered + "}"
-
-
-def prometheus_cluster_text(
-    parent_snapshot: Mapping[str, object],
-    shard_snapshots: Sequence[
-        tuple[Mapping[str, str], Mapping[str, object]]
-    ],
-    extra_gauges: Mapping[str, float] | None = None,
-) -> str:
-    """A cluster exposition: the router's metrics plus labeled shard rollups.
-
-    ``parent_snapshot`` (the router process's registry snapshot) exports
-    unlabeled, exactly as :func:`prometheus_text` would.  Each entry of
-    ``shard_snapshots`` is ``(labels, snapshot)`` — typically
-    ``({"shard": "0"}, <worker snapshot>)`` — and its samples export with
-    those labels attached, so one scrape carries every shard's ``serve.*``
-    series side by side.  ``# TYPE`` headers are emitted once per metric
-    name across all sources (Prometheus rejects duplicates).
-    """
-    sources: list[tuple[Mapping[str, str] | None, Mapping[str, object]]] = [
-        (None, parent_snapshot)
-    ]
-    sources.extend(shard_snapshots)
-    lines: list[str] = []
-    typed: set[str] = set()
-
-    def _type_line(exported: str, kind: str) -> None:
-        if exported not in typed:
-            typed.add(exported)
-            lines.append(f"# TYPE {exported} {kind}")
-
-    for labels, snapshot in sources:
-        suffix = _labels_text(labels)
-        counters: Mapping[str, int] = snapshot.get("counters") or {}  # type: ignore[assignment]
-        for name, value in sorted(counters.items()):
-            exported = metric_name(name)
-            _type_line(exported, "counter")
-            lines.append(f"{exported}{suffix} {_format_value(value)}")
-        gauges: dict[str, float] = dict(snapshot.get("gauges") or {})  # type: ignore[arg-type]
-        if labels is None and extra_gauges:
-            gauges.update(extra_gauges)
-        for name, value in sorted(gauges.items()):
-            exported = metric_name(name)
-            _type_line(exported, "gauge")
-            lines.append(f"{exported}{suffix} {_format_value(value)}")
-        histograms: Mapping[str, Mapping[str, object]] = (
-            snapshot.get("histograms") or {}  # type: ignore[assignment]
-        )
-        for name, histogram in sorted(histograms.items()):
-            exported = metric_name(name)
-            _type_line(exported, "summary")
-            for quantile in EXPORT_QUANTILES:
-                key = f"p{int(quantile * 100)}"
-                value = float(histogram.get(key, 0.0))  # type: ignore[arg-type]
-                merged = dict(labels or {})
-                merged["quantile"] = str(quantile)
-                lines.append(
-                    f"{exported}{_labels_text(merged)} {_format_value(value)}"
-                )
-            lines.append(
-                f"{exported}_sum{suffix} "
-                f"{_format_value(float(histogram.get('sum', 0.0)))}"  # type: ignore[arg-type]
-            )
-            lines.append(
-                f"{exported}_count{suffix} "
-                f"{_format_value(int(histogram.get('count', 0)))}"  # type: ignore[arg-type]
-            )
-    return "\n".join(lines) + "\n"
-
-
 def parse_prometheus_text(
     text: str,
 ) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
@@ -512,6 +435,5 @@ __all__ = [
     "WriterWatchdog",
     "metric_name",
     "parse_prometheus_text",
-    "prometheus_cluster_text",
     "prometheus_text",
 ]

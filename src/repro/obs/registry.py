@@ -92,17 +92,6 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "serve.telemetry.scrapes",
     "serve.telemetry.health_checks",
     "serve.telemetry.errors",
-    "cluster.routed_inserts",
-    "cluster.routed_records",
-    "cluster.routed_deletes",
-    "cluster.routed_updates",
-    "cluster.cross_shard_updates",
-    "cluster.releases",
-    "cluster.release_records",
-    "cluster.cache_hits",
-    "cluster.cache_misses",
-    "cluster.shard_failures",
-    "cluster.queries",
     "query.engine_builds",
     "query.engine_cache_hits",
     "query.count_queries",
@@ -122,9 +111,6 @@ DEFAULT_GAUGES: tuple[str, ...] = (
     "serve.queue_depth",
     "serve.backpressure",
     "serve.epoch",
-    "cluster.shards",
-    "cluster.dead_shards",
-    "cluster.epoch",
 )
 
 #: Histogram names pre-registered alongside the counters.
@@ -137,8 +123,6 @@ DEFAULT_HISTOGRAMS: tuple[str, ...] = (
     "serve.release_seconds",
     "serve.snapshot_swap_seconds",
     "wal.fsync_seconds",
-    "cluster.release_seconds",
-    "cluster.query_seconds",
     "serve.query_seconds",
 )
 

@@ -129,10 +129,7 @@ def render_live(
     ``/metrics`` exposition (see
     :func:`repro.obs.live.parse_prometheus_text`).  Quantile samples are
     folded into one latency row per metric; everything else renders as a
-    counter/gauge row.  ``shard``-labeled samples (a sharded cluster's
-    rollup) render in their own per-shard section, one
-    ``name [shard i]`` row each, so ``repro top`` works unchanged
-    against both backends.
+    counter/gauge row.
     """
     lines: list[str] = []
     status = str(health.get("status", "unknown"))
@@ -156,15 +153,10 @@ def render_live(
         return "\n".join(lines)
     quantiles: dict[str, dict[str, float]] = {}
     plain: dict[str, float] = {}
-    sharded: dict[str, dict[str, float]] = {}
     for (name, labels), value in samples.items():
         label_map = dict(labels)
-        shard = label_map.get("shard")
         if "quantile" in label_map:
-            row = name if shard is None else f"{name} [shard {shard}]"
-            quantiles.setdefault(row, {})[label_map["quantile"]] = value
-        elif shard is not None:
-            sharded.setdefault(shard, {})[name] = value
+            quantiles.setdefault(name, {})[label_map["quantile"]] = value
         elif not labels:
             plain[name] = value
     if quantiles:
@@ -181,10 +173,4 @@ def render_live(
         width = max(display_width(name) for name in plain)
         for name in sorted(plain):
             lines.append(f"  {_pad(name, width)}  {_format_sample(plain[name])}")
-    for shard in sorted(sharded, key=lambda s: (len(s), s)):
-        rows = sharded[shard]
-        lines.append(f"== shard {shard} ==")
-        width = max(display_width(name) for name in rows)
-        for name in sorted(rows):
-            lines.append(f"  {_pad(name, width)}  {_format_sample(rows[name])}")
     return "\n".join(lines)

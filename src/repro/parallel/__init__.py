@@ -26,7 +26,6 @@ from repro.parallel.planner import (
     plan_file_shards,
     plan_from_sample,
     plan_record_shards,
-    plan_uniform,
     sample_file_keys,
     sample_record_keys,
     slice_bounds,
@@ -44,7 +43,6 @@ __all__ = [
     "plan_file_shards",
     "plan_from_sample",
     "plan_record_shards",
-    "plan_uniform",
     "sample_file_keys",
     "sample_record_keys",
     "scan_file_shards",

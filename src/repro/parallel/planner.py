@@ -79,30 +79,6 @@ def plan_from_sample(
     )
 
 
-def plan_uniform(
-    shards: int,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-) -> ShardPlan:
-    """Boundaries evenly spaced over the whole key space (no sample).
-
-    The fallback when there is nothing to sample — e.g. a serving cluster
-    started from a bare schema, before any record has arrived.  Balance
-    is then only as good as the data is curve-uniform, but correctness
-    never depends on the boundaries (the stitched output is provably
-    boundary-independent), so a skewed uniform plan costs throughput, not
-    fidelity.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    total = 1 << (bits * len(lows))
-    boundaries = tuple(
-        rank * total // shards for rank in range(1, shards)
-    )
-    return ShardPlan(boundaries, tuple(lows), tuple(highs), bits)
-
-
 def sample_record_keys(
     records: Sequence[Record],
     lows: Sequence[float],

@@ -30,7 +30,6 @@ for the walkthrough.
 
 from repro.obs.live import TelemetryConfig
 from repro.serve.cache import ReleaseCache, ReleaseSnapshot
-from repro.serve.protocol import ServiceProtocol
 from repro.serve.queue import WriteOp, WriteQueue
 from repro.serve.service import (
     AnonymizerService,
@@ -44,7 +43,6 @@ __all__ = [
     "ReleaseSnapshot",
     "ServiceClosedError",
     "ServiceConfig",
-    "ServiceProtocol",
     "TelemetryConfig",
     "WriteOp",
     "WriteQueue",

@@ -87,7 +87,8 @@ class ServiceConfig:
     ``/healthz`` endpoint, the writer watchdog thresholds, and the
     slow-op log.  ``cache_max_entries`` bounds how many release recipes
     the cache may hold at once (stale epochs are swept on every put
-    regardless; ``None`` removes the bound).
+    regardless; ``None`` removes the bound).  Bounds below 1 raise
+    ``ValueError`` at construction.
     """
 
     max_queue: int = 1024
@@ -96,6 +97,14 @@ class ServiceConfig:
     cache_max_entries: int | None = 64
     journal: bool = False
     telemetry: TelemetryConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be at least 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if self.cache_max_entries is not None and self.cache_max_entries < 1:
+            raise ValueError("cache_max_entries must be at least 1 when set")
 
 
 class AnonymizerService:

@@ -2,9 +2,10 @@
 
 Each function here is the plain-Python form of an operation whose only
 production path is a numpy kernel: the per-record ``struct`` page decoder,
-the ``hilbert_key(quantize(...))`` sorts, the stride samplers and the
-shard scan.  They exist only so the differential suites can hold the
-production code to them record for record; nothing in ``src`` calls them.
+the ``hilbert_key(quantize(...))`` sorts, the stride samplers, the
+shard scan and the exhaustive NCP split search.  They exist only so the
+differential suites can hold the production code to them record for
+record; nothing in ``src`` calls them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.dataset.io import _HEADER, RecordFileReader
 from repro.dataset.record import Record
 from repro.index.bulk import DEFAULT_HILBERT_BITS
 from repro.index.hilbert import hilbert_key, quantize
+from repro.index.split import SplitDecision
 from repro.parallel.planner import (
     DEFAULT_SAMPLE_SIZE,
     ShardPlan,
@@ -174,3 +176,78 @@ def sharded_record_stream(
         pairs.sort(key=lambda pair: (pair[0], pair[1].rid))
         ordered.extend(record for _key, record in pairs)
     return ordered
+
+
+def exhaustive_ncp_split_small(
+    records: Sequence[Record],
+    min_count: int,
+    domain_extents: Sequence[float],
+    weights: Sequence[float] | None,
+    dimensions: Sequence[int],
+) -> SplitDecision | None:
+    """Pure-Python exhaustive boundary search.
+
+    Same objective and same result set as
+    :func:`repro.index.split.exhaustive_ncp_split`: per dimension, one sort
+    plus two incremental sweeps maintain the prefix / suffix normalized
+    margins in O(n·d), so every legal boundary is scored in plain Python.
+    """
+    total = len(records)
+    if total < 2 * min_count:
+        return None
+    points = [record.point for record in records]
+    inverse = [
+        1.0 / extent if extent > 0 else 0.0 for extent in domain_extents
+    ]
+    if weights is not None:
+        inverse = [i * w for i, w in zip(inverse, weights)]
+    best: SplitDecision | None = None
+    best_score = float("inf")
+    for dimension in dimensions:
+        order = sorted(range(total), key=lambda i: points[i][dimension])
+        values = [points[i][dimension] for i in order]
+        if values[0] == values[-1]:
+            continue
+        prefix = _running_margins(points, order, inverse)
+        suffix = _running_margins(points, order[::-1], inverse)[::-1]
+        for boundary in range(min_count - 1, total - min_count):
+            if values[boundary] == values[boundary + 1]:
+                continue
+            left_count = boundary + 1
+            score = left_count * prefix[boundary] + (total - left_count) * suffix[
+                boundary + 1
+            ]
+            if score < best_score:
+                best_score = score
+                best = SplitDecision(
+                    dimension, values[boundary], left_count, total - left_count
+                )
+    return best
+
+
+def _running_margins(
+    points: Sequence[Sequence[float]],
+    order: Sequence[int],
+    inverse: Sequence[float],
+) -> list[float]:
+    """``out[i]`` = normalized margin of the MBR of ``points[order[:i+1]]``.
+
+    Maintains per-dimension minima/maxima and the running margin sum,
+    updating only the dimensions a new point actually extends.
+    """
+    first = points[order[0]]
+    mins = list(first)
+    maxs = list(first)
+    margin = 0.0
+    out = [0.0] * len(order)
+    for position in range(1, len(order)):
+        point = points[order[position]]
+        for dimension, value in enumerate(point):
+            if value < mins[dimension]:
+                margin += (mins[dimension] - value) * inverse[dimension]
+                mins[dimension] = value
+            elif value > maxs[dimension]:
+                margin += (value - maxs[dimension]) * inverse[dimension]
+                maxs[dimension] = value
+        out[position] = margin
+    return out

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
+from repro.core.partition import release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.geometry.box import Box
@@ -125,6 +128,45 @@ class TestIncremental:
         survivors = Table(schema3, records[100:])
         release = anonymizer.anonymize(8)
         assert verify_release(release, survivors, 8) == []
+
+
+class TestHilbertStrategy:
+    """The ``"hilbert"`` release is a pure function of the record set."""
+
+    def test_release_is_independent_of_how_the_tree_was_built(
+        self, schema3
+    ) -> None:
+        # A coarse grid makes many records share a point, so the release
+        # also depends on how ties in the Hilbert order are broken.
+        records = random_records(600, seed=21, high=9)
+        extras = [
+            Record(10_000 + record.rid, record.point, record.sensitive)
+            for record in random_records(200, seed=22, high=9)
+        ]
+        bulk = RTreeAnonymizer(Table(schema3, ()), base_k=5)
+        bulk.bulk_load(Table(schema3, records))
+        inserted = RTreeAnonymizer(Table(schema3, ()), base_k=5)
+        shuffled = list(records)
+        random.Random(23).shuffle(shuffled)
+        for record in shuffled:
+            inserted.insert(record)
+        pruned = RTreeAnonymizer(Table(schema3, ()), base_k=5)
+        pruned.bulk_load(Table(schema3, records + extras))
+        for record in extras:
+            pruned.delete(record.rid, record.point)
+        builds = (bulk, inserted, pruned)
+        # The three trees really differ, so equal digests are not trivial.
+        shapes = {
+            tuple(leaf.mbr for leaf in anonymizer.tree.leaves())
+            for anonymizer in builds
+        }
+        assert len(shapes) == 3
+        for k in (5, 10, 25):
+            digests = {
+                release_digest(anonymizer.anonymize(k, strategy="hilbert"))
+                for anonymizer in builds
+            }
+            assert len(digests) == 1, k
 
 
 class TestStorageIntegration:

@@ -140,7 +140,7 @@ class TestFigureDrivers:
             "ablation-bulkload", "ablation-split", "ablation-gridfile",
             "ablation-estimator", "ablation-weighted", "ablation-indexes",
             "ablation-loading", "multigranular", "recovery", "serve",
-            "serve_cluster", "query_bench",
+            "query_bench",
         }
 
     def test_recovery_bench(self, tmp_path, monkeypatch) -> None:

@@ -46,11 +46,10 @@ def test_dataset_file_option_does_not_warn():
     assert arguments.dataset_file == "points.bin"
 
 
-def test_duration_and_shards_defaults():
+def test_serve_demo_duration_default():
     parser = cli._build_parser()
     arguments = parser.parse_args(["serve-demo"])
     assert arguments.duration == 5.0
-    assert arguments.shards == 1
 
 
 # -- durable command round trip ----------------------------------------------

@@ -134,7 +134,7 @@ def _assert_matches_oracle(dataset, k, workers, records, path) -> None:
         )
 
 
-def test_small_cell_release_identical_across_flag(record_files) -> None:
+def test_small_cell_release_matches_oracle(record_files) -> None:
     """The tier-1 cell: serial and sharded, census at the default k."""
     path = record_files["census", RECORDS]
     for workers in (None, 2):
@@ -143,7 +143,7 @@ def test_small_cell_release_identical_across_flag(record_files) -> None:
 
 @pytest.mark.stress
 @pytest.mark.parametrize(("dataset", "k", "workers"), GRID)
-def test_release_identical_across_flag(
+def test_release_matches_oracle(
     dataset: str, k: int, workers: int, record_files
 ) -> None:
     path = record_files[dataset, STRESS_RECORDS]
@@ -151,7 +151,7 @@ def test_release_identical_across_flag(
 
 
 @pytest.mark.stress
-def test_forced_multiprocessing_identical_across_flag(
+def test_forced_multiprocessing_matches_oracle(
     monkeypatch, record_files
 ) -> None:
     """Cross the real process boundary: a forced pool of kernel scans must
@@ -162,7 +162,7 @@ def test_forced_multiprocessing_identical_across_flag(
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_hilbert_ordering_identical_across_flag(dataset: str) -> None:
+def test_hilbert_ordering_matches_oracle(dataset: str) -> None:
     """The loader's sort — keys, stable tie order, and grouping — and the
     rid-tie-broken order of the ``hilbert`` release strategy."""
     table = _table(dataset, RECORDS)
@@ -183,7 +183,7 @@ def test_hilbert_ordering_identical_across_flag(dataset: str) -> None:
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_shard_plans_identical_across_flag(dataset: str, record_files) -> None:
+def test_shard_plans_matches_oracle(dataset: str, record_files) -> None:
     """Planner sampling keys through the kernel must place the exact same
     shard boundaries, and the kernel scan must fill the same buckets."""
     table = _table(dataset, RECORDS)

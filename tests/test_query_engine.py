@@ -6,12 +6,12 @@ distinct counts — must equal the scalar oracle
 (:func:`repro.query.ranges.count_anonymized`, or a per-partition
 ``Box.intersects`` count for distinct counts) exactly, never
 approximately.  ``count_anonymized_bulk`` runs the engine's own kernel,
-so it is never the reference here.  The tier-1 cells check the engine,
-the serving wire-up, and one single-vs-cluster parity cell; the
-``stress`` grid sweeps {census, agrawal} x k {5, 25} x workload shape,
-the shard grid, and an 8-reader-vs-live-writer run where every answer
-must be reproducible against the exact release snapshot whose digest it
-carries.
+so it is never the reference here.  The tier-1 cells check the engine
+and the serving wire-up under the default ``"subtree"`` and the
+``"hilbert"`` release strategies; the ``stress`` grid sweeps {census,
+agrawal} x k {5, 25} x workload shape, and an 8-reader-vs-live-writer run
+where every answer must be reproducible against the exact release
+snapshot whose digest it carries.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterConfig, ShardedCluster
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.geometry.box import Box
 from repro.dataset.agrawal import make_agrawal_table
@@ -63,19 +62,28 @@ def _oracle(queries, table, kind: str = "count") -> list[int]:
     ]
 
 
-def _check_cell(dataset: str, records: int, k: int, shape: str, seed: int) -> None:
+def _check_cell(
+    dataset: str,
+    records: int,
+    k: int,
+    shape: str,
+    seed: int,
+    strategy: str = "subtree",
+) -> None:
     """One grid cell: every service answer == the scalar oracle, exactly."""
     table = _make_table(dataset, records, seed)
     engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
     with AnonymizerService(engine_core) as service:
         service.insert_batch(table)
         workload = _workload(table, shape, seed + 1)
-        result = service.query(workload, k=k)
-        snapshot = service.release(k)
+        result = service.query(workload, k=k, strategy=strategy)
+        snapshot = service.release(k, strategy=strategy)
         assert result.digest == snapshot.digest
         assert result.epoch == snapshot.epoch
         assert list(result.values) == _oracle(workload, snapshot.table)
-        distinct = service.query(workload, k=k, kind="distinct")
+        distinct = service.query(
+            workload, k=k, kind="distinct", strategy=strategy
+        )
         assert list(distinct.values) == _oracle(
             workload, snapshot.table, "distinct"
         )
@@ -180,8 +188,13 @@ class TestEngineUnits:
 
 
 def test_query_differential_tier1_cells() -> None:
-    _check_cell("census", 700, 5, "random_range", seed=11)
-    _check_cell("agrawal", 700, 25, "single_attribute", seed=11)
+    for strategy in ("subtree", "hilbert"):
+        _check_cell(
+            "census", 700, 5, "random_range", seed=11, strategy=strategy
+        )
+        _check_cell(
+            "agrawal", 700, 25, "single_attribute", seed=11, strategy=strategy
+        )
 
 
 @pytest.mark.stress
@@ -190,42 +203,6 @@ def test_query_differential_tier1_cells() -> None:
 @pytest.mark.parametrize("shape", ["random_range", "single_attribute"])
 def test_query_differential_grid(dataset: str, k: int, shape: str) -> None:
     _check_cell(dataset, 1_200, k, shape, seed=23)
-
-
-def _cluster_parity_cell(dataset: str, k: int, shards: int, seed: int) -> None:
-    """Scatter-gathered answers must match the single-writer's bit for bit."""
-    table = _make_table(dataset, 800, seed)
-    workload = random_range_workload(table, QUERIES, seed=seed + 1)
-    engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
-    with AnonymizerService(engine_core) as service:
-        service.insert_batch(table)
-        single = service.query(workload, k=k, strategy="hilbert")
-        single_distinct = service.query(
-            workload, k=k, kind="distinct", strategy="hilbert"
-        )
-    with ShardedCluster(table, ClusterConfig(shards=shards)) as cluster:
-        cluster.insert_batch(table)
-        sharded = cluster.query(workload, k=k)
-        assert sharded.digest == single.digest
-        assert sharded.values == single.values
-        sharded_distinct = cluster.query(workload, k=k, kind="distinct")
-        assert sharded_distinct.values == single_distinct.values
-        release = cluster.release(k).table
-        assert list(sharded.values) == _oracle(workload, release)
-        assert list(sharded_distinct.values) == _oracle(
-            workload, release, "distinct"
-        )
-
-
-def test_cluster_query_parity_tier1_cell() -> None:
-    _cluster_parity_cell("census", 5, 2, seed=31)
-
-
-@pytest.mark.stress
-@pytest.mark.parametrize("dataset", ["census", "agrawal"])
-@pytest.mark.parametrize("shards", [2, 4])
-def test_cluster_query_parity_grid(dataset: str, shards: int) -> None:
-    _cluster_parity_cell(dataset, 25, shards, seed=37)
 
 
 @pytest.mark.stress

@@ -296,6 +296,28 @@ class TestServiceDurability:
         assert recovered == digest
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field", ["max_queue", "max_batch", "cache_max_entries"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_bounds_rejected_at_construction(
+        self, field: str, value: int
+    ) -> None:
+        """A zero ``max_batch`` used to be accepted and silently turn off
+        group commit; zero ``max_queue``/``cache_max_entries`` failed only
+        later, inside the service, naming internal parameters."""
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_unbounded_cache_is_allowed(self) -> None:
+        assert ServiceConfig(cache_max_entries=None).cache_max_entries is None
+
+    def test_keyword_only(self) -> None:
+        with pytest.raises(TypeError):
+            ServiceConfig(1024)  # type: ignore[misc]
+
+
 class TestApiFacade:
     def test_open_serve_returns_a_service(self, schema3) -> None:
         table = Table(schema3, random_records(200, seed=14))

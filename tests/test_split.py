@@ -16,11 +16,11 @@ from repro.index.split import (
     best_threshold,
     candidate_thresholds,
     exhaustive_ncp_split,
-    exhaustive_ncp_split_small,
     group_margin,
     partition_records,
     widest_dimensions,
 )
+from tests.oracles import exhaustive_ncp_split_small
 
 
 def records_from(points: list[tuple[float, ...]]) -> list[Record]:

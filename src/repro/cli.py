@@ -31,7 +31,7 @@ The data-facing commands (``anonymize``, ``bench``, ``recover``,
 Each experiment prints the same rows the paper plots; see EXPERIMENTS.md
 for the recorded paper-vs-measured comparison.  ``--profile`` switches the
 :mod:`repro.obs` instrumentation on for the run and prints the collected
-counters/histograms/spans afterwards; ``--profile-json`` additionally
+counters/histograms afterwards; ``--profile-json`` additionally
 appends the snapshot to a JSON-lines file.  ``--trace`` records structured
 span events (flush sweeps, splits, page I/O, releases) and writes a
 Chrome-trace JSON loadable in ``chrome://tracing`` or Perfetto.

@@ -42,7 +42,7 @@ from repro.index.rtree import (
     RPlusTree,
 )
 from repro.index.split import SplitPolicy
-from repro.obs import AUDITOR, OBS, TRACE
+from repro.obs import AUDITOR, OBS, span
 from repro.storage.buffer_pool import BufferPool
 
 #: The paper's base anonymity level for bulk loads (§5.1).
@@ -55,12 +55,13 @@ def build_compacted_partitions(groups: Sequence[Sequence[Record]]) -> list[Parti
     The publish path for compacted releases: every strategy of
     :meth:`RTreeAnonymizer._emit_release` builds its partitions here.
     """
-    return [
-        Partition.trusted(
-            tuple(group), Box.from_points(r.point for r in group)
-        )
-        for group in groups
-    ]
+    with span("core.compact"):
+        return [
+            Partition.trusted(
+                tuple(group), Box.from_points(r.point for r in group)
+            )
+            for group in groups
+        ]
 
 
 class RTreeAnonymizer:
@@ -164,9 +165,7 @@ class RTreeAnonymizer:
         Returns the number of records the loader consumed.
         """
         stream = records.records if isinstance(records, Table) else records
-        with OBS.span("anonymizer.bulk_load"), TRACE.span(
-            "anonymizer.bulk_load", "anonymizer"
-        ):
+        with span("index.load"):
             if self._durability is None:
                 return self._loader.load(stream)
             # A bulk load is one WAL batch: members are logged as the
@@ -222,12 +221,7 @@ class RTreeAnonymizer:
                 f"{path} holds {reader.dimensions}-dimensional records, "
                 f"schema expects {self._schema.dimensions}"
             )
-        with OBS.span("anonymizer.bulk_load_file"), TRACE.span(
-            "anonymizer.bulk_load_file",
-            "anonymizer",
-            path=path,
-            workers=workers or 0,
-        ):
+        with span("index.load", path=path, workers=workers or 0):
             if workers is None:
                 stream: Iterable[Record] = reader.iter_records(
                     batch_size, first_rid=first_rid
@@ -371,9 +365,7 @@ class RTreeAnonymizer:
             raise ValueError(
                 f"cannot emit a {k}-anonymous release from {len(self._tree)} records"
             )
-        with OBS.span("anonymizer.anonymize"), TRACE.span(
-            "anonymizer.release", "anonymizer", k=k, strategy=strategy
-        ):
+        with span("core.release", k=k, strategy=strategy):
             return self._emit_release(k, compacted, constraint, strategy)
 
     def _emit_release(
@@ -384,41 +376,42 @@ class RTreeAnonymizer:
         strategy: str,
     ) -> AnonymizedTable:
         leaves = self._tree.leaves()
-        if strategy == "subtree":
-            groups = subtree_scan(self._tree, k, constraint)
-        elif strategy == "sequential":
-            groups = leaf_scan([leaf.records for leaf in leaves], k, constraint)
-        elif strategy == "hilbert":
-            # The order-based strategy: sort *all* records by (Hilbert
-            # key, rid) over the schema's domain box and chunk the global
-            # order with the k-floor.  Unlike the leaf-aligned strategies
-            # the output is a pure function of the record set — two trees
-            # holding the same records release identically however they
-            # were built.
-            if constraint is not None:
-                raise ValueError(
-                    "the 'hilbert' strategy does not support per-partition "
-                    "constraints; use 'subtree' or 'sequential'"
-                )
-            if not compacted:
-                raise ValueError(
-                    "the 'hilbert' strategy groups a global record order, "
-                    "not whole leaves, so it has no leaf regions to "
-                    "publish; use compacted=True"
-                )
-            from repro.index.bulk import chunk_with_floor, hilbert_ordered
+        with span("core.group", strategy=strategy):
+            if strategy == "subtree":
+                groups = subtree_scan(self._tree, k, constraint)
+            elif strategy == "sequential":
+                groups = leaf_scan([leaf.records for leaf in leaves], k, constraint)
+            elif strategy == "hilbert":
+                # The order-based strategy: sort *all* records by (Hilbert
+                # key, rid) over the schema's domain box and chunk the global
+                # order with the k-floor.  Unlike the leaf-aligned strategies
+                # the output is a pure function of the record set — two trees
+                # holding the same records release identically however they
+                # were built.
+                if constraint is not None:
+                    raise ValueError(
+                        "the 'hilbert' strategy does not support per-partition "
+                        "constraints; use 'subtree' or 'sequential'"
+                    )
+                if not compacted:
+                    raise ValueError(
+                        "the 'hilbert' strategy groups a global record order, "
+                        "not whole leaves, so it has no leaf regions to "
+                        "publish; use compacted=True"
+                    )
+                from repro.index.bulk import chunk_with_floor, hilbert_ordered
 
-            records = [
-                record for leaf in leaves for record in leaf.records
-            ]
-            ordered = hilbert_ordered(
-                records,
-                self._schema.domain_lows(),
-                self._schema.domain_highs(),
-            )
-            groups = chunk_with_floor(ordered, k)
-        else:
-            raise ValueError(f"unknown grouping strategy {strategy!r}")
+                records = [
+                    record for leaf in leaves for record in leaf.records
+                ]
+                ordered = hilbert_ordered(
+                    records,
+                    self._schema.domain_lows(),
+                    self._schema.domain_highs(),
+                )
+                groups = chunk_with_floor(ordered, k)
+            else:
+                raise ValueError(f"unknown grouping strategy {strategy!r}")
         if compacted:
             partitions = build_compacted_partitions(groups)
         else:
@@ -510,9 +503,7 @@ class RTreeAnonymizer:
             self._loader.drain()
         elif self._tree.in_bulk_mode:
             self._tree.finish_bulk()
-        with OBS.span("anonymizer.checkpoint"), TRACE.span(
-            "anonymizer.checkpoint", "anonymizer"
-        ):
+        with span("anonymizer.checkpoint"):
             return self._durability.checkpoint(self._tree, self._schema)
 
     def close(self) -> None:

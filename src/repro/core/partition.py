@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
 from repro.geometry.box import Box
+from repro.obs import span
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,10 @@ def release_digest(table: AnonymizedTable) -> str:
     the serial/parallel differential checks (`repro anonymize` prints this
     digest so CI can compare runs across worker counts textually).
     """
-    hasher = hashlib.sha256()
-    for partition in table.partitions:
-        box = partition.box
-        hasher.update(repr((tuple(box.lows), tuple(box.highs))).encode())
-        hasher.update(repr(sorted(partition.rids())).encode())
-    return hasher.hexdigest()
+    with span("core.digest"):
+        hasher = hashlib.sha256()
+        for partition in table.partitions:
+            box = partition.box
+            hasher.update(repr((tuple(box.lows), tuple(box.highs))).encode())
+            hasher.update(repr(sorted(partition.rids())).encode())
+        return hasher.hexdigest()

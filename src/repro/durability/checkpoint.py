@@ -37,7 +37,7 @@ from repro.dataset.schema import Attribute, AttributeKind, Schema
 from repro.durability.errors import SnapshotCorruption
 from repro.index.node import Cut, InternalNode, LeafNode, Node, Slot
 from repro.index.rtree import RPlusTree
-from repro.obs import OBS, TRACE
+from repro.obs import OBS, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.split import SplitPolicy
@@ -218,7 +218,7 @@ def write_snapshot(
         "schema": serialize_schema(schema),
         "watermarks": dict(watermarks or {}),
     }
-    with TRACE.span("checkpoint.write", "durability", lsn=lsn):
+    with span("checkpoint.write", lsn=lsn):
         payload = json.dumps(document, separators=(",", ":")).encode("utf-8")
         envelope = (
             _HEADER.pack(

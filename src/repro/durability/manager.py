@@ -23,7 +23,6 @@ Protocol invariants the recovery path relies on:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.dataset.record import Record
 from repro.durability.checkpoint import SNAPSHOT_NAME, write_snapshot
 from repro.durability.wal import WAL_NAME, WriteAheadLog
-from repro.obs import AUDITOR, OBS
+from repro.obs import AUDITOR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataset.schema import Schema
@@ -204,7 +203,6 @@ class DurabilityManager:
         guarantees both).
         """
         self._assert_no_open_batch("checkpoint")
-        started = time.perf_counter()
         self._wal.sync()
         lsn = self._wal.lsn
         watermarks: dict[str, object] = {
@@ -228,8 +226,6 @@ class DurabilityManager:
             group_commit_window=self._config.group_commit_window,
             io_stats=self._io_stats,
         )
-        if OBS.enabled:
-            OBS.observe("checkpoint.seconds", time.perf_counter() - started)
         return lsn
 
     def sync(self) -> None:

@@ -32,7 +32,7 @@ from repro.durability.checkpoint import SNAPSHOT_NAME, read_snapshot
 from repro.durability.errors import RecoveryError
 from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.durability.wal import WAL_NAME, WalOp, read_wal
-from repro.obs import AUDITOR, OBS, TRACE
+from repro.obs import AUDITOR, OBS, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.anonymizer import RTreeAnonymizer
@@ -83,9 +83,7 @@ def recover(
             f"{directory} holds no checkpoint snapshot ({SNAPSHOT_NAME}); "
             "not a durability directory or its initial snapshot was lost"
         )
-    with OBS.span("recovery.recover"), TRACE.span(
-        "recovery.recover", "durability", directory=str(directory)
-    ):
+    with span("recovery.recover", directory=str(directory)):
         snapshot = read_snapshot(snapshot_path, split_policy=split_policy)
         if wal_path.exists():
             scan = read_wal(wal_path, allow_torn_tail=allow_torn_tail)
@@ -148,7 +146,7 @@ def _replay(
     replayed = 0
     skipped = 0
     keep_until = scan.end_offset
-    with TRACE.span("recovery.replay", "durability", frames=len(scan.ops)):
+    with span("recovery.replay", frames=len(scan.ops)):
         for op in scan.ops:
             if op.lsn <= snapshot_lsn:
                 # Pre-rotation frames the snapshot already covers (a crash

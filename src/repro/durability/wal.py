@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, BinaryIO, Hashable, Sequence
 
 from repro.dataset.record import Record
 from repro.durability.errors import WalCorruption
-from repro.obs import OBS
+from repro.obs import OBS, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.pagefile import IOStats
@@ -259,20 +259,19 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Flush buffered frames and fsync them to stable storage.
 
-        Fsync latency feeds the ``wal.fsync_seconds`` histogram — the
-        p99 of this distribution is the floor under every acknowledged
+        The ``wal.fsync`` span feeds the ``wal.fsync_seconds`` histogram —
+        the p99 of this distribution is the floor under every acknowledged
         write's latency, which is why the serving telemetry surfaces it.
         """
         if not self._dirty:
             return
-        started = time.perf_counter()
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._dirty = False
-        self._last_sync = time.monotonic()
+        with span("wal.fsync"):
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._dirty = False
+            self._last_sync = time.monotonic()
         if OBS.enabled:
             OBS.count("wal.fsyncs")
-            OBS.observe("wal.fsync_seconds", time.perf_counter() - started)
         if self._io_stats is not None:
             self._io_stats.fsyncs += 1
 

@@ -35,7 +35,7 @@ from typing import Iterable
 from repro.dataset.record import Record
 from repro.index.node import InternalNode, LeafNode, Node
 from repro.index.rtree import RPlusTree
-from repro.obs import OBS, TRACE
+from repro.obs import OBS, TRACE, span
 from repro.storage.buffer_pool import BufferPool
 
 #: Default number of buffer pages a node may hold before it is cleared.
@@ -108,9 +108,7 @@ class BufferTreeLoader:
         the count callers should report, rather than whatever the stream's
         own metadata claims.
         """
-        with OBS.span("buffer_tree.load"), TRACE.span(
-            "buffer_tree.load", "loader"
-        ):
+        with span("buffer_tree.load"):
             consumed = self.insert_batch(records, charge_input=charge_input)
             self.drain()
         return consumed
@@ -124,9 +122,7 @@ class BufferTreeLoader:
         called some records may still sit in buffers; the tree's leaf
         partitioning only reflects fully delivered records.
         """
-        with OBS.span("buffer_tree.insert_batch"), TRACE.span(
-            "buffer_tree.insert_batch", "loader"
-        ):
+        with span("buffer_tree.insert_batch"):
             return self._insert_batch(records, charge_input)
 
     def _insert_batch(
@@ -183,9 +179,7 @@ class BufferTreeLoader:
         """
         if OBS.enabled:
             OBS.count("buffer_tree.drains")
-        with OBS.span("buffer_tree.drain"), TRACE.span(
-            "buffer_tree.drain", "loader"
-        ):
+        with span("buffer_tree.drain"):
             while self._buffers:
                 buffer = max(self._buffers.values(), key=lambda b: b.node.level)
                 if OBS.enabled:
@@ -193,7 +187,6 @@ class BufferTreeLoader:
                 if TRACE.enabled:
                     TRACE.instant(
                         "buffer_tree.drain_sweep",
-                        "loader",
                         level=buffer.node.level,
                         buffered=buffer.count,
                     )
@@ -254,49 +247,41 @@ class BufferTreeLoader:
         is what makes immediate split propagation in the tree equivalent to
         the original algorithm's deferred restructuring.
         """
-        if not TRACE.enabled:
-            return self._flush_inner(buffer)
-        with TRACE.span(
-            "buffer_tree.flush",
-            "loader",
-            level=buffer.node.level,
-            records=buffer.count,
+        with span(
+            "buffer_tree.flush", level=buffer.node.level, records=buffer.count
         ):
-            return self._flush_inner(buffer)
-
-    def _flush_inner(self, buffer: _NodeBuffer) -> None:
-        node = buffer.node
-        self._buffers.pop(node.node_id, None)
-        records = self._take_records(buffer)
-        if not records:
-            return
-        if OBS.enabled:
-            OBS.count("buffer_tree.flushes")
-            OBS.observe("buffer_tree.records_per_flush", len(records))
-        children_are_leaves = node.level == 1
-        if children_are_leaves:
-            # Deliver straight into the leaves, batched per leaf; splits
-            # propagate upward through the tree machinery as they happen.
-            # Routing from a possibly-stale node object is sound: splits
-            # share, rather than copy, the cut subtrees.
-            self._tree.bulk_insert_descending(node, records)
-            return
-        # Children are internal: partition the buffer by routing one level,
-        # append to the child buffers, then clear any that went over budget.
-        groups: dict[int, tuple[InternalNode, list[Record]]] = {}
-        for record in records:
-            child = node.route(record.point)
-            entry = groups.get(child.node_id)
-            if entry is None:
-                groups[child.node_id] = (child, [record])  # type: ignore[arg-type]
-            else:
-                entry[1].append(record)
-        for child, child_records in groups.values():
-            self._push_to_buffer(child, child_records)
-        for child, _child_records in list(groups.values()):
-            child_buffer = self._buffers.get(child.node_id)
-            if child_buffer is not None and self._over_budget(child_buffer):
-                self._flush(child_buffer)
+            node = buffer.node
+            self._buffers.pop(node.node_id, None)
+            records = self._take_records(buffer)
+            if not records:
+                return
+            if OBS.enabled:
+                OBS.count("buffer_tree.flushes")
+                OBS.observe("buffer_tree.records_per_flush", len(records))
+            children_are_leaves = node.level == 1
+            if children_are_leaves:
+                # Deliver straight into the leaves, batched per leaf; splits
+                # propagate upward through the tree machinery as they happen.
+                # Routing from a possibly-stale node object is sound: splits
+                # share, rather than copy, the cut subtrees.
+                self._tree.bulk_insert_descending(node, records)
+                return
+            # Children are internal: partition the buffer by routing one level,
+            # append to the child buffers, then clear any that went over budget.
+            groups: dict[int, tuple[InternalNode, list[Record]]] = {}
+            for record in records:
+                child = node.route(record.point)
+                entry = groups.get(child.node_id)
+                if entry is None:
+                    groups[child.node_id] = (child, [record])  # type: ignore[arg-type]
+                else:
+                    entry[1].append(record)
+            for child, child_records in groups.values():
+                self._push_to_buffer(child, child_records)
+            for child, _child_records in list(groups.values()):
+                child_buffer = self._buffers.get(child.node_id)
+                if child_buffer is not None and self._over_budget(child_buffer):
+                    self._flush(child_buffer)
 
 
 def buffer_tree_bulk_load(

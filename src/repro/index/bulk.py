@@ -30,7 +30,7 @@ from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.rtree import RPlusTree
 from repro.index.split import best_threshold
 from repro.kernels.hilbert import hilbert_keys_for_points
-from repro.obs import OBS, TRACE
+from repro.obs import OBS, span
 
 #: Grid resolution for Hilbert quantization.
 DEFAULT_HILBERT_BITS = 10
@@ -61,7 +61,7 @@ def hilbert_sorted(
     Keys come from the batch Hilbert kernel; one stable index sort over
     them keeps input order between equal keys.
     """
-    with TRACE.span("bulk.hilbert_sort", "bulk", records=len(records)):
+    with span("bulk.hilbert_sort", records=len(records)):
         if len(records) < 2:
             return list(records)
         keys = _hilbert_keys(records, lows, highs, bits)
@@ -83,7 +83,7 @@ def hilbert_ordered(
     The ``"hilbert"`` release strategy sorts with this function, which is
     what makes its release independent of the tree's shape.
     """
-    with TRACE.span("bulk.hilbert_order", "bulk", records=len(records)):
+    with span("bulk.hilbert_order", records=len(records)):
         if len(records) < 2:
             return list(records)
         keys = _hilbert_keys(records, lows, highs, bits)
@@ -121,38 +121,32 @@ def str_partitions(
     until every group holds at most ``2k`` records, with ``k`` as the hard
     floor on both sides of every cut.
     """
-    with TRACE.span("bulk.str_partition", "bulk", records=len(records)):
-        return _str_partitions_inner(records, dimensions, k)
-
-
-def _str_partitions_inner(
-    records: Sequence[Record], dimensions: int, k: int
-) -> list[list[Record]]:
-    target = 2 * k
-    result: list[list[Record]] = []
-    stack: list[tuple[list[Record], int]] = [(list(records), 0)]
-    while stack:
-        group, start_dimension = stack.pop()
-        if len(group) <= target:
-            result.append(group)
-            continue
-        cut = None
-        for offset in range(dimensions):
-            dimension = (start_dimension + offset) % dimensions
-            found = best_threshold([r.point[dimension] for r in group], k)
-            if found is not None:
-                cut = (dimension, found[0])
-                break
-        if cut is None:
-            # Duplicates block every dimension: the group stays whole.
-            result.append(group)
-            continue
-        dimension, value = cut
-        left = [r for r in group if r.point[dimension] <= value]
-        right = [r for r in group if r.point[dimension] > value]
-        stack.append((right, dimension + 1))
-        stack.append((left, dimension + 1))
-    return result
+    with span("bulk.str_partition", records=len(records)):
+        target = 2 * k
+        result: list[list[Record]] = []
+        stack: list[tuple[list[Record], int]] = [(list(records), 0)]
+        while stack:
+            group, start_dimension = stack.pop()
+            if len(group) <= target:
+                result.append(group)
+                continue
+            cut = None
+            for offset in range(dimensions):
+                dimension = (start_dimension + offset) % dimensions
+                found = best_threshold([r.point[dimension] for r in group], k)
+                if found is not None:
+                    cut = (dimension, found[0])
+                    break
+            if cut is None:
+                # Duplicates block every dimension: the group stays whole.
+                result.append(group)
+                continue
+            dimension, value = cut
+            left = [r for r in group if r.point[dimension] <= value]
+            right = [r for r in group if r.point[dimension] > value]
+            stack.append((right, dimension + 1))
+            stack.append((left, dimension + 1))
+        return result
 
 
 def hilbert_bulk_load(
@@ -164,7 +158,7 @@ def hilbert_bulk_load(
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Build an R+-tree by buffer-loading the Hilbert-sorted stream."""
-    with TRACE.span("bulk.hilbert_load", "bulk", records=len(records)):
+    with span("bulk.hilbert_load", records=len(records)):
         ordered = hilbert_sorted(records, lows, highs, bits)
         tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
         BufferTreeLoader(tree).load(ordered, charge_input=False)
@@ -178,7 +172,7 @@ def str_bulk_load(
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Build an R+-tree by buffer-loading the STR-ordered stream."""
-    with TRACE.span("bulk.str_load", "bulk", records=len(records)):
+    with span("bulk.str_load", records=len(records)):
         ordered = [
             record
             for group in str_partitions(records, dimensions, k)

@@ -37,7 +37,7 @@ from repro.index.split import (
     SplitPolicy,
     partition_records,
 )
-from repro.obs import OBS, TRACE
+from repro.obs import OBS, TRACE, span
 
 #: Default leaf capacity multiplier: leaves hold between k and DEFAULT_CAPACITY_FACTOR * k.
 DEFAULT_CAPACITY_FACTOR = 3
@@ -232,7 +232,7 @@ class RPlusTree:
     def finish_bulk(self) -> None:
         """Leave bulk mode: split every over-capacity leaf down to size."""
         self._split_trigger = self._leaf_capacity
-        with TRACE.span("rtree.finish_bulk", "index"):
+        with span("rtree.finish_bulk"):
             for leaf in list(self.iter_leaves()):
                 if len(leaf.records) > self._leaf_capacity:
                     self._split_leaf(leaf)
@@ -302,41 +302,35 @@ class RPlusTree:
     # -- splitting ---------------------------------------------------------------
 
     def _split_leaf(self, leaf: LeafNode) -> None:
-        if not TRACE.enabled:
-            return self._split_leaf_inner(leaf)
-        with TRACE.span("rtree.leaf_split", "index", records=len(leaf.records)):
-            return self._split_leaf_inner(leaf)
-
-    def _split_leaf_inner(self, leaf: LeafNode) -> None:
-        decision = self._policy.choose_split(
-            leaf.records, self._k, self._domain_extents
-        )
-        if decision is None:
-            # No legal cut: the leaf stays over-full, which is privacy-safe.
+        with span("rtree.leaf_split", records=len(leaf.records)):
+            decision = self._policy.choose_split(
+                leaf.records, self._k, self._domain_extents
+            )
+            if decision is None:
+                # No legal cut: the leaf stays over-full, which is privacy-safe.
+                if OBS.enabled:
+                    OBS.count("rtree.split_refusals")
+                if TRACE.enabled:
+                    TRACE.instant("rtree.split_refusal", records=len(leaf.records))
+                return
             if OBS.enabled:
-                OBS.count("rtree.split_refusals")
-            if TRACE.enabled:
-                TRACE.instant(
-                    "rtree.split_refusal", "index", records=len(leaf.records)
-                )
-            return
-        if OBS.enabled:
-            OBS.count("rtree.leaf_splits")
-            OBS.count("rtree.mbr_recomputations", 2)
-        left_records, right_records = partition_records(
-            leaf.records, decision.dimension, decision.value
-        )
-        left = LeafNode()
-        left.records = left_records
-        left.recompute_mbr()
-        right = LeafNode()
-        right.records = right_records
-        right.recompute_mbr()
-        self._store.on_split(leaf, left, right)
-        cut = make_cut(decision.dimension, decision.value, left, right)
-        self._replace_with_cut(leaf, cut, left, right)
+                OBS.count("rtree.leaf_splits")
+                OBS.count("rtree.mbr_recomputations", 2)
+            left_records, right_records = partition_records(
+                leaf.records, decision.dimension, decision.value
+            )
+            left = LeafNode()
+            left.records = left_records
+            left.recompute_mbr()
+            right = LeafNode()
+            right.records = right_records
+            right.recompute_mbr()
+            self._store.on_split(leaf, left, right)
+            cut = make_cut(decision.dimension, decision.value, left, right)
+            self._replace_with_cut(leaf, cut, left, right)
         # Bulk insertion can leave a leaf far above capacity; keep splitting
-        # until every piece fits (or no legal cut remains).
+        # until every piece fits (or no legal cut remains).  The pieces'
+        # splits are spans of their own, not children of this one.
         if len(left.records) > self._split_trigger:
             self._split_leaf(left)
         if len(right.records) > self._split_trigger:
@@ -347,7 +341,7 @@ class RPlusTree:
             OBS.count("rtree.internal_splits")
             OBS.count("rtree.mbr_recomputations", 2)
         if TRACE.enabled:
-            TRACE.instant("rtree.internal_split", "index", level=node.level)
+            TRACE.instant("rtree.internal_split", level=node.level)
         cut_root = node.cuts.inner
         if not isinstance(cut_root, Cut):
             raise AssertionError("an overflowing internal node must hold a cut")
@@ -419,9 +413,7 @@ class RPlusTree:
             OBS.count("rtree.dissolves")
             OBS.count("rtree.reinserted_orphans", len(orphans))
         if TRACE.enabled:
-            TRACE.instant(
-                "rtree.underflow_dissolve", "index", orphans=len(orphans)
-            )
+            TRACE.instant("rtree.underflow_dissolve", orphans=len(orphans))
         leaf.records = []
         self._dissolve_leaf(leaf)
         self._count -= len(orphans)

@@ -119,44 +119,46 @@ def audit_release(
     """
     from repro.metrics.certainty import certainty_penalty
     from repro.metrics.discernibility import discernibility_penalty
+    from repro.obs import span
     from repro.privacy.kanonymity import is_k_anonymous, verify_release
 
-    sizes = [float(len(partition)) for partition in release.partitions]
-    k_satisfied = is_k_anonymous(release, k)
-    if original is not None:
-        problems = verify_release(release, original, k)
-        certainty: float | None = certainty_penalty(release, original)
-    else:
-        problems = (
-            []
-            if k_satisfied
-            else [
-                f"smallest partition holds {release.k_effective} "
-                f"< k={k} records"
-            ]
-        )
-        certainty = None
-    discernibility = discernibility_penalty(release)
-    record_count = release.record_count
-    return {
-        "schema_version": AUDIT_SCHEMA_VERSION,
-        "sequence": sequence,
-        "k_requested": k,
-        "k_effective": release.k_effective,
-        "k_satisfied": k_satisfied and not problems,
-        "base_k": base_k,
-        "record_count": record_count,
-        "partition_count": len(release.partitions),
-        "occupancy": _distribution(sizes),
-        "mbr_volume": _distribution(_normalized_volumes(release)),
-        "discernibility": discernibility,
-        "discernibility_per_record": discernibility / record_count,
-        "certainty": certainty,
-        "certainty_per_record": (
-            certainty / record_count if certainty is not None else None
-        ),
-        "problems": problems,
-    }
+    with span("obs.audit", k=k):
+        sizes = [float(len(partition)) for partition in release.partitions]
+        k_satisfied = is_k_anonymous(release, k)
+        if original is not None:
+            problems = verify_release(release, original, k)
+            certainty: float | None = certainty_penalty(release, original)
+        else:
+            problems = (
+                []
+                if k_satisfied
+                else [
+                    f"smallest partition holds {release.k_effective} "
+                    f"< k={k} records"
+                ]
+            )
+            certainty = None
+        discernibility = discernibility_penalty(release)
+        record_count = release.record_count
+        return {
+            "schema_version": AUDIT_SCHEMA_VERSION,
+            "sequence": sequence,
+            "k_requested": k,
+            "k_effective": release.k_effective,
+            "k_satisfied": k_satisfied and not problems,
+            "base_k": base_k,
+            "record_count": record_count,
+            "partition_count": len(release.partitions),
+            "occupancy": _distribution(sizes),
+            "mbr_volume": _distribution(_normalized_volumes(release)),
+            "discernibility": discernibility,
+            "discernibility_per_record": discernibility / record_count,
+            "certainty": certainty,
+            "certainty_per_record": (
+                certainty / record_count if certainty is not None else None
+            ),
+            "problems": problems,
+        }
 
 
 class ReleaseAuditor:

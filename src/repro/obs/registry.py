@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, and timing spans.
+"""The metrics registry: counters, gauges and histograms.
 
 The registry is the single collection point for everything the hot paths
 (index, loader, storage, anonymizer) want to report.  Design constraints,
@@ -7,8 +7,9 @@ in order:
 1. **Zero overhead when disabled.**  The default-constructed registry is
    disabled and every instrumented call site guards itself with a plain
    attribute check (``if OBS.enabled: ...``), so the production path pays
-   one boolean test per hook — no function call, no allocation.  ``span``
-   returns a shared no-op context manager when disabled.
+   one boolean test per hook — no function call, no allocation.  Timing
+   spans (:class:`repro.obs.span`) feed ``<name>_seconds`` histograms
+   here only while the registry is enabled.
 2. **No dependencies.**  This module imports only the standard library so
    any layer of the system (including :mod:`repro.storage`, the lowest)
    can hook into it without import cycles.
@@ -37,7 +38,6 @@ import platform
 import subprocess
 import sys
 import threading
-import time
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterable
 
@@ -104,6 +104,10 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "query.nodes_visited",
     # Partition comparisons: partitions x queries per scan.
     "query.partitions_scanned",
+    "parallel.shards",
+    "parallel.shard_records",
+    "parallel.worker_records",
+    "parallel.seam_records",
 )
 
 #: Gauge names pre-registered alongside the counters (point-in-time levels).
@@ -111,20 +115,58 @@ DEFAULT_GAUGES: tuple[str, ...] = (
     "serve.queue_depth",
     "serve.backpressure",
     "serve.epoch",
+    "parallel.workers",
+)
+
+#: Every name the built-in hooks open a :class:`repro.obs.span` (or
+#: :func:`repro.obs.record`) under.  Each one feeds the ``<name>_seconds``
+#: histogram.  The ``index.load``, ``core.*``, ``obs.audit`` and
+#: ``query.*`` names are the benchmark's layer names.
+SPAN_NAMES: tuple[str, ...] = (
+    "index.load",
+    "core.release",
+    "core.group",
+    "core.compact",
+    "core.digest",
+    "obs.audit",
+    "query.engine_build",
+    "query.evaluate",
+    "serve.queue_wait",
+    "serve.commit",
+    "serve.release",
+    "serve.snapshot_swap",
+    "wal.fsync",
+    "checkpoint.write",
+    "anonymizer.checkpoint",
+    "recovery.recover",
+    "recovery.replay",
+    "buffer_tree.load",
+    "buffer_tree.insert_batch",
+    "buffer_tree.drain",
+    "buffer_tree.flush",
+    "rtree.leaf_split",
+    "rtree.finish_bulk",
+    "bulk.hilbert_sort",
+    "bulk.hilbert_order",
+    "bulk.str_partition",
+    "bulk.hilbert_load",
+    "bulk.str_load",
+    "pool.flush",
+    "parallel.plan",
+    "parallel.scan",
+    "parallel.worker",
+    "parallel.shard_merge",
+    "parallel.partitions",
+    "parallel.bulk_load",
+    "parallel.bulk_load_file",
 )
 
 #: Histogram names pre-registered alongside the counters.
 DEFAULT_HISTOGRAMS: tuple[str, ...] = (
     "rtree.routing_depth",
     "buffer_tree.records_per_flush",
-    "serve.queue_wait_seconds",
     "serve.group_size",
-    "serve.commit_seconds",
-    "serve.release_seconds",
-    "serve.snapshot_swap_seconds",
-    "wal.fsync_seconds",
-    "serve.query_seconds",
-)
+) + tuple(f"{name}_seconds" for name in SPAN_NAMES)
 
 #: Everything :meth:`MetricsRegistry.enable` declares up front.
 DEFAULT_METRICS: tuple[str, ...] = (
@@ -227,72 +269,6 @@ class Histogram:
         return labels
 
 
-class _SpanAggregate:
-    """Accumulated wall time for one span path."""
-
-    __slots__ = ("count", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {"count": self.count, "total_s": self.total}
-
-
-class _Span:
-    """A live timing span; nesting builds slash-joined paths.
-
-    ``with OBS.span("bulk_load"): ... with OBS.span("drain"): ...``
-    accumulates under ``"bulk_load"`` and ``"bulk_load/drain"``, so the
-    snapshot exposes both the inclusive parent time and the child's share.
-    """
-
-    __slots__ = ("_registry", "_name", "_path", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._path = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        registry = self._registry
-        with registry._lock:
-            stack = registry._span_stack
-            stack.append(self._name)
-            self._path = "/".join(stack)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed = time.perf_counter() - self._start
-        registry = self._registry
-        with registry._lock:
-            if registry._span_stack and registry._span_stack[-1] == self._name:
-                registry._span_stack.pop()
-            aggregate = registry._spans.get(self._path)
-            if aggregate is None:
-                aggregate = registry._spans[self._path] = _SpanAggregate()
-            aggregate.count += 1
-            aggregate.total += elapsed
-
-
-class _NullSpan:
-    """The shared do-nothing span handed out while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan()
-
-
 #: Cached ``git`` results; each resolved at most once per process.
 _GIT_CACHE: dict[str, object] = {}
 
@@ -344,7 +320,7 @@ def environment_block() -> dict[str, object]:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms and spans behind one enable switch.
+    """Counters, gauges and histograms behind one enable switch.
 
     Instrumented call sites hold a module reference to a registry (usually
     the process-wide :data:`repro.obs.OBS`) and guard every update with
@@ -361,8 +337,6 @@ class MetricsRegistry:
         "_counters",
         "_gauges",
         "_histograms",
-        "_spans",
-        "_span_stack",
         "_declared",
         "_tracer",
     )
@@ -373,8 +347,6 @@ class MetricsRegistry:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._spans: dict[str, _SpanAggregate] = {}
-        self._span_stack: list[str] = []
         self._declared: set[str] = set()
         self._tracer: "Tracer | None" = None
 
@@ -402,8 +374,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._spans.clear()
-            self._span_stack.clear()
             self._declared.clear()
 
     def declare(
@@ -474,12 +444,6 @@ class MetricsRegistry:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value)
 
-    def span(self, name: str) -> "_Span | _NullSpan":
-        """A timing context manager; a shared no-op while disabled."""
-        if not self.enabled:
-            return NULL_SPAN
-        return _Span(self, name)
-
     # -- reads ---------------------------------------------------------------
 
     def counter_value(self, name: str) -> int:
@@ -516,10 +480,6 @@ class MetricsRegistry:
                 "histograms": {
                     name: histogram.as_dict()
                     for name, histogram in sorted(self._histograms.items())
-                },
-                "spans": {
-                    path: aggregate.as_dict()
-                    for path, aggregate in sorted(self._spans.items())
                 },
                 "environment": environment_block(),
             }

@@ -86,15 +86,6 @@ def render_snapshot(snapshot: Mapping[str, object]) -> str:
         "histograms",
         {name: _histogram_row(h) for name, h in histograms.items()},  # type: ignore[union-attr]
     )
-    spans = snapshot.get("spans") or {}
-    _section(
-        lines,
-        "spans",
-        {
-            path: f"count={aggregate['count']} total={aggregate['total_s']:.4f}s"
-            for path, aggregate in spans.items()  # type: ignore[union-attr]
-        },
-    )
     trace = snapshot.get("trace") or {}
     _section(
         lines,

@@ -3,60 +3,82 @@
 The :class:`~repro.obs.registry.MetricsRegistry` answers "how many flushes
 and how long in total"; this module answers "*which* flush sweep stalled
 the bulk load at second three".  A :class:`Tracer` records one
-:class:`TraceEvent` per instrumented span — name, arguments, start time,
-duration, parent span — in a fixed-capacity ring buffer (old events are
-dropped, never reallocated), and exports the buffer as Chrome/Perfetto
-``traceEvents`` JSON so any run can be opened in ``chrome://tracing`` or
-https://ui.perfetto.dev.
+:class:`TraceEvent` per closed :func:`repro.obs.span` — name, arguments,
+start time, duration, parent span — in a fixed-capacity ring buffer (old
+events are dropped, never reallocated), and exports the buffer as
+Chrome/Perfetto ``traceEvents`` JSON so any run can be opened in
+``chrome://tracing`` or https://ui.perfetto.dev.
 
 Design constraints mirror the registry's:
 
-1. **Zero overhead when disabled.**  Hooks guard with ``if TRACE.enabled:``
-   (one boolean test); :meth:`Tracer.span` hands out a shared no-op context
-   manager while disabled, so unguarded ``with TRACE.span(...)`` sites pay
-   one method call and one attribute check.
+1. **One boolean test when disabled.**  Spans append only while
+   ``TRACE.enabled``; instant-event hooks guard with ``if TRACE.enabled:``.
 2. **Bounded memory.**  The buffer is a ``deque(maxlen=capacity)``; a
    100M-record load cannot OOM the tracer, it merely keeps the most recent
    ``capacity`` events (the number dropped is reported on export).
 3. **Standard library only** — importable from every layer.
 
-The process-wide instance is :data:`repro.obs.TRACE`; the CLI switches it
-on for any experiment with ``--trace out.json``.
+Parents are tracked per thread (:data:`OPEN_SPANS`), so the serving
+layer's writer thread and its reader threads never adopt each other's
+spans.  The process-wide instance is :data:`repro.obs.TRACE`; the CLI
+switches it on for any experiment with ``--trace out.json``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Any
 
 #: Default ring-buffer capacity (events); ~65k complete spans.
 DEFAULT_CAPACITY = 65_536
 
 
+class _OpenSpans(threading.local):
+    """One thread's stack of open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[Any] = []
+
+
+#: Per-thread open-span stacks; the innermost open span (anything with a
+#: ``name``) is the parent of every event recorded on that thread.
+OPEN_SPANS = _OpenSpans()
+
+
+def current_parent() -> str | None:
+    """The name of this thread's innermost open span, if any."""
+    stack = OPEN_SPANS.stack
+    return stack[-1].name if stack else None
+
+
 class TraceEvent:
     """One recorded span or instant: who ran, when, for how long, under whom."""
 
-    __slots__ = ("name", "category", "start_us", "duration_us", "parent", "args")
+    __slots__ = ("name", "start_us", "duration_us", "parent", "args")
 
     def __init__(
         self,
         name: str,
-        category: str,
         start_us: float,
         duration_us: float,
         parent: str | None,
         args: dict[str, object] | None,
     ) -> None:
         self.name = name
-        self.category = category
         self.start_us = start_us
         self.duration_us = duration_us
         self.parent = parent
         self.args = args
+
+    @property
+    def category(self) -> str:
+        """The name's dotted prefix (``"rtree"`` for ``"rtree.leaf_split"``)."""
+        return self.name.partition(".")[0]
 
     @property
     def is_instant(self) -> bool:
@@ -67,7 +89,7 @@ class TraceEvent:
         """This event in Chrome ``traceEvents`` form (``ph`` X or i)."""
         event: dict[str, object] = {
             "name": self.name,
-            "cat": self.category or "repro",
+            "cat": self.category,
             "ts": self.start_us,
             "pid": 1,
             "tid": 1,
@@ -86,80 +108,21 @@ class TraceEvent:
         return event
 
 
-class _TraceSpan:
-    """A live span; appends one event to the tracer's ring buffer on exit."""
-
-    __slots__ = ("_tracer", "_name", "_category", "_args", "_start", "_parent")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        category: str,
-        args: dict[str, object] | None,
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._category = category
-        self._args = args
-        self._start = 0.0
-        self._parent: str | None = None
-
-    def __enter__(self) -> "_TraceSpan":
-        stack = self._tracer._stack
-        self._parent = stack[-1] if stack else None
-        stack.append(self._name)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        end = time.perf_counter()
-        tracer = self._tracer
-        if tracer._stack and tracer._stack[-1] == self._name:
-            tracer._stack.pop()
-        tracer._record(
-            TraceEvent(
-                self._name,
-                self._category,
-                (self._start - tracer._epoch) * 1e6,
-                (end - self._start) * 1e6,
-                self._parent,
-                self._args,
-            )
-        )
-
-
-class _NullTraceSpan:
-    """The shared do-nothing span handed out while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTraceSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-NULL_TRACE_SPAN = _NullTraceSpan()
-
-
 class Tracer:
     """A bounded event tracer behind one enable switch.
 
-    Like the metrics registry, the tracer assumes call sites guard updates
-    with ``if tracer.enabled:``; :meth:`span` performs its own check so it
-    can be used unguarded in ``with`` statements.
+    Like the metrics registry, the tracer assumes its callers check
+    ``tracer.enabled`` first; :func:`repro.obs.span` and
+    :func:`repro.obs.record` do so for every span.
     """
 
-    __slots__ = ("enabled", "_events", "_stack", "_epoch", "_recorded")
+    __slots__ = ("enabled", "_events", "_epoch", "_recorded")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.enabled = False
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self._stack: list[str] = []
         self._epoch = time.perf_counter()
         self._recorded = 0
 
@@ -182,64 +145,39 @@ class Tracer:
     def reset(self) -> None:
         """Drop every buffered event and restart the clock."""
         self._events.clear()
-        self._stack.clear()
         self._recorded = 0
         self._epoch = time.perf_counter()
 
-    # -- recording (guard with ``if tracer.enabled`` except for span()) ------
+    # -- recording (callers check ``tracer.enabled`` first) ------------------
 
-    def span(
-        self, name: str, category: str = "", **args: object
-    ) -> "_TraceSpan | _NullTraceSpan":
-        """A timed context manager; a shared no-op while disabled."""
-        if not self.enabled:
-            return NULL_TRACE_SPAN
-        return _TraceSpan(self, name, category, args or None)
-
-    def offset_us(self, timestamp: float) -> float:
-        """A ``time.perf_counter()`` timestamp as epoch-relative microseconds.
-
-        Callers injecting externally timed spans (:meth:`record_span`) use
-        this to place them on the tracer's clock.
-        """
-        return (timestamp - self._epoch) * 1e6
-
-    def record_span(
+    def complete(
         self,
         name: str,
-        category: str = "",
-        start_us: float = 0.0,
-        duration_us: float = 0.0,
-        parent: str | None = None,
-        args: dict[str, object] | None = None,
+        start: float,
+        seconds: float,
+        parent: str | None,
+        args: dict[str, object] | None,
     ) -> None:
-        """Inject one already-timed span into the buffer (guard when calling).
-
-        The sharded bulk-anonymization engine uses this to merge spans that
-        ran in *worker processes* — which cannot reach the parent's tracer —
-        into the parent trace: the worker reports its wall time, the parent
-        maps it onto this tracer's clock via :meth:`offset_us`.
-        """
+        """Append one finished span that began at ``time.perf_counter()``
+        value ``start`` and lasted ``seconds``."""
         self._record(
             TraceEvent(
                 name,
-                category,
-                start_us,
-                max(duration_us, 0.0),
+                (start - self._epoch) * 1e6,
+                seconds * 1e6,
                 parent,
-                dict(args) if args else None,
+                args or None,
             )
         )
 
-    def instant(self, name: str, category: str = "", **args: object) -> None:
-        """Record a zero-duration point event (call sites must guard)."""
+    def instant(self, name: str, **args: object) -> None:
+        """Record a zero-duration point event under this thread's open span."""
         self._record(
             TraceEvent(
                 name,
-                category,
                 (time.perf_counter() - self._epoch) * 1e6,
                 -1.0,
-                self._stack[-1] if self._stack else None,
+                current_parent(),
                 args or None,
             )
         )

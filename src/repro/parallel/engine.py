@@ -58,7 +58,8 @@ from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.bulk import DEFAULT_HILBERT_BITS
 from repro.index.rtree import RPlusTree
 from repro.kernels.hilbert import hilbert_keys_for_points
-from repro.obs import OBS, TRACE
+from repro import obs
+from repro.obs import OBS, TRACE, span
 from repro.parallel.planner import (
     DEFAULT_SAMPLE_SIZE,
     ShardPlan,
@@ -219,32 +220,40 @@ def _run_slices(
 # -- parent side ------------------------------------------------------------
 
 
-def _merge_and_record(
-    plan: ShardPlan,
-    results: list[tuple[list[_SubRun], dict[str, object]]],
-    dispatched_at: float,
-) -> ShardScan:
-    """Merge per-worker sub-runs into shard runs; fold stats into OBS/TRACE."""
-    scan = ShardScan(plan)
-    for index, (_buckets, stats) in enumerate(results):
-        stats["slice"] = index
-        scan.worker_stats.append(stats)
-        if TRACE.enabled:
-            TRACE.record_span(
+def _scan_slices(
+    tasks: list[tuple], workers: int, records: int
+) -> list[tuple[list[_SubRun], dict[str, object]]]:
+    """Run the slice scans under one ``parallel.scan`` span.
+
+    Each worker's own scan time comes back in its stats and is reported
+    as a ``parallel.worker`` span under the scan, starting at dispatch.
+    """
+    if OBS.enabled:
+        OBS.gauge("parallel.workers", workers)
+    with span("parallel.scan", workers=workers, records=records) as scan:
+        results = _run_slices(tasks, workers)
+        for index, (_buckets, stats) in enumerate(results):
+            stats["slice"] = index
+            obs.record(
                 "parallel.worker",
-                "parallel",
-                start_us=TRACE.offset_us(dispatched_at),
-                duration_us=float(stats["seconds"]) * 1e6,  # type: ignore[arg-type]
-                parent="parallel.scan",
-                args={"slice": index, "records": stats["records"]},
+                scan.start,
+                stats["seconds"],  # type: ignore[arg-type]
+                slice=index,
+                records=stats["records"],
             )
-        if OBS.enabled:
-            OBS.count("parallel.worker_records", int(stats["records"]))  # type: ignore[arg-type]
-            OBS.observe(
-                "parallel.worker_seconds", float(stats["seconds"])  # type: ignore[arg-type]
-            )
+            if OBS.enabled:
+                OBS.count("parallel.worker_records", int(stats["records"]))  # type: ignore[arg-type]
+    return results
+
+
+def _merge(
+    plan: ShardPlan, results: list[tuple[list[_SubRun], dict[str, object]]]
+) -> ShardScan:
+    """Merge per-worker sub-runs into shard runs."""
+    scan = ShardScan(plan)
+    scan.worker_stats.extend(stats for _buckets, stats in results)
     for shard in range(plan.shard_count):
-        with TRACE.span("parallel.shard_merge", "parallel", shard=shard):
+        with span("parallel.shard_merge", shard=shard):
             merged = heapq.merge(
                 *(buckets[shard] for buckets, _stats in results),
                 key=lambda pair: (pair[0], pair[1].rid),
@@ -280,9 +289,7 @@ def scan_file_shards(
         raise ValueError("workers must be at least 1")
     reader = RecordFileReader(path)
     if plan is None:
-        with OBS.span("parallel.plan"), TRACE.span(
-            "parallel.plan", "parallel", shards=shards or workers
-        ):
+        with span("parallel.plan", shards=shards or workers):
             plan = plan_file_shards(
                 path,
                 shards if shards is not None else workers,
@@ -303,14 +310,7 @@ def scan_file_shards(
         )
         for start, count in slice_bounds(len(reader), workers)
     ]
-    if OBS.enabled:
-        OBS.gauge("parallel.workers", workers)
-    dispatched_at = time.perf_counter()
-    with OBS.span("parallel.scan"), TRACE.span(
-        "parallel.scan", "parallel", workers=workers, records=len(reader)
-    ):
-        results = _run_slices(tasks, workers)
-    return _merge_and_record(plan, results, dispatched_at)
+    return _merge(plan, _scan_slices(tasks, workers, len(reader)))
 
 
 def scan_record_shards(
@@ -333,9 +333,7 @@ def scan_record_shards(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if plan is None:
-        with OBS.span("parallel.plan"), TRACE.span(
-            "parallel.plan", "parallel", shards=shards or workers
-        ):
+        with span("parallel.plan", shards=shards or workers):
             plan = plan_record_shards(
                 records,
                 shards if shards is not None else workers,
@@ -355,14 +353,7 @@ def scan_record_shards(
         )
         for start, count in slice_bounds(len(records), workers)
     ]
-    if OBS.enabled:
-        OBS.gauge("parallel.workers", workers)
-    dispatched_at = time.perf_counter()
-    with OBS.span("parallel.scan"), TRACE.span(
-        "parallel.scan", "parallel", workers=workers, records=len(records)
-    ):
-        results = _run_slices(tasks, workers)
-    return _merge_and_record(plan, results, dispatched_at)
+    return _merge(plan, _scan_slices(tasks, workers, len(records)))
 
 
 # -- stitching --------------------------------------------------------------
@@ -378,10 +369,7 @@ def shard_record_stream(runs: Iterable[ShardRun]) -> Iterator[Record]:
     for run in runs:
         if TRACE.enabled:
             TRACE.instant(
-                "parallel.shard_stream",
-                "parallel",
-                shard=run.index,
-                records=len(run),
+                "parallel.shard_stream", shard=run.index, records=len(run)
             )
         yield from run.records
 
@@ -411,10 +399,7 @@ def stitched_chunks(
         if straddling:
             if TRACE.enabled:
                 TRACE.instant(
-                    "parallel.seam_repair",
-                    "parallel",
-                    shard=run.index,
-                    straddling=straddling,
+                    "parallel.seam_repair", shard=run.index, straddling=straddling
                 )
             if OBS.enabled:
                 OBS.count("parallel.seam_records", straddling)
@@ -461,9 +446,7 @@ def parallel_hilbert_partitions(
     Equal to the serial grouping for any worker count (the differential
     suite asserts this record for record).
     """
-    with OBS.span("parallel.partitions"), TRACE.span(
-        "parallel.partitions", "parallel", records=len(records), workers=workers
-    ):
+    with span("parallel.partitions", records=len(records), workers=workers):
         scan = scan_record_shards(
             records, lows, highs, workers, shards, bits, sample_size
         )
@@ -487,9 +470,7 @@ def parallel_bulk_load(
     stitched stream in one call, so the resulting tree is *structurally
     identical* to the serial build — same cuts, same leaves, same regions.
     """
-    with OBS.span("parallel.bulk_load"), TRACE.span(
-        "parallel.bulk_load", "parallel", records=len(records), workers=workers
-    ):
+    with span("parallel.bulk_load", records=len(records), workers=workers):
         scan = scan_record_shards(
             records, lows, highs, workers, shards, bits, sample_size
         )
@@ -514,9 +495,7 @@ def parallel_bulk_load_file(
     **tree_kwargs: object,
 ) -> RPlusTree:
     """Build an R⁺-tree from a record file with a sharded worker pool."""
-    with OBS.span("parallel.bulk_load_file"), TRACE.span(
-        "parallel.bulk_load_file", "parallel", path=str(path), workers=workers
-    ):
+    with span("parallel.bulk_load_file", path=str(path), workers=workers):
         scan = scan_file_shards(
             path,
             lows,

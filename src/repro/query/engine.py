@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.partition import AnonymizedTable, Partition
 from repro.geometry.box import Box
-from repro.obs import OBS
+from repro.obs import OBS, span
 from repro.query.ranges import (
     RangeQuery,
     intersecting_sums,
@@ -105,7 +105,8 @@ class QueryEngine:
 
     def __init__(self, table: AnonymizedTable) -> None:
         self._table = table
-        self.lows, self.highs, self.sizes = partition_columns(table)
+        with span("query.engine_build", partitions=len(table.partitions)):
+            self.lows, self.highs, self.sizes = partition_columns(table)
         if OBS.enabled:
             OBS.count("query.engine_builds")
 
@@ -141,7 +142,8 @@ class QueryEngine:
         """Answer a whole workload; ``kind`` is ``"count"`` or ``"distinct"``."""
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected {QUERY_KINDS}")
-        values = self._scan(queries, self.sizes if kind == "count" else None)
+        with span("query.evaluate", kind=kind, queries=len(queries)):
+            values = self._scan(queries, self.sizes if kind == "count" else None)
         if OBS.enabled:
             OBS.count(_KIND_COUNTERS[kind], len(values))
         return values

@@ -18,6 +18,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.obs import record
+
 #: Operation kinds a WriteOp can carry.
 INSERT_KINDS = ("insert", "insert_batch")
 
@@ -27,8 +29,8 @@ class WriteOp:
     """One queued mutation: kind, payload, and the future that resolves it.
 
     ``enqueued_at`` is the ``time.perf_counter()`` stamp taken at submit
-    time; the writer uses it to record queue-wait spans and the
-    ``serve.queue_wait_seconds`` histogram.
+    time; :meth:`WriteQueue.take_group` reports the wait from it to the
+    writer's pickup as a ``serve.queue_wait`` span.
     """
 
     kind: str  # "insert" | "insert_batch" | "delete" | "update" | "barrier"
@@ -75,22 +77,26 @@ class WriteQueue:
         A group is either a run of up to ``max_batch`` consecutive
         insert-class operations (coalesced for group commit) or exactly
         one non-insert operation.  An operation that would break a run is
-        deferred — never reordered — to the next call.
+        deferred — never reordered — to the next call.  Each member's wait
+        since submit is reported as a ``serve.queue_wait`` span.
         """
         first = self._pending.pop() if self._pending else self._queue.get()
         if first is _STOP:
             return None
         assert isinstance(first, WriteOp)
         group = [first]
-        if first.kind not in INSERT_KINDS:
-            return group
-        while len(group) < max_batch:
-            try:
-                item = self._queue.get_nowait()
-            except _queue.Empty:
-                break
-            if item is _STOP or item.kind not in INSERT_KINDS:  # type: ignore[union-attr]
-                self._pending.append(item)
-                break
-            group.append(item)  # type: ignore[arg-type]
+        if first.kind in INSERT_KINDS:
+            while len(group) < max_batch:
+                try:
+                    item = self._queue.get_nowait()
+                except _queue.Empty:
+                    break
+                if item is _STOP or item.kind not in INSERT_KINDS:  # type: ignore[union-attr]
+                    self._pending.append(item)
+                    break
+                group.append(item)  # type: ignore[arg-type]
+        taken = time.perf_counter()
+        for op in group:
+            waited = taken - op.enqueued_at
+            record("serve.queue_wait", op.enqueued_at, waited, kind=op.kind)
         return group

@@ -20,11 +20,10 @@ RTreeAnonymizer` into something shaped like a database serving layer:
 Observability: ``serve.cache_hits`` / ``serve.cache_misses`` /
 ``serve.cache_invalidations`` / ``serve.epoch_bumps`` /
 ``serve.write_groups`` / ``serve.queued_writes`` counters, the
-``serve.queue_wait_seconds`` / ``serve.group_size`` /
-``serve.commit_seconds`` / ``serve.release_seconds`` /
-``serve.snapshot_swap_seconds`` histograms (p50/p90/p99 via the
-registry's quantile sketch), and ``serve.queue_wait`` / ``serve.commit``
-/ ``serve.release`` / ``serve.snapshot_swap`` trace spans.
+``serve.group_size`` histogram, and the ``serve.queue_wait`` /
+``serve.commit`` / ``serve.release`` / ``serve.snapshot_swap`` spans —
+each feeds its ``<name>_seconds`` histogram (p50/p90/p99 via the
+registry's quantile sketch) and the trace.
 
 Live telemetry (opt-in via :class:`~repro.obs.live.TelemetryConfig` on
 the :class:`ServiceConfig`): a ``/metrics`` + ``/healthz`` HTTP endpoint,
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +45,7 @@ from repro.core.leafscan import Constraint
 from repro.core.partition import release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
-from repro.obs import AUDITOR, OBS, TRACE
+from repro.obs import AUDITOR, OBS, TRACE, span
 from repro.obs.audit import audit_release
 from repro.obs.live import (
     HEALTH_CODES,
@@ -408,7 +406,7 @@ class AnonymizerService:
                 if OBS.enabled:
                     OBS.count("serve.cache_hits")
                 if TRACE.enabled:
-                    TRACE.instant("serve.cache_hit", "serve", k=k)
+                    TRACE.instant("serve.cache_hit", k=k)
                 return snapshot
         with self._write_lock:
             epoch = self._epoch
@@ -420,20 +418,15 @@ class AnonymizerService:
                     return snapshot
             if OBS.enabled:
                 OBS.count("serve.cache_misses")
-            release_started = time.perf_counter()
-            with TRACE.span(
-                "serve.release", "serve", k=k, strategy=strategy, epoch=epoch
-            ):
+            with span(
+                "serve.release", k=k, strategy=strategy, epoch=epoch
+            ) as timed:
                 table = self._engine.anonymize(
                     k, compacted=compacted, constraint=constraint,
                     strategy=strategy,
                 )
-            release_elapsed = time.perf_counter() - release_started
-            if OBS.enabled:
-                OBS.observe("serve.release_seconds", release_elapsed)
             self._note_slow(
-                "release", release_elapsed, k=k, strategy=strategy,
-                epoch=epoch,
+                "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
             )
             if AUDITOR.enabled and AUDITOR.latest is not None:
                 audit = AUDITOR.latest
@@ -449,14 +442,8 @@ class AnonymizerService:
                 epoch=epoch,
             )
             if self._config.cache_releases:
-                swap_started = time.perf_counter()
-                with TRACE.span("serve.snapshot_swap", "serve", k=k):
+                with span("serve.snapshot_swap", k=k):
                     self._cache.put(key, snapshot)
-                if OBS.enabled:
-                    OBS.observe(
-                        "serve.snapshot_swap_seconds",
-                        time.perf_counter() - swap_started,
-                    )
             return snapshot
 
     # -- query path ----------------------------------------------------------
@@ -495,11 +482,9 @@ class AnonymizerService:
         engine = self._query_engine(
             (k, strategy, compacted, constraint), snapshot
         )
-        started = time.perf_counter()
         values = engine.evaluate(batch, kind)
         if OBS.enabled:
             OBS.count("serve.queries")
-            OBS.observe("serve.query_seconds", time.perf_counter() - started)
         return QueryResult(
             kind=kind,
             values=tuple(values),
@@ -578,41 +563,27 @@ class AnonymizerService:
                 self._watchdog.beat()
 
     def _apply_group(self, group: list[WriteOp]) -> None:
-        started = time.perf_counter()
-        for op in group:
-            waited = started - op.enqueued_at
-            if OBS.enabled:
-                OBS.observe("serve.queue_wait_seconds", waited)
-            if TRACE.enabled:
-                TRACE.record_span(
-                    "serve.queue_wait",
-                    "serve",
-                    start_us=TRACE.offset_us(op.enqueued_at),
-                    duration_us=waited * 1e6,
-                    args={"kind": op.kind},
-                )
         first = group[0]
         if first.kind == "barrier":
             first.future.set_result(self._epoch)
             return
         error: BaseException | None = None
         result: object = None
-        commit_started = time.perf_counter()
-        with self._write_lock:
-            with TRACE.span("serve.commit", "serve", ops=len(group)):
-                try:
-                    result = self._apply_locked(group)
-                except BaseException as exc:  # resolve futures either way
-                    error = exc
-                    # State may have partially changed (a batch that died
-                    # midway); go stale rather than serve it cached.  The
-                    # journal marks the failed group so entry i keeps
-                    # corresponding to the epoch-i -> i+1 transition.
-                    self._journal_append(("failed", first.kind))
-                    self._bump_epoch()
-                else:
-                    self._bump_epoch()
-        commit_elapsed = time.perf_counter() - commit_started
+        # The commit span starts before the write lock is taken, so its
+        # histogram includes the wait behind a release in progress.
+        with span("serve.commit", ops=len(group)) as commit, self._write_lock:
+            try:
+                result = self._apply_locked(group)
+            except BaseException as exc:  # resolve futures either way
+                error = exc
+                # State may have partially changed (a batch that died
+                # midway); go stale rather than serve it cached.  The
+                # journal marks the failed group so entry i keeps
+                # corresponding to the epoch-i -> i+1 transition.
+                self._journal_append(("failed", first.kind))
+                self._bump_epoch()
+            else:
+                self._bump_epoch()
         # Acknowledge the writers first: telemetry below must never delay
         # (or, should it fail, strand) a client blocked on its future.
         for op in group:
@@ -623,9 +594,8 @@ class AnonymizerService:
         if OBS.enabled:
             OBS.count("serve.write_groups")
             OBS.observe("serve.group_size", len(group))
-            OBS.observe("serve.commit_seconds", commit_elapsed)
         self._note_slow(
-            "commit", commit_elapsed, kind=first.kind, ops=len(group),
+            "commit", commit.seconds, kind=first.kind, ops=len(group),
             epoch=self._epoch,
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generic, TypeVar
 
-from repro.obs import OBS, TRACE
+from repro.obs import OBS, TRACE, span
 from repro.storage.page import Page
 from repro.storage.pagefile import PageFile
 
@@ -104,7 +104,7 @@ class BufferPool(Generic[ItemT]):
 
     def flush(self) -> None:
         """Write back every dirty cached page (end-of-load barrier)."""
-        with TRACE.span("pool.flush", "storage", dirty=len(self._dirty)):
+        with span("pool.flush", dirty=len(self._dirty)):
             for page_id in sorted(self._dirty):
                 page = self._cached.get(page_id)
                 if page is not None:
@@ -119,7 +119,7 @@ class BufferPool(Generic[ItemT]):
             if OBS.enabled:
                 OBS.count("pool.evictions")
             if TRACE.enabled:
-                TRACE.instant("pool.eviction", "storage", page_id=victim_id)
+                TRACE.instant("pool.eviction", page_id=victim_id)
             if victim_id in self._dirty:
                 if OBS.enabled:
                     OBS.count("pool.writebacks")

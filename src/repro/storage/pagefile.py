@@ -97,7 +97,7 @@ class PageFile(Generic[ItemT]):
         if OBS.enabled:
             OBS.count("page.reads")
         if TRACE.enabled:
-            TRACE.instant("page.read", "storage", page_id=page_id)
+            TRACE.instant("page.read", page_id=page_id)
         return self._pages[page_id]
 
     def write_page(self, page: Page[ItemT]) -> None:
@@ -106,7 +106,7 @@ class PageFile(Generic[ItemT]):
         if OBS.enabled:
             OBS.count("page.writes")
         if TRACE.enabled:
-            TRACE.instant("page.write", "storage", page_id=page.page_id)
+            TRACE.instant("page.write", page_id=page.page_id)
         self._pages[page.page_id] = page
 
     def free(self, page_id: int) -> None:

@@ -139,7 +139,7 @@ class TestSlowOpLog:
 
     def test_spans_attached_when_tracing(self, tmp_path) -> None:
         obs.TRACE.enable()
-        with obs.TRACE.span("wal.fsync", "durability"):
+        with obs.span("wal.fsync"):
             pass
         path = tmp_path / "slow.jsonl"
         with SlowOpLog(path, threshold=0.0, max_spans=4) as log:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -15,10 +16,13 @@ from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.rtree import RPlusTree
 from repro.obs import (
     DEFAULT_COUNTERS,
+    OBS,
+    TRACE,
     InMemorySink,
     JsonLinesSink,
     MetricsRegistry,
     TableSink,
+    span,
 )
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagefile import PageFile
@@ -27,10 +31,12 @@ from tests.conftest import random_records
 
 @pytest.fixture(autouse=True)
 def _clean_global_registry():
-    """Tests toggle the process-wide OBS; always leave it off and empty."""
+    """Tests toggle the process-wide OBS and TRACE; leave both off and empty."""
     yield
     obs.disable()
     obs.reset()
+    TRACE.disable()
+    TRACE.reset()
 
 
 class TestRegistry:
@@ -60,25 +66,26 @@ class TestRegistry:
         assert histogram.maximum == 10
         assert histogram.mean == pytest.approx(4.0)
 
-    def test_span_nesting_builds_paths(self) -> None:
-        registry = MetricsRegistry()
-        registry.enable(declare_defaults=False)
-        with registry.span("outer"):
-            with registry.span("inner"):
+    def test_span_feeds_one_histogram_per_name(self) -> None:
+        obs.enable()
+        with span("outer") as outer:
+            with span("inner"):
                 pass
-            with registry.span("inner"):
+            with span("inner"):
                 pass
-        snapshot = registry.snapshot()
-        spans = snapshot["spans"]
-        assert spans["outer"]["count"] == 1
-        assert spans["outer/inner"]["count"] == 2
-        assert spans["outer"]["total_s"] >= spans["outer/inner"]["total_s"]
+        histograms = obs.snapshot()["histograms"]
+        assert histograms["outer_seconds"]["count"] == 1
+        assert histograms["outer_seconds"]["sum"] == outer.seconds
+        assert histograms["inner_seconds"]["count"] == 2
+        assert histograms["outer_seconds"]["sum"] >= histograms["inner_seconds"]["sum"]
 
     def test_disabled_span_is_noop(self) -> None:
-        registry = MetricsRegistry()
-        with registry.span("anything"):
+        assert not OBS.enabled and not TRACE.enabled
+        with span("anything"):
             pass
-        assert registry.snapshot()["spans"] == {}
+        assert OBS.histogram("anything_seconds") is None
+        assert len(TRACE) == 0
+        assert "spans" not in obs.snapshot()
 
     def test_enable_declares_default_schema(self) -> None:
         registry = MetricsRegistry()
@@ -102,20 +109,17 @@ class TestRegistry:
         registry.enable(declare_defaults=False)
         registry.count("rtree.leaf_splits", 7)
         registry.observe("depth", 2)
-        with registry.span("load"):
-            pass
+        registry.observe("load_seconds", 0.5)
         rendering = registry.render_table()
         assert "rtree.leaf_splits" in rendering
         assert "depth" in rendering
-        assert "load" in rendering
+        assert "load_seconds" in rendering
 
     def test_snapshot_is_json_serializable(self) -> None:
         registry = MetricsRegistry()
         registry.enable()
         registry.count("x", 3)
         registry.observe("h", 5)
-        with registry.span("s"):
-            pass
         json.dumps(registry.snapshot("labelled"))
 
     def test_snapshot_carries_environment_block(self, monkeypatch) -> None:
@@ -291,27 +295,38 @@ class TestRegistryThreadSafety:
         assert sum(histogram.buckets.values()) == threads * per_thread
 
     def test_concurrent_spans_keep_consistent_aggregates(self) -> None:
-        registry = MetricsRegistry()
-        registry.enable(declare_defaults=False)
+        obs.enable()
+        TRACE.enable()
         threads, per_thread = 8, 500
 
         def spin() -> None:
             for _ in range(per_thread):
-                with registry.span("outer"):
-                    with registry.span("inner"):
+                with span("outer"):
+                    with span("inner"):
                         pass
 
         workers = [threading.Thread(target=spin) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        spans = registry.snapshot()["spans"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' spans often
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         total = threads * per_thread
-        # Interleaved stacks may produce mixed paths, but no event is lost:
-        # every outer and inner exit lands in exactly one path aggregate.
-        assert sum(a["count"] for p, a in spans.items() if p.split("/")[-1] == "outer") == total
-        assert sum(a["count"] for p, a in spans.items() if p.split("/")[-1] == "inner") == total
+        assert OBS.histogram("outer_seconds").count == total  # type: ignore[union-attr]
+        assert OBS.histogram("inner_seconds").count == total  # type: ignore[union-attr]
+        # Parents are tracked per thread: however the threads interleave,
+        # every inner span's parent is its own thread's outer span.
+        events = TRACE.events()
+        assert TRACE.dropped == 0
+        assert [event.parent for event in events if event.name == "inner"] == [
+            "outer"
+        ] * total
+        assert all(event.parent is None for event in events if event.name == "outer")
 
 
 class TestRenderEdgeCases:
@@ -443,14 +458,13 @@ class TestSinks:
         registry.enable(declare_defaults=False)
         registry.count("pool.hits", 3)
         registry.observe("depth", 1)
-        with registry.span("load"):
-            pass
+        registry.observe("load_seconds", 0.5)
         stream = io.StringIO()
         registry.emit(TableSink(stream), label="run")
         text = stream.getvalue()
         assert "pool.hits" in text
         assert "depth" in text
-        assert "load" in text
+        assert "load_seconds" in text
         assert "run" in text
 
 
@@ -506,15 +520,73 @@ class TestBuiltInHooks:
         assert snapshot["counters"]["anonymizer.partitions"] == len(
             release.partitions
         )
-        assert "anonymizer.anonymize" in snapshot["spans"]
+        assert snapshot["histograms"]["core.release_seconds"]["count"] == 1
 
     def test_bulk_load_span_nests_loader_spans(self, medium_table: Table) -> None:
         obs.enable()
+        TRACE.enable()
         anonymizer = RTreeAnonymizer(medium_table, base_k=5)
         anonymizer.bulk_load(medium_table)
-        spans = obs.snapshot()["spans"]
-        assert "anonymizer.bulk_load" in spans
-        assert "anonymizer.bulk_load/buffer_tree.load" in spans
-        assert (
-            "anonymizer.bulk_load/buffer_tree.load/buffer_tree.drain" in spans
+        parents = {event.name: event.parent for event in TRACE.events()}
+        assert parents["index.load"] is None
+        assert parents["buffer_tree.load"] == "index.load"
+        assert parents["buffer_tree.drain"] == "buffer_tree.load"
+        histograms = obs.snapshot()["histograms"]
+        for name in ("index.load", "buffer_tree.load", "buffer_tree.drain"):
+            assert histograms[f"{name}_seconds"]["count"] == 1
+
+
+class TestOneMeasurement:
+    """Every span feeds its histogram and the trace from one clock reading."""
+
+    def test_every_emitted_name_is_declared(self, tmp_path, medium_table: Table) -> None:
+        from repro import api
+        from repro.dataset.io import write_table
+        from repro.durability.manager import DurabilityConfig
+        from repro.query.workload import random_range_workload
+
+        path = tmp_path / "records.bin"
+        write_table(medium_table, path)
+        obs.enable()
+        durable = api.open(
+            medium_table.schema, durability=DurabilityConfig(tmp_path / "state")
         )
+        durable.load(path, workers=2)
+        durable.release(k=10)
+        durable.checkpoint()
+        durable.close()
+        with api.serve(medium_table.schema) as service:
+            service.load(medium_table)
+            service.insert(Record(10_000, (50.0, 50.0, 50.0), ("flu",)))
+            service.release(10)
+            service.query(random_range_workload(medium_table, 5, seed=1), k=10)
+        assert OBS.undeclared() == {"counters": [], "gauges": [], "histograms": []}
+
+    def test_histograms_and_trace_report_one_measurement(
+        self, medium_table: Table
+    ) -> None:
+        from repro import api
+        from repro.query.workload import random_range_workload
+
+        with api.serve(medium_table.schema) as service:
+            service.load(medium_table)
+            obs.enable()
+            TRACE.enable()
+            service.release(10)
+            service.query(random_range_workload(medium_table, 20, seed=1), k=10)
+        histograms = obs.snapshot()["histograms"]
+        events = TRACE.events()
+        for name in (
+            "core.release",
+            "core.group",
+            "core.compact",
+            "core.digest",
+            "obs.audit",
+            "query.engine_build",
+            "query.evaluate",
+        ):
+            traced = [event.duration_us / 1e6 for event in events if event.name == name]
+            histogram = histograms[f"{name}_seconds"]
+            assert traced, name
+            assert histogram["count"] == len(traced), name
+            assert histogram["sum"] == pytest.approx(sum(traced), rel=1e-9), name

@@ -281,25 +281,23 @@ class TestObservability:
         if obs.OBS.counter_value("parallel.seam_records"):
             assert "parallel.seam_repair" in obs.TRACE.event_names()
 
-    def test_record_span_offset_mapping(self) -> None:
+    def test_record_maps_start_onto_trace_clock(self) -> None:
         import time
 
-        tracer = obs.TRACE
-        tracer.enable()
-        now = time.perf_counter()
-        tracer.record_span(
-            "external.work",
-            "test",
-            start_us=tracer.offset_us(now),
-            duration_us=1_234.0,
-            parent="parent.span",
-            args={"detail": 1},
-        )
-        (event,) = [e for e in tracer.events() if e.name == "external.work"]
-        assert event.duration_us == 1_234.0
+        obs.TRACE.enable()
+        obs.enable()
+        with obs.span("parent.span") as parent:
+            now = time.perf_counter()
+            obs.record("external.work", now, 0.001234, detail=1)
+        (event,) = [e for e in obs.TRACE.events() if e.name == "external.work"]
+        assert event.duration_us == pytest.approx(1_234.0)
         assert event.parent == "parent.span"
         assert event.args == {"detail": 1}
-        assert event.start_us == pytest.approx(tracer.offset_us(now))
+        # Both events sit on one clock: the record starts inside its parent.
+        (outer,) = [e for e in obs.TRACE.events() if e.name == "parent.span"]
+        offset_us = (now - parent.start) * 1e6
+        assert event.start_us - outer.start_us == pytest.approx(offset_us)
+        assert obs.OBS.histogram("external.work_seconds").count == 1  # type: ignore[union-attr]
 
 
 class TestFileSliceReads:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
 from repro import obs
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.dataset.table import Table
-from repro.obs import TRACE, Tracer, validate_chrome_trace
-from repro.obs.trace import NULL_TRACE_SPAN
+from repro.obs import TRACE, Tracer, span, validate_chrome_trace
 
 from tests.conftest import random_records
 
@@ -25,38 +25,93 @@ def _clean_global_tracer():
 
 
 class TestTracer:
-    def test_disabled_by_default_and_span_is_shared_noop(self) -> None:
-        tracer = Tracer()
-        assert not tracer.enabled
-        assert tracer.span("anything") is NULL_TRACE_SPAN
-        with tracer.span("anything", "cat", key=1):
+    def test_disabled_by_default_and_span_records_nothing(self) -> None:
+        assert not Tracer().enabled
+        assert not TRACE.enabled
+        with span("anything", key=1) as timed:
             pass
-        assert len(tracer) == 0
+        assert len(TRACE) == 0
+        # The clock is read either way, for callers such as the slow-op log.
+        assert timed.seconds >= 0
 
     def test_span_records_event_with_timing(self) -> None:
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("work", "test", items=3):
+        TRACE.enable()
+        with span("test.work", items=3) as timed:
             pass
-        (event,) = tracer.events()
-        assert event.name == "work"
-        assert event.category == "test"
+        (event,) = TRACE.events()
+        assert event.name == "test.work"
+        assert event.category == "test"  # the name's dotted prefix
         assert event.args == {"items": 3}
-        assert event.duration_us >= 0
+        assert event.duration_us == timed.seconds * 1e6
         assert not event.is_instant
 
     def test_nested_spans_record_parent(self) -> None:
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        TRACE.enable()
+        with span("outer"):
+            with span("inner"):
                 pass
-            tracer.instant("ping")
-        by_name = {event.name: event for event in tracer.events()}
+            TRACE.instant("ping")
+        by_name = {event.name: event for event in TRACE.events()}
         assert by_name["outer"].parent is None
         assert by_name["inner"].parent == "outer"
         assert by_name["ping"].parent == "outer"
         assert by_name["ping"].is_instant
+
+    def test_parent_stacks_are_per_thread(self) -> None:
+        # Span "a" on one thread overlaps span "b" on another.  Neither may
+        # adopt the other as parent, and "a" must not stay open afterwards
+        # as the parent of every later span in the process.
+        TRACE.enable()
+        a_open = threading.Event()
+        b_closed = threading.Event()
+
+        def hold_a() -> None:
+            with span("a"):
+                a_open.set()
+                assert b_closed.wait(5)
+
+        def run_b() -> None:
+            assert a_open.wait(5)
+            with span("b"):
+                pass
+            b_closed.set()
+
+        threads = [threading.Thread(target=hold_a), threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        with span("later"):
+            pass
+        parents = {event.name: event.parent for event in TRACE.events()}
+        assert parents == {"a": None, "b": None, "later": None}
+
+    def test_span_closing_under_a_suspended_generator_span(self) -> None:
+        # The generator's span opens inside "consumer" and is still open
+        # when "consumer" closes; only the closed span leaves the stack.
+        TRACE.enable()
+
+        def produce():
+            with span("producer"):
+                yield 1
+                yield 2
+
+        items = produce()
+        with span("consumer"):
+            next(items)
+        with span("between"):
+            pass
+        assert list(items) == [2]
+        with span("later"):
+            pass
+        parents = {event.name: event.parent for event in TRACE.events()}
+        assert parents == {
+            "consumer": None,
+            "producer": "consumer",
+            "between": "producer",
+            "later": None,
+        }
 
     def test_ring_buffer_bounds_memory_and_counts_drops(self) -> None:
         tracer = Tracer(capacity=8)
@@ -90,22 +145,22 @@ class TestTracer:
 
 class TestChromeExport:
     def test_round_trip_through_json_validates(self, tmp_path) -> None:
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("load", "loader", records=10):
-            tracer.instant("sweep", "loader", level=0)
-        path = tracer.export_chrome(tmp_path / "trace.json")
+        TRACE.enable()
+        with span("loader.load", records=10):
+            TRACE.instant("loader.sweep", level=0)
+        path = TRACE.export_chrome(tmp_path / "trace.json")
         document = json.loads(path.read_text())
         assert validate_chrome_trace(document) == []
         events = document["traceEvents"]
-        assert {event["name"] for event in events} == {"load", "sweep"}
-        complete = next(e for e in events if e["name"] == "load")
+        assert {event["name"] for event in events} == {"loader.load", "loader.sweep"}
+        complete = next(e for e in events if e["name"] == "loader.load")
         assert complete["ph"] == "X"
+        assert complete["cat"] == "loader"
         assert complete["dur"] >= 0
         assert complete["args"] == {"records": 10}
-        instant = next(e for e in events if e["name"] == "sweep")
+        instant = next(e for e in events if e["name"] == "loader.sweep")
         assert instant["ph"] == "i"
-        assert instant["args"] == {"level": 0, "parent": "load"}
+        assert instant["args"] == {"level": 0, "parent": "loader.load"}
         assert document["otherData"]["dropped"] == 0
 
     def test_export_to_stream(self) -> None:
@@ -118,14 +173,13 @@ class TestChromeExport:
         assert validate_chrome_trace(document) == []
 
     def test_events_sorted_by_start_time(self) -> None:
-        tracer = Tracer()
-        tracer.enable()
+        TRACE.enable()
         # The outer span finishes last but started first: export must
         # re-sort by start so the timeline reads left to right.
-        with tracer.span("outer"):
-            tracer.instant("early")
+        with span("outer"):
+            TRACE.instant("early")
         timestamps = [
-            event["ts"] for event in tracer.to_chrome()["traceEvents"]
+            event["ts"] for event in TRACE.to_chrome()["traceEvents"]
         ]
         assert timestamps == sorted(timestamps)
 
@@ -225,11 +279,11 @@ class TestInstrumentedPaths:
         anonymizer.anonymize(10)
         TRACE.disable()
         names = TRACE.event_names()
-        assert "anonymizer.bulk_load" in names
+        assert "index.load" in names
         assert "buffer_tree.flush" in names
         assert "buffer_tree.drain_sweep" in names
         assert "rtree.leaf_split" in names
-        assert "anonymizer.release" in names
+        assert {"core.release", "core.group", "core.compact"} <= names
 
     def test_disabled_tracer_records_nothing_on_hot_paths(self, schema3) -> None:
         table = Table(schema3, random_records(600, seed=8))

@@ -20,13 +20,14 @@ collusion (Lemma 1) — verified empirically by
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
 # which fragments the heap (about 7 MB more peak RSS on a 10^5-record load).
 from repro import parallel
-from repro.core.leafscan import Constraint, leaf_scan, subtree_scan
+from repro.core.leafscan import Constraint, Run, sequential_scan, subtree_scan
 from repro.core.partition import AnonymizedTable, Partition
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -49,19 +50,31 @@ from repro.storage.buffer_pool import BufferPool
 DEFAULT_BASE_K = 5
 
 
-def build_compacted_partitions(groups: Sequence[Sequence[Record]]) -> list[Partition]:
-    """Each record group as a partition under its minimum bounding box.
+def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
+    """Each run of whole leaves as a partition under its minimum bounding box.
 
-    The publish path for compacted releases: every strategy of
-    :meth:`RTreeAnonymizer._emit_release` builds its partitions here.
+    The compacted publish path of the leaf-aligned strategies
+    (:meth:`RTreeAnonymizer._emit_release`).  A run's minimum bounding box
+    is the union of its leaves' cached MBRs, which the tree keeps exact
+    (:meth:`~repro.index.rtree.RPlusTree.check_invariants` asserts each
+    equals ``Box.from_points`` of the leaf's records), so no record point
+    is read; a one-leaf run publishes ``leaf.mbr`` as is.
     """
     with span("core.compact"):
-        return [
-            Partition.trusted(
-                tuple(group), Box.from_points(r.point for r in group)
-            )
-            for group in groups
-        ]
+        partitions: list[Partition] = []
+        for run in runs:
+            if len(run) == 1:
+                leaf = run[0]
+                partitions.append(Partition.trusted(tuple(leaf.records), leaf.mbr))
+            else:
+                box = reduce(Box.union, [leaf.mbr for leaf in run])
+                partitions.append(Partition.trusted(_run_records(run), box))
+        return partitions
+
+
+def _run_records(run: Run) -> tuple[Record, ...]:
+    """A run's records, leaf by leaf in leaf order."""
+    return tuple([record for leaf in run for record in leaf.records])
 
 
 class RTreeAnonymizer:
@@ -375,61 +388,36 @@ class RTreeAnonymizer:
         constraint: Constraint | None,
         strategy: str,
     ) -> AnonymizedTable:
-        leaves = self._tree.leaves()
-        with span("core.group", strategy=strategy):
-            if strategy == "subtree":
-                groups = subtree_scan(self._tree, k, constraint)
-            elif strategy == "sequential":
-                groups = leaf_scan([leaf.records for leaf in leaves], k, constraint)
-            elif strategy == "hilbert":
-                # The order-based strategy: sort *all* records by (Hilbert
-                # key, rid) over the schema's domain box and chunk the global
-                # order with the k-floor.  Unlike the leaf-aligned strategies
-                # the output is a pure function of the record set — two trees
-                # holding the same records release identically however they
-                # were built.
-                if constraint is not None:
-                    raise ValueError(
-                        "the 'hilbert' strategy does not support per-partition "
-                        "constraints; use 'subtree' or 'sequential'"
-                    )
-                if not compacted:
-                    raise ValueError(
-                        "the 'hilbert' strategy groups a global record order, "
-                        "not whole leaves, so it has no leaf regions to "
-                        "publish; use compacted=True"
-                    )
-                from repro.index.bulk import chunk_with_floor, hilbert_ordered
+        """Group the tree into partitions, box them, and audit the release.
 
-                records = [
-                    record for leaf in leaves for record in leaf.records
-                ]
-                ordered = hilbert_ordered(
-                    records,
-                    self._schema.domain_lows(),
-                    self._schema.domain_highs(),
-                )
-                groups = chunk_with_floor(ordered, k)
-            else:
-                raise ValueError(f"unknown grouping strategy {strategy!r}")
-        if compacted:
-            partitions = build_compacted_partitions(groups)
+        ``subtree`` and ``sequential`` group *runs of whole leaves* (slices
+        of ``tree.leaves()``).  Compacted, a run publishes the union of its
+        leaves' cached MBRs (:func:`build_compacted_partitions`);
+        uncompacted, the union of its leaves' region boxes.  ``hilbert``
+        chunks a global record order that cuts through leaves, so it
+        bounds each chunk's points with ``Box.from_points``.
+        """
+        if strategy == "hilbert":
+            partitions = self._hilbert_partitions(k, compacted, constraint)
         else:
-            regions = self.leaf_regions()
-            partitions = []
-            cursor = 0
-            for group in groups:
-                # Union the regions of the leaves this group consumed.
-                consumed = 0
-                boxes: list[Box] = []
-                while consumed < len(group):
-                    boxes.append(regions[cursor])
-                    consumed += len(leaves[cursor].records)
-                    cursor += 1
-                box = boxes[0]
-                for extra in boxes[1:]:
-                    box = box.union(extra)
-                partitions.append(Partition.trusted(tuple(group), box))
+            with span("core.group", strategy=strategy):
+                if strategy == "subtree":
+                    runs = subtree_scan(self._tree, k, constraint)
+                elif strategy == "sequential":
+                    runs = sequential_scan(self._tree, k, constraint)
+                else:
+                    raise ValueError(f"unknown grouping strategy {strategy!r}")
+            if compacted:
+                partitions = build_compacted_partitions(runs)
+            else:
+                regions = self.leaf_regions()
+                partitions = []
+                first = 0
+                for run in runs:
+                    stop = first + len(run)
+                    box = reduce(Box.union, regions[first:stop])
+                    partitions.append(Partition.trusted(_run_records(run), box))
+                    first = stop
         if OBS.enabled:
             OBS.count("anonymizer.releases")
             OBS.count("anonymizer.partitions", len(partitions))
@@ -441,6 +429,48 @@ class RTreeAnonymizer:
         if AUDITOR.enabled:
             AUDITOR.on_release(release, k, base_k=self._tree.k)
         return release
+
+    def _hilbert_partitions(
+        self, k: int, compacted: bool, constraint: Constraint | None
+    ) -> list[Partition]:
+        """The order-based strategy's partitions.
+
+        Sort *all* records by (Hilbert key, rid) over the schema's domain
+        box and chunk the global order with the k-floor.  Unlike the
+        leaf-aligned strategies the output is a pure function of the
+        record set — two trees holding the same records release
+        identically however they were built.
+        """
+        if constraint is not None:
+            raise ValueError(
+                "the 'hilbert' strategy does not support per-partition "
+                "constraints; use 'subtree' or 'sequential'"
+            )
+        if not compacted:
+            raise ValueError(
+                "the 'hilbert' strategy groups a global record order, "
+                "not whole leaves, so it has no leaf regions to "
+                "publish; use compacted=True"
+            )
+        from repro.index.bulk import chunk_with_floor, hilbert_ordered
+
+        with span("core.group", strategy="hilbert"):
+            records = [
+                record for leaf in self._tree.iter_leaves() for record in leaf.records
+            ]
+            ordered = hilbert_ordered(
+                records,
+                self._schema.domain_lows(),
+                self._schema.domain_highs(),
+            )
+            groups = chunk_with_floor(ordered, k)
+        with span("core.compact"):
+            return [
+                Partition.trusted(
+                    tuple(group), Box.from_points(r.point for r in group)
+                )
+                for group in groups
+            ]
 
     def leaf_regions(self) -> list[Box]:
         """The leaves' disjoint region boxes, in leaf order.

@@ -161,11 +161,16 @@ def release_digest(table: AnonymizedTable) -> str:
     the property the parallel engine's determinism guarantee promises and
     the serial/parallel differential checks (`repro anonymize` prints this
     digest so CI can compare runs across worker counts textually).
+
+    The rids are sorted straight from the records: a record id names one
+    record, so the sorted list is the sorted member set and no set is built.
     """
     with span("core.digest"):
         hasher = hashlib.sha256()
         for partition in table.partitions:
             box = partition.box
             hasher.update(repr((tuple(box.lows), tuple(box.highs))).encode())
-            hasher.update(repr(sorted(partition.rids())).encode())
+            hasher.update(
+                repr(sorted([record.rid for record in partition.records])).encode()
+            )
         return hasher.hexdigest()

@@ -66,17 +66,18 @@ def _distribution(values: Sequence[float]) -> dict[str, object]:
     """min/max/mean plus power-of-two buckets, like a registry histogram."""
     if not values:
         return {"count": 0, "min": 0, "max": 0, "mean": 0.0, "buckets": {}}
-    buckets: dict[str, int] = {}
+    counts: dict[int, int] = {}
     for value in values:
         exponent = int(value).bit_length() if value >= 1 else 0
-        key = f"<=2^{exponent}"
-        buckets[key] = buckets.get(key, 0) + 1
+        counts[exponent] = counts.get(exponent, 0) + 1
     return {
         "count": len(values),
         "min": min(values),
         "max": max(values),
         "mean": sum(values) / len(values),
-        "buckets": dict(sorted(buckets.items(), key=lambda item: len(item[0]))),
+        "buckets": {
+            f"<=2^{exponent}": counts[exponent] for exponent in sorted(counts)
+        },
     }
 
 

@@ -3,9 +3,11 @@
 Each function here is the plain-Python form of an operation whose only
 production path is a numpy kernel: the per-record ``struct`` page decoder,
 the ``hilbert_key(quantize(...))`` sorts, the stride samplers, the
-shard scan and the exhaustive NCP split search.  They exist only so the
-differential suites can hold the production code to them record for
-record; nothing in ``src`` calls them.
+shard scan and the exhaustive NCP split search — plus the record-list
+forms of the release path (the subtree scan and the per-record
+compaction) that production replaced with runs of whole leaves.  They
+exist only so the differential suites can hold the production code to
+them record for record; nothing in ``src`` calls them.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.core.leafscan import Constraint, leaf_scan
+from repro.core.partition import Partition
 from repro.dataset.io import _HEADER, RecordFileReader
 from repro.dataset.record import Record
 from repro.index.bulk import DEFAULT_HILBERT_BITS
+from repro.geometry.box import Box
 from repro.index.hilbert import hilbert_key, quantize
+from repro.index.node import Cut, InternalNode, LeafNode
 from repro.index.split import SplitDecision
 from repro.parallel.planner import (
     DEFAULT_SAMPLE_SIZE,
@@ -26,6 +32,10 @@ from repro.parallel.planner import (
     plan_from_sample,
     slice_bounds,
 )
+
+if TYPE_CHECKING:
+    from repro.core.anonymizer import RTreeAnonymizer
+    from repro.index.rtree import RPlusTree
 
 
 def read_records(
@@ -251,3 +261,135 @@ def _running_margins(
                 maxs[dimension] = value
         out[position] = margin
     return out
+
+
+def subtree_scan(
+    tree: "RPlusTree",
+    k1: int,
+    constraint: Constraint | None = None,
+) -> list[list[Record]]:
+    """The cut-aligned subtree scan over copied record lists.
+
+    Same rule as :func:`repro.core.leafscan.subtree_scan`: walk the cut
+    hierarchy depth-first; emit a subtree whose record count plus the
+    carry lands in ``[k1, 2*k1)`` and satisfies the constraint; recurse
+    into larger subtrees; carry smaller ones.  Counts come from a
+    recursive count per visited cut and groups are concatenated record
+    lists.
+    """
+    if k1 < 1:
+        raise ValueError("granularity k1 must be at least 1")
+    if tree.root is None or len(tree) < k1:
+        raise ValueError(
+            f"cannot form a {k1}-anonymous release from {len(tree)} records"
+        )
+
+    def satisfied(records: list[Record]) -> bool:
+        if len(records) < k1:
+            return False
+        return constraint is None or constraint(records)
+
+    groups: list[list[Record]] = []
+    carry: list[Record] = []
+
+    def records_under(item: object) -> list[Record]:
+        if isinstance(item, LeafNode):
+            return list(item.records)
+        if isinstance(item, InternalNode):
+            return records_under(item.cuts.inner)
+        assert isinstance(item, Cut)
+        return records_under(item.left.inner) + records_under(item.right.inner)
+
+    def count_under(item: object) -> int:
+        if isinstance(item, LeafNode):
+            return len(item.records)
+        if isinstance(item, InternalNode):
+            return count_under(item.cuts.inner)
+        assert isinstance(item, Cut)
+        return count_under(item.left.inner) + count_under(item.right.inner)
+
+    def walk(item: object) -> None:
+        nonlocal carry
+        if isinstance(item, InternalNode):
+            walk(item.cuts.inner)
+            return
+        if isinstance(item, LeafNode):
+            candidate = carry + list(item.records)
+            if satisfied(candidate):
+                groups.append(candidate)
+                carry = []
+            else:
+                carry = candidate
+            return
+        assert isinstance(item, Cut)
+        total = len(carry) + count_under(item)
+        if total < k1:
+            carry.extend(records_under(item))
+            return
+        if total < 2 * k1:
+            candidate = carry + records_under(item)
+            if satisfied(candidate):
+                groups.append(candidate)
+                carry = []
+            else:
+                carry = candidate
+            return
+        walk(item.left.inner)
+        walk(item.right.inner)
+
+    walk(tree.root)
+    if carry:
+        if satisfied(carry):
+            groups.append(carry)
+        elif groups:
+            groups[-1].extend(carry)
+        else:
+            raise ValueError(
+                "the constraint cannot be satisfied even by a single "
+                "partition holding every record"
+            )
+    return groups
+
+
+def release_partitions(
+    anonymizer: "RTreeAnonymizer",
+    k: int,
+    compacted: bool,
+    constraint: Constraint | None = None,
+    strategy: str = "subtree",
+) -> list[Partition]:
+    """A leaf-aligned release built record by record.
+
+    Groups come from :func:`subtree_scan` (or the record-list
+    :func:`~repro.core.leafscan.leaf_scan`); a compacted partition is
+    boxed by ``Box.from_points`` over its records, an uncompacted one by
+    the union of the regions of the leaves its records consumed, found by
+    walking leaf sizes alongside the groups.
+    """
+    tree = anonymizer.tree
+    leaves = tree.leaves()
+    if strategy == "subtree":
+        groups = subtree_scan(tree, k, constraint)
+    else:
+        assert strategy == "sequential", strategy
+        groups = leaf_scan([leaf.records for leaf in leaves], k, constraint)
+    if compacted:
+        return [
+            Partition(tuple(group), Box.from_points(r.point for r in group))
+            for group in groups
+        ]
+    regions = anonymizer.leaf_regions()
+    partitions = []
+    cursor = 0
+    for group in groups:
+        consumed = 0
+        boxes: list[Box] = []
+        while consumed < len(group):
+            boxes.append(regions[cursor])
+            consumed += len(leaves[cursor].records)
+            cursor += 1
+        box = boxes[0]
+        for extra in boxes[1:]:
+            box = box.union(extra)
+        partitions.append(Partition(tuple(group), box))
+    return partitions

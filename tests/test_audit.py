@@ -77,6 +77,30 @@ class TestAuditRecord:
             record["certainty"] / release.record_count
         )
 
+    def test_distribution_buckets_ascend_by_exponent(self) -> None:
+        from repro.obs.audit import _distribution
+
+        buckets = _distribution([8, 2, 100, 3])["buckets"]
+        assert list(buckets.items()) == [
+            ("<=2^2", 2),
+            ("<=2^4", 1),
+            ("<=2^7", 1),
+        ]
+
+    def test_occupancy_buckets_ascend_in_a_real_audit(self, schema3) -> None:
+        records = random_records(113, seed=3)
+        box = Box((0.0,) * 3, (100.0,) * 3)
+        bounds = [0, 8, 10, 110, 113]
+        release = AnonymizedTable(
+            schema3,
+            [
+                Partition.trusted(tuple(records[low:high]), box)
+                for low, high in zip(bounds, bounds[1:])
+            ],
+        )
+        buckets = audit_release(release, k=2)["occupancy"]["buckets"]
+        assert list(buckets) == ["<=2^2", "<=2^4", "<=2^7"]
+
     def test_undersized_partition_fails_the_audit(self, schema3) -> None:
         release = _release_with_undersized_partition(schema3)
         record = audit_release(release, k=5)

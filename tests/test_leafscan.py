@@ -1,4 +1,8 @@
-"""Leaf scan (Figure 5) and the cut-aligned subtree scan."""
+"""Leaf scan (Figure 5) and the cut-aligned subtree scan.
+
+``subtree_scan`` returns runs of whole leaves; its properties are checked
+over each run's flattened records (see :func:`flatten`).
+"""
 
 from __future__ import annotations
 
@@ -22,6 +26,11 @@ def groups_of(sizes: list[int]) -> list[list[Record]]:
         rid += size
         groups.append(group)
     return groups
+
+
+def flatten(runs) -> list[list[Record]]:
+    """Each run of leaves as its records, leaf by leaf."""
+    return [[r for leaf in run for r in leaf.records] for run in runs]
 
 
 class TestLeafScan:
@@ -110,7 +119,7 @@ class TestSubtreeScan:
     def test_floor_and_coverage(self) -> None:
         tree = self.make_tree(800)
         for k1 in (3, 7, 20, 50):
-            groups = subtree_scan(tree, k1)
+            groups = flatten(subtree_scan(tree, k1))
             assert all(len(g) >= k1 for g in groups)
             assert sum(len(g) for g in groups) == 800
 
@@ -120,7 +129,7 @@ class TestSubtreeScan:
         leaf_rids = [
             [r.rid for r in leaf.records] for leaf in tree.leaves()
         ]
-        groups = subtree_scan(tree, 12)
+        groups = flatten(subtree_scan(tree, 12))
         flattened = [rid for group in groups for rid in (r.rid for r in group)]
         expected = [rid for leaf in leaf_rids for rid in leaf]
         assert flattened == expected
@@ -136,11 +145,15 @@ class TestSubtreeScan:
             position += len(leaf)
             leaf_ends.add(position)
         assert boundaries <= leaf_ends
+        # The runs themselves are consecutive slices of tree.leaves().
+        runs = subtree_scan(tree, 12)
+        assert [leaf for run in runs for leaf in run] == tree.leaves()
+        assert all(run for run in runs)
 
     def test_group_sizes_bounded(self) -> None:
         tree = self.make_tree(900)
         k1 = 15
-        groups = subtree_scan(tree, k1)
+        groups = flatten(subtree_scan(tree, k1))
         # Bound: a group is at most 2*k1 - 1 records plus one whole leaf
         # (the carry can force one extra leaf in).
         biggest_leaf = max(len(leaf.records) for leaf in tree.leaves())
@@ -165,7 +178,7 @@ class TestSubtreeScan:
         tree = self.make_tree(1_000, seed=5)
         for k1 in (12, 25):
             sequential = leaf_scan([l.records for l in tree.leaves()], k1)
-            aligned = subtree_scan(tree, k1)
+            aligned = flatten(subtree_scan(tree, k1))
             assert volume_overlaps(aligned) < volume_overlaps(sequential)
 
     def test_too_few_records_rejected(self) -> None:
@@ -176,5 +189,5 @@ class TestSubtreeScan:
     def test_constraint_respected(self) -> None:
         tree = self.make_tree(400)
         constraint = DistinctLDiversity(2)
-        groups = subtree_scan(tree, 5, constraint)
+        groups = flatten(subtree_scan(tree, 5, constraint))
         assert all(constraint(g) for g in groups)

@@ -1,9 +1,9 @@
 """Ablation: split policies (§2.4 and DESIGN.md design choices).
 
-Expected shape: the NCP-driven policies (min-margin, exhaustive) beat the
-Mondrian-like widest-dimension midpoint heuristic on certainty; the
-exhaustive search is at least as good as the top-3-axes default; the
-zipcode-weighted policy trades general quality for its target attribute.
+Expected shape: the NCP-driven min-margin policies beat the Mondrian-like
+widest-dimension midpoint heuristic on certainty; searching all axes costs
+build time for little quality; the zipcode-weighted policy trades general
+quality for its target attribute.
 """
 
 from conftest import run_figure
@@ -19,7 +19,6 @@ def test_ablation_split(benchmark) -> None:
     build = {str(row[0]): row[1] for row in table.rows}
 
     assert certainty["min-margin (top-3 axes)"] < certainty["midpoint (Mondrian-like)"]
-    assert certainty["exhaustive"] <= 1.02 * certainty["min-margin (all axes)"]
     # Axis preselection costs little quality...
     assert certainty["min-margin (top-3 axes)"] < 1.10 * certainty["min-margin (all axes)"]
     # ...and buys measurable build time.

@@ -36,7 +36,6 @@ from repro.geometry.box import Box
 from repro.index.bulk import hilbert_partitions, str_partitions
 from repro.index.split import (
     BiasedSplitPolicy,
-    ExhaustiveSplitPolicy,
     MidpointSplitPolicy,
     MinMarginSplitPolicy,
     WeightedSplitPolicy,
@@ -131,8 +130,8 @@ def fig7a_parallel(
     Stages the Lands End table as a binary record file, then bulk-loads it
     through the sharded engine (:mod:`repro.parallel`) at each worker
     count — workers stream their own slices of the file, key and sort
-    their shards, and the parent replays the stitched stream.  The first
-    row (``workers=1``) is the in-process serial reference; the engine
+    their shards, and the parent loads the concatenated shard runs.  The
+    first row (``workers=1``) is the in-process serial reference; the engine
     guarantees every worker count builds the identical index, so the
     ``digest match`` column must read ``yes`` all the way down — this is
     the serial/parallel differential in bench form, run on every
@@ -781,7 +780,6 @@ def ablation_split(
     policies: dict[str, object] = {
         "min-margin (top-3 axes)": MinMarginSplitPolicy(),
         "min-margin (all axes)": MinMarginSplitPolicy(max_dimensions=None),
-        "exhaustive": ExhaustiveSplitPolicy(),
         "midpoint (Mondrian-like)": MidpointSplitPolicy(),
         "weighted (zipcode x4)": WeightedSplitPolicy(
             [4.0] + [1.0] * (dimensions - 1)

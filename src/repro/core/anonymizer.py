@@ -21,7 +21,7 @@ collusion (Lemma 1) — verified empirically by
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
@@ -179,20 +179,27 @@ class RTreeAnonymizer:
         """
         stream = records.records if isinstance(records, Table) else records
         with span("index.load"):
-            if self._durability is None:
-                return self._loader.load(stream)
-            # A bulk load is one WAL batch: members are logged as the
-            # loader consumes them and become durable only at the final
-            # batch-commit — a crash mid-load discards the whole
-            # (unacknowledged) load rather than half of it.
-            self._durability.begin_batch()
-            try:
-                consumed = self._loader.load(self._log_batch_members(stream))
-            except BaseException:
-                self._durability.abort_batch()
-                raise
-            self._durability.commit_batch()
-            return consumed
+            return self._logged_batch(self._loader.load, stream)
+
+    def _logged_batch(
+        self, load: Callable[[Iterable[Record]], int], stream: Iterable[Record]
+    ) -> int:
+        """Run ``load`` over ``stream`` as one WAL batch when durable.
+
+        Members are logged as the loader consumes them and become durable
+        only at the final batch-commit — a crash mid-batch discards the
+        whole (unacknowledged) batch rather than half of it.
+        """
+        if self._durability is None:
+            return load(stream)
+        self._durability.begin_batch()
+        try:
+            consumed = load(self._log_batch_members(stream))
+        except BaseException:
+            self._durability.abort_batch()
+            raise
+        self._durability.commit_batch()
+        return consumed
 
     def _log_batch_members(self, stream: Iterable[Record]) -> Iterable[Record]:
         assert self._durability is not None
@@ -215,16 +222,16 @@ class RTreeAnonymizer:
         Returns the number of records the loader actually consumed (which
         the file's header may misreport on a short read).
 
-        ``workers`` switches on the sharded parallel engine
-        (:mod:`repro.parallel`): the file is split into contiguous
-        Hilbert-key shard ranges, a worker pool keys and sorts each shard
-        from its own slice of the file, and the loader replays the stitched
-        Hilbert-ordered stream.  The resulting index is bit-for-bit
-        identical for *every* worker count (``workers=1`` runs the same
-        pipeline in-process and is the serial reference).  Note the sharded
-        path loads in Hilbert order, not file order, so ``workers=None``
-        (the legacy file-order stream) builds a different — equally valid —
-        tree than ``workers=1``.
+        ``workers`` switches on the sharded parallel scan
+        (:mod:`repro.parallel`): the file is split into one contiguous
+        Hilbert-key shard range per worker, a worker pool keys and sorts
+        each shard from its own slice of the file, and the loader consumes
+        the concatenated shard runs — one ``(key, rid)``-ordered stream.
+        The resulting index is bit-for-bit identical for *every* worker
+        count (``workers=1`` runs the same pipeline in-process and is the
+        serial reference).  Note the sharded path loads in Hilbert order,
+        not file order, so ``workers=None`` (the file-order stream) builds a
+        different — equally valid — tree than ``workers=1``.
         """
         from repro.dataset.io import RecordFileReader
 
@@ -249,16 +256,7 @@ class RTreeAnonymizer:
                     first_rid=first_rid,
                 )
                 stream = parallel.shard_record_stream(scan.runs)
-            if self._durability is None:
-                return self._loader.load(stream)
-            self._durability.begin_batch()
-            try:
-                consumed = self._loader.load(self._log_batch_members(stream))
-            except BaseException:
-                self._durability.abort_batch()
-                raise
-            self._durability.commit_batch()
-            return consumed
+            return self._logged_batch(self._loader.load, stream)
 
     def insert_batch(self, records: Iterable[Record] | Table) -> int:
         """Incrementally anonymize a new batch (§2.2, Figure 7(b)).
@@ -268,19 +266,13 @@ class RTreeAnonymizer:
         reflects the batch.
         """
         stream = records.records if isinstance(records, Table) else records
-        if self._durability is None:
-            consumed = self._loader.insert_batch(stream)
+
+        def insert_and_drain(batch: Iterable[Record]) -> int:
+            consumed = self._loader.insert_batch(batch)
             self._loader.drain()
             return consumed
-        self._durability.begin_batch()
-        try:
-            consumed = self._loader.insert_batch(self._log_batch_members(stream))
-            self._loader.drain()
-        except BaseException:
-            self._durability.abort_batch()
-            raise
-        self._durability.commit_batch()
-        return consumed
+
+        return self._logged_batch(insert_and_drain, stream)
 
     def insert(self, record: Record) -> None:
         """Insert one record through the ordinary index-maintenance path.
@@ -456,7 +448,7 @@ class RTreeAnonymizer:
 
         with span("core.group", strategy="hilbert"):
             records = [
-                record for leaf in self._tree.iter_leaves() for record in leaf.records
+                record for leaf in self._tree.leaves() for record in leaf.records
             ]
             ordered = hilbert_ordered(
                 records,
@@ -569,7 +561,7 @@ class RTreeAnonymizer:
         return len(self._tree)
 
     def leaf_count(self) -> int:
-        return sum(1 for _leaf in self._tree.iter_leaves())
+        return len(self._tree.leaves())
 
     def io_stats(self):  # noqa: ANN201
         """The simulated I/O counters (None when no pool is attached)."""

@@ -8,22 +8,21 @@ kd-B-trees maintain it: every node subdivides its region with axis-aligned
 binary cuts, so sibling regions tile the parent region exactly and point
 data never straddles a boundary.
 
-Three loading paths are provided:
+Two loading paths are provided:
 
 * one-by-one :meth:`~repro.index.rtree.RPlusTree.insert` (the incremental
   path of §2.2);
 * the buffer-tree bulk loader of §2.1
   (:class:`~repro.index.buffer_tree.BufferTreeLoader`), which batches
   insertions through per-node external buffers and meters page I/O through
-  the simulated storage layer;
-* sort-based loaders (:mod:`repro.index.bulk`) — STR packing and
-  Hilbert-curve ordering — implemented for the ablation the paper alludes
-  to when it says non-sorting loading "worked better for higher dimensional
-  data sets".
+  the simulated storage layer.
+
+The sort-based groupings of :mod:`repro.index.bulk` — STR packing and
+Hilbert-curve ordering — serve the ablation the paper alludes to when it
+says non-sorting loading "worked better for higher dimensional data sets".
 """
 
 from repro.index.buffer_tree import BufferTreeLoader
-from repro.index.bulk import hilbert_bulk_load, str_bulk_load
 from repro.index.node import InternalNode, LeafNode, Node
 from repro.index.rtree import RPlusTree
 from repro.index.split import (
@@ -45,6 +44,4 @@ __all__ = [
     "RPlusTree",
     "SplitPolicy",
     "WeightedSplitPolicy",
-    "hilbert_bulk_load",
-    "str_bulk_load",
 ]

@@ -33,7 +33,7 @@ import math
 from typing import Iterable
 
 from repro.dataset.record import Record
-from repro.index.node import InternalNode, LeafNode, Node
+from repro.index.node import InternalNode
 from repro.index.rtree import RPlusTree
 from repro.obs import OBS, TRACE, span
 from repro.storage.buffer_pool import BufferPool
@@ -101,7 +101,7 @@ class BufferTreeLoader:
 
     # -- public API -----------------------------------------------------------
 
-    def load(self, records: Iterable[Record], charge_input: bool = True) -> int:
+    def load(self, records: Iterable[Record]) -> int:
         """Bulk-load a record stream and fully drain the buffers.
 
         Returns the number of records actually consumed from the stream —
@@ -109,13 +109,11 @@ class BufferTreeLoader:
         own metadata claims.
         """
         with span("buffer_tree.load"):
-            consumed = self.insert_batch(records, charge_input=charge_input)
+            consumed = self.insert_batch(records)
             self.drain()
         return consumed
 
-    def insert_batch(
-        self, records: Iterable[Record], charge_input: bool = True
-    ) -> int:
+    def insert_batch(self, records: Iterable[Record]) -> int:
         """Push a batch into the tree through the root buffer.
 
         Returns the number of records consumed.  Until :meth:`drain` is
@@ -123,11 +121,9 @@ class BufferTreeLoader:
         partitioning only reflects fully delivered records.
         """
         with span("buffer_tree.insert_batch"):
-            return self._insert_batch(records, charge_input)
+            return self._insert_batch(records)
 
-    def _insert_batch(
-        self, records: Iterable[Record], charge_input: bool
-    ) -> int:
+    def _insert_batch(self, records: Iterable[Record]) -> int:
         consumed = 0
         pending: list[Record] = []
         self._tree.begin_bulk()
@@ -156,7 +152,8 @@ class BufferTreeLoader:
             else:
                 for record in pending:
                     self._tree.insert(record)
-        if charge_input and self._pool is not None and consumed:
+        # Reading the input stream costs one page read per B records.
+        if self._pool is not None and consumed:
             pages = math.ceil(consumed / self._records_per_page)
             self._pool.pagefile.stats.reads += pages
             if OBS.enabled:
@@ -282,17 +279,3 @@ class BufferTreeLoader:
                 child_buffer = self._buffers.get(child.node_id)
                 if child_buffer is not None and self._over_budget(child_buffer):
                     self._flush(child_buffer)
-
-
-def buffer_tree_bulk_load(
-    records: Iterable[Record],
-    dimensions: int,
-    k: int,
-    pool: BufferPool[Record] | None = None,
-    **tree_kwargs: object,
-) -> RPlusTree:
-    """Convenience: build a fresh tree and bulk-load it in one call."""
-    tree = RPlusTree(dimensions, k, **tree_kwargs)  # type: ignore[arg-type]
-    loader = BufferTreeLoader(tree, pool=pool)
-    loader.load(records)
-    return tree

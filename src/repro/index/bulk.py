@@ -1,22 +1,20 @@
-"""Sort-based bulk loading: Hilbert ordering and Sort-Tile-Recursive packing.
+"""Sort-based grouping: Hilbert ordering and Sort-Tile-Recursive packing.
 
 These are the §2.1 alternatives the paper's authors "experimented with"
 before adopting the buffer tree — reproduced here so the ablation bench can
-compare the three loaders on time and on the quality of the partitions they
-produce.
+compare them with the buffer-tree loader on time and on the quality of the
+partitions they produce.
 
-* :func:`hilbert_partitions` / :func:`hilbert_bulk_load` — sort records
-  along the Hilbert curve (Kamel & Faloutsos packing), then cut the sorted
-  run into consecutive groups of about ``2k`` records.
-* :func:`str_partitions` / :func:`str_bulk_load` — Sort-Tile-Recursive:
-  recursively slice the data with balanced axis cuts, cycling through the
-  dimensions, until groups fit in a leaf.
+* :func:`hilbert_partitions` — sort records along the Hilbert curve
+  (Kamel & Faloutsos packing), then cut the sorted run into consecutive
+  groups of about ``2k`` records (:func:`chunk_with_floor`).
+* :func:`str_partitions` — Sort-Tile-Recursive: recursively slice the data
+  with balanced axis cuts, cycling through the dimensions, until groups fit
+  in a leaf.
 
-Both functions can return bare partitions (ordered record groups — the
-anonymization-relevant output) or a full :class:`~repro.index.rtree.RPlusTree`
-built by feeding the spatially-ordered stream through the buffer-tree
-loader, which packs well because consecutive records land in the same
-leaves.
+:func:`hilbert_ordered` is also the sort of the ``"hilbert"`` release
+strategy, and its ``(key, rid)`` order is the stream the sharded file load
+(:mod:`repro.parallel`) feeds the buffer-tree loader.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.dataset.record import Record
-from repro.index.buffer_tree import BufferTreeLoader
-from repro.index.rtree import RPlusTree
 from repro.index.split import best_threshold
 from repro.kernels.hilbert import hilbert_keys_for_points
 from repro.obs import OBS, span
@@ -50,25 +46,6 @@ def _hilbert_keys(
     return keys
 
 
-def hilbert_sorted(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int = DEFAULT_HILBERT_BITS,
-) -> list[Record]:
-    """Records sorted by their Hilbert key over the given domain box.
-
-    Keys come from the batch Hilbert kernel; one stable index sort over
-    them keeps input order between equal keys.
-    """
-    with span("bulk.hilbert_sort", records=len(records)):
-        if len(records) < 2:
-            return list(records)
-        keys = _hilbert_keys(records, lows, highs, bits)
-        order = sorted(range(len(records)), key=keys.__getitem__)
-        return [records[index] for index in order]
-
-
 def hilbert_ordered(
     records: Sequence[Record],
     lows: Sequence[float],
@@ -77,11 +54,10 @@ def hilbert_ordered(
 ) -> list[Record]:
     """Records sorted by ``(hilbert key, rid)`` over the given domain box.
 
-    Unlike :func:`hilbert_sorted` — whose stable sort preserves *input*
-    order between equal keys — the rid tie-break makes this order a pure
-    function of the record **set**, independent of how the records arrive.
-    The ``"hilbert"`` release strategy sorts with this function, which is
-    what makes its release independent of the tree's shape.
+    The rid tie-break makes this order a pure function of the record
+    **set**, independent of how the records arrive.  The ``"hilbert"``
+    release strategy sorts with this function, which is what makes its
+    release independent of the tree's shape.
     """
     with span("bulk.hilbert_order", records=len(records)):
         if len(records) < 2:
@@ -107,8 +83,7 @@ def hilbert_partitions(
     into the last full group), so the grouping is k-anonymous.  Raises
     ``ValueError`` when the input holds fewer than ``k`` records in total.
     """
-    ordered = hilbert_sorted(records, lows, highs, bits)
-    return chunk_with_floor(ordered, k)
+    return chunk_with_floor(hilbert_ordered(records, lows, highs, bits), k)
 
 
 def str_partitions(
@@ -149,48 +124,12 @@ def str_partitions(
         return result
 
 
-def hilbert_bulk_load(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    k: int,
-    bits: int = DEFAULT_HILBERT_BITS,
-    **tree_kwargs: object,
-) -> RPlusTree:
-    """Build an R+-tree by buffer-loading the Hilbert-sorted stream."""
-    with span("bulk.hilbert_load", records=len(records)):
-        ordered = hilbert_sorted(records, lows, highs, bits)
-        tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
-        BufferTreeLoader(tree).load(ordered, charge_input=False)
-        return tree
-
-
-def str_bulk_load(
-    records: Sequence[Record],
-    dimensions: int,
-    k: int,
-    **tree_kwargs: object,
-) -> RPlusTree:
-    """Build an R+-tree by buffer-loading the STR-ordered stream."""
-    with span("bulk.str_load", records=len(records)):
-        ordered = [
-            record
-            for group in str_partitions(records, dimensions, k)
-            for record in group
-        ]
-        tree = RPlusTree(dimensions, k, **tree_kwargs)  # type: ignore[arg-type]
-        BufferTreeLoader(tree).load(ordered, charge_input=False)
-        return tree
-
-
 def chunk_with_floor(ordered: Sequence[Record], k: int) -> list[list[Record]]:
     """Consecutive chunks of 2k records with a k-record floor on the tail.
 
     Raises ``ValueError`` when the input holds fewer than ``k`` records:
-    no k-anonymous grouping exists then, and silently emitting one
-    undersized group (the old behavior) would publish a partition below
-    the paper's k-floor.  Both the serial loaders and the sharded parallel
-    engine enforce the same rule.
+    no k-anonymous grouping exists then, and one undersized group would
+    publish a partition below the paper's k-floor.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -206,7 +145,3 @@ def chunk_with_floor(ordered: Sequence[Record], k: int) -> list[list[Record]]:
         tail = groups.pop()
         groups[-1].extend(tail)
     return groups
-
-
-#: Backwards-compatible private alias (pre-parallel callers imported this).
-_chunk_with_floor = chunk_with_floor

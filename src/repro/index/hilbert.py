@@ -2,13 +2,13 @@
 
 §2.1 notes that sort-based bulk-loading "based on space-filling curves
 (e.g., the Hilbert curve or Z-ordering)" was tried before settling on the
-buffer tree.  This module provides those orderings so the ablation bench
+buffer tree.  This module provides the Hilbert key so the ablation bench
 can reproduce the comparison.
 
 The Hilbert mapping uses Skilling's transpose algorithm ("Programming the
 Hilbert curve", AIP 2004): coordinates are converted in place to the
 transposed Hilbert index, then the bits are interleaved into a single
-integer key.  Z-ordering (Morton keys) is plain bit interleaving.
+integer key.
 """
 
 from __future__ import annotations
@@ -58,50 +58,12 @@ def hilbert_key(coordinates: Sequence[int], bits: int) -> int:
     return _interleave(x, bits)
 
 
-def morton_key(coordinates: Sequence[int], bits: int) -> int:
-    """The Z-order (Morton) index: straight bit interleaving."""
-    for value in coordinates:
-        if value < 0 or value >> bits:
-            raise ValueError(f"coordinate {value} does not fit in {bits} bits")
-    return _interleave(list(coordinates), bits)
-
-
 def _interleave(values: list[int], bits: int) -> int:
     key = 0
     for bit in range(bits - 1, -1, -1):
         for value in values:
             key = (key << 1) | ((value >> bit) & 1)
     return key
-
-
-def key_bits(dimensions: int, bits: int) -> int:
-    """How many bits a Hilbert/Morton key spans: ``dimensions * bits``."""
-    return dimensions * bits
-
-
-def dequantize(
-    cells: Sequence[int],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-) -> list[float]:
-    """Map grid cells back to domain values (each cell's center).
-
-    The inverse direction of :func:`quantize` up to quantization error:
-    re-quantizing the returned point lands in the same cells, and each
-    coordinate is within one cell width of any point that quantizes there
-    (the round-trip property the test suite checks).
-    """
-    top = (1 << bits) - 1
-    values: list[float] = []
-    for cell, low, high in zip(cells, lows, highs):
-        extent = high - low
-        if extent <= 0:
-            values.append(low)
-            continue
-        center = low + (min(max(cell, 0), top) + 0.5) * extent / top
-        values.append(min(center, high))
-    return values
 
 
 def quantize(

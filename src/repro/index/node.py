@@ -30,7 +30,7 @@ from R-tree bookkeeping.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from repro.dataset.record import Record
 from repro.geometry.box import Box
@@ -227,7 +227,3 @@ class InternalNode(Node):
             self.mbr = mbr
         else:
             self.mbr = None
-
-
-#: Legacy alias kept for type annotations elsewhere.
-CutTree = Union[Node, Cut, Slot]

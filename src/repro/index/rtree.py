@@ -157,7 +157,7 @@ class RPlusTree:
         first and the paged backing store is reattached afterwards.
         """
         self._store = store
-        for leaf in self.iter_leaves():
+        for leaf in self.leaves():
             store.on_create(leaf)
 
     @property
@@ -233,7 +233,7 @@ class RPlusTree:
         """Leave bulk mode: split every over-capacity leaf down to size."""
         self._split_trigger = self._leaf_capacity
         with span("rtree.finish_bulk"):
-            for leaf in list(self.iter_leaves()):
+            for leaf in self.leaves():
                 if len(leaf.records) > self._leaf_capacity:
                     self._split_leaf(leaf)
 
@@ -593,20 +593,26 @@ class RPlusTree:
     # -- traversal ----------------------------------------------------------------
 
     def leaves(self) -> list[LeafNode]:
-        """All leaves in left-to-right (spatially sequential) order."""
-        return list(self.iter_leaves())
+        """All leaves in left-to-right (spatially sequential) order.
 
-    def iter_leaves(self) -> Iterator[LeafNode]:
+        One explicit-stack walk over the cut slots: a cut pushes its right
+        side before its left, so leaves pop in depth-first, left-to-right
+        order.
+        """
+        found: list[LeafNode] = []
         if self._root is None:
-            return
-        yield from self._iter_leaves(self._root)
-
-    def _iter_leaves(self, node: Node) -> Iterator[LeafNode]:
-        if node.is_leaf:
-            yield node  # type: ignore[misc]
-            return
-        for child in node.children():  # type: ignore[union-attr]
-            yield from self._iter_leaves(child)
+            return found
+        stack: list[Node | Cut] = [self._root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Cut):
+                stack.append(item.right.inner)
+                stack.append(item.left.inner)
+            elif isinstance(item, LeafNode):
+                found.append(item)
+            else:
+                stack.append(item.cuts.inner)  # type: ignore[union-attr]
+        return found
 
     def nodes_at_level(self, level: int) -> list[Node]:
         """All nodes at a tree level, left to right (for hierarchical releases)."""
@@ -627,7 +633,7 @@ class RPlusTree:
 
     def leaf_groups(self) -> list[list[Record]]:
         """Record groups per leaf, in leaf order — the raw k-anonymous partitions."""
-        return [list(leaf.records) for leaf in self.iter_leaves()]
+        return [list(leaf.records) for leaf in self.leaves()]
 
     # -- statistics ---------------------------------------------------------------
 

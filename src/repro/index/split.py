@@ -217,34 +217,6 @@ def widest_dimensions(
     return ranked[:how_many]
 
 
-class ExhaustiveSplitPolicy(SplitPolicy):
-    """Evaluate *every* legal boundary on every dimension, vectorized.
-
-    For each dimension the records are sorted once and prefix/suffix minima
-    and maxima over all attributes are accumulated with numpy, after which
-    every legal boundary's size-weighted NCP score costs O(d) to evaluate.
-    Slightly better certainty penalty than the two-candidate default, at a
-    modest load-time premium — see ``benchmarks/bench_ablation_split.py``.
-    """
-
-    def __init__(self, weights: Sequence[float] | None = None) -> None:
-        self._weights = tuple(weights) if weights is not None else None
-
-    def choose_split(
-        self,
-        records: Sequence[Record],
-        min_count: int,
-        domain_extents: Sequence[float],
-    ) -> SplitDecision | None:
-        return exhaustive_ncp_split(
-            records,
-            min_count,
-            domain_extents,
-            self._weights,
-            range(len(domain_extents)),
-        )
-
-
 class MidpointSplitPolicy(SplitPolicy):
     """Cut the dimension with the widest normalized data extent.
 

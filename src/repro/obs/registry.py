@@ -107,7 +107,6 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "parallel.shards",
     "parallel.shard_records",
     "parallel.worker_records",
-    "parallel.seam_records",
 )
 
 #: Gauge names pre-registered alongside the counters (point-in-time levels).
@@ -146,19 +145,13 @@ SPAN_NAMES: tuple[str, ...] = (
     "buffer_tree.flush",
     "rtree.leaf_split",
     "rtree.finish_bulk",
-    "bulk.hilbert_sort",
     "bulk.hilbert_order",
     "bulk.str_partition",
-    "bulk.hilbert_load",
-    "bulk.str_load",
     "pool.flush",
     "parallel.plan",
     "parallel.scan",
     "parallel.worker",
     "parallel.shard_merge",
-    "parallel.partitions",
-    "parallel.bulk_load",
-    "parallel.bulk_load_file",
 )
 
 #: Histogram names pre-registered alongside the counters.

@@ -1,46 +1,39 @@
-"""The sharded parallel bulk-anonymization engine.
+"""The sharded parallel scan behind ``RTreeAnonymizer.bulk_load_file(workers=N)``.
 
-The pipeline has three stages, mirroring the serial Hilbert loader
-(:mod:`repro.index.bulk`) stage for stage:
+The pipeline has three stages:
 
 1. **Plan** (:mod:`repro.parallel.planner`): a sampled key-quantile pass
-   splits the key space into ``P`` contiguous Hilbert-key ranges.
+   splits the key space into ``P`` contiguous Hilbert-key ranges, one per
+   worker.
 2. **Scan** (`multiprocessing` worker pool): each worker streams one
    contiguous *file slice* through :class:`~repro.dataset.io.RecordFileReader`
    offsets (no slice is ever materialized in the parent), computes every
    record's Hilbert key, range-partitions its slice across the ``P``
    shards, and sorts each sub-run by ``(key, rid)``.  Keying and sorting —
-   the per-record heavy lifting of a Hilbert bulk load — thus parallelize
-   across all workers.
-3. **Stitch**: the parent merges each shard's sub-runs (cheap ``O(N log P)``
-   heap merge over pre-computed keys) and consumes the shards in key
-   order.  For partitions, :func:`stitched_chunks` performs the
-   boundary-repair pass: chunk boundaries are kept aligned to the *global*
-   2k grid, so the ≤2k records straddling each shard seam are re-chunked
-   across the seam and the k-floor invariant holds globally.  For a live
-   index, the shards stream — in key order, shard subtree by shard
-   subtree — through one :class:`~repro.index.buffer_tree.BufferTreeLoader`
-   call into a shared tree.
+   the per-record heavy lifting of a Hilbert-ordered load — thus
+   parallelize across all workers.
+3. **Merge**: the parent merges each shard's sub-runs (cheap ``O(N log P)``
+   heap merge over pre-computed keys).  :func:`shard_record_stream` then
+   concatenates the shards in key order, and the anonymizer feeds that one
+   stream through its buffer-tree loader.  The loader needs no seam repair:
+   it sees one global stream, and the tree's leaf floor gives k.
 
-**Determinism guarantee.**  For a fixed input and quantization the output
-is bit-for-bit identical to the serial ``hilbert_bulk_load`` /
-``hilbert_partitions`` baseline *regardless of the worker count or the
-shard boundaries*: the merged shard runs, keyed and tie-broken by
-``(key, rid)``, reconstruct exactly the one global Hilbert order the
-serial path sorts into, and everything downstream (the seam-repaired
-chunking, the buffer-tree replay) is a deterministic function of that
-order.  This is what the serial/parallel differential suite asserts —
-leaf for leaf, region for region, release for release.
+**Determinism guarantee.**  For a fixed input the stream is the one global
+``(key, rid)`` order — what :func:`repro.index.bulk.hilbert_ordered` sorts
+the same records into — *regardless of the worker count or the shard
+boundaries*, because each shard holds a contiguous key range and ties
+never straddle a boundary.  The loaded tree is a deterministic function of
+that stream, so it is identical for every worker count; the
+serial/parallel differential suite asserts this leaf for leaf and release
+for release.
 
 Why the parent replays the tree build rather than stitching worker-built
 subtrees under a shared root: Hilbert-key shard seams are not axis-aligned
 (a contiguous key range is a union of curve cells, not a box), so
 independently built R⁺-subtrees could never be joined by the binary-cut
-machinery without violating the disjoint-region invariant — nor could they
-reproduce the serial tree's cuts.  Shipping the *sorted runs* back instead
-keeps the structural pass byte-identical to the serial algorithm while the
-per-record work (keying, sorting — the measured majority of a pure-Python
-Hilbert load) runs fan-out.
+machinery without violating the disjoint-region invariant.  Shipping the
+*sorted runs* back instead keeps the structural pass serial while the
+per-record work (keying, sorting) runs fan-out.
 """
 
 from __future__ import annotations
@@ -54,17 +47,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.dataset.record import Record
-from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.bulk import DEFAULT_HILBERT_BITS
-from repro.index.rtree import RPlusTree
 from repro.kernels.hilbert import hilbert_keys_for_points
 from repro import obs
 from repro.obs import OBS, TRACE, span
 from repro.parallel.planner import (
-    DEFAULT_SAMPLE_SIZE,
     ShardPlan,
     plan_file_shards,
-    plan_record_shards,
     slice_bounds,
 )
 
@@ -101,29 +90,28 @@ class ShardScan:
 
 
 def _scan_slice(task: tuple) -> tuple[list[_SubRun], dict[str, object]]:
-    """One worker's job: stream a slice, key, range-partition, sort.
+    """One worker's job: stream a file slice, key, range-partition, sort.
 
     Module-level so it pickles under every multiprocessing start method.
-    ``task`` is (source kind, payload, boundaries, lows, highs, bits) where
-    a ``"file"`` payload is (path, start, count, first_rid, batch_size) —
-    the worker opens its own reader and streams the slice by record
-    offsets, one decoded page at a time — and a ``"records"`` payload is
-    the slice itself.  Each page is keyed by the batch Hilbert kernel and
-    bucketed by ``np.searchsorted(..., side="right")``, which is
+    ``task`` is (path, start, count, first_rid, batch_size, plan): the
+    worker opens its own reader and streams the slice by record offsets,
+    one decoded page at a time.  Each page is keyed by the batch Hilbert
+    kernel and bucketed by ``np.searchsorted(..., side="right")``, which is
     ``bisect_right`` over the plan's boundaries.
     """
-    started = time.perf_counter()
-    kind, payload, boundaries, lows, highs, bits = task
-    buckets: list[_SubRun] = [[] for _ in range(len(boundaries) + 1)]
-    scanned = 0
+    from repro.dataset.io import RecordFileReader
 
-    def bucket_batch(
-        points: np.ndarray, rid_of: "list[int] | range", records: "list[Record] | None"
-    ) -> None:
-        nonlocal scanned
+    started = time.perf_counter()
+    path, start, count, first_rid, batch_size, plan = task
+    boundaries = plan.boundaries
+    buckets: list[_SubRun] = [[] for _ in range(plan.shard_count)]
+    scanned = 0
+    for position, points in RecordFileReader(path).iter_point_batches(
+        batch_size, start=start, count=count
+    ):
         if points.shape[0] == 0:
-            return
-        keys = hilbert_keys_for_points(points, lows, highs, bits)
+            continue
+        keys = hilbert_keys_for_points(points, plan.lows, plan.highs, plan.bits)
         if boundaries:
             # Keep the comparison in exact integer arithmetic: uint64 keys
             # search uint64 boundaries; >64-bit keys (object arrays of
@@ -135,38 +123,11 @@ def _scan_slice(task: tuple) -> tuple[list[_SubRun], dict[str, object]]:
             shard_of = np.searchsorted(edges, keys, side="right").tolist()
         else:
             shard_of = [0] * points.shape[0]
-        key_list = keys.tolist()
-        if records is None:
-            rows = points.tolist()
-            for offset, (key, shard) in enumerate(zip(key_list, shard_of)):
-                buckets[shard].append(
-                    (key, Record(rid_of[offset], tuple(rows[offset])))
-                )
-        else:
-            for key, shard, record in zip(key_list, shard_of, records):
-                buckets[shard].append((key, record))
+        rid = first_rid + position
+        for key, shard, row in zip(keys.tolist(), shard_of, points.tolist()):
+            buckets[shard].append((key, Record(rid, tuple(row))))
+            rid += 1
         scanned += points.shape[0]
-
-    if kind == "file":
-        from repro.dataset.io import RecordFileReader
-
-        path, start, count, first_rid, batch_size = payload
-        reader = RecordFileReader(path)
-        for position, points in reader.iter_point_batches(
-            batch_size, start=start, count=count
-        ):
-            bucket_batch(
-                points,
-                range(first_rid + position, first_rid + position + points.shape[0]),
-                None,
-            )
-    else:
-        records = list(payload)
-        if records:
-            points = np.array(
-                [record.point for record in records], dtype=np.float64
-            )
-            bucket_batch(points, [], records)
     for bucket in buckets:
         bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
     stats: dict[str, object] = {
@@ -271,14 +232,10 @@ def scan_file_shards(
     lows: Sequence[float],
     highs: Sequence[float],
     workers: int = 1,
-    shards: int | None = None,
-    bits: int = DEFAULT_HILBERT_BITS,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
     first_rid: int = 0,
-    plan: ShardPlan | None = None,
 ) -> ShardScan:
-    """Plan and scan a record file into sorted shard runs.
+    """Plan and scan a record file into ``workers`` sorted shard runs.
 
     Workers stream disjoint record-offset slices of the file themselves —
     the parent never reads the input, only the workers' sorted runs.
@@ -288,83 +245,22 @@ def scan_file_shards(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     reader = RecordFileReader(path)
-    if plan is None:
-        with span("parallel.plan", shards=shards or workers):
-            plan = plan_file_shards(
-                path,
-                shards if shards is not None else workers,
-                lows,
-                highs,
-                bits,
-                sample_size,
-                batch_size,
-            )
-    tasks = [
-        (
-            "file",
-            (str(path), start, count, first_rid, batch_size),
-            plan.boundaries,
-            plan.lows,
-            plan.highs,
-            plan.bits,
+    with span("parallel.plan", shards=workers):
+        plan = plan_file_shards(
+            path, workers, lows, highs, DEFAULT_HILBERT_BITS, batch_size=batch_size
         )
+    tasks = [
+        (str(path), start, count, first_rid, batch_size, plan)
         for start, count in slice_bounds(len(reader), workers)
     ]
     return _merge(plan, _scan_slices(tasks, workers, len(reader)))
-
-
-def scan_record_shards(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    workers: int = 1,
-    shards: int | None = None,
-    bits: int = DEFAULT_HILBERT_BITS,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    plan: ShardPlan | None = None,
-) -> ShardScan:
-    """In-memory counterpart of :func:`scan_file_shards`.
-
-    Worker slices are shipped by pickle instead of streamed by offset; the
-    output contract (and the determinism guarantee) is identical, which is
-    what lets the differential suite compare against serial baselines built
-    from the very same record objects.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if plan is None:
-        with span("parallel.plan", shards=shards or workers):
-            plan = plan_record_shards(
-                records,
-                shards if shards is not None else workers,
-                lows,
-                highs,
-                bits,
-                sample_size,
-            )
-    tasks = [
-        (
-            "records",
-            list(records[start : start + count]),
-            plan.boundaries,
-            plan.lows,
-            plan.highs,
-            plan.bits,
-        )
-        for start, count in slice_bounds(len(records), workers)
-    ]
-    return _merge(plan, _scan_slices(tasks, workers, len(records)))
-
-
-# -- stitching --------------------------------------------------------------
 
 
 def shard_record_stream(runs: Iterable[ShardRun]) -> Iterator[Record]:
     """The shards flattened back into one global Hilbert-ordered stream.
 
     Because the shards hold contiguous, ascending key ranges, concatenating
-    their merged runs *is* the global ``(key, rid)`` sort — the stream the
-    serial loader would have produced.
+    their merged runs *is* the global ``(key, rid)`` sort.
     """
     for run in runs:
         if TRACE.enabled:
@@ -372,143 +268,3 @@ def shard_record_stream(runs: Iterable[ShardRun]) -> Iterator[Record]:
                 "parallel.shard_stream", shard=run.index, records=len(run)
             )
         yield from run.records
-
-
-def stitched_chunks(
-    runs: Iterable[ShardRun], k: int
-) -> Iterator[list[Record]]:
-    """Chunk the shard runs into ~2k groups with cross-seam boundary repair.
-
-    Chunk boundaries stay aligned to the *global* 2k grid: the ≤2k records
-    straddling each shard seam are carried across it and re-chunked
-    together with the next shard's head, so the result is exactly the
-    serial :func:`repro.index.bulk.chunk_with_floor` grouping of the
-    concatenated runs — every group holds at least ``k`` records (the
-    k-floor), with an undersized global tail merged into the final full
-    group.  Raises ``ValueError`` when the whole input holds fewer than
-    ``k`` records, matching the serial path.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    size = 2 * k
-    held: list[Record] | None = None  # the last complete chunk, unreleased
-    current: list[Record] = []
-    total = 0
-    for run in runs:
-        straddling = len(current)
-        if straddling:
-            if TRACE.enabled:
-                TRACE.instant(
-                    "parallel.seam_repair", shard=run.index, straddling=straddling
-                )
-            if OBS.enabled:
-                OBS.count("parallel.seam_records", straddling)
-        for record in run.records:
-            current.append(record)
-            total += 1
-            if len(current) == size:
-                if held is not None:
-                    yield held
-                held = current
-                current = []
-    if total < k:
-        raise ValueError(
-            f"cannot form k-anonymous groups: {total} records < k={k}"
-        )
-    if current:
-        if len(current) >= k:
-            if held is not None:
-                yield held
-            held = current
-        else:
-            # The global tail is under the k-floor: merge it into the last
-            # full chunk (held is non-None here, else total < k above).
-            held = held + current  # type: ignore[operator]
-    if held is not None:
-        yield held
-
-
-# -- public entry points ----------------------------------------------------
-
-
-def parallel_hilbert_partitions(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    k: int,
-    workers: int = 1,
-    shards: int | None = None,
-    bits: int = DEFAULT_HILBERT_BITS,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> list[list[Record]]:
-    """Sharded counterpart of :func:`repro.index.bulk.hilbert_partitions`.
-
-    Equal to the serial grouping for any worker count (the differential
-    suite asserts this record for record).
-    """
-    with span("parallel.partitions", records=len(records), workers=workers):
-        scan = scan_record_shards(
-            records, lows, highs, workers, shards, bits, sample_size
-        )
-        return list(stitched_chunks(scan.runs, k))
-
-
-def parallel_bulk_load(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    k: int,
-    workers: int = 1,
-    shards: int | None = None,
-    bits: int = DEFAULT_HILBERT_BITS,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    **tree_kwargs: object,
-) -> RPlusTree:
-    """Sharded counterpart of :func:`repro.index.bulk.hilbert_bulk_load`.
-
-    Workers shard-sort; the parent replays the buffer-tree loader over the
-    stitched stream in one call, so the resulting tree is *structurally
-    identical* to the serial build — same cuts, same leaves, same regions.
-    """
-    with span("parallel.bulk_load", records=len(records), workers=workers):
-        scan = scan_record_shards(
-            records, lows, highs, workers, shards, bits, sample_size
-        )
-        tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
-        BufferTreeLoader(tree).load(
-            shard_record_stream(scan.runs), charge_input=False
-        )
-        return tree
-
-
-def parallel_bulk_load_file(
-    path: str | Path,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    k: int,
-    workers: int = 1,
-    shards: int | None = None,
-    bits: int = DEFAULT_HILBERT_BITS,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    batch_size: int = 8_192,
-    first_rid: int = 0,
-    **tree_kwargs: object,
-) -> RPlusTree:
-    """Build an R⁺-tree from a record file with a sharded worker pool."""
-    with span("parallel.bulk_load_file", path=str(path), workers=workers):
-        scan = scan_file_shards(
-            path,
-            lows,
-            highs,
-            workers,
-            shards,
-            bits,
-            sample_size,
-            batch_size,
-            first_rid,
-        )
-        tree = RPlusTree(len(lows), k, **tree_kwargs)  # type: ignore[arg-type]
-        BufferTreeLoader(tree).load(
-            shard_record_stream(scan.runs), charge_input=False
-        )
-        return tree

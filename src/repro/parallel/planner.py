@@ -10,21 +10,18 @@ same number of records regardless of how skewed the data is in space.
 The plan is a pure function of (input, shard count, quantization): no RNG
 is involved, so two plans over the same file always agree — one of the two
 pillars of the engine's determinism guarantee (the other is that the
-stitched output is provably independent of the boundaries themselves; see
-the engine module).
+merged stream is independent of the boundaries themselves; see the engine
+module).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.dataset.record import Record
-from repro.index.hilbert import hilbert_key, quantize
 from repro.kernels.hilbert import hilbert_keys_for_points
 
 #: How many records the planner samples to estimate the key quantiles.
@@ -50,14 +47,6 @@ class ShardPlan:
     def shard_count(self) -> int:
         return len(self.boundaries) + 1
 
-    def key_of(self, point: Sequence[float]) -> int:
-        """The Hilbert key of a point under this plan's quantization."""
-        return hilbert_key(quantize(point, self.lows, self.highs, self.bits), self.bits)
-
-    def shard_of(self, key: int) -> int:
-        """Which shard owns a key (binary search over the boundaries)."""
-        return bisect_right(self.boundaries, key)
-
 
 def plan_from_sample(
     sample_keys: Sequence[int],
@@ -79,37 +68,14 @@ def plan_from_sample(
     )
 
 
-def sample_record_keys(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> list[int]:
-    """Stride-sample an in-memory record list and key the samples.
-
-    The keys round-trip through ``tolist``, so they are plain Python ints
-    and the plan stays a pure function of the input.
-    """
-    stride = max(1, len(records) // max(1, sample_size))
-    positions = range(0, len(records), stride)
-    if len(positions) == 0:
-        return []
-    points = np.array(
-        [records[index].point for index in positions], dtype=np.float64
-    )
-    return hilbert_keys_for_points(points, lows, highs, bits).tolist()
-
-
 def sample_file_keys(
     path: str | Path,
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
 ) -> list[int]:
-    """Stride-sample a record file and key the samples.
+    """Stride-sample about ``DEFAULT_SAMPLE_SIZE`` records and key them.
 
     Reads the file once in pages (cheap sequential I/O) but keys only every
     ``stride``-th record, in one batch, so planning costs ``O(sample)`` key
@@ -118,7 +84,7 @@ def sample_file_keys(
     from repro.dataset.io import RecordFileReader
 
     reader = RecordFileReader(path)
-    stride = max(1, len(reader) // max(1, sample_size))
+    stride = max(1, len(reader) // DEFAULT_SAMPLE_SIZE)
     sampled: list[np.ndarray] = []
     for position, points in reader.iter_point_batches(batch_size):
         first = -position % stride
@@ -131,36 +97,17 @@ def sample_file_keys(
     ).tolist()
 
 
-def plan_record_shards(
-    records: Sequence[Record],
-    shards: int,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> ShardPlan:
-    """A shard plan for an in-memory record list."""
-    return plan_from_sample(
-        sample_record_keys(records, lows, highs, bits, sample_size),
-        shards,
-        lows,
-        highs,
-        bits,
-    )
-
-
 def plan_file_shards(
     path: str | Path,
     shards: int,
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
     batch_size: int = 8_192,
 ) -> ShardPlan:
     """A shard plan for a binary record file."""
     return plan_from_sample(
-        sample_file_keys(path, lows, highs, bits, sample_size, batch_size),
+        sample_file_keys(path, lows, highs, bits, batch_size),
         shards,
         lows,
         highs,
@@ -185,9 +132,3 @@ def slice_bounds(total: int, slices: int) -> list[tuple[int, int]]:
         bounds.append((start, count))
         start += count
     return bounds
-
-
-def iter_slice(records: Sequence[Record], bounds: tuple[int, int]) -> Iterable[Record]:
-    """The records of one (start, count) slice, in input order."""
-    start, count = bounds
-    return records[start : start + count]

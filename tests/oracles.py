@@ -2,8 +2,8 @@
 
 Each function here is the plain-Python form of an operation whose only
 production path is a numpy kernel: the per-record ``struct`` page decoder,
-the ``hilbert_key(quantize(...))`` sorts, the stride samplers, the
-shard scan and the exhaustive NCP split search — plus the record-list
+the ``hilbert_key(quantize(...))`` sort, the stride sampler, the shard
+scan and the exhaustive NCP split search — plus the record-list
 forms of the release path (the subtree scan and the per-record
 compaction) that production replaced with runs of whole leaves.  They
 exist only so the differential suites can hold the production code to
@@ -26,12 +26,7 @@ from repro.geometry.box import Box
 from repro.index.hilbert import hilbert_key, quantize
 from repro.index.node import Cut, InternalNode, LeafNode
 from repro.index.split import SplitDecision
-from repro.parallel.planner import (
-    DEFAULT_SAMPLE_SIZE,
-    ShardPlan,
-    plan_from_sample,
-    slice_bounds,
-)
+from repro.parallel.planner import DEFAULT_SAMPLE_SIZE, ShardPlan, plan_from_sample
 
 if TYPE_CHECKING:
     from repro.core.anonymizer import RTreeAnonymizer
@@ -72,41 +67,18 @@ def _key(
     return hilbert_key(quantize(point, lows, highs, bits), bits)
 
 
-def hilbert_sorted(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int = DEFAULT_HILBERT_BITS,
-) -> list[Record]:
-    """Stable sort by Hilbert key (input order between equal keys)."""
-    return sorted(records, key=lambda record: _key(record.point, lows, highs, bits))
-
-
 def hilbert_ordered(
     records: Sequence[Record],
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int = DEFAULT_HILBERT_BITS,
 ) -> list[Record]:
-    """Sort by ``(Hilbert key, rid)``."""
+    """Sort by ``(Hilbert key, rid)``: the ``"hilbert"`` release order and
+    the stream a sharded file load feeds the loader at any worker count."""
     return sorted(
         records,
         key=lambda record: (_key(record.point, lows, highs, bits), record.rid),
     )
-
-
-def sample_record_keys(
-    records: Sequence[Record],
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> list[int]:
-    stride = max(1, len(records) // max(1, sample_size))
-    return [
-        _key(records[index].point, lows, highs, bits)
-        for index in range(0, len(records), stride)
-    ]
 
 
 def sample_file_keys(
@@ -114,9 +86,8 @@ def sample_file_keys(
     lows: Sequence[float],
     highs: Sequence[float],
     bits: int,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> list[int]:
-    stride = max(1, len(RecordFileReader(path)) // max(1, sample_size))
+    stride = max(1, len(RecordFileReader(path)) // DEFAULT_SAMPLE_SIZE)
     return [
         _key(record.point, lows, highs, bits)
         for index, record in enumerate(read_records(path))
@@ -127,22 +98,17 @@ def sample_file_keys(
 def scan_slice(task: tuple) -> list[list[tuple[int, Record]]]:
     """The shard scan's buckets for one task tuple, record by record.
 
-    Takes the production task layout (kind, payload, boundaries, lows,
-    highs, bits) and returns each shard's ``(key, record)`` pairs sorted
-    by ``(key, rid)``.
+    Takes the production task layout (path, start, count, first_rid,
+    batch_size, plan) and returns each shard's ``(key, record)`` pairs
+    sorted by ``(key, rid)``.
     """
-    kind, payload, boundaries, lows, highs, bits = task
-    if kind == "file":
-        path, start, count, first_rid, batch_size = payload
-        stream = read_records(path, batch_size, first_rid, start, count)
-    else:
-        stream = payload
+    path, start, count, first_rid, batch_size, plan = task
     buckets: list[list[tuple[int, Record]]] = [
-        [] for _ in range(len(boundaries) + 1)
+        [] for _ in range(plan.shard_count)
     ]
-    for record in stream:
-        key = _key(record.point, lows, highs, bits)
-        buckets[bisect_right(boundaries, key)].append((key, record))
+    for record in read_records(path, batch_size, first_rid, start, count):
+        key = _key(record.point, plan.lows, plan.highs, plan.bits)
+        buckets[bisect_right(plan.boundaries, key)].append((key, record))
     for bucket in buckets:
         bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
     return buckets
@@ -158,34 +124,6 @@ def file_shard_plan(
     return plan_from_sample(
         sample_file_keys(path, lows, highs, bits), shards, lows, highs, bits
     )
-
-
-def sharded_record_stream(
-    path: str | Path,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    workers: int,
-    bits: int = DEFAULT_HILBERT_BITS,
-    batch_size: int = 8_192,
-) -> list[Record]:
-    """The record order a ``workers``-way sharded file load feeds the loader.
-
-    Plans from the scalar sample, scans every slice with :func:`scan_slice`
-    and concatenates the shards' ``(key, rid)``-sorted runs in shard order.
-    """
-    plan = file_shard_plan(path, workers, lows, highs, bits)
-    tasks = [
-        ("file", (str(path), start, count, 0, batch_size))
-        + (plan.boundaries, plan.lows, plan.highs, plan.bits)
-        for start, count in slice_bounds(len(RecordFileReader(path)), workers)
-    ]
-    results = [scan_slice(task) for task in tasks]
-    ordered: list[Record] = []
-    for shard in range(plan.shard_count):
-        pairs = [pair for buckets in results for pair in buckets[shard]]
-        pairs.sort(key=lambda pair: (pair[0], pair[1].rid))
-        ordered.extend(record for _key, record in pairs)
-    return ordered
 
 
 def exhaustive_ncp_split_small(

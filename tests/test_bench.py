@@ -124,7 +124,12 @@ class TestFigureDrivers:
 
     def test_ablation_split(self) -> None:
         table = figures.ablation_split(records=1_500, k=5)
-        assert len(table.rows) == 5
+        assert [str(row[0]) for row in table.rows] == [
+            "min-margin (top-3 axes)",
+            "min-margin (all axes)",
+            "midpoint (Mondrian-like)",
+            "weighted (zipcode x4)",
+        ]
 
     def test_multigranular(self) -> None:
         table = figures.multigranular_report(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dataset.record import Record
-from repro.index.buffer_tree import BufferTreeLoader, buffer_tree_bulk_load
+from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.leaf_store import PagedLeafStore
 from repro.index.rtree import RPlusTree
 from repro.storage.buffer_pool import BufferPool
@@ -21,7 +21,7 @@ class TestLoading:
     def test_load_preserves_every_record(self) -> None:
         records = random_records(2_000, seed=1)
         tree = fresh_tree()
-        BufferTreeLoader(tree).load(records, charge_input=False)
+        BufferTreeLoader(tree).load(records)
         tree.check_invariants()
         assert len(tree) == 2_000
         loaded = sorted(r.rid for leaf in tree.leaves() for r in leaf.records)
@@ -32,7 +32,7 @@ class TestLoading:
         the partitionings themselves may differ (different split inputs)."""
         records = random_records(1_500, seed=2)
         buffered = fresh_tree()
-        BufferTreeLoader(buffered).load(records, charge_input=False)
+        BufferTreeLoader(buffered).load(records)
         tuple_loaded = fresh_tree()
         tuple_loaded.insert_all(records)
         for tree in (buffered, tuple_loaded):
@@ -45,7 +45,7 @@ class TestLoading:
         tree = fresh_tree()
         loader = BufferTreeLoader(tree)
         for start in range(0, 1_200, 400):
-            loader.insert_batch(records[start : start + 400], charge_input=False)
+            loader.insert_batch(records[start : start + 400])
             loader.drain()
             tree.check_invariants()
         assert len(tree) == 1_200
@@ -54,7 +54,7 @@ class TestLoading:
         records = random_records(3_000, seed=4)
         tree = fresh_tree()
         loader = BufferTreeLoader(tree, buffer_pages=8)
-        loader.insert_batch(records, charge_input=False)
+        loader.insert_batch(records)
         in_leaves = len(tree)
         assert in_leaves + loader.buffered_records == 3_000
         loader.drain()
@@ -64,17 +64,9 @@ class TestLoading:
     def test_empty_batch_is_noop(self) -> None:
         tree = fresh_tree()
         loader = BufferTreeLoader(tree)
-        assert loader.insert_batch([], charge_input=False) == 0
+        assert loader.insert_batch([]) == 0
         loader.drain()
         assert len(tree) == 0
-
-    def test_convenience_wrapper(self) -> None:
-        tree = buffer_tree_bulk_load(
-            random_records(500, seed=5), dimensions=3, k=3,
-            domain_extents=(100.0,) * 3,
-        )
-        tree.check_invariants()
-        assert len(tree) == 500
 
     def test_invalid_buffer_pages(self) -> None:
         with pytest.raises(ValueError):
@@ -84,12 +76,12 @@ class TestLoading:
         """The Figure 7(b) pattern: bulk first, then incremental batches."""
         tree = fresh_tree()
         loader = BufferTreeLoader(tree)
-        loader.load(random_records(1_000, seed=6), charge_input=False)
+        loader.load(random_records(1_000, seed=6))
         extra = [
             Record(10_000 + r.rid, r.point, r.sensitive)
             for r in random_records(500, seed=7)
         ]
-        loader.insert_batch(extra, charge_input=False)
+        loader.insert_batch(extra)
         loader.drain()
         tree.check_invariants()
         assert len(tree) == 1_500
@@ -121,13 +113,13 @@ class TestIOAccounting:
         assert scarce > plentiful
 
     def test_input_charge(self) -> None:
-        """charge_input bills one read per B input records."""
+        """Reading the input bills one page read per B input records."""
         pagefile: PageFile[Record] = PageFile(page_bytes=512, record_bytes=12)
         pool: BufferPool[Record] = BufferPool(pagefile, 512 * 128)
         tree = RPlusTree(dimensions=3, k=5, domain_extents=(100.0,) * 3)
         loader = BufferTreeLoader(tree, pool=pool)
         before = pagefile.stats.reads
-        loader.insert_batch(random_records(100, seed=9), charge_input=True)
+        loader.insert_batch(random_records(100, seed=9))
         items_per_page = 512 // 12
         expected_pages = -(-100 // items_per_page)  # ceil
         assert pagefile.stats.reads >= before + expected_pages

@@ -1,4 +1,4 @@
-"""Sort-based loaders: Hilbert/Morton keys and STR partitioning."""
+"""Sort-based groupings: Hilbert keys and order, STR partitioning."""
 
 from __future__ import annotations
 
@@ -9,21 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.bulk import (
     chunk_with_floor,
-    hilbert_bulk_load,
+    hilbert_ordered,
     hilbert_partitions,
-    hilbert_sorted,
-    str_bulk_load,
     str_partitions,
 )
-from repro.index.hilbert import (
-    dequantize,
-    hilbert_key,
-    key_bits,
-    morton_key,
-    quantize,
-)
+from repro.index.hilbert import hilbert_key, quantize
+from repro.index.rtree import RPlusTree
 from tests.conftest import random_records
 
 
@@ -68,10 +62,6 @@ class TestHilbertKey:
         with pytest.raises(ValueError):
             hilbert_key([], bits=4)
 
-    def test_morton_key_interleaves(self) -> None:
-        # x=0b10, y=0b01 -> interleaved MSB-first: 1,0 / 0,1 -> 0b1001
-        assert morton_key([0b10, 0b01], bits=2) == 0b1001
-
     def test_quantize_clamps_and_scales(self) -> None:
         assert quantize((0.0, 50.0, 100.0), (0, 0, 0), (100, 100, 100), 4) == [
             0,
@@ -92,7 +82,7 @@ _GRID_SHAPES = [
     (dimensions, bits)
     for dimensions in (1, 2, 3, 4)
     for bits in (1, 2, 3, 4)
-    if key_bits(dimensions, bits) <= 12
+    if dimensions * bits <= 12
 ]
 
 
@@ -120,19 +110,7 @@ class TestHilbertProperties:
         sample = rng.sample(points, min(len(points), 256))
         keys = [hilbert_key(point, bits) for point in sample]
         assert len(set(keys)) == len(sample)
-        assert all(0 <= key < (1 << key_bits(dimensions, bits)) for key in keys)
-
-    @given(
-        st.sampled_from(_GRID_SHAPES),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_morton_key_injective_on_grid(self, shape, rng) -> None:
-        dimensions, bits = shape
-        points = _grid_points(dimensions, bits)
-        sample = rng.sample(points, min(len(points), 256))
-        keys = [morton_key(point, bits) for point in sample]
-        assert len(set(keys)) == len(sample)
+        assert all(0 <= key < (1 << (dimensions * bits)) for key in keys)
 
     @given(st.sampled_from([shape for shape in _GRID_SHAPES if shape[0] >= 2]))
     @settings(max_examples=len(_GRID_SHAPES), deadline=None)
@@ -144,7 +122,7 @@ class TestHilbertProperties:
             hilbert_key(point, bits): point
             for point in _grid_points(dimensions, bits)
         }
-        assert len(inverse) == 1 << key_bits(dimensions, bits)
+        assert len(inverse) == 1 << (dimensions * bits)
         for key in range(len(inverse) - 1):
             here, there = inverse[key], inverse[key + 1]
             assert sum(abs(a - b) for a, b in zip(here, there)) == 1
@@ -163,8 +141,8 @@ class TestHilbertProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_quantize_round_trip_within_one_cell(self, bits, axes) -> None:
-        """dequantize(quantize(p)) re-quantizes to the same cells, and each
-        coordinate lands within one cell width of the original point."""
+        """Each cell's center re-quantizes to that cell, and lies within one
+        cell width of every point that quantizes there."""
         lows = [low for low, _extent, _frac in axes]
         highs = [low + extent for low, extent, _frac in axes]
         point = [
@@ -172,9 +150,14 @@ class TestHilbertProperties:
             for (low, _extent, frac), high in zip(axes, highs)
         ]
         cells = quantize(point, lows, highs, bits)
-        restored = dequantize(cells, lows, highs, bits)
-        assert quantize(restored, lows, highs, bits) == cells
         top = (1 << bits) - 1
+        restored = [
+            min(low + (cell + 0.5) * (high - low) / top, high)
+            if high > low
+            else low
+            for cell, low, high in zip(cells, lows, highs)
+        ]
+        assert quantize(restored, lows, highs, bits) == cells
         for value, back, low, high in zip(point, restored, lows, highs):
             assert low <= back <= high
             extent = high - low
@@ -189,9 +172,9 @@ class TestSortLoaders:
         assert sum(len(g) for g in groups) == 203
         assert all(len(g) >= 10 for g in groups)
 
-    def test_hilbert_sorted_is_permutation(self) -> None:
+    def test_hilbert_ordered_is_permutation(self) -> None:
         records = random_records(100, seed=2)
-        ordered = hilbert_sorted(records, (0,) * 3, (100,) * 3)
+        ordered = hilbert_ordered(records, (0,) * 3, (100,) * 3)
         assert sorted(r.rid for r in ordered) == list(range(100))
 
     def test_str_partitions_floor(self) -> None:
@@ -209,23 +192,19 @@ class TestSortLoaders:
         assert groups == [records]  # unsplittable -> one whole group
 
     def test_hilbert_bulk_load_builds_valid_tree(self) -> None:
+        """The buffer-tree loader over the Hilbert-ordered stream — what a
+        sharded file load feeds it — builds a valid tree."""
         records = random_records(600, seed=4)
-        tree = hilbert_bulk_load(
-            records, (0.0,) * 3, (100.0,) * 3, k=5,
-            domain_extents=(100.0,) * 3,
+        tree = RPlusTree(3, 5, domain_extents=(100.0,) * 3)
+        BufferTreeLoader(tree).load(
+            hilbert_ordered(records, (0.0,) * 3, (100.0,) * 3)
         )
-        tree.check_invariants()
-        assert len(tree) == 600
-
-    def test_str_bulk_load_builds_valid_tree(self) -> None:
-        records = random_records(600, seed=5)
-        tree = str_bulk_load(records, dimensions=3, k=5, domain_extents=(100.0,) * 3)
         tree.check_invariants()
         assert len(tree) == 600
 
 
 class TestChunkWithFloor:
-    """The k-floor chunker shared by the serial and sharded loaders."""
+    """The k-floor chunker of the Hilbert grouping and release strategy."""
 
     def test_exact_2k_chunks(self) -> None:
         records = random_records(40, seed=6)
@@ -249,7 +228,7 @@ class TestChunkWithFloor:
 
     def test_fewer_than_k_records_raises(self) -> None:
         """No k-anonymous grouping exists below k records; emitting an
-        undersized group (the old behavior) would break the k-floor."""
+        undersized group would break the k-floor."""
         records = random_records(9, seed=6)
         with pytest.raises(ValueError, match="9 records < k=10"):
             chunk_with_floor(records, k=10)

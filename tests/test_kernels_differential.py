@@ -6,11 +6,11 @@ to the scalar reference code in ``tests/oracles.py``, end to end and
 level by level:
 
 * releases — a file load through production (serial file order, or the
-  sharded engine at 1 and 4 workers) against the same anonymizer fed the
-  oracle's record stream, compared at the four levels of the
-  serial/parallel differential suite: leaf regions, partition boxes and
-  membership, the release digest, and the audit record (modulo its
-  sequence field);
+  sharded scan at 1 and 4 workers) against the same anonymizer fed the
+  oracle's record stream (file order, or the scalar ``(key, rid)`` sort of
+  the file), compared at the four levels of the serial/parallel
+  differential suite: leaf regions, partition boxes and membership, the
+  release digest, and the audit record (modulo its sequence field);
 * the Hilbert order, the shard plans and the shard-scan buckets;
 * page decode and encode, byte for byte.
 
@@ -36,16 +36,10 @@ from repro.index.bulk import (
     chunk_with_floor,
     hilbert_ordered,
     hilbert_partitions,
-    hilbert_sorted,
 )
 from repro.obs import AUDITOR
 from repro.parallel.engine import _scan_slice
-from repro.parallel.planner import (
-    plan_file_shards,
-    plan_from_sample,
-    plan_record_shards,
-    slice_bounds,
-)
+from repro.parallel.planner import plan_file_shards, slice_bounds
 from tests import oracles
 
 RECORDS = 600
@@ -90,8 +84,8 @@ def _release_snapshot(
     """Load from file and publish at k, through production or the oracle.
 
     The oracle feeds the loader the stream the production file load must
-    reproduce: file order for a serial load, the scalar sharded scan for a
-    ``workers``-way load.
+    reproduce: file order for a serial load, the scalar ``(key, rid)`` sort
+    of the file for a sharded load at any worker count.
     """
     table = _table(dataset, records)
     anonymizer = RTreeAnonymizer(table, base_k=min(5, k))
@@ -102,7 +96,7 @@ def _release_snapshot(
     else:
         lows, highs = _domain(table)
         consumed = anonymizer.bulk_load(
-            oracles.sharded_record_stream(path, lows, highs, workers)
+            oracles.hilbert_ordered(list(oracles.read_records(path)), lows, highs)
         )
     assert consumed == records
     AUDITOR.enable(reset=True)
@@ -163,22 +157,18 @@ def test_forced_multiprocessing_matches_oracle(
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_hilbert_ordering_matches_oracle(dataset: str) -> None:
-    """The loader's sort — keys, stable tie order, and grouping — and the
-    rid-tie-broken order of the ``hilbert`` release strategy."""
+    """The ``(key, rid)`` order of the ``hilbert`` release strategy, and
+    the Hilbert grouping of the bulk-loading ablation built on it."""
     table = _table(dataset, RECORDS)
     records = list(table.records)
     lows, highs = _domain(table)
-    assert hilbert_sorted(records, lows, highs) == (
-        oracles.hilbert_sorted(records, lows, highs)
-    )
     assert hilbert_ordered(records, lows, highs) == (
         oracles.hilbert_ordered(records, lows, highs)
     )
     assert hilbert_partitions(records, lows, highs, 5) == chunk_with_floor(
-        oracles.hilbert_sorted(records, lows, highs), 5
+        oracles.hilbert_ordered(records, lows, highs), 5
     )
     for few in (records[:0], records[:1]):
-        assert hilbert_sorted(few, lows, highs) == few
         assert hilbert_ordered(few, lows, highs) == few
 
 
@@ -186,30 +176,16 @@ def test_hilbert_ordering_matches_oracle(dataset: str) -> None:
 def test_shard_plans_matches_oracle(dataset: str, record_files) -> None:
     """Planner sampling keys through the kernel must place the exact same
     shard boundaries, and the kernel scan must fill the same buckets."""
-    table = _table(dataset, RECORDS)
-    records = list(table.records)
-    lows, highs = _domain(table)
+    lows, highs = _domain(_table(dataset, RECORDS))
     path = record_files[dataset, RECORDS]
     for shards in (2, 5):
-        assert plan_record_shards(records, shards, lows, highs, BITS) == (
-            plan_from_sample(
-                oracles.sample_record_keys(records, lows, highs, BITS),
-                shards,
-                lows,
-                highs,
-                BITS,
-            )
-        )
         plan = plan_file_shards(path, shards, lows, highs, BITS)
         assert plan == oracles.file_shard_plan(path, shards, lows, highs)
-        geometry = (plan.boundaries, plan.lows, plan.highs, plan.bits)
         for start, count in slice_bounds(RECORDS, 3):
-            file_task = ("file", (path, start, count, 0, 64)) + geometry
-            records_task = ("records", records[start : start + count]) + geometry
-            for task in (file_task, records_task):
-                buckets, stats = _scan_slice(task)
-                assert buckets == oracles.scan_slice(task)
-                assert stats["records"] == count
+            task = (path, start, count, 10, 64, plan)
+            buckets, stats = _scan_slice(task)
+            assert buckets == oracles.scan_slice(task)
+            assert stats["records"] == count
 
 
 def test_batch_writer_produces_byte_identical_files(tmp_path, monkeypatch) -> None:

@@ -113,7 +113,7 @@ class TestLeafScan:
 class TestSubtreeScan:
     def make_tree(self, count: int, k: int = 3, seed: int = 1) -> RPlusTree:
         tree = RPlusTree(dimensions=3, k=k, domain_extents=(100.0,) * 3)
-        BufferTreeLoader(tree).load(random_records(count, seed=seed), charge_input=False)
+        BufferTreeLoader(tree).load(random_records(count, seed=seed))
         return tree
 
     def test_floor_and_coverage(self) -> None:

@@ -1,30 +1,26 @@
-"""Units of the sharded parallel engine: planner, stitcher, scan, obs."""
+"""Units of the sharded parallel scan: planner, file scan, obs."""
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.dataset.io import RecordFileReader, write_table
 from repro.dataset.landsend import make_landsend_table
-from repro.index.bulk import DEFAULT_HILBERT_BITS, chunk_with_floor
+from repro.dataset.record import Record
+from repro.dataset.table import Table
+from repro.index.hilbert import hilbert_key, quantize
 from repro.parallel import (
-    ShardRun,
     effective_pool_size,
-    parallel_bulk_load,
-    parallel_hilbert_partitions,
     plan_from_sample,
-    plan_record_shards,
     scan_file_shards,
-    scan_record_shards,
     shard_record_stream,
     slice_bounds,
-    stitched_chunks,
 )
+from tests import oracles
 from tests.conftest import random_records
 
 LOWS = (0.0, 0.0, 0.0)
@@ -36,6 +32,18 @@ def force_pool(monkeypatch):
     """Fork one process per slice even on single-CPU machines, so these
     tests genuinely cross the multiprocessing boundary."""
     monkeypatch.setenv("REPRO_PARALLEL_POOL", "force")
+
+
+@pytest.fixture
+def record_file(tmp_path, schema3):
+    """Stage records in a binary record file; returns its path."""
+
+    def stage(records: list[Record]) -> str:
+        path = str(tmp_path / f"records-{len(records)}.bin")
+        write_table(Table(schema3, records), path)
+        return path
+
+    return stage
 
 
 class TestPoolSizing:
@@ -54,36 +62,30 @@ class TestPoolSizing:
 
 
 class TestPlanner:
-    def test_single_shard_has_no_boundaries(self) -> None:
-        plan = plan_record_shards(random_records(50), 1, LOWS, HIGHS, 10)
-        assert plan.shard_count == 1
-        assert plan.boundaries == ()
-        assert plan.shard_of(0) == 0
+    def test_single_shard_has_no_boundaries(self, record_file) -> None:
+        scan = scan_file_shards(record_file(random_records(50)), LOWS, HIGHS)
+        assert scan.plan.shard_count == 1
+        assert scan.plan.boundaries == ()
+        assert [run.index for run in scan.runs] == [0]
 
     def test_boundaries_are_sample_quantiles(self) -> None:
         plan = plan_from_sample(list(range(100)), 4, LOWS, HIGHS, 10)
         assert plan.boundaries == (25, 50, 75)
-        assert [plan.shard_of(key) for key in (0, 24, 25, 60, 99)] == [
-            0,
-            0,
-            1,
-            2,
-            3,
-        ]
+        assert [
+            bisect_right(plan.boundaries, key) for key in (0, 24, 25, 60, 99)
+        ] == [0, 0, 1, 2, 3]
 
-    def test_equal_keys_land_in_one_shard(self) -> None:
+    def test_equal_keys_land_in_one_shard(self, record_file) -> None:
         """A key equal to a boundary goes right — ties never split a key
         across shards, which the merge-order proof relies on."""
-        plan = plan_from_sample([10] * 100, 4, LOWS, HIGHS, 10)
-        shard = plan.shard_of(10)
-        assert all(plan.shard_of(10) == shard for _ in range(5))
+        records = [Record(rid, (10.0, 10.0, 10.0)) for rid in range(100)]
+        scan = scan_file_shards(record_file(records), LOWS, HIGHS, workers=4)
+        assert [len(run) for run in scan.runs if len(run)] == [100]
 
-    def test_plan_balances_records_roughly(self) -> None:
-        records = random_records(2_000, seed=3)
-        plan = plan_record_shards(records, 4, LOWS, HIGHS, DEFAULT_HILBERT_BITS)
-        counts = [0] * plan.shard_count
-        for record in records:
-            counts[plan.shard_of(plan.key_of(record.point))] += 1
+    def test_plan_balances_records_roughly(self, record_file) -> None:
+        path = record_file(random_records(2_000, seed=3))
+        counts = [len(run) for run in scan_file_shards(path, LOWS, HIGHS, 4).runs]
+        assert len(counts) == 4
         assert sum(counts) == 2_000
         # Quantile planning keeps every shard within ~2x of fair share.
         assert max(counts) <= 2 * (2_000 // 4)
@@ -109,134 +111,67 @@ class TestPlanner:
             slice_bounds(10, 0)
 
 
-class TestStitchedChunks:
-    def _runs(self, records, cuts) -> list[ShardRun]:
-        """Split a record list into ShardRuns at the given positions."""
-        positions = [0, *cuts, len(records)]
-        return [
-            ShardRun(index, list(records[a:b]))
-            for index, (a, b) in enumerate(zip(positions, positions[1:]))
-        ]
-
-    @given(
-        st.integers(1, 12),
-        st.integers(0, 150),
-        st.lists(st.integers(0, 150), max_size=5),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_equals_serial_chunker_for_any_seams(
-        self, k: int, count: int, raw_cuts: list[int]
-    ) -> None:
-        """The seam-repaired chunking of any shard split equals the global
-        chunking of the concatenation — the boundary-repair guarantee."""
-        records = random_records(count, seed=11)
-        cuts = sorted(min(cut, count) for cut in raw_cuts)
-        runs = self._runs(records, cuts)
-        if count < k:
-            with pytest.raises(ValueError):
-                list(stitched_chunks(runs, k))
-            return
-        assert list(stitched_chunks(runs, k)) == chunk_with_floor(records, k)
-
-    def test_straddling_records_bounded_by_2k(self) -> None:
-        """At most 2k-1 records are ever carried across a seam: the carry
-        is the residue of the records so far modulo the 2k chunk size."""
-        k = 7
-        records = random_records(100, seed=12)
-        runs = self._runs(records, [33, 66])
-        consumed = 0
-        for run in runs[:-1]:
-            consumed += len(run.records)
-            assert consumed % (2 * k) < 2 * k
-        assert list(stitched_chunks(runs, k)) == chunk_with_floor(records, k)
-
-    def test_nonpositive_k_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            list(stitched_chunks([ShardRun(0, random_records(5))], 0))
-
-
 class TestScan:
-    def test_runs_are_key_sorted_and_rid_tied(self) -> None:
-        records = random_records(400, seed=13)
-        scan = scan_record_shards(records, LOWS, HIGHS, workers=1, shards=3)
+    def test_runs_are_key_sorted_and_rid_tied(self, record_file) -> None:
+        path = record_file(random_records(400, seed=13))
+        scan = scan_file_shards(path, LOWS, HIGHS, workers=3)
         plan = scan.plan
+        bits = plan.bits
         seen = []
         for run in scan.runs:
-            keyed = [(plan.key_of(r.point), r.rid) for r in run.records]
+            keyed = [
+                (hilbert_key(quantize(r.point, LOWS, HIGHS, bits), bits), r.rid)
+                for r in run.records
+            ]
             assert keyed == sorted(keyed)
             for key, _rid in keyed:
-                assert plan.shard_of(key) == run.index
+                assert bisect_right(plan.boundaries, key) == run.index
             seen.extend(r.rid for r in run.records)
-        assert sorted(seen) == [r.rid for r in records]
+        assert sorted(seen) == list(range(400))
         assert scan.total == 400
 
-    def test_stream_is_worker_count_invariant(self, force_pool) -> None:
-        records = random_records(500, seed=14)
-        reference = None
+    def test_stream_is_worker_count_invariant(self, record_file, force_pool) -> None:
+        """Every worker count streams the file's global ``(key, rid)``
+        order — the scalar oracle's sort of the same records."""
+        path = record_file(random_records(500, seed=14))
+        expected = [
+            r.rid
+            for r in oracles.hilbert_ordered(
+                list(oracles.read_records(path)), LOWS, HIGHS
+            )
+        ]
         for workers in (1, 2, 3, 4):
-            scan = scan_record_shards(records, LOWS, HIGHS, workers=workers)
+            scan = scan_file_shards(path, LOWS, HIGHS, workers=workers)
             stream = [r.rid for r in shard_record_stream(scan.runs)]
-            if reference is None:
-                reference = stream
-            assert stream == reference, f"workers={workers} changed the order"
+            assert stream == expected, f"workers={workers} changed the order"
 
-    def test_shard_count_independent_of_workers(self) -> None:
-        records = random_records(300, seed=15)
-        four = scan_record_shards(records, LOWS, HIGHS, workers=1, shards=4)
-        pooled = scan_record_shards(records, LOWS, HIGHS, workers=2, shards=4)
-        assert [run.records for run in four.runs] == [
-            run.records for run in pooled.runs
-        ]
-
-    def test_file_scan_matches_record_scan(self, tmp_path, schema3, force_pool) -> None:
-        from repro.dataset.table import Table
-
-        records = random_records(350, seed=16)
-        table = Table(schema3, records)
-        path = str(tmp_path / "records.bin")
-        write_table(table, path)
-        from_file = scan_file_shards(path, LOWS, HIGHS, workers=2, shards=3)
-        in_memory = scan_record_shards(records, LOWS, HIGHS, workers=2, shards=3)
-        assert [[r.rid for r in run.records] for run in from_file.runs] == [
-            [r.rid for r in run.records] for run in in_memory.runs
-        ]
-
-    def test_worker_stats_cover_every_record(self) -> None:
-        records = random_records(200, seed=17)
-        scan = scan_record_shards(records, LOWS, HIGHS, workers=2)
+    def test_worker_stats_cover_every_record(self, record_file) -> None:
+        path = record_file(random_records(200, seed=17))
+        scan = scan_file_shards(path, LOWS, HIGHS, workers=2)
         assert sum(int(s["records"]) for s in scan.worker_stats) == 200
         assert all(float(s["seconds"]) >= 0 for s in scan.worker_stats)
 
-    def test_zero_workers_rejected(self) -> None:
+    def test_zero_workers_rejected(self, record_file) -> None:
+        path = record_file(random_records(10))
         with pytest.raises(ValueError):
-            scan_record_shards(random_records(10), LOWS, HIGHS, workers=0)
+            scan_file_shards(path, LOWS, HIGHS, workers=0)
 
-    def test_more_workers_than_records(self) -> None:
-        records = random_records(3, seed=18)
-        scan = scan_record_shards(records, LOWS, HIGHS, workers=8)
+    def test_more_workers_than_records(self, record_file) -> None:
+        path = record_file(random_records(3, seed=18))
+        scan = scan_file_shards(path, LOWS, HIGHS, workers=8)
         assert scan.total == 3
         assert sorted(r.rid for r in shard_record_stream(scan.runs)) == [0, 1, 2]
 
 
 class TestEngineEntryPoints:
-    def test_partitions_raise_below_k(self) -> None:
-        with pytest.raises(ValueError, match="records < k"):
-            parallel_hilbert_partitions(
-                random_records(4), LOWS, HIGHS, k=5, workers=2
-            )
+    def test_bulk_load_counts_and_invariants(self, record_file, schema3) -> None:
+        from repro.core.anonymizer import RTreeAnonymizer
 
-    def test_bulk_load_counts_and_invariants(self) -> None:
         records = random_records(600, seed=19)
-        tree = parallel_bulk_load(
-            records,
-            LOWS,
-            HIGHS,
-            k=5,
-            workers=2,
-            domain_extents=(100.0,) * 3,
-        )
-        tree.check_invariants()
-        assert len(tree) == 600
+        anonymizer = RTreeAnonymizer(Table(schema3, records), base_k=5)
+        assert anonymizer.bulk_load_file(record_file(records), workers=2) == 600
+        anonymizer.tree.check_invariants()
+        assert len(anonymizer.tree) == 600
 
 
 class TestObservability:
@@ -246,19 +181,21 @@ class TestObservability:
         obs.TRACE.disable()
         obs.TRACE.reset()
 
-    def test_parallel_counters_recorded(self) -> None:
+    def test_parallel_counters_recorded(self, record_file) -> None:
+        path = record_file(random_records(300, seed=20))
         obs.enable()
-        records = random_records(300, seed=20)
-        scan_record_shards(records, LOWS, HIGHS, workers=2, shards=2)
+        scan_file_shards(path, LOWS, HIGHS, workers=2)
         assert obs.OBS.counter_value("parallel.shards") == 2
         assert obs.OBS.counter_value("parallel.shard_records") == 300
         assert obs.OBS.counter_value("parallel.worker_records") == 300
         assert obs.OBS.gauge_value("parallel.workers") == 2
 
-    def test_worker_spans_merged_into_parent_trace(self, force_pool) -> None:
+    def test_worker_spans_merged_into_parent_trace(
+        self, record_file, force_pool
+    ) -> None:
+        path = record_file(random_records(300, seed=21))
         obs.TRACE.enable()
-        records = random_records(300, seed=21)
-        scan_record_shards(records, LOWS, HIGHS, workers=2)
+        scan_file_shards(path, LOWS, HIGHS, workers=2)
         names = obs.TRACE.event_names()
         assert "parallel.plan" in names
         assert "parallel.scan" in names
@@ -272,14 +209,6 @@ class TestObservability:
         assert len(workers) == 2
         assert all(event.parent == "parallel.scan" for event in workers)
         assert all(event.duration_us >= 0 for event in workers)
-
-    def test_seam_repair_traced(self) -> None:
-        obs.TRACE.enable()
-        obs.enable()
-        records = random_records(301, seed=22)
-        parallel_hilbert_partitions(records, LOWS, HIGHS, k=5, workers=3)
-        if obs.OBS.counter_value("parallel.seam_records"):
-            assert "parallel.seam_repair" in obs.TRACE.event_names()
 
     def test_record_maps_start_onto_trace_clock(self) -> None:
         import time
@@ -302,8 +231,6 @@ class TestObservability:
 
 class TestFileSliceReads:
     def test_iter_records_slice_matches_full_read(self, tmp_path, schema3) -> None:
-        from repro.dataset.table import Table
-
         records = random_records(100, seed=23)
         path = str(tmp_path / "records.bin")
         write_table(Table(schema3, records), path)
@@ -314,8 +241,6 @@ class TestFileSliceReads:
         assert [r.point for r in part] == [r.point for r in full[30:70]]
 
     def test_slice_rids_reflect_file_position(self, tmp_path, schema3) -> None:
-        from repro.dataset.table import Table
-
         records = random_records(20, seed=24)
         path = str(tmp_path / "records.bin")
         write_table(Table(schema3, records), path)
@@ -324,8 +249,6 @@ class TestFileSliceReads:
         assert [r.rid for r in sliced] == [1_005, 1_006, 1_007]
 
     def test_invalid_slices_rejected(self, tmp_path, schema3) -> None:
-        from repro.dataset.table import Table
-
         path = str(tmp_path / "records.bin")
         write_table(Table(schema3, random_records(10, seed=25)), path)
         reader = RecordFileReader(path)

@@ -1,13 +1,15 @@
 """Serial/parallel differential suite.
 
-The sharded engine's contract is *bit-for-bit equality* with the serial
-Hilbert loaders for every worker count.  This suite enforces it across a
-grid of datasets × k × workers, at four levels:
+The sharded file load's contract is *bit-for-bit equality* across worker
+counts, and with the scalar oracle's ``(key, rid)`` sort of the file.
+This suite enforces it across a grid of datasets × k × workers, at four
+levels:
 
-1. the partition grouping (`parallel_hilbert_partitions` vs
-   `hilbert_partitions`),
-2. the built index (leaf record groups, leaf MBRs, invariants vs
-   `hilbert_bulk_load`),
+1. the Hilbert grouping of the sharded record stream (vs
+   `hilbert_partitions` of the table),
+2. the built index (leaf record groups, leaf MBRs, invariants of
+   ``RTreeAnonymizer.bulk_load_file(path, workers=w)`` vs an anonymizer fed
+   ``tests.oracles.hilbert_ordered`` of the file's records),
 3. the published release through :class:`RTreeAnonymizer` from a staged
    record file (leaf regions, partition boxes and membership, digest),
 4. the privacy/quality verdicts (`is_k_anonymous`, discernibility,
@@ -26,12 +28,13 @@ from repro.dataset.agrawal import make_agrawal_table
 from repro.dataset.census import make_census_table
 from repro.dataset.io import write_table
 from repro.dataset.landsend import make_landsend_table
-from repro.index.bulk import hilbert_bulk_load, hilbert_partitions
+from repro.index.bulk import chunk_with_floor, hilbert_partitions
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.discernibility import discernibility_penalty
 from repro.obs import AUDITOR
-from repro.parallel import parallel_bulk_load, parallel_hilbert_partitions
+from repro.parallel import scan_file_shards, shard_record_stream
 from repro.privacy.kanonymity import is_k_anonymous
+from tests import oracles
 
 RECORDS = 600
 SEED = 7
@@ -66,41 +69,6 @@ def _leaf_mbrs(tree):
     return [leaf.mbr for leaf in tree.leaves()]
 
 
-@pytest.mark.parametrize(("dataset", "k"), GRID)
-def test_partition_grouping_matches_serial(dataset: str, k: int) -> None:
-    table = _table(dataset)
-    records = list(table.records)
-    lows, highs = _domain(table)
-    serial = hilbert_partitions(records, lows, highs, k)
-    for workers in WORKER_COUNTS:
-        parallel = parallel_hilbert_partitions(
-            records, lows, highs, k, workers=workers
-        )
-        assert parallel == serial, (
-            f"{dataset} k={k} workers={workers}: grouping diverged"
-        )
-
-
-@pytest.mark.parametrize(("dataset", "k"), GRID)
-def test_built_tree_matches_serial(dataset: str, k: int) -> None:
-    table = _table(dataset)
-    records = list(table.records)
-    lows, highs = _domain(table)
-    serial = hilbert_bulk_load(records, lows, highs, k)
-    serial_groups = _leaf_groups(serial)
-    serial_mbrs = _leaf_mbrs(serial)
-    for workers in WORKER_COUNTS:
-        tree = parallel_bulk_load(records, lows, highs, k, workers=workers)
-        tree.check_invariants()
-        assert _leaf_groups(tree) == serial_groups, (
-            f"{dataset} k={k} workers={workers}: leaf membership diverged"
-        )
-        assert _leaf_mbrs(tree) == serial_mbrs, (
-            f"{dataset} k={k} workers={workers}: leaf MBRs diverged"
-        )
-        assert len(tree) == len(serial)
-
-
 @pytest.fixture(scope="module")
 def record_files(tmp_path_factory):
     staging = tmp_path_factory.mktemp("differential")
@@ -110,6 +78,59 @@ def record_files(tmp_path_factory):
         write_table(_table(dataset), path)
         paths[dataset] = path
     return paths
+
+
+@pytest.mark.parametrize(("dataset", "k"), GRID)
+def test_partition_grouping_matches_serial(
+    dataset: str, k: int, record_files
+) -> None:
+    """The sharded stream, chunked at the k-floor, is the serial Hilbert
+    grouping of the same records."""
+    table = _table(dataset)
+    lows, highs = _domain(table)
+    serial = hilbert_partitions(list(table.records), lows, highs, k)
+    expected = [[record.rid for record in group] for group in serial]
+    for workers in WORKER_COUNTS:
+        scan = scan_file_shards(record_files[dataset], lows, highs, workers)
+        stream = list(shard_record_stream(scan.runs))
+        grouping = [
+            [record.rid for record in group] for group in chunk_with_floor(stream, k)
+        ]
+        assert grouping == expected, (
+            f"{dataset} k={k} workers={workers}: grouping diverged"
+        )
+
+
+def _assert_tree_matches_oracle(
+    dataset: str, k: int, path: str, worker_counts: tuple[int, ...]
+) -> None:
+    """Leaf membership, leaf MBRs and invariants of the sharded file load
+    against an anonymizer fed the scalar ``(key, rid)`` sort of the file."""
+    table = _table(dataset)
+    lows, highs = _domain(table)
+    oracle = RTreeAnonymizer(table, base_k=k)
+    oracle.bulk_load(
+        oracles.hilbert_ordered(list(oracles.read_records(path)), lows, highs)
+    )
+    reference = oracle.tree
+    reference.check_invariants()
+    for workers in worker_counts:
+        anonymizer = RTreeAnonymizer(table, base_k=k)
+        assert anonymizer.bulk_load_file(path, workers=workers) == RECORDS
+        tree = anonymizer.tree
+        tree.check_invariants()
+        assert _leaf_groups(tree) == _leaf_groups(reference), (
+            f"{dataset} k={k} workers={workers}: leaf membership diverged"
+        )
+        assert _leaf_mbrs(tree) == _leaf_mbrs(reference), (
+            f"{dataset} k={k} workers={workers}: leaf MBRs diverged"
+        )
+        assert len(tree) == len(reference)
+
+
+@pytest.mark.parametrize(("dataset", "k"), GRID)
+def test_built_tree_matches_serial(dataset: str, k: int, record_files) -> None:
+    _assert_tree_matches_oracle(dataset, k, record_files[dataset], WORKER_COUNTS)
 
 
 def _released(dataset: str, k: int, workers: int, path: str):
@@ -165,18 +186,9 @@ def test_release_from_file_matches_serial(dataset: str, k: int, record_files) ->
             )
 
 
-def test_forced_multiprocessing_matches_serial(monkeypatch) -> None:
+def test_forced_multiprocessing_matches_serial(monkeypatch, record_files) -> None:
     """One grid cell with one process per slice forced, so the differential
     crosses the real multiprocessing boundary even on single-CPU machines
     (elsewhere the engine caps the pool at the CPU count)."""
     monkeypatch.setenv("REPRO_PARALLEL_POOL", "force")
-    table = _table("landsend")
-    records = list(table.records)
-    lows, highs = _domain(table)
-    serial = hilbert_bulk_load(records, lows, highs, 5)
-    pooled = parallel_bulk_load(records, lows, highs, 5, workers=4)
-    assert _leaf_groups(pooled) == _leaf_groups(serial)
-    assert _leaf_mbrs(pooled) == _leaf_mbrs(serial)
-    assert parallel_hilbert_partitions(
-        records, lows, highs, 5, workers=4
-    ) == hilbert_partitions(records, lows, highs, 5)
+    _assert_tree_matches_oracle("landsend", 5, record_files["landsend"], (4,))

@@ -139,7 +139,7 @@ def test_leaf_run_releases_match_the_record_list_oracle(
 def test_subtree_scan_runs_flatten_to_the_oracle_groups() -> None:
     """The scan itself, on a tree deep enough to recurse through cuts."""
     tree = RPlusTree(dimensions=3, k=2, max_fanout=3, domain_extents=(100.0,) * 3)
-    BufferTreeLoader(tree).load(random_records(600, seed=4), charge_input=False)
+    BufferTreeLoader(tree).load(random_records(600, seed=4))
     assert tree.height >= 3
     for k1 in (2, 3, 7, 25, 60, 250):
         runs = subtree_scan(tree, k1)

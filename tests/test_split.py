@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.dataset.record import Record
 from repro.index.split import (
     BiasedSplitPolicy,
-    ExhaustiveSplitPolicy,
     MidpointSplitPolicy,
     MinMarginSplitPolicy,
     WeightedSplitPolicy,
@@ -242,7 +241,9 @@ class TestExhaustiveEquivalence:
 
     def test_exhaustive_policy_wrapper(self) -> None:
         records = records_from([(float(i), 0.0) for i in range(12)])
-        decision = ExhaustiveSplitPolicy().choose_split(records, 3, (12.0, 12.0))
+        decision = MinMarginSplitPolicy(max_dimensions=None).choose_split(
+            records, 3, (12.0, 12.0)
+        )
         assert decision is not None
         assert decision.dimension == 0
 

@@ -150,22 +150,12 @@ class Anonymizer:
 
         Returns the number of records consumed.  ``workers`` selects the
         sharded parallel engine for file sources (deterministic for every
-        worker count); it is rejected for in-memory sources, which have no
-        shardable byte ranges.
+        worker count); it is rejected for in-memory sources
+        (:meth:`RTreeAnonymizer.load`).
         """
-        if isinstance(source, (str, Path)):
-            return self._engine.bulk_load_file(
-                str(source),
-                batch_size=batch_size,
-                first_rid=first_rid,
-                workers=workers,
-            )
-        if workers is not None:
-            raise ValueError(
-                "workers= applies only to file sources; in-memory records "
-                "load through the serial buffer-tree path"
-            )
-        return self._engine.bulk_load(source)
+        return self._engine.load(
+            source, workers=workers, batch_size=batch_size, first_rid=first_rid
+        )
 
     def insert(self, record: Record) -> None:
         """Insert one record incrementally."""

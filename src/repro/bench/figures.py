@@ -129,8 +129,8 @@ def fig7a_parallel(
 
     Stages the Lands End table as a binary record file, then bulk-loads it
     through the sharded engine (:mod:`repro.parallel`) at each worker
-    count — workers stream their own slices of the file, key and sort
-    their shards, and the parent loads the concatenated shard runs.  The
+    count — workers stream their own slices of the file and key and sort
+    each into a run, and the parent loads the one merge of the runs.  The
     first row (``workers=1``) is the in-process serial reference; the engine
     guarantees every worker count builds the identical index, so the
     ``digest match`` column must read ``yes`` all the way down — this is

@@ -21,6 +21,7 @@ collusion (Lemma 1) — verified empirically by
 from __future__ import annotations
 
 from functools import reduce
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
@@ -36,7 +37,7 @@ from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.geometry.box import Box
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.leaf_store import PagedLeafStore
-from repro.index.node import Cut, Node, Slot
+from repro.index.node import Cut, LeafNode, Node
 from repro.index.rtree import (
     DEFAULT_CAPACITY_FACTOR,
     DEFAULT_MAX_FANOUT,
@@ -172,6 +173,36 @@ class RTreeAnonymizer:
 
     # -- data ingestion -------------------------------------------------------------
 
+    def load(
+        self,
+        source: Iterable[Record] | Table | str | Path,
+        *,
+        workers: int | None = None,
+        batch_size: int = 8_192,
+        first_rid: int = 0,
+    ) -> int:
+        """Bulk-anonymize a table, record stream, or record file.
+
+        A path loads through :meth:`bulk_load_file`, anything else through
+        :meth:`bulk_load`.  ``workers`` selects the sharded parallel scan,
+        so it applies only to file sources: in-memory records have no
+        file slices to fan out, and passing it for them raises
+        ``ValueError`` rather than silently loading serially.
+        """
+        if isinstance(source, (str, Path)):
+            return self.bulk_load_file(
+                str(source),
+                batch_size=batch_size,
+                first_rid=first_rid,
+                workers=workers,
+            )
+        if workers is not None:
+            raise ValueError(
+                "workers= applies only to file sources; in-memory records "
+                "load through the serial buffer-tree path"
+            )
+        return self.bulk_load(source)
+
     def bulk_load(self, records: Iterable[Record] | Table) -> int:
         """Bulk-anonymize a record stream via the buffer-tree loader (§2.1).
 
@@ -188,18 +219,23 @@ class RTreeAnonymizer:
 
         Members are logged as the loader consumes them and become durable
         only at the final batch-commit — a crash mid-batch discards the
-        whole (unacknowledged) batch rather than half of it.
+        whole (unacknowledged) batch rather than half of it.  If the stream
+        raises, the loader has applied every record it consumed, and each
+        was logged: that prefix is drained into the leaves and sealed
+        before the error propagates, so memory, the WAL and a replay agree.
         """
-        if self._durability is None:
-            return load(stream)
-        self._durability.begin_batch()
+        durability = self._durability
+        if durability is not None:
+            durability.begin_batch()
+            stream = self._log_batch_members(stream)
         try:
-            consumed = load(self._log_batch_members(stream))
+            return load(stream)
         except BaseException:
-            self._durability.abort_batch()
+            self._loader.drain()
             raise
-        self._durability.commit_batch()
-        return consumed
+        finally:
+            if durability is not None:
+                durability.commit_batch()
 
     def _log_batch_members(self, stream: Iterable[Record]) -> Iterable[Record]:
         assert self._durability is not None
@@ -224,14 +260,14 @@ class RTreeAnonymizer:
 
         ``workers`` switches on the sharded parallel scan
         (:mod:`repro.parallel`): the file is split into one contiguous
-        Hilbert-key shard range per worker, a worker pool keys and sorts
-        each shard from its own slice of the file, and the loader consumes
-        the concatenated shard runs — one ``(key, rid)``-ordered stream.
-        The resulting index is bit-for-bit identical for *every* worker
-        count (``workers=1`` runs the same pipeline in-process and is the
-        serial reference).  Note the sharded path loads in Hilbert order,
-        not file order, so ``workers=None`` (the file-order stream) builds a
-        different — equally valid — tree than ``workers=1``.
+        record slice per worker, a worker pool keys and sorts each slice
+        into a run, and the loader consumes the one merge of the runs — a
+        single ``(key, rid)``-ordered stream.  The resulting index is
+        bit-for-bit identical for *every* worker count (``workers=1`` runs
+        the same pipeline in-process and is the serial reference).  Note
+        the sharded path loads in Hilbert order, not file order, so
+        ``workers=None`` (the file-order stream) builds a different —
+        equally valid — tree than ``workers=1``.
         """
         from repro.dataset.io import RecordFileReader
 
@@ -247,7 +283,7 @@ class RTreeAnonymizer:
                     batch_size, first_rid=first_rid
                 )
             else:
-                scan = parallel.scan_file_shards(
+                stream = parallel.scan_file_shards(
                     path,
                     self._schema.domain_lows(),
                     self._schema.domain_highs(),
@@ -255,7 +291,6 @@ class RTreeAnonymizer:
                     batch_size=batch_size,
                     first_rid=first_rid,
                 )
-                stream = parallel.shard_record_stream(scan.runs)
             return self._logged_batch(self._loader.load, stream)
 
     def insert_batch(self, records: Iterable[Record] | Table) -> int:
@@ -468,39 +503,34 @@ class RTreeAnonymizer:
         """The leaves' disjoint region boxes, in leaf order.
 
         Regions are reconstructed by pushing the schema's domain box down
-        through the cut trees; they tile the domain exactly (tested by the
-        property suite) and are what "uncompacted" releases publish.
+        through the cut trees — one explicit-stack walk in
+        :meth:`~repro.index.rtree.RPlusTree.leaves` order carrying
+        lows/highs tuples, one ``Box`` per leaf.  They tile the domain
+        exactly (tested by the property suite) and are what "uncompacted"
+        releases publish.
         """
         root = self._tree.root
         if root is None:
             return []
-        domain = Box(self._schema.domain_lows(), self._schema.domain_highs())
         regions: list[Box] = []
-        self._collect_regions(root, domain, regions)
+        stack: list[tuple[Node | Cut, tuple[float, ...], tuple[float, ...]]] = [
+            (root, self._schema.domain_lows(), self._schema.domain_highs())
+        ]
+        while stack:
+            item, lows, highs = stack.pop()
+            if isinstance(item, Cut):
+                dimension, value = item.dimension, item.value
+                left_highs = list(highs)
+                left_highs[dimension] = min(value, highs[dimension])
+                right_lows = list(lows)
+                right_lows[dimension] = max(value, lows[dimension])
+                stack.append((item.right.inner, tuple(right_lows), highs))
+                stack.append((item.left.inner, lows, tuple(left_highs)))
+            elif isinstance(item, LeafNode):
+                regions.append(Box(lows, highs))
+            else:
+                stack.append((item.cuts.inner, lows, highs))  # type: ignore[union-attr]
         return regions
-
-    def _collect_regions(self, node: Node, region: Box, out: list[Box]) -> None:
-        if node.is_leaf:
-            out.append(region)
-            return
-        self._collect_cut_regions(node.cuts, region, out)  # type: ignore[union-attr]
-
-    def _collect_cut_regions(self, slot: Slot, region: Box, out: list[Box]) -> None:
-        item = slot.inner
-        if isinstance(item, Cut):
-            dimension, value = item.dimension, item.value
-            left_highs = list(region.highs)
-            left_highs[dimension] = min(value, region.highs[dimension])
-            right_lows = list(region.lows)
-            right_lows[dimension] = max(value, region.lows[dimension])
-            self._collect_cut_regions(
-                item.left, Box(region.lows, tuple(left_highs)), out
-            )
-            self._collect_cut_regions(
-                item.right, Box(tuple(right_lows), region.highs), out
-            )
-        else:
-            self._collect_regions(item, region, out)
 
     # -- durability --------------------------------------------------------------------
 

@@ -173,8 +173,9 @@ class DurabilityManager:
     def log_batched_insert(self, record: Record) -> int:
         if self._open_batch is None:
             raise RuntimeError("no open batch; call begin_batch() first")
+        lsn = self._wal.append_insert(record, batched=True)
         self._open_batch += 1
-        return self._wal.append_insert(record, batched=True)
+        return lsn
 
     def commit_batch(self) -> int:
         """Seal the open batch with one fsynced batch-commit frame."""
@@ -183,14 +184,10 @@ class DurabilityManager:
         count, self._open_batch = self._open_batch, None
         return self._wal.append_batch_commit(count)
 
-    def abort_batch(self) -> None:
-        """Drop an open batch: its members stay unsealed and unrecoverable."""
-        self._open_batch = None
-
     def _assert_no_open_batch(self, action: str) -> None:
         if self._open_batch is not None:
             raise RuntimeError(
-                f"cannot {action} while a batch is open; commit or abort it first"
+                f"cannot {action} while a batch is open; commit it first"
             )
 
     # -- checkpoints ---------------------------------------------------------

@@ -127,24 +127,33 @@ class BufferTreeLoader:
         consumed = 0
         pending: list[Record] = []
         self._tree.begin_bulk()
-        for record in records:
-            consumed += 1
-            # Bootstrap: while the tree is a bare leaf, insert directly.
-            root = self._tree.root
-            if root is None or root.is_leaf:
-                self._tree.insert(record)
-                continue
-            pending.append(record)
-            if len(pending) >= self._records_per_page:
-                self._push_to_buffer(root, pending)  # type: ignore[arg-type]
-                pending = []
-                # The streaming discipline of the algorithm: the moment the
-                # root buffer breaches its page budget, its records are
-                # "re-activated" and pushed down — the tree grows steadily
-                # instead of swallowing the whole input in one flush.
-                buffer = self._buffers.get(root.node_id)
-                if buffer is not None and self._over_budget(buffer):
-                    self._flush(buffer)
+        try:
+            for record in records:
+                consumed += 1
+                # Bootstrap: while the tree is a bare leaf, insert directly.
+                root = self._tree.root
+                if root is None or root.is_leaf:
+                    self._tree.insert(record)
+                    continue
+                pending.append(record)
+                if len(pending) >= self._records_per_page:
+                    self._push_to_buffer(root, pending)  # type: ignore[arg-type]
+                    pending = []
+                    # The streaming discipline of the algorithm: the moment
+                    # the root buffer breaches its page budget, its records
+                    # are "re-activated" and pushed down — the tree grows
+                    # steadily instead of swallowing the whole input in one
+                    # flush.
+                    buffer = self._buffers.get(root.node_id)
+                    if buffer is not None and self._over_budget(buffer):
+                        self._flush(buffer)
+        finally:
+            # Also when the stream raises: every consumed record is applied.
+            self._finish_batch(pending, consumed)
+        return consumed
+
+    def _finish_batch(self, pending: list[Record], consumed: int) -> None:
+        """Deliver the batch's last partial page and settle the root buffer."""
         root = self._tree.root
         if pending:
             if root is not None and not root.is_leaf:
@@ -164,7 +173,6 @@ class BufferTreeLoader:
             buffer = self._buffers.get(root.node_id)
             if buffer is not None and self._over_budget(buffer):
                 self._flush(buffer)
-        return consumed
 
     def drain(self) -> None:
         """Clear every buffer, top level first, until all records reach leaves.

@@ -14,7 +14,9 @@ partitions they produce.
 
 :func:`hilbert_ordered` is also the sort of the ``"hilbert"`` release
 strategy, and its ``(key, rid)`` order is the stream the sharded file load
-(:mod:`repro.parallel`) feeds the buffer-tree loader.
+(:mod:`repro.parallel`) feeds the buffer-tree loader: each worker sorts
+its file slice into that order, and one merge of the slices' runs
+yields it for the whole file.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def hilbert_keys(cells: np.ndarray, bits: int) -> np.ndarray:
 
     Element-wise equal to ``repro.index.hilbert.hilbert_key`` on each row.
     Returns a uint64 vector when ``dims * bits <= 64``, else an object
-    vector of Python ints (the keys only feed sorting and bisection, both
+    vector of Python ints (the keys only feed sorting and merging, both
     of which compare uint64 and int interchangeably).
     """
     grid = np.ascontiguousarray(cells, dtype=np.uint64)
@@ -138,7 +138,7 @@ def hilbert_keys_for_points(
 ) -> np.ndarray:
     """Quantize and key an ``(N, dims)`` point batch in one call.
 
-    The fused form the bulk-load and shard-scan call sites use; equal to
+    The fused form the bulk-load and sharded-scan call sites use; equal to
     ``hilbert_key(quantize(point, lows, highs, bits), bits)`` row-wise.
     """
     return hilbert_keys(quantize_batch(points, lows, highs, bits), bits)

@@ -148,10 +148,9 @@ SPAN_NAMES: tuple[str, ...] = (
     "bulk.hilbert_order",
     "bulk.str_partition",
     "pool.flush",
-    "parallel.plan",
     "parallel.scan",
     "parallel.worker",
-    "parallel.shard_merge",
+    "parallel.merge",
 )
 
 #: Histogram names pre-registered alongside the counters.

@@ -1,141 +1,106 @@
 """The sharded parallel scan behind ``RTreeAnonymizer.bulk_load_file(workers=N)``.
 
-The pipeline has three stages:
+The pipeline has three steps:
 
-1. **Plan** (:mod:`repro.parallel.planner`): a sampled key-quantile pass
-   splits the key space into ``P`` contiguous Hilbert-key ranges, one per
-   worker.
-2. **Scan** (`multiprocessing` worker pool): each worker streams one
-   contiguous *file slice* through :class:`~repro.dataset.io.RecordFileReader`
-   offsets (no slice is ever materialized in the parent), computes every
-   record's Hilbert key, range-partitions its slice across the ``P``
-   shards, and sorts each sub-run by ``(key, rid)``.  Keying and sorting —
-   the per-record heavy lifting of a Hilbert-ordered load — thus
-   parallelize across all workers.
-3. **Merge**: the parent merges each shard's sub-runs (cheap ``O(N log P)``
-   heap merge over pre-computed keys).  :func:`shard_record_stream` then
-   concatenates the shards in key order, and the anonymizer feeds that one
-   stream through its buffer-tree loader.  The loader needs no seam repair:
-   it sees one global stream, and the tree's leaf floor gives k.
+1. **Slice**: :func:`slice_bounds` splits the file's records into ``P``
+   contiguous, near-equal record-offset slices, one per worker.
+2. **Sort** (`multiprocessing` worker pool): each worker streams its slice
+   through :class:`~repro.dataset.io.RecordFileReader` offsets (no slice
+   is ever materialized in the parent), keys every page with the batch
+   Hilbert kernel, builds the slice's records and sorts them by
+   ``(key, rid)`` into one run.  Keying and sorting — the per-record heavy
+   lifting of a Hilbert-ordered load — thus parallelize across all
+   workers.
+3. **Merge**: the parent merges the ``P`` runs once (``heapq.merge`` over
+   the pre-computed keys, ``O(N log P)``), and the anonymizer feeds that
+   one stream through its buffer-tree loader.
 
-**Determinism guarantee.**  For a fixed input the stream is the one global
-``(key, rid)`` order — what :func:`repro.index.bulk.hilbert_ordered` sorts
-the same records into — *regardless of the worker count or the shard
-boundaries*, because each shard holds a contiguous key range and ties
-never straddle a boundary.  The loaded tree is a deterministic function of
-that stream, so it is identical for every worker count; the
+**Determinism guarantee.**  Rids are unique, so ``(key, rid)`` is a total
+order, and merging sorted runs yields the one sorted sequence: the stream
+is the global ``(key, rid)`` order — what
+:func:`repro.index.bulk.hilbert_ordered` sorts the same records into —
+*regardless of the worker count*.  The loaded tree is a deterministic
+function of that stream, so it is identical for every worker count; the
 serial/parallel differential suite asserts this leaf for leaf and release
 for release.
 
 Why the parent replays the tree build rather than stitching worker-built
-subtrees under a shared root: Hilbert-key shard seams are not axis-aligned
-(a contiguous key range is a union of curve cells, not a box), so
-independently built R⁺-subtrees could never be joined by the binary-cut
-machinery without violating the disjoint-region invariant.  Shipping the
-*sorted runs* back instead keeps the structural pass serial while the
-per-record work (keying, sorting) runs fan-out.
+subtrees under a shared root: a worker's records are a file slice, not a
+region of space, so independently built R⁺-subtrees would overlap and
+could never be joined by the binary-cut machinery without violating the
+disjoint-region invariant.  Shipping the *sorted runs* back instead keeps
+the structural pass serial while the per-record work (keying, sorting)
+runs fan-out.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-import numpy as np
-
+from repro import obs
 from repro.dataset.record import Record
 from repro.index.bulk import DEFAULT_HILBERT_BITS
 from repro.kernels.hilbert import hilbert_keys_for_points
-from repro import obs
-from repro.obs import OBS, TRACE, span
-from repro.parallel.planner import (
-    ShardPlan,
-    plan_file_shards,
-    slice_bounds,
-)
+from repro.obs import OBS, span
 
-#: A worker's output for one (slice, shard) cell: (key, record) pairs
-#: sorted by (key, rid).
-_SubRun = list[tuple[int, Record]]
+def slice_bounds(total: int, slices: int) -> list[tuple[int, int]]:
+    """Split ``total`` records into contiguous, near-equal (start, count) slices.
 
-
-@dataclass
-class ShardRun:
-    """One shard's records, merged across workers, in global Hilbert order."""
-
-    index: int
-    records: list[Record]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass
-class ShardScan:
-    """The full scan result: the plan, the per-shard runs, worker stats."""
-
-    plan: ShardPlan
-    runs: list[ShardRun] = field(default_factory=list)
-    worker_stats: list[dict[str, object]] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return sum(len(run) for run in self.runs)
+    The engine hands one slice to each worker; together the slices tile
+    ``[0, total)`` exactly, in order.
+    """
+    if slices < 1:
+        raise ValueError("slices must be at least 1")
+    slices = min(slices, max(1, total))
+    base, extra = divmod(total, slices)
+    bounds: list[tuple[int, int]] = []
+    start = 0
+    for index in range(slices):
+        count = base + (1 if index < extra else 0)
+        bounds.append((start, count))
+        start += count
+    return bounds
 
 
 # -- worker side ------------------------------------------------------------
 
 
-def _scan_slice(task: tuple) -> tuple[list[_SubRun], dict[str, object]]:
-    """One worker's job: stream a file slice, key, range-partition, sort.
+def _scan_slice(task: tuple) -> tuple[list[Record], list[int], float]:
+    """One worker's job: stream a file slice, key it, sort it into one run.
 
     Module-level so it pickles under every multiprocessing start method.
-    ``task`` is (path, start, count, first_rid, batch_size, plan): the
-    worker opens its own reader and streams the slice by record offsets,
-    one decoded page at a time.  Each page is keyed by the batch Hilbert
-    kernel and bucketed by ``np.searchsorted(..., side="right")``, which is
-    ``bisect_right`` over the plan's boundaries.
+    ``task`` is (path, start, count, first_rid, batch_size, lows, highs):
+    the worker opens its own reader and streams the slice by record
+    offsets, one decoded page at a time.  Returns the slice's records
+    sorted by ``(key, rid)``, their keys in that order, and the worker's
+    own seconds.  Rids grow with file position, so a stable sort on the
+    key alone is the ``(key, rid)`` sort.
     """
     from repro.dataset.io import RecordFileReader
 
     started = time.perf_counter()
-    path, start, count, first_rid, batch_size, plan = task
-    boundaries = plan.boundaries
-    buckets: list[_SubRun] = [[] for _ in range(plan.shard_count)]
-    scanned = 0
+    path, start, count, first_rid, batch_size, lows, highs = task
+    keys: list[int] = []
+    records: list[Record] = []
     for position, points in RecordFileReader(path).iter_point_batches(
         batch_size, start=start, count=count
     ):
-        if points.shape[0] == 0:
-            continue
-        keys = hilbert_keys_for_points(points, plan.lows, plan.highs, plan.bits)
-        if boundaries:
-            # Keep the comparison in exact integer arithmetic: uint64 keys
-            # search uint64 boundaries; >64-bit keys (object arrays of
-            # Python ints) search an object boundary array.
-            if keys.dtype == np.uint64:
-                edges = np.asarray(boundaries, dtype=np.uint64)
-            else:
-                edges = np.array(boundaries, dtype=object)
-            shard_of = np.searchsorted(edges, keys, side="right").tolist()
-        else:
-            shard_of = [0] * points.shape[0]
+        keyed = hilbert_keys_for_points(points, lows, highs, DEFAULT_HILBERT_BITS)
+        keys.extend(keyed.tolist())
         rid = first_rid + position
-        for key, shard, row in zip(keys.tolist(), shard_of, points.tolist()):
-            buckets[shard].append((key, Record(rid, tuple(row))))
-            rid += 1
-        scanned += points.shape[0]
-    for bucket in buckets:
-        bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
-    stats: dict[str, object] = {
-        "records": scanned,
-        "per_shard": [len(bucket) for bucket in buckets],
-        "seconds": time.perf_counter() - started,
-    }
-    return buckets, stats
+        records.extend(
+            Record(rid + offset, tuple(row))
+            for offset, row in enumerate(points.tolist())
+        )
+    # A record's key sits at its position in the slice, rid - slice_rid.
+    slice_rid = first_rid + start
+    records.sort(key=lambda record: keys[record.rid - slice_rid])
+    keys.sort()  # now the run's keys, in run order
+    return records, keys, time.perf_counter() - started
 
 
 def _mp_context():
@@ -154,8 +119,8 @@ def effective_pool_size(workers: int, tasks: int) -> int:
     Capped at the machine's CPU count: the slices are CPU-bound, so a pool
     wider than the hardware only time-shares one core and pays fork,
     pickle and scheduling overhead for nothing — ``workers`` still sets
-    the slice/shard layout (and therefore nothing about the output, which
-    is identical for every worker count), only the process fan-out is
+    the slice layout (and therefore nothing about the output, which is
+    identical for every worker count), only the process fan-out is
     clamped.  Set ``REPRO_PARALLEL_POOL=force`` to fork one process per
     slice regardless (the test suite uses this to exercise the
     multiprocessing path even on single-CPU machines).
@@ -167,64 +132,34 @@ def effective_pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _run_slices(
-    tasks: list[tuple], workers: int
-) -> list[tuple[list[_SubRun], dict[str, object]]]:
-    """Run the slice scans — pooled, or in-process when a pool cannot help."""
-    size = effective_pool_size(workers, len(tasks))
-    if size <= 1:
-        return [_scan_slice(task) for task in tasks]
-    with _mp_context().Pool(size) as pool:
-        return pool.map(_scan_slice, tasks)
-
-
 # -- parent side ------------------------------------------------------------
 
 
 def _scan_slices(
     tasks: list[tuple], workers: int, records: int
-) -> list[tuple[list[_SubRun], dict[str, object]]]:
-    """Run the slice scans under one ``parallel.scan`` span.
+) -> list[tuple[list[Record], list[int], float]]:
+    """Sort every slice — pooled, or in-process when a pool cannot help.
 
-    Each worker's own scan time comes back in its stats and is reported
-    as a ``parallel.worker`` span under the scan, starting at dispatch.
+    Runs under one ``parallel.scan`` span.  Each worker's own time comes
+    back with its run and is reported as a ``parallel.worker`` span under
+    the scan, starting at dispatch.
     """
     if OBS.enabled:
         OBS.gauge("parallel.workers", workers)
     with span("parallel.scan", workers=workers, records=records) as scan:
-        results = _run_slices(tasks, workers)
-        for index, (_buckets, stats) in enumerate(results):
-            stats["slice"] = index
+        size = effective_pool_size(workers, len(tasks))
+        if size <= 1:
+            results = [_scan_slice(task) for task in tasks]
+        else:
+            with _mp_context().Pool(size) as pool:
+                results = pool.map(_scan_slice, tasks)
+        for index, (run, _keys, seconds) in enumerate(results):
             obs.record(
-                "parallel.worker",
-                scan.start,
-                stats["seconds"],  # type: ignore[arg-type]
-                slice=index,
-                records=stats["records"],
+                "parallel.worker", scan.start, seconds, slice=index, records=len(run)
             )
             if OBS.enabled:
-                OBS.count("parallel.worker_records", int(stats["records"]))  # type: ignore[arg-type]
+                OBS.count("parallel.worker_records", len(run))
     return results
-
-
-def _merge(
-    plan: ShardPlan, results: list[tuple[list[_SubRun], dict[str, object]]]
-) -> ShardScan:
-    """Merge per-worker sub-runs into shard runs."""
-    scan = ShardScan(plan)
-    scan.worker_stats.extend(stats for _buckets, stats in results)
-    for shard in range(plan.shard_count):
-        with span("parallel.shard_merge", shard=shard):
-            merged = heapq.merge(
-                *(buckets[shard] for buckets, _stats in results),
-                key=lambda pair: (pair[0], pair[1].rid),
-            )
-            records = [record for _key, record in merged]
-        if OBS.enabled:
-            OBS.count("parallel.shards")
-            OBS.count("parallel.shard_records", len(records))
-        scan.runs.append(ShardRun(shard, records))
-    return scan
 
 
 def scan_file_shards(
@@ -234,37 +169,33 @@ def scan_file_shards(
     workers: int = 1,
     batch_size: int = 8_192,
     first_rid: int = 0,
-) -> ShardScan:
-    """Plan and scan a record file into ``workers`` sorted shard runs.
+) -> list[Record]:
+    """A record file's records in ``(key, rid)`` order, sorted by ``workers``.
 
-    Workers stream disjoint record-offset slices of the file themselves —
-    the parent never reads the input, only the workers' sorted runs.
+    Workers sort disjoint record-offset slices of the file themselves —
+    the parent never reads the input, only the workers' sorted runs, which
+    it merges once.
     """
     from repro.dataset.io import RecordFileReader
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    reader = RecordFileReader(path)
-    with span("parallel.plan", shards=workers):
-        plan = plan_file_shards(
-            path, workers, lows, highs, DEFAULT_HILBERT_BITS, batch_size=batch_size
-        )
+    total = len(RecordFileReader(path))
     tasks = [
-        (str(path), start, count, first_rid, batch_size, plan)
-        for start, count in slice_bounds(len(reader), workers)
+        (str(path), start, count, first_rid, batch_size, tuple(lows), tuple(highs))
+        for start, count in slice_bounds(total, workers)
     ]
-    return _merge(plan, _scan_slices(tasks, workers, len(reader)))
-
-
-def shard_record_stream(runs: Iterable[ShardRun]) -> Iterator[Record]:
-    """The shards flattened back into one global Hilbert-ordered stream.
-
-    Because the shards hold contiguous, ascending key ranges, concatenating
-    their merged runs *is* the global ``(key, rid)`` sort.
-    """
-    for run in runs:
-        if TRACE.enabled:
-            TRACE.instant(
-                "parallel.shard_stream", shard=run.index, records=len(run)
-            )
-        yield from run.records
+    runs = _scan_slices(tasks, workers, total)
+    if OBS.enabled:
+        OBS.count("parallel.shards", len(runs))
+        OBS.count("parallel.shard_records", sum(len(run) for run, _k, _s in runs))
+    if len(runs) == 1:
+        return runs[0][0]
+    with span("parallel.merge", runs=len(runs)):
+        # heapq.merge is a stable sorted(chain(*runs)): equal keys from
+        # different runs come out in run order, and the slices hold
+        # ascending rid ranges, so ties come out in rid order.
+        merged = heapq.merge(
+            *(zip(keys, run) for run, keys, _seconds in runs), key=itemgetter(0)
+        )
+        return [record for _key, record in merged]

@@ -284,30 +284,21 @@ class AnonymizerService:
         duration.
         """
         self._assert_open()
+        is_file = isinstance(source, (str, Path))
+        if self._journal is not None and not is_file:
+            # Journaled mode materializes so the replay sees the same
+            # records (journal=True is a test facility).
+            source = tuple(source.records if isinstance(source, Table) else source)
         with self._write_lock:
-            if isinstance(source, (str, Path)):
-                consumed = self._engine.bulk_load_file(
-                    str(source),
-                    batch_size=batch_size,
-                    first_rid=first_rid,
-                    workers=workers,
-                )
+            consumed = self._engine.load(
+                source, workers=workers, batch_size=batch_size, first_rid=first_rid
+            )
+            if is_file:
                 self._journal_append(
                     ("bulk_load_file", str(source), batch_size, first_rid, workers)
                 )
             else:
-                if self._journal is not None:
-                    # Journaled mode materializes so the replay sees the
-                    # same records (journal=True is a test facility).
-                    stream = (
-                        source.records
-                        if isinstance(source, Table)
-                        else tuple(source)
-                    )
-                    consumed = self._engine.bulk_load(stream)
-                    self._journal_append(("bulk_load", tuple(stream)))
-                else:
-                    consumed = self._engine.bulk_load(source)
+                self._journal_append(("bulk_load", source))
             self._bump_epoch()
         return consumed
 

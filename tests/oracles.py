@@ -2,8 +2,8 @@
 
 Each function here is the plain-Python form of an operation whose only
 production path is a numpy kernel: the per-record ``struct`` page decoder,
-the ``hilbert_key(quantize(...))`` sort, the stride sampler, the shard
-scan and the exhaustive NCP split search — plus the record-list
+the ``hilbert_key(quantize(...))`` sort (of a whole file, or of one
+sharded-scan slice) and the exhaustive NCP split search — plus the record-list
 forms of the release path (the subtree scan and the per-record
 compaction) that production replaced with runs of whole leaves.  They
 exist only so the differential suites can hold the production code to
@@ -13,7 +13,6 @@ them record for record; nothing in ``src`` calls them.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -26,7 +25,6 @@ from repro.geometry.box import Box
 from repro.index.hilbert import hilbert_key, quantize
 from repro.index.node import Cut, InternalNode, LeafNode
 from repro.index.split import SplitDecision
-from repro.parallel.planner import DEFAULT_SAMPLE_SIZE, ShardPlan, plan_from_sample
 
 if TYPE_CHECKING:
     from repro.core.anonymizer import RTreeAnonymizer
@@ -78,51 +76,6 @@ def hilbert_ordered(
     return sorted(
         records,
         key=lambda record: (_key(record.point, lows, highs, bits), record.rid),
-    )
-
-
-def sample_file_keys(
-    path: str | Path,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int,
-) -> list[int]:
-    stride = max(1, len(RecordFileReader(path)) // DEFAULT_SAMPLE_SIZE)
-    return [
-        _key(record.point, lows, highs, bits)
-        for index, record in enumerate(read_records(path))
-        if index % stride == 0
-    ]
-
-
-def scan_slice(task: tuple) -> list[list[tuple[int, Record]]]:
-    """The shard scan's buckets for one task tuple, record by record.
-
-    Takes the production task layout (path, start, count, first_rid,
-    batch_size, plan) and returns each shard's ``(key, record)`` pairs
-    sorted by ``(key, rid)``.
-    """
-    path, start, count, first_rid, batch_size, plan = task
-    buckets: list[list[tuple[int, Record]]] = [
-        [] for _ in range(plan.shard_count)
-    ]
-    for record in read_records(path, batch_size, first_rid, start, count):
-        key = _key(record.point, plan.lows, plan.highs, plan.bits)
-        buckets[bisect_right(plan.boundaries, key)].append((key, record))
-    for bucket in buckets:
-        bucket.sort(key=lambda pair: (pair[0], pair[1].rid))
-    return buckets
-
-
-def file_shard_plan(
-    path: str | Path,
-    shards: int,
-    lows: Sequence[float],
-    highs: Sequence[float],
-    bits: int = DEFAULT_HILBERT_BITS,
-) -> ShardPlan:
-    return plan_from_sample(
-        sample_file_keys(path, lows, highs, bits), shards, lows, highs, bits
     )
 
 

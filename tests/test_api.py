@@ -110,6 +110,16 @@ def test_load_rejects_workers_for_in_memory_sources(schema3):
         handle.load(table, workers=2)
 
 
+def test_service_load_rejects_workers_for_in_memory_sources(schema3):
+    """Both handles share one load dispatch: no silent serial fallback."""
+    table = Table(schema3, tuple(random_records(50, seed=1)))
+    with api.serve(table, base_k=5) as service:
+        with pytest.raises(ValueError, match="file sources"):
+            service.load(table, workers=2)
+        assert len(service) == 0
+        assert service.load(table) == 50
+
+
 def test_incremental_ops_round_trip(schema3):
     table = Table(schema3, tuple(random_records(100, seed=5)))
     handle = api.open(table, base_k=5)

@@ -1,6 +1,6 @@
 """Production-vs-oracle differential suite for the numpy kernel paths.
 
-Page decode, Hilbert keying, shard sampling and the shard scan each have
+Page decode, Hilbert keying and the sharded scan's slice sort each have
 one production path, a numpy kernel.  This suite holds every one of them
 to the scalar reference code in ``tests/oracles.py``, end to end and
 level by level:
@@ -11,7 +11,7 @@ level by level:
   the file), compared at the four levels of the serial/parallel
   differential suite: leaf regions, partition boxes and membership, the
   release digest, and the audit record (modulo its sequence field);
-* the Hilbert order, the shard plans and the shard-scan buckets;
+* the Hilbert order, and each slice's sorted run;
 * page decode and encode, byte for byte.
 
 One small cell runs in tier-1 on every push; the full grid carries the
@@ -38,8 +38,7 @@ from repro.index.bulk import (
     hilbert_partitions,
 )
 from repro.obs import AUDITOR
-from repro.parallel.engine import _scan_slice
-from repro.parallel.planner import plan_file_shards, slice_bounds
+from repro.parallel.engine import _scan_slice, slice_bounds
 from tests import oracles
 
 RECORDS = 600
@@ -173,19 +172,23 @@ def test_hilbert_ordering_matches_oracle(dataset: str) -> None:
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_shard_plans_matches_oracle(dataset: str, record_files) -> None:
-    """Planner sampling keys through the kernel must place the exact same
-    shard boundaries, and the kernel scan must fill the same buckets."""
+def test_slice_runs_match_oracle(dataset: str, record_files) -> None:
+    """Each slice the sharded scan sorts through the kernel must come back
+    as the scalar ``(key, rid)`` sort of that slice's records, keyed by the
+    scalar Hilbert keys."""
     lows, highs = _domain(_table(dataset, RECORDS))
     path = record_files[dataset, RECORDS]
-    for shards in (2, 5):
-        plan = plan_file_shards(path, shards, lows, highs, BITS)
-        assert plan == oracles.file_shard_plan(path, shards, lows, highs)
-        for start, count in slice_bounds(RECORDS, 3):
-            task = (path, start, count, 10, 64, plan)
-            buckets, stats = _scan_slice(task)
-            assert buckets == oracles.scan_slice(task)
-            assert stats["records"] == count
+    for start, count in slice_bounds(RECORDS, 3):
+        task = (path, start, count, 10, 64, lows, highs)
+        run, keys, seconds = _scan_slice(task)
+        expected = oracles.hilbert_ordered(
+            list(oracles.read_records(path, 64, 10, start, count)), lows, highs
+        )
+        assert run == expected
+        assert keys == [
+            oracles._key(record.point, lows, highs, BITS) for record in expected
+        ]
+        assert seconds >= 0
 
 
 def test_batch_writer_produces_byte_identical_files(tmp_path, monkeypatch) -> None:
@@ -211,7 +214,7 @@ def test_batch_writer_produces_byte_identical_files(tmp_path, monkeypatch) -> No
 
 def test_batch_reader_yields_the_scalar_rows(tmp_path) -> None:
     """Every read surface — pages, points, records, and the slice windows
-    the shard scanners use — against the ``struct`` page decoder."""
+    the slice scanners use — against the ``struct`` page decoder."""
     table = _table("census", RECORDS)
     path = tmp_path / "census.records"
     write_table(table, path)

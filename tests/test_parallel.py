@@ -1,9 +1,8 @@
-"""Units of the sharded parallel scan: planner, file scan, obs."""
+"""Units of the sharded parallel scan: slice plan, slice sort and merge, obs."""
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 
 import pytest
 
@@ -12,14 +11,9 @@ from repro.dataset.io import RecordFileReader, write_table
 from repro.dataset.landsend import make_landsend_table
 from repro.dataset.record import Record
 from repro.dataset.table import Table
+from repro.index.bulk import DEFAULT_HILBERT_BITS as BITS
 from repro.index.hilbert import hilbert_key, quantize
-from repro.parallel import (
-    effective_pool_size,
-    plan_from_sample,
-    scan_file_shards,
-    shard_record_stream,
-    slice_bounds,
-)
+from repro.parallel import effective_pool_size, scan_file_shards, slice_bounds
 from tests import oracles
 from tests.conftest import random_records
 
@@ -62,37 +56,21 @@ class TestPoolSizing:
 
 
 class TestPlanner:
+    """The slice plan: contiguous, near-equal record-offset slices."""
+
     def test_single_shard_has_no_boundaries(self, record_file) -> None:
-        scan = scan_file_shards(record_file(random_records(50)), LOWS, HIGHS)
-        assert scan.plan.shard_count == 1
-        assert scan.plan.boundaries == ()
-        assert [run.index for run in scan.runs] == [0]
+        """One worker is one slice, sorted as is: the oracle's sort."""
+        path = record_file(random_records(50))
+        assert slice_bounds(50, 1) == [(0, 50)]
+        stream = scan_file_shards(path, LOWS, HIGHS)
+        expected = list(oracles.read_records(path))
+        assert stream == oracles.hilbert_ordered(expected, LOWS, HIGHS)
 
-    def test_boundaries_are_sample_quantiles(self) -> None:
-        plan = plan_from_sample(list(range(100)), 4, LOWS, HIGHS, 10)
-        assert plan.boundaries == (25, 50, 75)
-        assert [
-            bisect_right(plan.boundaries, key) for key in (0, 24, 25, 60, 99)
-        ] == [0, 0, 1, 2, 3]
-
-    def test_equal_keys_land_in_one_shard(self, record_file) -> None:
-        """A key equal to a boundary goes right — ties never split a key
-        across shards, which the merge-order proof relies on."""
-        records = [Record(rid, (10.0, 10.0, 10.0)) for rid in range(100)]
-        scan = scan_file_shards(record_file(records), LOWS, HIGHS, workers=4)
-        assert [len(run) for run in scan.runs if len(run)] == [100]
-
-    def test_plan_balances_records_roughly(self, record_file) -> None:
-        path = record_file(random_records(2_000, seed=3))
-        counts = [len(run) for run in scan_file_shards(path, LOWS, HIGHS, 4).runs]
-        assert len(counts) == 4
-        assert sum(counts) == 2_000
-        # Quantile planning keeps every shard within ~2x of fair share.
-        assert max(counts) <= 2 * (2_000 // 4)
-
-    def test_zero_shards_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            plan_from_sample([1, 2, 3], 0, LOWS, HIGHS, 10)
+    def test_plan_balances_records_roughly(self) -> None:
+        assert slice_bounds(2_000, 4) == [
+            (0, 500), (500, 500), (1_000, 500), (1_500, 500)
+        ]
+        assert [count for _start, count in slice_bounds(7, 3)] == [3, 2, 2]
 
     def test_slice_bounds_tile_the_input(self) -> None:
         for total in (0, 1, 7, 100):
@@ -114,21 +92,19 @@ class TestPlanner:
 class TestScan:
     def test_runs_are_key_sorted_and_rid_tied(self, record_file) -> None:
         path = record_file(random_records(400, seed=13))
-        scan = scan_file_shards(path, LOWS, HIGHS, workers=3)
-        plan = scan.plan
-        bits = plan.bits
-        seen = []
-        for run in scan.runs:
-            keyed = [
-                (hilbert_key(quantize(r.point, LOWS, HIGHS, bits), bits), r.rid)
-                for r in run.records
-            ]
-            assert keyed == sorted(keyed)
-            for key, _rid in keyed:
-                assert bisect_right(plan.boundaries, key) == run.index
-            seen.extend(r.rid for r in run.records)
-        assert sorted(seen) == list(range(400))
-        assert scan.total == 400
+        stream = scan_file_shards(path, LOWS, HIGHS, workers=3)
+        keyed = [
+            (hilbert_key(quantize(r.point, LOWS, HIGHS, BITS), BITS), r.rid)
+            for r in stream
+        ]
+        assert keyed == sorted(keyed)
+        assert sorted(r.rid for r in stream) == list(range(400))
+
+    def test_equal_keys_merge_in_rid_order(self, record_file, force_pool) -> None:
+        """Equal keys tie across every run; the merge puts them in rid order."""
+        records = [Record(rid, (10.0, 10.0, 10.0)) for rid in range(100)]
+        stream = scan_file_shards(record_file(records), LOWS, HIGHS, workers=4)
+        assert [r.rid for r in stream] == list(range(100))
 
     def test_stream_is_worker_count_invariant(self, record_file, force_pool) -> None:
         """Every worker count streams the file's global ``(key, rid)``
@@ -141,15 +117,10 @@ class TestScan:
             )
         ]
         for workers in (1, 2, 3, 4):
-            scan = scan_file_shards(path, LOWS, HIGHS, workers=workers)
-            stream = [r.rid for r in shard_record_stream(scan.runs)]
-            assert stream == expected, f"workers={workers} changed the order"
-
-    def test_worker_stats_cover_every_record(self, record_file) -> None:
-        path = record_file(random_records(200, seed=17))
-        scan = scan_file_shards(path, LOWS, HIGHS, workers=2)
-        assert sum(int(s["records"]) for s in scan.worker_stats) == 200
-        assert all(float(s["seconds"]) >= 0 for s in scan.worker_stats)
+            stream = scan_file_shards(path, LOWS, HIGHS, workers=workers)
+            assert [r.rid for r in stream] == expected, (
+                f"workers={workers} changed the order"
+            )
 
     def test_zero_workers_rejected(self, record_file) -> None:
         path = record_file(random_records(10))
@@ -158,9 +129,8 @@ class TestScan:
 
     def test_more_workers_than_records(self, record_file) -> None:
         path = record_file(random_records(3, seed=18))
-        scan = scan_file_shards(path, LOWS, HIGHS, workers=8)
-        assert scan.total == 3
-        assert sorted(r.rid for r in shard_record_stream(scan.runs)) == [0, 1, 2]
+        stream = scan_file_shards(path, LOWS, HIGHS, workers=8)
+        assert sorted(r.rid for r in stream) == [0, 1, 2]
 
 
 class TestEngineEntryPoints:
@@ -197,10 +167,9 @@ class TestObservability:
         obs.TRACE.enable()
         scan_file_shards(path, LOWS, HIGHS, workers=2)
         names = obs.TRACE.event_names()
-        assert "parallel.plan" in names
         assert "parallel.scan" in names
         assert "parallel.worker" in names
-        assert "parallel.shard_merge" in names
+        assert "parallel.merge" in names
         workers = [
             event
             for event in obs.TRACE.events()
@@ -209,6 +178,17 @@ class TestObservability:
         assert len(workers) == 2
         assert all(event.parent == "parallel.scan" for event in workers)
         assert all(event.duration_us >= 0 for event in workers)
+
+    def test_one_slice_skips_the_merge(self, record_file) -> None:
+        path = record_file(random_records(300, seed=22))
+        obs.enable()
+        obs.TRACE.enable()
+        scan_file_shards(path, LOWS, HIGHS, workers=1)
+        names = obs.TRACE.event_names()
+        assert "parallel.scan" in names
+        assert "parallel.merge" not in names
+        assert obs.OBS.counter_value("parallel.shards") == 1
+        assert obs.OBS.counter_value("parallel.shard_records") == 300
 
     def test_record_maps_start_onto_trace_clock(self) -> None:
         import time

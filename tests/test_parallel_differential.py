@@ -32,7 +32,7 @@ from repro.index.bulk import chunk_with_floor, hilbert_partitions
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.discernibility import discernibility_penalty
 from repro.obs import AUDITOR
-from repro.parallel import scan_file_shards, shard_record_stream
+from repro.parallel import scan_file_shards
 from repro.privacy.kanonymity import is_k_anonymous
 from tests import oracles
 
@@ -91,8 +91,7 @@ def test_partition_grouping_matches_serial(
     serial = hilbert_partitions(list(table.records), lows, highs, k)
     expected = [[record.rid for record in group] for group in serial]
     for workers in WORKER_COUNTS:
-        scan = scan_file_shards(record_files[dataset], lows, highs, workers)
-        stream = list(shard_record_stream(scan.runs))
+        stream = scan_file_shards(record_files[dataset], lows, highs, workers)
         grouping = [
             [record.rid for record in group] for group in chunk_with_floor(stream, k)
         ]

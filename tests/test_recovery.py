@@ -175,5 +175,5 @@ def test_mutations_while_batch_open_are_rejected(tmp_path, schema3, records):
         manager.log_insert(records[301])
     with pytest.raises(RuntimeError, match="batch is open"):
         manager.checkpoint(anonymizer.tree, anonymizer.schema)
-    manager.abort_batch()
+    manager.commit_batch()
     anonymizer.close()

@@ -596,21 +596,20 @@ def _recover_command(arguments: argparse.Namespace) -> int:
         return 2
     obs.AUDITOR.enable(reset=True)
     try:
-        handle = api.recover(arguments.dir)
-        evidence = handle.recovery
-        assert evidence is not None
-        print(f"recovered {len(handle):,} records from {arguments.dir}")
-        print(f"  snapshot:   LSN {evidence.snapshot_lsn}")
-        print(
-            f"  replayed:   {evidence.replayed_ops} op(s) "
-            f"({evidence.skipped_ops} skipped, "
-            f"{evidence.discarded_ops} discarded)"
-        )
-        k = arguments.k if arguments.k is not None else handle.base_k
-        result = handle.release(k=k)
-        _print_release(result, leaves=handle.engine.leaf_count())
-        _write_release(result, arguments.out)
-        handle.close()
+        with api.recover(arguments.dir) as handle:
+            evidence = handle.recovery
+            assert evidence is not None
+            print(f"recovered {len(handle):,} records from {arguments.dir}")
+            print(f"  snapshot:   LSN {evidence.snapshot_lsn}")
+            print(
+                f"  replayed:   {evidence.replayed_ops} op(s) "
+                f"({evidence.skipped_ops} skipped, "
+                f"{evidence.discarded_ops} discarded)"
+            )
+            k = arguments.k if arguments.k is not None else handle.base_k
+            result = handle.release(k=k)
+            _print_release(result, leaves=handle.engine.leaf_count())
+            _write_release(result, arguments.out)
         return 0 if result.k_satisfied else 1
     finally:
         obs.AUDITOR.disable()
@@ -631,11 +630,10 @@ def _checkpoint_command(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    handle = api.recover(arguments.dir)
-    checkpoint = handle.checkpoint()
-    print(f"checkpoint written at LSN {checkpoint.lsn} in {checkpoint.directory}")
-    print(f"  records:    {len(handle):,}")
-    handle.close()
+    with api.recover(arguments.dir) as handle:
+        checkpoint = handle.checkpoint()
+        print(f"checkpoint written at LSN {checkpoint.lsn} in {checkpoint.directory}")
+        print(f"  records:    {len(handle):,}")
     return 0
 
 

@@ -127,8 +127,6 @@ def _doc_to_node(doc: dict[str, object]) -> Node:
         leaf.recompute_mbr()
         return leaf
     node = InternalNode(int(doc["l"]), Slot(_doc_to_slot(doc["c"])))  # type: ignore[arg-type]
-    for child in node.children():
-        child.parent = node
     node.recompute_mbr()
     return node
 

@@ -292,7 +292,7 @@ def run_fault_grid(
         reference_digest = release_digest(anonymizer.anonymize(k))
     finally:
         AUDITOR.disable()
-    anonymizer.durability.close()
+        anonymizer.close()
 
     report = GridReport(reference_digest=reference_digest)
     boundaries = frame_boundaries(reference_dir)
@@ -305,17 +305,19 @@ def run_fault_grid(
         kill_at_lsn(cell_dir, kill)
         detail, ok = "", True
         try:
-            result = recover(cell_dir)
-            # Re-apply the suffix the crash never acknowledged, the way a
-            # client without acks would, then compare releases.
-            suffix = [op for op, lsn in zip(ops, lsns) if lsn > kill]
-            _apply_ops(result.anonymizer, suffix)
-            AUDITOR.enable(strict=True, reset=True)
+            recovered = recover(cell_dir).anonymizer
             try:
-                digest = release_digest(result.anonymizer.anonymize(k))
+                # Re-apply the suffix the crash never acknowledged, the way a
+                # client without acks would, then compare releases.
+                suffix = [op for op, lsn in zip(ops, lsns) if lsn > kill]
+                _apply_ops(recovered, suffix)
+                AUDITOR.enable(strict=True, reset=True)
+                try:
+                    digest = release_digest(recovered.anonymize(k))
+                finally:
+                    AUDITOR.disable()
             finally:
-                AUDITOR.disable()
-            result.anonymizer.durability.close()
+                recovered.close()
             if digest != reference_digest:
                 ok, detail = False, f"digest diverged: {digest[:16]}…"
         except Exception as error:  # noqa: BLE001 - report, don't crash the grid
@@ -337,7 +339,7 @@ def run_fault_grid(
             flip_bit(cell_dir, target="snapshot")
         detail, ok = "", True
         try:
-            recover(cell_dir)
+            recover(cell_dir).anonymizer.close()
             ok, detail = False, "recovery returned instead of raising"
         except RecoveryError:
             pass

@@ -15,10 +15,10 @@ Correctness note on split timing: the underlying
 immediately rather than deferring them as the original buffer-tree does.
 The two schedules are equivalent here because a node's buffer is always
 drained *before* any insert below it can occur, so every node that splits
-has an empty buffer — the loader never needs to split a buffer.  (Every
-flush empties its node's buffer first, and splits only propagate along the
-ancestor path of the flush, all of whose buffers were emptied by the
-enclosing flush chain.)
+has an empty buffer — the loader never needs to split a buffer.  (A leaf
+group's insert takes a fresh root path to its leaf, and a split propagates
+only up that path: the leaf's ancestors, whose buffers the enclosing flush
+chain, or the top-down drain, emptied before descending past them.)
 
 Buffers live on pages of the simulated storage layer when a
 :class:`~repro.storage.buffer_pool.BufferPool` is supplied, so clearing a

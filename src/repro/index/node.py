@@ -39,13 +39,16 @@ _node_ids = itertools.count()
 
 
 class Node:
-    """Common base: identity, parent link, level (0 = leaf)."""
+    """Common base: identity, level (0 = leaf) and MBR.
 
-    __slots__ = ("node_id", "parent", "level", "mbr")
+    Nodes link only downward, so a tree holds no reference cycle and a
+    dropped tree is freed by reference counting alone.
+    """
+
+    __slots__ = ("node_id", "level", "mbr")
 
     def __init__(self, level: int) -> None:
         self.node_id: int = next(_node_ids)
-        self.parent: InternalNode | None = None
         self.level = level
         self.mbr: Box | None = None
 

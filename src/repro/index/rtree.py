@@ -31,7 +31,15 @@ from typing import Iterable, Iterator, Sequence
 from repro.dataset.record import Record
 from repro.geometry.box import Box
 from repro.index.leaf_store import LeafStore
-from repro.index.node import Cut, InternalNode, LeafNode, Node, Slot, make_cut
+from repro.index.node import (
+    Cut,
+    InternalNode,
+    LeafNode,
+    Node,
+    Slot,
+    make_cut,
+    route_cut,
+)
 from repro.index.split import (
     MinMarginSplitPolicy,
     SplitPolicy,
@@ -183,30 +191,34 @@ class RPlusTree:
             )
         if self._root is None:
             self._root = LeafNode()
-        self.insert_descending(self._root, record)
-
-    def insert_descending(self, node: Node, record: Record) -> None:
-        """Insert by routing downward from ``node`` (normally the root).
-
-        The buffer-tree loader uses this to deliver records that have
-        already been routed partway down through node buffers; ``node`` must
-        be an ancestor of the record's destination leaf (any node whose
-        region contains the point qualifies, by construction of the cuts).
-        """
-        depth = 0
-        while not node.is_leaf:
-            node = node.route(record.point)  # type: ignore[union-attr]
-            depth += 1
+        leaf, path = self._descend(record.point)
         if OBS.enabled:
             OBS.count("rtree.inserts")
-            OBS.observe("rtree.routing_depth", depth)
-        leaf: LeafNode = node  # type: ignore[assignment]
+            OBS.observe("rtree.routing_depth", len(path))
         leaf.records.append(record)
         self._store.on_append(leaf, record)
         self._count += 1
-        self._grow_mbrs(leaf, record.point)
+        self._grow_mbrs(leaf, path, record.point)
         if len(leaf.records) > self._split_trigger:
-            self._split_leaf(leaf)
+            self._split_leaf(leaf, path)
+
+    def _descend(self, point: Sequence[float]) -> tuple[LeafNode, list[InternalNode]]:
+        """Route from the root to the point's leaf; also return its ancestors.
+
+        The path runs root first.  Nodes keep no parent links, so every
+        mutation takes its ancestors from here, and a path must be taken
+        fresh after any split: splits re-parent nodes.
+        """
+        path: list[InternalNode] = []
+        node = self._root
+        while isinstance(node, InternalNode):
+            path.append(node)
+            node = route_cut(node.cuts, point)
+        return node, path  # type: ignore[return-value]
+
+    def _path_to(self, leaf: LeafNode) -> list[InternalNode]:
+        """A fresh root path to a non-empty leaf that is in the tree."""
+        return self._descend(leaf.records[0].point)[1]
 
     def insert_all(self, records: Iterable[Record]) -> None:
         """Insert records one by one (the paper's "tuple-loading" baseline)."""
@@ -235,7 +247,7 @@ class RPlusTree:
         with span("rtree.finish_bulk"):
             for leaf in self.leaves():
                 if len(leaf.records) > self._leaf_capacity:
-                    self._split_leaf(leaf)
+                    self._split_leaf(leaf, self._path_to(leaf))
 
     @property
     def in_bulk_mode(self) -> bool:
@@ -247,10 +259,12 @@ class RPlusTree:
         The buffer-tree flush path: route every record first (cheap — a few
         comparisons), then mutate each touched leaf once, so MBR maintenance
         and split checks are paid per leaf-batch instead of per record.
+        ``node`` may be a stale view from before a split; routing through it
+        still reaches the right leaves, and each leaf group takes a fresh
+        root path for its MBR growth and splits.
         """
         if node.is_leaf:
-            for record in records:
-                self.insert_descending(node, record)
+            self.insert_all(records)
             return
         groups: dict[int, tuple[LeafNode, list[Record]]] = {}
         for record in records:
@@ -272,13 +286,15 @@ class RPlusTree:
         for record in records:
             self._store.on_append(leaf, record)
         self._count += len(records)
-        self._grow_mbrs_box(leaf, Box.from_points(r.point for r in records))
+        path = self._path_to(leaf)
+        self._grow_mbrs_box(leaf, path, Box.from_points(r.point for r in records))
         if len(leaf.records) > self._split_trigger:
-            self._split_leaf(leaf)
+            self._split_leaf(leaf, path)
 
-    def _grow_mbrs(self, leaf: LeafNode, point: Sequence[float]) -> None:
-        node: Node | None = leaf
-        while node is not None:
+    def _grow_mbrs(
+        self, leaf: LeafNode, path: list[InternalNode], point: Sequence[float]
+    ) -> None:
+        for node in (leaf, *reversed(path)):
             if node.mbr is None:
                 node.mbr = Box.from_point(point)
             elif node.mbr.contains_point(point):
@@ -286,22 +302,22 @@ class RPlusTree:
                 break
             else:
                 node.mbr = node.mbr.union_point(point)
-            node = node.parent
 
-    def _grow_mbrs_box(self, leaf: LeafNode, box: Box) -> None:
-        node: Node | None = leaf
-        while node is not None:
+    def _grow_mbrs_box(
+        self, leaf: LeafNode, path: list[InternalNode], box: Box
+    ) -> None:
+        for node in (leaf, *reversed(path)):
             if node.mbr is None:
                 node.mbr = box
             elif node.mbr.contains_box(box):
                 break
             else:
                 node.mbr = node.mbr.union(box)
-            node = node.parent
 
     # -- splitting ---------------------------------------------------------------
 
-    def _split_leaf(self, leaf: LeafNode) -> None:
+    def _split_leaf(self, leaf: LeafNode, path: list[InternalNode]) -> None:
+        """Split ``leaf``, whose ancestors are ``path`` (root first)."""
         with span("rtree.leaf_split", records=len(leaf.records)):
             decision = self._policy.choose_split(
                 leaf.records, self._k, self._domain_extents
@@ -327,16 +343,17 @@ class RPlusTree:
             right.recompute_mbr()
             self._store.on_split(leaf, left, right)
             cut = make_cut(decision.dimension, decision.value, left, right)
-            self._replace_with_cut(leaf, cut, left, right)
+            self._replace_with_cut(leaf, path, cut, left, right)
         # Bulk insertion can leave a leaf far above capacity; keep splitting
         # until every piece fits (or no legal cut remains).  The pieces'
-        # splits are spans of their own, not children of this one.
+        # splits are spans of their own, not children of this one, and each
+        # takes a fresh path: the split above may have split ``path`` too.
         if len(left.records) > self._split_trigger:
-            self._split_leaf(left)
+            self._split_leaf(left, self._path_to(left))
         if len(right.records) > self._split_trigger:
-            self._split_leaf(right)
+            self._split_leaf(right, self._path_to(right))
 
-    def _split_internal(self, node: InternalNode) -> None:
+    def _split_internal(self, node: InternalNode, path: list[InternalNode]) -> None:
         if OBS.enabled:
             OBS.count("rtree.internal_splits")
             OBS.count("rtree.mbr_recomputations", 2)
@@ -349,31 +366,23 @@ class RPlusTree:
         # trees; they are shared, not copied, so stale views keep routing.
         left = InternalNode(node.level, cut_root.left)
         right = InternalNode(node.level, cut_root.right)
-        for child in left.children():
-            child.parent = left
-        for child in right.children():
-            child.parent = right
         left.recompute_mbr()
         right.recompute_mbr()
         cut = make_cut(cut_root.dimension, cut_root.value, left, right)
-        self._replace_with_cut(node, cut, left, right)
+        self._replace_with_cut(node, path, cut, left, right)
 
     def _replace_with_cut(
-        self, old: Node, cut: Cut, left: Node, right: Node
+        self, old: Node, path: list[InternalNode], cut: Cut, left: Node, right: Node
     ) -> None:
-        parent = old.parent
-        if parent is None:
+        if not path:
             new_root = InternalNode(old.level + 1, Slot(cut))
-            left.parent = new_root
-            right.parent = new_root
             new_root.recompute_mbr()
             self._root = new_root
             return
+        parent = path[-1]
         parent.replace_child(old, cut, added=1)
-        left.parent = parent
-        right.parent = parent
         if parent.fanout > self._max_fanout:
-            self._split_internal(parent)
+            self._split_internal(parent, path[:-1])
 
     # -- deletion -----------------------------------------------------------------
 
@@ -386,10 +395,7 @@ class RPlusTree:
         """
         if self._root is None:
             raise KeyError(rid)
-        node = self._root
-        while not node.is_leaf:
-            node = node.route(point)  # type: ignore[union-attr]
-        leaf: LeafNode = node  # type: ignore[assignment]
+        leaf, path = self._descend(point)
         for index, record in enumerate(leaf.records):
             if record.rid == rid:
                 removed = leaf.records.pop(index)
@@ -405,7 +411,7 @@ class RPlusTree:
             return removed
         if len(leaf.records) >= self._k:
             self._store.on_rewrite(leaf)
-            self._shrink_mbrs(leaf)
+            self._shrink_mbrs([*path, leaf])
             return removed
         # Underflow: dissolve the leaf and reinsert the orphans.
         orphans = list(leaf.records)
@@ -415,7 +421,7 @@ class RPlusTree:
         if TRACE.enabled:
             TRACE.instant("rtree.underflow_dissolve", orphans=len(orphans))
         leaf.records = []
-        self._dissolve_leaf(leaf)
+        self._dissolve_leaf(leaf, path)
         self._count -= len(orphans)
         reinserted = 0
         try:
@@ -444,15 +450,12 @@ class RPlusTree:
         """
         touched: dict[int, LeafNode] = {}
         for record in records:
-            node = self._root
-            if node is None:
-                node = self._root = LeafNode()
-            while not node.is_leaf:
-                node = node.route(record.point)  # type: ignore[union-attr]
-            leaf: LeafNode = node  # type: ignore[assignment]
+            if self._root is None:
+                self._root = LeafNode()
+            leaf, path = self._descend(record.point)
             leaf.records.append(record)
             self._count += 1
-            self._grow_mbrs(leaf, record.point)
+            self._grow_mbrs(leaf, path, record.point)
             touched[leaf.node_id] = leaf
             try:
                 self._store.on_append(leaf, record)
@@ -461,54 +464,36 @@ class RPlusTree:
         for leaf in touched.values():
             if len(leaf.records) > self._split_trigger:
                 try:
-                    self._split_leaf(leaf)
+                    self._split_leaf(leaf, self._path_to(leaf))
                 except Exception:
                     pass  # over-full is privacy-safe; splitting is optional here
 
-    def _shrink_mbrs(self, leaf: LeafNode) -> None:
-        leaf.recompute_mbr()
-        recomputed = 1
-        node = leaf.parent
-        while node is not None:
+    def _shrink_mbrs(self, path: Sequence[LeafNode | InternalNode]) -> None:
+        """Recompute the MBRs along a root path, deepest first."""
+        for node in reversed(path):
             node.recompute_mbr()
-            recomputed += 1
-            node = node.parent
-        if OBS.enabled:
-            OBS.count("rtree.mbr_recomputations", recomputed)
+        if OBS.enabled and path:
+            OBS.count("rtree.mbr_recomputations", len(path))
 
-    def _dissolve_leaf(self, leaf: LeafNode) -> None:
+    def _dissolve_leaf(self, leaf: LeafNode, path: list[InternalNode]) -> None:
         self._store.on_dissolve(leaf)
         node: Node = leaf
-        parent = node.parent
+        depth = len(path)
         # Unwind any single-child chain above the disappearing leaf.
-        while parent is not None and parent.fanout == 1:
-            node = parent
-            parent = node.parent
-        if parent is None:
+        while depth and path[depth - 1].fanout == 1:
+            depth -= 1
+            node = path[depth]
+        if not depth:
             # The whole tree is draining away.
             self._root = None
             return
-        parent.remove_child(node)
-        self._shrink_mbrs_from(parent)
+        path[depth - 1].remove_child(node)
+        self._shrink_mbrs(path[:depth])
         # A root with a single child loses a level.
         root = self._root
-        while (
-            isinstance(root, InternalNode)
-            and root.fanout == 1
-        ):
-            only_child = next(root.children())
-            only_child.parent = None
-            self._root = only_child
-            root = only_child
-
-    def _shrink_mbrs_from(self, node: Node | None) -> None:
-        recomputed = 0
-        while node is not None:
-            node.recompute_mbr()
-            recomputed += 1
-            node = node.parent
-        if OBS.enabled and recomputed:
-            OBS.count("rtree.mbr_recomputations", recomputed)
+        while isinstance(root, InternalNode) and root.fanout == 1:
+            root = next(root.children())
+        self._root = root
 
     def update(self, rid: int, old_point: Sequence[float], record: Record) -> Record:
         """Update a record's quasi-identifiers: delete + reinsert.
@@ -585,10 +570,7 @@ class RPlusTree:
         """The unique leaf whose region contains the point."""
         if self._root is None:
             return None
-        node = self._root
-        while not node.is_leaf:
-            node = node.route(point)  # type: ignore[union-attr]
-        return node  # type: ignore[return-value]
+        return self._descend(point)[0]
 
     # -- traversal ----------------------------------------------------------------
 
@@ -675,16 +657,15 @@ class RPlusTree:
     def check_invariants(self) -> None:
         """Verify every structural invariant; raises ``AssertionError`` on any breach.
 
-        Checked: record count, uniform leaf depth, parent pointers, fanout
-        bounds, leaf occupancy (k-floor with the documented exemptions), MBR
-        exactness, and cut separation (every record in a cut's left subtree
-        lies at or below the cut value; every record on the right lies
-        strictly above — i.e. sibling regions are genuinely disjoint).
+        Checked: record count, uniform leaf depth, fanout bounds, leaf
+        occupancy (k-floor with the documented exemptions), MBR exactness,
+        and cut separation (every record in a cut's left subtree lies at or
+        below the cut value; every record on the right lies strictly above —
+        i.e. sibling regions are genuinely disjoint).
         """
         if self._root is None:
             assert self._count == 0, "empty tree with a nonzero record count"
             return
-        assert self._root.parent is None, "root must not have a parent"
         total = self._check_node(self._root)
         assert total == self._count, (
             f"record count mismatch: counted {total}, tracked {self._count}"
@@ -723,9 +704,6 @@ class RPlusTree:
         total = 0
         boxes: list[Box] = []
         for child in children:
-            assert child.parent is internal, (
-                f"child {child.node_id} has a stale parent pointer"
-            )
             assert child.level == internal.level - 1, (
                 f"child {child.node_id} level {child.level} under level "
                 f"{internal.level} parent (leaf depth must be uniform)"

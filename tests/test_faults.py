@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
@@ -42,6 +44,7 @@ def test_kill_at_lsn_truncates_to_frame_boundary(tmp_path, schema3):
     kill_at_lsn(clone, mid_lsn)
     assert (clone / "wal.log").stat().st_size == mid_offset
     result = recover(clone)
+    result.anonymizer.close()
     assert result.last_lsn == mid_lsn
 
 
@@ -73,9 +76,10 @@ def test_torn_tail_opt_out_recovers_prefix(tmp_path, schema3):
     clone = clone_state(directory, tmp_path / "clone")
     tear_final_frame(clone)
     result = recover(clone, allow_torn_tail=True)
-    # Exactly the final acknowledged-but-torn op is missing.
+    with closing(result.anonymizer) as restored:
+        # Exactly the final acknowledged-but-torn op is missing.
+        assert len(restored) == len(reference.anonymizer) - 1
     assert result.last_lsn == reference.last_lsn - 1
-    assert len(result.anonymizer) == len(reference.anonymizer) - 1
 
 
 def test_fault_grid_without_checkpoint(tmp_path):

@@ -14,8 +14,11 @@ level by level:
 * the Hilbert order, and each slice's sorted run;
 * page decode and encode, byte for byte.
 
-One small cell runs in tier-1 on every push; the full grid carries the
-``stress`` marker and runs in the dedicated CI job.
+The full grid and the forced-process-pool cell carry the ``stress``
+marker, but nothing deselects it: the tier-1 suite and the
+kernels-differential CI job both run every cell.  ``-m "not stress"``
+leaves the small census cell and the unmarked checks, for a quick local
+run.
 """
 
 from __future__ import annotations

@@ -31,8 +31,6 @@ def three_leaves() -> tuple[LeafNode, LeafNode, LeafNode, InternalNode]:
     a, b, c = leaf_with([(1.0,)]), leaf_with([(6.0,)], 10), leaf_with([(9.0,)], 20)
     cuts = Slot(Cut(0, 5.0, Slot(a), Slot(Cut(0, 8.0, Slot(b), Slot(c)))))
     node = InternalNode(level=1, cuts=cuts)
-    for child in node.children():
-        child.parent = node
     node.recompute_mbr()
     return a, b, c, node
 

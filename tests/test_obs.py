@@ -403,9 +403,9 @@ class TestSinks:
         registry = MetricsRegistry()
         registry.enable(declare_defaults=False)
         registry.count("x", 9)
-        sink = JsonLinesSink(tmp_path / "metrics.jsonl")
-        registry.emit(sink, label="a")
-        registry.emit(sink, label="b")
+        with JsonLinesSink(tmp_path / "metrics.jsonl") as sink:
+            registry.emit(sink, label="a")
+            registry.emit(sink, label="b")
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])

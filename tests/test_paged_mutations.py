@@ -8,6 +8,8 @@ identical partitioning.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from repro import obs
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import release_digest
@@ -84,14 +86,14 @@ def test_wal_replay_of_dissolving_deletes_onto_fresh_pool(tmp_path, schema3):
     # Recovery replays bulk load + 60 deletes against a brand-new pool.
     result = recover(directory, pool=fresh_pool())
     assert result.replayed_ops == 180 + 60
-    restored = result.anonymizer
-    restored.tree.check_invariants()
-    assert len(restored) == 120
-    assert release_digest(restored.anonymize(5)) == digest
-    store = restored.tree._store
-    assert isinstance(store, PagedLeafStore)
-    for leaf in restored.tree.leaves():
-        assert store.pages_of(leaf)
+    with closing(result.anonymizer) as restored:
+        restored.tree.check_invariants()
+        assert len(restored) == 120
+        assert release_digest(restored.anonymize(5)) == digest
+        store = restored.tree._store
+        assert isinstance(store, PagedLeafStore)
+        for leaf in restored.tree.leaves():
+            assert store.pages_of(leaf)
 
 
 def test_recovery_without_pool_matches_paged_run_digest(tmp_path, schema3):
@@ -104,5 +106,5 @@ def test_recovery_without_pool_matches_paged_run_digest(tmp_path, schema3):
     anonymizer.close()
     # The leaf store is an I/O mirror, not part of the logical state: a
     # pool-less recovery must still reproduce the partitioning exactly.
-    result = recover(directory)
-    assert release_digest(result.anonymizer.anonymize(5)) == digest
+    with closing(recover(directory).anonymizer) as restored:
+        assert release_digest(restored.anonymize(5)) == digest

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
@@ -39,8 +41,9 @@ def test_recover_reproduces_release_digest(tmp_path, schema3, records):
     anonymizer.close()
 
     result = recover(directory)
-    assert release_digest(result.anonymizer.anonymize(10)) == digest
-    result.anonymizer.tree.check_invariants()
+    with closing(result.anonymizer) as restored:
+        assert release_digest(restored.anonymize(10)) == digest
+        restored.tree.check_invariants()
     # 300 bulk + 50 single inserts + delete + update + 50 batched = 402.
     assert result.replayed_ops == 402
     assert result.discarded_ops == 0
@@ -58,9 +61,10 @@ def test_recover_after_checkpoint_replays_only_the_tail(
     anonymizer.close()
 
     result = recover(directory)
+    with closing(result.anonymizer) as restored:
+        assert release_digest(restored.anonymize(10)) == digest
     assert result.snapshot_lsn == checkpoint_lsn
     assert result.replayed_ops == 20
-    assert release_digest(result.anonymizer.anonymize(10)) == digest
 
 
 def test_unsealed_batch_is_discarded_and_truncated(tmp_path, schema3, records):
@@ -76,15 +80,16 @@ def test_unsealed_batch_is_discarded_and_truncated(tmp_path, schema3, records):
     manager.close()
 
     result = recover(directory)
+    with closing(result.anonymizer) as restored:
+        assert len(restored) == 300
+        assert release_digest(restored.anonymize(10)) == digest
     assert result.discarded_ops == 10
-    assert len(result.anonymizer) == 300
-    assert release_digest(result.anonymizer.anonymize(10)) == digest
     # The discarded tail was physically truncated: a second recovery sees
     # a clean log and discards nothing.
-    result.anonymizer.close()
     again = recover(directory)
+    with closing(again.anonymizer) as restored:
+        assert len(restored) == 300
     assert again.discarded_ops == 0
-    assert len(again.anonymizer) == 300
 
 
 def test_recovered_anonymizer_keeps_logging(tmp_path, schema3, records):
@@ -92,15 +97,14 @@ def test_recovered_anonymizer_keeps_logging(tmp_path, schema3, records):
     anonymizer = durable(schema3, directory, records)
     anonymizer.close()
 
-    first = recover(directory)
-    for record in records[300:310]:
-        first.anonymizer.insert(record)
-    digest = release_digest(first.anonymizer.anonymize(10))
-    first.anonymizer.close()
+    with closing(recover(directory).anonymizer) as first:
+        for record in records[300:310]:
+            first.insert(record)
+        digest = release_digest(first.anonymize(10))
 
-    second = recover(directory)
-    assert len(second.anonymizer) == 310
-    assert release_digest(second.anonymizer.anonymize(10)) == digest
+    with closing(recover(directory).anonymizer) as second:
+        assert len(second) == 310
+        assert release_digest(second.anonymize(10)) == digest
 
 
 def test_recover_missing_directory_raises(tmp_path):
@@ -150,10 +154,10 @@ def test_audit_watermark_resumes_sequence(tmp_path, schema3, records):
         anonymizer.checkpoint()
         anonymizer.close()
         obs.AUDITOR.reset()
-        result = recover(directory)
-        assert obs.AUDITOR.sequence == 2
-        record = result.anonymizer.anonymize(10)
-        assert obs.AUDITOR.latest["sequence"] == 2
+        with closing(recover(directory).anonymizer) as restored:
+            assert obs.AUDITOR.sequence == 2
+            restored.anonymize(10)
+            assert obs.AUDITOR.latest["sequence"] == 2
     finally:
         obs.AUDITOR.disable()
 

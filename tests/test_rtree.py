@@ -1,9 +1,9 @@
 """The R+-tree: inserts, deletes, searches, and the structural invariants.
 
 The invariant checker (:meth:`RPlusTree.check_invariants`) verifies record
-counts, uniform leaf depth, parent pointers, fanout bounds, the k-occupancy
-floor, MBR exactness and cut separation (disjoint sibling regions), so
-most tests reduce to "do operations, then check".
+counts, uniform leaf depth, fanout bounds, the k-occupancy floor, MBR
+exactness and cut separation (disjoint sibling regions), so most tests
+reduce to "do operations, then check".
 """
 
 from __future__ import annotations

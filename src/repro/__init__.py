@@ -5,26 +5,25 @@ Indexing: Toward Scalable and Incremental Anonymization* (VLDB 2007).
 
 Quickstart::
 
-    from repro import RTreeAnonymizer, make_landsend_table
+    from repro import api, make_landsend_table
 
     table = make_landsend_table(10_000, seed=1)
-    anonymizer = RTreeAnonymizer(table, base_k=5)
-    anonymizer.bulk_load(table)
-    release = anonymizer.anonymize(k=10)
-    print(release.summary())
+    handle = api.open(table, base_k=5)
+    handle.load(table)
+    release = handle.release(10, compacted=True, constraint=None)
+    print(release.table.summary(), release.k_satisfied, release.digest)
+
+Both handles — :func:`repro.api.open` and :func:`repro.api.serve` — return
+the same frozen :class:`Release` (table, audit, digest, k, strategy,
+compacted, epoch); only the serving handle stamps ``epoch``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
 from repro import api
-from repro.api import Anonymizer, ReleaseResult
-from repro.serve import (
-    AnonymizerService,
-    ReleaseSnapshot,
-    ServiceConfig,
-    TelemetryConfig,
-)
+from repro.api import Anonymizer
+from repro.serve import AnonymizerService, ServiceConfig, TelemetryConfig
 from repro.baselines.grid import GridFileAnonymizer, gridfile_anonymize
 from repro.baselines.mondrian import MondrianAnonymizer, mondrian_anonymize
 from repro.core.anonymizer import RTreeAnonymizer
@@ -35,7 +34,7 @@ from repro.core.multigranular import (
     hierarchical_release,
     verify_k_bound,
 )
-from repro.core.partition import AnonymizedTable, Partition
+from repro.core.partition import AnonymizedTable, Partition, Release
 from repro.dataset.agrawal import AgrawalGenerator, make_agrawal_table
 from repro.dataset.census import CensusGenerator, make_census_table
 from repro.dataset.export import read_release_csv, write_release_csv
@@ -96,10 +95,9 @@ __all__ = [
     "RTreeAnonymizer",
     "Record",
     "RecoveryError",
+    "Release",
     "ReleaseRegistry",
     "ReleaseRejected",
-    "ReleaseResult",
-    "ReleaseSnapshot",
     "Schema",
     "ServiceConfig",
     "Table",

@@ -12,14 +12,15 @@ schemas, loaders, pools and durability managers by hand:
   safety.
 * :meth:`Anonymizer.load` — bulk ingestion from records or a file, with
   optional sharded parallelism (``workers=``).
-* :meth:`Anonymizer.release` — a k-anonymous release as a typed
-  :class:`ReleaseResult`: the table, its audit record, and its digest.
+* :meth:`Anonymizer.release` — a k-anonymous release as one frozen
+  :class:`Release`: the table, its audit record, and its digest.
 * :func:`recover` — rebuild a durable handle from its directory after a
   crash; the evidence trail is on :attr:`Anonymizer.recovery`.
 * :func:`open` with ``serve=True`` (or :func:`serve` directly) — a
   thread-safe :class:`~repro.serve.AnonymizerService` handle that serves
-  immutable release snapshots to concurrent readers while a single
-  writer thread applies queued mutations (see docs/API.md "Serving").
+  the same :class:`Release`, stamped with its epoch, to concurrent
+  readers while a single writer thread applies queued mutations (see
+  docs/API.md "Serving").
 * ``service.query(...)`` on a serving handle — §5.4 point-lookup,
   range-COUNT, group-by and distinct-count queries answered by one
   columnar scan of the release's partitions (:class:`~repro.query.
@@ -31,22 +32,19 @@ The migration table from the older layered API lives in ``docs/API.md``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.anonymizer import DEFAULT_BASE_K, RTreeAnonymizer
 from repro.core.leafscan import Constraint
-from repro.core.partition import AnonymizedTable, release_digest
+from repro.core.partition import Release
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.durability.manager import DurabilityConfig
+from repro.durability.manager import CheckpointResult, DurabilityConfig
 from repro.durability.recovery import RecoveryResult
 from repro.durability.recovery import recover as _recover_directory
 from repro.index.split import SplitPolicy
-from repro.obs import AUDITOR
-from repro.obs.audit import audit_release
 from repro.query.engine import (
     QueryEngine,
     QueryResult,
@@ -54,13 +52,14 @@ from repro.query.engine import (
     point_query,
 )
 from repro.query.ranges import RangeQuery
-from repro.serve import (
-    AnonymizerService,
-    ReleaseSnapshot,
-    ServiceConfig,
-    TelemetryConfig,
-)
+from repro.serve import AnonymizerService, ServiceConfig, TelemetryConfig
 from repro.storage.buffer_pool import BufferPool
+
+# Unused here: perfbench's traced pass wraps these two names on this module
+# by attribute.  ROADMAP item 1 (perfbench reads the repo's own spans)
+# removes them.
+from repro.core.partition import release_digest  # noqa: F401
+from repro.obs.audit import audit_release  # noqa: F401
 
 __all__ = [
     "Anonymizer",
@@ -69,8 +68,7 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "RangeQuery",
-    "ReleaseResult",
-    "ReleaseSnapshot",
+    "Release",
     "ServiceConfig",
     "TelemetryConfig",
     "group_by_queries",
@@ -79,42 +77,6 @@ __all__ = [
     "recover",
     "serve",
 ]
-
-
-@dataclass(frozen=True)
-class ReleaseResult:
-    """One published release with its evidence attached.
-
-    ``audit`` is the structured privacy-audit record (always computed —
-    through the global :data:`~repro.obs.AUDITOR` when it is enabled, so
-    strict-mode gating still applies, otherwise directly).  ``digest`` is
-    the sha256 release fingerprint CI compares across runs and crashes.
-    """
-
-    table: AnonymizedTable
-    audit: dict[str, object]
-    digest: str
-    k: int
-
-    @property
-    def record_count(self) -> int:
-        return self.table.record_count
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.table.partitions)
-
-    @property
-    def k_satisfied(self) -> bool:
-        return bool(self.audit["k_satisfied"])
-
-
-@dataclass(frozen=True)
-class CheckpointResult:
-    """Where a checkpoint landed: its LSN and the directory holding it."""
-
-    lsn: int
-    directory: Path
 
 
 class Anonymizer:
@@ -179,33 +141,16 @@ class Anonymizer:
 
     def release(
         self,
-        *,
         k: int,
-        constraints: "Constraint | Sequence[Constraint] | None" = None,
-        compact: bool = True,
+        *,
+        compacted: bool = True,
+        constraint: Constraint | None = None,
         strategy: str = "subtree",
-    ) -> ReleaseResult:
-        """Publish a k-anonymous release with its audit and digest.
-
-        ``constraints`` accepts one per-partition predicate or a sequence
-        (composed with logical AND).  When the global auditor is enabled
-        the release's audit record comes from it — strict mode therefore
-        still gates this publish site — otherwise an equivalent record is
-        computed directly, so :attr:`ReleaseResult.audit` is never empty.
-        """
-        constraint = _compose_constraints(constraints)
-        table = self._engine.anonymize(
-            k,
-            compacted=compact,
-            constraint=constraint,
-            strategy=strategy,
-        )
-        if AUDITOR.enabled and AUDITOR.latest is not None:
-            audit = AUDITOR.latest
-        else:
-            audit = audit_release(table, k, base_k=self._engine.base_k)
-        return ReleaseResult(
-            table=table, audit=audit, digest=release_digest(table), k=k
+    ) -> Release:
+        """Publish a k-anonymous release with its audit and digest; see
+        :meth:`RTreeAnonymizer.release`."""
+        return self._engine.release(
+            k, compacted=compacted, constraint=constraint, strategy=strategy
         )
 
     # -- durability ----------------------------------------------------------
@@ -340,25 +285,6 @@ def recover(
         allow_torn_tail=allow_torn_tail,
     )
     return Anonymizer(result.anonymizer, recovery=result)
-
-
-def _compose_constraints(
-    constraints: "Constraint | Sequence[Constraint] | None",
-) -> Constraint | None:
-    if constraints is None:
-        return None
-    if callable(constraints):
-        return constraints
-    items = tuple(constraints)
-    if not items:
-        return None
-    if len(items) == 1:
-        return items[0]
-
-    def conjunction(records: Sequence[Record]) -> bool:
-        return all(constraint(records) for constraint in items)
-
-    return conjunction
 
 
 def _schema_from_file(path: Path) -> Schema:

@@ -140,7 +140,6 @@ def fig7a_parallel(
     import tempfile
     from pathlib import Path
 
-    from repro.core.partition import release_digest
     from repro.dataset.io import write_table
 
     table = LandsEndGenerator(seed).generate(records)
@@ -160,7 +159,7 @@ def fig7a_parallel(
                     table, base_k=k, leaf_capacity=2 * k - 1
                 )
                 anonymizer.bulk_load_file(path, workers=count)
-            digest = release_digest(anonymizer.anonymize(k))
+            digest = anonymizer.release(k).digest
             if reference_digest is None:
                 reference_digest = digest
                 reference_seconds = timer.elapsed
@@ -1115,7 +1114,6 @@ def recovery_bench(
     import tempfile
     from pathlib import Path
 
-    from repro.core.partition import release_digest
     from repro.durability import DurabilityConfig, recover
 
     base_k = min(5, k)
@@ -1137,11 +1135,11 @@ def recovery_bench(
             anonymizer.checkpoint()
             for record in extra[:tail]:
                 anonymizer.insert(record)
-            digest = release_digest(anonymizer.anonymize(k))
+            digest = anonymizer.release(k).digest
             anonymizer.close()
             with Timer() as timer:
                 outcome = recover(directory)
-            recovered = release_digest(outcome.anonymizer.anonymize(k))
+            recovered = outcome.anonymizer.release(k).digest
             outcome.anonymizer.close()
             result.add(
                 tail,

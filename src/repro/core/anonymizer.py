@@ -29,7 +29,12 @@ from typing import Callable, Iterable, Sequence
 # which fragments the heap (about 7 MB more peak RSS on a 10^5-record load).
 from repro import parallel
 from repro.core.leafscan import Constraint, Run, sequential_scan, subtree_scan
-from repro.core.partition import AnonymizedTable, Partition
+from repro.core.partition import (
+    AnonymizedTable,
+    Partition,
+    Release,
+    release_digest,
+)
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -45,6 +50,7 @@ from repro.index.rtree import (
 )
 from repro.index.split import SplitPolicy
 from repro.obs import AUDITOR, OBS, span
+from repro.obs.audit import audit_release
 from repro.storage.buffer_pool import BufferPool
 
 #: The paper's base anonymity level for bulk loads (§5.1).
@@ -121,6 +127,8 @@ class RTreeAnonymizer:
         )
         self._pool = pool
         self._loader = BufferTreeLoader(self._tree, pool=pool)
+        #: The auditor's record of the latest release (see _emit_release).
+        self._last_audit: dict[str, object] | None = None
         self._durability: DurabilityManager | None = None
         if durability is not None:
             self._durability = DurabilityManager.create(
@@ -153,6 +161,7 @@ class RTreeAnonymizer:
             tree.adopt_leaf_store(PagedLeafStore(pool))
         anonymizer._loader = BufferTreeLoader(tree, pool=pool)
         anonymizer._durability = None
+        anonymizer._last_audit = None
         return anonymizer
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
@@ -408,6 +417,36 @@ class RTreeAnonymizer:
         with span("core.release", k=k, strategy=strategy):
             return self._emit_release(k, compacted, constraint, strategy)
 
+    def release(
+        self,
+        k: int,
+        *,
+        compacted: bool = True,
+        constraint: Constraint | None = None,
+        strategy: str = "subtree",
+    ) -> Release:
+        """Publish :meth:`anonymize`'s table with its audit and digest.
+
+        The one place a release is grouped, audited and digested; both
+        handles (:class:`repro.api.Anonymizer`,
+        :class:`repro.serve.AnonymizerService`) forward here.  With the
+        global auditor on, the audit is the record it appended for this
+        very table (strict mode gates the publish); otherwise an
+        equivalent record is computed directly, so ``audit`` is never empty.
+        """
+        table = self.anonymize(k, compacted, constraint, strategy)
+        audit = self._last_audit
+        if audit is None:
+            audit = audit_release(table, k, base_k=self._tree.k)
+        return Release(
+            table=table,
+            audit=audit,
+            digest=release_digest(table),
+            k=k,
+            strategy=strategy,
+            compacted=compacted,
+        )
+
     def _emit_release(
         self,
         k: int,
@@ -452,9 +491,14 @@ class RTreeAnonymizer:
         # Every publish runs through the release auditor when it is on: the
         # audit record (k verdict, occupancy/volume distributions, quality
         # metrics) is the per-release evidence trail, and strict mode turns
-        # a failed audit into an exception at this very publish site.
-        if AUDITOR.enabled:
+        # a failed audit into an exception at this very publish site.  The
+        # record is kept for release(), which must hand out this release's
+        # audit and not whatever another handle published since.
+        self._last_audit = (
             AUDITOR.on_release(release, k, base_k=self._tree.k)
+            if AUDITOR.enabled
+            else None
+        )
         return release
 
     def _hilbert_partitions(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -150,6 +150,39 @@ class AnonymizedTable:
             f"{self.record_count} records in {len(self._partitions)} partitions, "
             f"sizes {min(sizes)}..{max(sizes)} (k-effective {self.k_effective})"
         )
+
+
+@dataclass(frozen=True)
+class Release:
+    """One published release with its evidence attached.
+
+    Built by :meth:`repro.core.anonymizer.RTreeAnonymizer.release`.
+    ``audit`` is the structured privacy-audit record of exactly this
+    ``table`` (same shape as :func:`repro.obs.audit.audit_release`) and
+    ``digest`` its :func:`release_digest`.  ``epoch`` is the service epoch
+    the release reflects; it is ``None`` outside an
+    :class:`~repro.serve.AnonymizerService`.
+    """
+
+    table: AnonymizedTable
+    audit: Mapping[str, object]
+    digest: str
+    k: int
+    strategy: str
+    compacted: bool
+    epoch: int | None = None
+
+    @property
+    def record_count(self) -> int:
+        return self.table.record_count
+
+    @property
+    def partition_count(self) -> int:
+        return len(self.table.partitions)
+
+    @property
+    def k_satisfied(self) -> bool:
+        return bool(self.audit["k_satisfied"])
 
 
 def release_digest(table: AnonymizedTable) -> str:

@@ -267,7 +267,6 @@ def run_fault_grid(
     and are skipped — their crashes belong to the no-checkpoint scenario).
     """
     from repro.core.anonymizer import DEFAULT_BASE_K, RTreeAnonymizer
-    from repro.core.partition import release_digest
     from repro.durability.manager import DurabilityConfig
     from repro.durability.recovery import recover
     from repro.obs import AUDITOR
@@ -289,7 +288,7 @@ def run_fault_grid(
             anonymizer.checkpoint()
     AUDITOR.enable(strict=True, reset=True)
     try:
-        reference_digest = release_digest(anonymizer.anonymize(k))
+        reference_digest = anonymizer.release(k).digest
     finally:
         AUDITOR.disable()
         anonymizer.close()
@@ -313,7 +312,7 @@ def run_fault_grid(
                 _apply_ops(recovered, suffix)
                 AUDITOR.enable(strict=True, reset=True)
                 try:
-                    digest = release_digest(recovered.anonymize(k))
+                    digest = recovered.release(k).digest
                 finally:
                     AUDITOR.disable()
             finally:

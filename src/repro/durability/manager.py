@@ -66,6 +66,18 @@ class DurabilityConfig:
         return self.directory / SNAPSHOT_NAME
 
 
+@dataclass(frozen=True)
+class CheckpointResult:
+    """Where a checkpoint landed: its LSN and the directory holding it.
+
+    Returned by the ``checkpoint()`` of both handles,
+    :class:`repro.api.Anonymizer` and :class:`repro.serve.AnonymizerService`.
+    """
+
+    lsn: int
+    directory: Path
+
+
 class DurabilityManager:
     """Owns one durability directory's WAL and checkpoint lifecycle."""
 

@@ -11,7 +11,8 @@ single-writer/multi-reader protocol:
   group-committed batch (one buffered tree pass, one WAL batch-commit
   fsync);
 * **readers** call :meth:`AnonymizerService.release` and get an immutable
-  :class:`ReleaseSnapshot` — computed under the lock on a cache miss,
+  :class:`~repro.core.partition.Release` stamped with its epoch —
+  computed under the lock on a cache miss,
   served straight from the epoch-validated :class:`ReleaseCache` on a hit,
   and never a view of a tree mid-mutation;
 * every applied write group bumps the service **epoch**, lazily
@@ -29,7 +30,7 @@ for the walkthrough.
 """
 
 from repro.obs.live import TelemetryConfig
-from repro.serve.cache import ReleaseCache, ReleaseSnapshot
+from repro.serve.cache import ReleaseCache
 from repro.serve.queue import WriteOp, WriteQueue
 from repro.serve.service import (
     AnonymizerService,
@@ -40,7 +41,6 @@ from repro.serve.service import (
 __all__ = [
     "AnonymizerService",
     "ReleaseCache",
-    "ReleaseSnapshot",
     "ServiceClosedError",
     "ServiceConfig",
     "TelemetryConfig",

@@ -1,11 +1,11 @@
-"""Immutable release snapshots and the epoch-validated release cache.
+"""The epoch-validated release cache.
 
-A :class:`ReleaseSnapshot` is one published release frozen at a service
-epoch: the anonymized table, its audit record, its sha256 digest, and the
-epoch it reflects.  Snapshots are what readers receive — never the live
-tree — so a concurrent writer can mutate freely without tearing a read.
+Readers of an :class:`~repro.serve.AnonymizerService` receive immutable
+:class:`~repro.core.partition.Release` objects stamped with the service
+epoch they reflect — never the live tree — so a concurrent writer can
+mutate freely without tearing a read.
 
-The :class:`ReleaseCache` keys snapshots by the full release recipe —
+The :class:`ReleaseCache` keys releases by the full release recipe —
 ``(k, strategy, compacted, constraint)`` — and validates every lookup
 against the current epoch.  Constraints are keyed by *identity* (the
 callable object itself participates in the key, which doubles as the
@@ -13,7 +13,7 @@ callable object itself participates in the key, which doubles as the
 the very same constraint object, and holding the object in the key keeps
 the identity stable).  Invalidation is epoch-based: writers only bump an
 integer; a stale entry is dropped at the next lookup that trips over it,
-and every ``put`` sweeps entries older than the incoming snapshot's epoch
+and every ``put`` sweeps entries older than the incoming release's epoch
 so keys that are never re-requested (e.g. churned constraint identities)
 cannot pin dead ``AnonymizedTable``s forever.  An optional ``max_entries``
 bound evicts oldest-inserted entries beyond a fixed count.
@@ -23,45 +23,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable
 
-from repro.core.partition import AnonymizedTable
+from repro.core.partition import Release
 from repro.obs import OBS
 
 #: A cache key: (k, strategy, compacted, constraint-or-None).
 CacheKey = tuple[int, str, bool, Hashable]
-
-
-@dataclass(frozen=True)
-class ReleaseSnapshot:
-    """One immutable published release, frozen at a service epoch.
-
-    ``epoch`` is the service epoch the snapshot was computed at; the cache
-    serves it only while the epoch is current.  ``audit`` is the release's
-    structured privacy-audit record (same shape as
-    :func:`repro.obs.audit.audit_release`), ``digest`` the sha256 release
-    fingerprint used by the differential suites.
-    """
-
-    table: AnonymizedTable
-    audit: Mapping[str, object]
-    digest: str
-    k: int
-    strategy: str
-    compacted: bool
-    epoch: int
-
-    @property
-    def record_count(self) -> int:
-        return self.table.record_count
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.table.partitions)
-
-    @property
-    def k_satisfied(self) -> bool:
-        return bool(self.audit["k_satisfied"])
 
 
 @dataclass
@@ -76,11 +44,11 @@ class CacheStats:
 class ReleaseCache:
     """A thread-safe release cache with lazy epoch invalidation.
 
-    ``get`` returns a snapshot only when its epoch matches the epoch the
+    ``get`` returns a release only when its epoch matches the epoch the
     caller read from the service; an entry recorded at an older epoch is
     dropped on the spot (a write happened since — the release may no
     longer reflect the data).  ``put`` atomically swaps the published
-    snapshot for its key and sweeps entries staler than the snapshot's
+    release for its key and sweeps entries staler than the release's
     epoch, so retention is bounded by the set of keys *live at the
     current epoch* rather than every key ever requested.
     """
@@ -88,12 +56,12 @@ class ReleaseCache:
     def __init__(self, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive when set")
-        self._entries: dict[CacheKey, ReleaseSnapshot] = {}
+        self._entries: dict[CacheKey, Release] = {}
         self._lock = threading.Lock()
         self._max_entries = max_entries
         self.stats = CacheStats()
 
-    def get(self, key: CacheKey, epoch: int) -> ReleaseSnapshot | None:
+    def get(self, key: CacheKey, epoch: int) -> Release | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -101,7 +69,7 @@ class ReleaseCache:
                 return None
             if entry.epoch != epoch:
                 # Lazy invalidation: a write bumped the epoch since this
-                # snapshot was published.
+                # release was published.
                 del self._entries[key]
                 self.stats.invalidations += 1
                 self.stats.misses += 1
@@ -111,19 +79,19 @@ class ReleaseCache:
             self.stats.hits += 1
             return entry
 
-    def put(self, key: CacheKey, snapshot: ReleaseSnapshot) -> None:
+    def put(self, key: CacheKey, release: Release) -> None:
         with self._lock:
             stale = [
                 existing_key
                 for existing_key, entry in self._entries.items()
-                if entry.epoch < snapshot.epoch
+                if entry.epoch < release.epoch
             ]
             for existing_key in stale:
                 del self._entries[existing_key]
                 self.stats.invalidations += 1
             if stale and OBS.enabled:
                 OBS.count("serve.cache_invalidations", len(stale))
-            self._entries[key] = snapshot
+            self._entries[key] = release
             if self._max_entries is not None:
                 # Dict preserves insertion order: drop oldest-inserted
                 # entries first until the bound holds.

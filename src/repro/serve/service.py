@@ -11,8 +11,9 @@ RTreeAnonymizer` into something shaped like a database serving layer:
   ``insert_batch`` group — one buffered-loader pass over the tree and,
   when durability is on, one WAL batch with a single group-commit fsync;
 * readers never touch the live tree: :meth:`release` returns an immutable
-  :class:`~repro.serve.cache.ReleaseSnapshot`, computed under the write
-  lock on a miss and served from the epoch-validated cache on a hit;
+  :class:`~repro.core.partition.Release` stamped with its epoch, computed
+  under the write lock on a miss and served from the epoch-validated
+  cache on a hit;
 * every applied write group bumps the **epoch**, so cached releases go
   stale the moment their data changes and a reader can never be handed a
   pre-mutation release after the mutation was acknowledged.
@@ -36,17 +37,17 @@ from __future__ import annotations
 import sys
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.leafscan import Constraint
-from repro.core.partition import release_digest
+from repro.core.partition import Release
 from repro.dataset.record import Record
 from repro.dataset.table import Table
-from repro.obs import AUDITOR, OBS, TRACE, span
-from repro.obs.audit import audit_release
+from repro.durability.manager import CheckpointResult
+from repro.obs import OBS, TRACE, span
 from repro.obs.live import (
     HEALTH_CODES,
     SlowOpLog,
@@ -57,8 +58,14 @@ from repro.obs.live import (
 )
 from repro.query.engine import QUERY_KINDS, QueryEngine, QueryResult
 from repro.query.ranges import RangeQuery
-from repro.serve.cache import CacheKey, ReleaseCache, ReleaseSnapshot
+from repro.serve.cache import CacheKey, ReleaseCache
 from repro.serve.queue import INSERT_KINDS, WriteOp, WriteQueue
+
+# Unused here: perfbench's traced pass wraps these two names on this module
+# by attribute.  ROADMAP item 1 (perfbench reads the repo's own spans)
+# removes them.
+from repro.core.partition import release_digest  # noqa: F401
+from repro.obs.audit import audit_release  # noqa: F401
 
 #: Query engines cached per release recipe; oldest-built evicted beyond
 #: this (an engine is cheap to rebuild — one pass building the columns).
@@ -380,62 +387,50 @@ class AnonymizerService:
         compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
-    ) -> ReleaseSnapshot:
-        """Serve an immutable k-anonymous release snapshot.
+    ) -> Release:
+        """Serve an immutable k-anonymous release, stamped with its epoch.
 
-        A cache hit never touches the tree.  A miss recomputes under the
-        write lock (writers wait; other readers of the same key piggyback
-        on the recheck) and atomically swaps the fresh snapshot in.  The
-        snapshot reflects exactly the epoch it is stamped with — never a
-        tree mid-mutation.
+        A cache hit never touches the tree.  A miss publishes through
+        :meth:`RTreeAnonymizer.release` under the write lock (writers
+        wait; other readers of the same key piggyback on the recheck) and
+        atomically swaps the fresh release in.  The release reflects
+        exactly the epoch it is stamped with — never a tree mid-mutation.
         """
         self._assert_open()
         key: CacheKey = (k, strategy, compacted, constraint)
         if self._config.cache_releases:
-            snapshot = self._cache.get(key, self._epoch)
-            if snapshot is not None:
+            release = self._cache.get(key, self._epoch)
+            if release is not None:
                 if OBS.enabled:
                     OBS.count("serve.cache_hits")
                 if TRACE.enabled:
                     TRACE.instant("serve.cache_hit", k=k)
-                return snapshot
+                return release
         with self._write_lock:
             epoch = self._epoch
             if self._config.cache_releases:
-                snapshot = self._cache.get(key, epoch)
-                if snapshot is not None:  # another reader built it just now
+                release = self._cache.get(key, epoch)
+                if release is not None:  # another reader built it just now
                     if OBS.enabled:
                         OBS.count("serve.cache_hits")
-                    return snapshot
+                    return release
             if OBS.enabled:
                 OBS.count("serve.cache_misses")
             with span(
                 "serve.release", k=k, strategy=strategy, epoch=epoch
             ) as timed:
-                table = self._engine.anonymize(
+                release = self._engine.release(
                     k, compacted=compacted, constraint=constraint,
                     strategy=strategy,
                 )
             self._note_slow(
                 "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
             )
-            if AUDITOR.enabled and AUDITOR.latest is not None:
-                audit = AUDITOR.latest
-            else:
-                audit = audit_release(table, k, base_k=self._engine.base_k)
-            snapshot = ReleaseSnapshot(
-                table=table,
-                audit=audit,
-                digest=release_digest(table),
-                k=k,
-                strategy=strategy,
-                compacted=compacted,
-                epoch=epoch,
-            )
+            release = replace(release, epoch=epoch)
             if self._config.cache_releases:
                 with span("serve.snapshot_swap", k=k):
-                    self._cache.put(key, snapshot)
-            return snapshot
+                    self._cache.put(key, release)
+            return release
 
     # -- query path ----------------------------------------------------------
 
@@ -455,11 +450,11 @@ class AnonymizerService:
         ``"distinct"`` (number of intersecting equivalence classes); point
         lookups and group-by aggregates reduce to these via
         :func:`repro.query.point_query` / :func:`repro.query.group_by_queries`.
-        The whole batch is answered against ONE snapshot — the result is
-        stamped with that snapshot's epoch and digest, so a caller can
+        The whole batch is answered against ONE release — the result is
+        stamped with that release's epoch and digest, so a caller can
         check which release state the answers reflect even while a writer
         is live.  Answers are bit-identical to running the scalar oracle
-        :func:`repro.query.count_anonymized` over the same snapshot.
+        :func:`repro.query.count_anonymized` over the same release.
         Raises ``ValueError`` for a query whose dimension count differs
         from the release's.
         """
@@ -467,11 +462,11 @@ class AnonymizerService:
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected {QUERY_KINDS}")
         batch = [queries] if isinstance(queries, RangeQuery) else list(queries)
-        snapshot = self.release(
+        release = self.release(
             k, compacted=compacted, constraint=constraint, strategy=strategy
         )
         engine = self._query_engine(
-            (k, strategy, compacted, constraint), snapshot
+            (k, strategy, compacted, constraint), release
         )
         values = engine.evaluate(batch, kind)
         if OBS.enabled:
@@ -480,35 +475,47 @@ class AnonymizerService:
             kind=kind,
             values=tuple(values),
             k=k,
-            epoch=snapshot.epoch,
-            digest=snapshot.digest,
+            epoch=release.epoch,
+            digest=release.digest,
         )
 
-    def _query_engine(
-        self, key: CacheKey, snapshot: ReleaseSnapshot
-    ) -> QueryEngine:
+    def _query_engine(self, key: CacheKey, release: Release) -> QueryEngine:
         """The cached query engine for one release recipe.
 
         Keyed by recipe, validated by digest: a digest match means the
-        snapshot's table is bit-identical to the one the engine was built
+        release's table is bit-identical to the one the engine was built
         over, so reuse is safe across epochs whose writes did not change
         this release.  The engine is immutable, so handing one engine to
         many reader threads is fine.
         """
         with self._query_lock:
             cached = self._query_engines.get(key)
-            if cached is not None and cached[0] == snapshot.digest:
+            if cached is not None and cached[0] == release.digest:
                 if OBS.enabled:
                     OBS.count("query.engine_cache_hits")
                 return cached[1]
-        engine = QueryEngine(snapshot.table)
+        engine = QueryEngine(release.table)
         with self._query_lock:
-            self._query_engines[key] = (snapshot.digest, engine)
+            self._query_engines[key] = (release.digest, engine)
             while len(self._query_engines) > MAX_QUERY_ENGINES:
                 del self._query_engines[next(iter(self._query_engines))]
         return engine
 
     # -- lifecycle -----------------------------------------------------------
+
+    def checkpoint(self) -> CheckpointResult:
+        """Snapshot durable state and truncate the WAL, between write groups.
+
+        Takes the write lock, so the checkpoint never races a group the
+        writer thread is applying; writes still queued land after it.  See
+        :meth:`RTreeAnonymizer.checkpoint`.
+        """
+        self._assert_open()
+        with self._write_lock:
+            lsn = self._engine.checkpoint()
+        manager = self._engine.durability
+        assert manager is not None  # checkpoint() raised otherwise
+        return CheckpointResult(lsn=lsn, directory=manager.directory)
 
     def close(self) -> None:
         """Drain the queue, stop the writer, close the engine.  Idempotent.

@@ -58,8 +58,10 @@ def test_release_result_carries_audit_and_digest(schema3):
     handle = api.open(table, base_k=5)
     handle.load(table)
     result = handle.release(k=10)
-    assert isinstance(result, api.ReleaseResult)
+    assert isinstance(result, api.Release)
     assert result.k == 10
+    assert result.strategy == "subtree" and result.compacted
+    assert result.epoch is None  # only a service stamps an epoch
     assert result.record_count == 200
     assert result.partition_count > 1
     assert result.k_satisfied
@@ -85,6 +87,7 @@ def test_release_audit_goes_through_global_auditor_when_enabled(schema3):
 
 
 def test_release_composes_constraint_sequences(schema3):
+    """``release`` takes one constraint; a caller composes several itself."""
     table = Table(schema3, tuple(random_records(200, seed=2)))
     handle = api.open(table, base_k=5)
     handle.load(table)
@@ -98,7 +101,10 @@ def test_release_composes_constraint_sequences(schema3):
         seen.append("second")
         return True
 
-    result = handle.release(k=5, constraints=[first, second])
+    def both(records):
+        return first(records) and second(records)
+
+    result = handle.release(5, constraint=both)
     assert max(len(p) for p in result.table.partitions) < 40
     assert "first" in seen and "second" in seen
 
@@ -174,7 +180,7 @@ def test_checkpoint_without_durability_raises(schema3):
 
 def test_facade_is_reexported_from_package_root():
     assert repro.api is api
-    assert repro.ReleaseResult is api.ReleaseResult
+    assert repro.Release is api.Release
     assert repro.Anonymizer is api.Anonymizer
     assert repro.DurabilityConfig is DurabilityConfig
     assert repro.RecoveryError is RecoveryError

@@ -73,10 +73,7 @@ def test_closed_durable_service_frees_its_tree(no_cyclic_gc, tmp_path, schema3):
     for record in records[40:60]:
         service.update(record.rid, record.point, moved(record))
     assert service.release(10).k_satisfied
-    # The service has no checkpoint call of its own; after the barrier its
-    # writer is idle, so checkpointing the engine directly is safe here.
-    service.barrier()
-    service.engine.checkpoint()
+    service.checkpoint()
     service.close()
     assert live_nodes() > baseline
     del service

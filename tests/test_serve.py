@@ -8,14 +8,13 @@ import pytest
 
 from repro import api
 from repro.core.anonymizer import RTreeAnonymizer
-from repro.core.partition import release_digest
+from repro.core.partition import Release, release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.durability import DurabilityConfig, recover
 from repro.serve import (
     AnonymizerService,
     ReleaseCache,
-    ReleaseSnapshot,
     ServiceClosedError,
     ServiceConfig,
     WriteOp,
@@ -25,7 +24,7 @@ from repro.serve import (
 from .conftest import random_records
 
 
-def _snapshot(epoch: int, k: int = 10) -> ReleaseSnapshot:
+def _snapshot(epoch: int, k: int = 10) -> Release:
     from repro.core.partition import AnonymizedTable, Partition
     from repro.dataset.schema import Attribute, Schema
     from repro.geometry.box import Box
@@ -33,7 +32,7 @@ def _snapshot(epoch: int, k: int = 10) -> ReleaseSnapshot:
     schema = Schema((Attribute.numeric("a", 0, 100),))
     records = tuple(Record(rid, (float(rid),), ()) for rid in range(k))
     partition = Partition(records, Box((0.0,), (float(k),)))
-    return ReleaseSnapshot(
+    return Release(
         table=AnonymizedTable(schema, (partition,)),
         audit={"k_satisfied": True},
         digest=f"digest-{epoch}",
@@ -283,7 +282,7 @@ class TestServiceDurability:
         )
         with AnonymizerService(engine) as service:
             service.load(table)
-            service.engine.checkpoint()
+            service.checkpoint()
             for i in range(40):
                 service.insert(
                     Record(70_000 + i, (float(2 * i % 100), 8.0, 9.0), ("flu",))
@@ -294,6 +293,48 @@ class TestServiceDurability:
         recovered = release_digest(outcome.anonymizer.anonymize(10))
         outcome.anonymizer.close()
         assert recovered == digest
+
+    def test_checkpoint_between_queued_groups_recovers_live_digest(
+        self, schema3, tmp_path
+    ) -> None:
+        """Checkpoints taken while the writer applies queued batches.
+
+        Each checkpoint waits for the write lock, so it lands between two
+        write groups; recovery from the last one plus the WAL tail must
+        publish exactly the live release.
+        """
+        directory = tmp_path / "state"
+        records = random_records(1_500, seed=16)
+        base = Table(schema3, tuple(records[:300]))
+        engine = RTreeAnonymizer(
+            base, base_k=5, durability=DurabilityConfig(directory)
+        )
+        with AnonymizerService(engine, ServiceConfig(max_batch=4)) as service:
+            service.load(base)
+            futures = []
+            checkpoints = []
+            for start in range(300, 1_500, 20):
+                futures.append(
+                    service.submit_insert_batch(records[start : start + 20])
+                )
+                if start % 300 == 0:
+                    checkpoints.append(service.checkpoint())
+            for future in futures:
+                future.result()
+            assert all(c.directory == directory for c in checkpoints)
+            lsns = [c.lsn for c in checkpoints]
+            assert lsns == sorted(lsns)
+            live = service.release(10)
+        assert live.record_count == 1_500
+        with api.recover(directory) as recovered:
+            assert recovered.recovery.snapshot_lsn == lsns[-1]
+            assert len(recovered) == 1_500
+            assert recovered.release(10).digest == live.digest
+
+    def test_checkpoint_without_durability_raises(self, schema3) -> None:
+        with api.serve(schema3, base_k=5) as service:
+            with pytest.raises(ValueError, match="no durability"):
+                service.checkpoint()
 
 
 class TestServiceConfig:

@@ -90,18 +90,12 @@ def min_candidate_set_size(releases: Sequence[AnonymizedTable]) -> int:
     This is the quantity an intersection attack drives down: the adversary
     who holds every release can narrow a record's company to exactly the
     intersection of its partitions.  k-anonymity over the set of releases
-    holds iff this minimum is at least k.
+    holds iff this minimum is at least k.  Raises ``ValueError`` on an
+    empty list of releases.
     """
-    if not releases:
-        raise ValueError("need at least one release")
-    candidate: dict[int, frozenset[int]] = {}
-    for release in releases:
-        for partition in release.partitions:
-            members = partition.rids()
-            for rid in members:
-                existing = candidate.get(rid)
-                candidate[rid] = members if existing is None else existing & members
-    return min(len(group) for group in candidate.values())
+    from repro.privacy.attack import intersection_attack  # imports repro.core
+
+    return intersection_attack(releases).min_candidates
 
 
 def _records_under(node: Node):

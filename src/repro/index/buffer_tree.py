@@ -185,17 +185,22 @@ class BufferTreeLoader:
         if OBS.enabled:
             OBS.count("buffer_tree.drains")
         with span("buffer_tree.drain"):
-            while self._buffers:
-                buffer = max(self._buffers.values(), key=lambda b: b.node.level)
-                if OBS.enabled:
-                    OBS.count("buffer_tree.drain_sweeps")
-                if TRACE.enabled:
-                    TRACE.instant(
-                        "buffer_tree.drain_sweep",
-                        level=buffer.node.level,
-                        buffered=buffer.count,
-                    )
-                self._flush(buffer)
+            top = max((b.node.level for b in self._buffers.values()), default=0)
+            for level in range(top, 0, -1):
+                # A flush only feeds buffers below its own level, so this
+                # level's buffers are fixed until the sweep reaches them.
+                for buffer in [
+                    b for b in self._buffers.values() if b.node.level == level
+                ]:
+                    if OBS.enabled:
+                        OBS.count("buffer_tree.drain_sweeps")
+                    if TRACE.enabled:
+                        TRACE.instant(
+                            "buffer_tree.drain_sweep",
+                            level=level,
+                            buffered=buffer.count,
+                        )
+                    self._flush(buffer)
             # Splits deferred during bulk mode are resolved now, so the
             # occupancy invariant holds the moment the drain returns.
             self._tree.finish_bulk()

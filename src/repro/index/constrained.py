@@ -24,14 +24,17 @@ the property for the surviving leaves.)
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.dataset.record import Record
 from repro.index.split import (
     MinMarginSplitPolicy,
     SplitDecision,
     SplitPolicy,
-    partition_records,
+    exhaustive_ncp_split,
 )
 
 #: A group-acceptance predicate (same contract as the leaf-scan constraint).
@@ -42,9 +45,9 @@ class ConstrainedSplitPolicy(SplitPolicy):
     """Only split when both resulting groups satisfy the constraint.
 
     The base policy proposes its best cut; if either side would violate
-    the constraint, the other dimensions' best cuts are tried before
-    giving up.  Giving up leaves the node over-full — allowable partitions
-    are never destroyed to satisfy occupancy.
+    the constraint, the best exhaustive-search cut of each single dimension
+    is tried before giving up.  Giving up leaves the node over-full —
+    allowable partitions are never destroyed to satisfy occupancy.
     """
 
     def __init__(
@@ -58,43 +61,28 @@ class ConstrainedSplitPolicy(SplitPolicy):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
-        proposal = self._base.choose_split(records, min_count, domain_extents)
-        if proposal is not None and self._acceptable(records, proposal):
+        proposal = self._base.choose_split(records, points, min_count, domain_extents)
+        if proposal is not None and self._acceptable(records, points, proposal):
             return proposal
         # The preferred cut fails: try the best cut of every single
         # dimension (cheap — one evaluation per dimension) before giving up.
         for dimension in range(len(domain_extents)):
-            restricted = _SingleDimension(self._base, dimension)
-            candidate = restricted.choose_split(records, min_count, domain_extents)
-            if candidate is not None and self._acceptable(records, candidate):
+            candidate = exhaustive_ncp_split(
+                points, min_count, domain_extents, None, [dimension]
+            )
+            if candidate is not None and self._acceptable(records, points, candidate):
                 return candidate
         return None
 
     def _acceptable(
-        self, records: Sequence[Record], decision: SplitDecision
+        self, records: Sequence[Record], points: np.ndarray, decision: SplitDecision
     ) -> bool:
-        left, right = partition_records(records, decision.dimension, decision.value)
+        # The tree's own cut mask, so the groups judged are the children.
+        mask = points[:, decision.dimension] <= decision.value
+        left = list(compress(records, mask.tolist()))
+        right = list(compress(records, (~mask).tolist()))
         return self._constraint(left) and self._constraint(right)
-
-
-class _SingleDimension(SplitPolicy):
-    """The base policy restricted to one dimension (for the retry loop)."""
-
-    def __init__(self, base: SplitPolicy, dimension: int) -> None:
-        self._base = base
-        self._dimension = dimension
-
-    def choose_split(
-        self,
-        records: Sequence[Record],
-        min_count: int,
-        domain_extents: Sequence[float],
-    ) -> SplitDecision | None:
-        from repro.index.split import exhaustive_ncp_split
-
-        return exhaustive_ncp_split(
-            records, min_count, domain_extents, None, [self._dimension]
-        )

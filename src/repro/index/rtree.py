@@ -26,7 +26,10 @@ Occupancy corner cases, all k-anonymity-safe:
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.dataset.record import Record
 from repro.geometry.box import Box
@@ -40,11 +43,7 @@ from repro.index.node import (
     make_cut,
     route_cut,
 )
-from repro.index.split import (
-    MinMarginSplitPolicy,
-    SplitPolicy,
-    partition_records,
-)
+from repro.index.split import MinMarginSplitPolicy, SplitPolicy, point_matrix
 from repro.obs import OBS, TRACE, span
 
 #: Default leaf capacity multiplier: leaves hold between k and DEFAULT_CAPACITY_FACTOR * k.
@@ -52,6 +51,22 @@ DEFAULT_CAPACITY_FACTOR = 3
 
 #: Default maximum internal fanout (the ``m`` of §3).
 DEFAULT_MAX_FANOUT = 8
+
+
+def _bounding_box(records: Sequence[Record], points: np.ndarray) -> Box:
+    """``Box.from_points`` of the records, located through their matrix.
+
+    ``argmin``/``argmax`` find the first row that reaches each extreme,
+    and the bound is that record's own value, as ``from_points`` keeps
+    it: equal by ``repr`` (``np.min`` may pick ``-0.0`` over an earlier
+    ``0.0``) and sharing the records' float objects.
+    """
+    lows = points.argmin(axis=0).tolist()
+    highs = points.argmax(axis=0).tolist()
+    return Box(
+        tuple(float(records[row].point[d]) for d, row in enumerate(lows)),
+        tuple(float(records[row].point[d]) for d, row in enumerate(highs)),
+    )
 
 
 class RPlusTree:
@@ -287,6 +302,9 @@ class RPlusTree:
             self._store.on_append(leaf, record)
         self._count += len(records)
         path = self._path_to(leaf)
+        if OBS.enabled:
+            for _record in records:
+                OBS.observe("rtree.routing_depth", len(path))
         self._grow_mbrs_box(leaf, path, Box.from_points(r.point for r in records))
         if len(leaf.records) > self._split_trigger:
             self._split_leaf(leaf, path)
@@ -316,11 +334,24 @@ class RPlusTree:
 
     # -- splitting ---------------------------------------------------------------
 
-    def _split_leaf(self, leaf: LeafNode, path: list[InternalNode]) -> None:
-        """Split ``leaf``, whose ancestors are ``path`` (root first)."""
+    def _split_leaf(
+        self,
+        leaf: LeafNode,
+        path: list[InternalNode],
+        points: np.ndarray | None = None,
+    ) -> None:
+        """Split ``leaf``, whose ancestors are ``path`` (root first).
+
+        ``points`` is the leaf's float64 point matrix in record order.  A
+        top-level split builds it once; the recursion hands each child the
+        rows it cut from it, so the policy, the cut and both children's
+        MBRs all read the same matrix.
+        """
+        if points is None:
+            points = point_matrix(leaf.records)
         with span("rtree.leaf_split", records=len(leaf.records)):
             decision = self._policy.choose_split(
-                leaf.records, self._k, self._domain_extents
+                leaf.records, points, self._k, self._domain_extents
             )
             if decision is None:
                 # No legal cut: the leaf stays over-full, which is privacy-safe.
@@ -332,15 +363,14 @@ class RPlusTree:
             if OBS.enabled:
                 OBS.count("rtree.leaf_splits")
                 OBS.count("rtree.mbr_recomputations", 2)
-            left_records, right_records = partition_records(
-                leaf.records, decision.dimension, decision.value
-            )
+            mask = points[:, decision.dimension] <= decision.value
+            left_points, right_points = points[mask], points[~mask]
             left = LeafNode()
-            left.records = left_records
-            left.recompute_mbr()
+            left.records = list(compress(leaf.records, mask.tolist()))
+            left.mbr = _bounding_box(left.records, left_points)
             right = LeafNode()
-            right.records = right_records
-            right.recompute_mbr()
+            right.records = list(compress(leaf.records, (~mask).tolist()))
+            right.mbr = _bounding_box(right.records, right_points)
             self._store.on_split(leaf, left, right)
             cut = make_cut(decision.dimension, decision.value, left, right)
             self._replace_with_cut(leaf, path, cut, left, right)
@@ -349,9 +379,9 @@ class RPlusTree:
         # splits are spans of their own, not children of this one, and each
         # takes a fresh path: the split above may have split ``path`` too.
         if len(left.records) > self._split_trigger:
-            self._split_leaf(left, self._path_to(left))
+            self._split_leaf(left, self._path_to(left), left_points)
         if len(right.records) > self._split_trigger:
-            self._split_leaf(right, self._path_to(right))
+            self._split_leaf(right, self._path_to(right), right_points)
 
     def _split_internal(self, node: InternalNode, path: list[InternalNode]) -> None:
         if OBS.enabled:
@@ -681,7 +711,10 @@ class RPlusTree:
                 )
             if count > self._leaf_capacity:
                 decision = self._policy.choose_split(
-                    leaf.records, self._k, self._domain_extents
+                    leaf.records,
+                    point_matrix(leaf.records),
+                    self._k,
+                    self._domain_extents,
                 )
                 assert decision is None, (
                     f"leaf {node.node_id} is over-full ({count} > "

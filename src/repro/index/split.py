@@ -18,6 +18,10 @@ normalized margin* of the two resulting MBRs,
 contribution (Definition 4) the new partitions will incur, so split-time
 greed directly optimizes the quality metric the evaluation reports.
 
+Policies decide on the leaf's float64 point matrix, one row per record in
+record order (:func:`point_matrix`).  The tree builds it once per
+top-level split and cuts and bounds the children from the same rows.
+
 A policy may return ``None`` when no legal cut exists — e.g. every record
 identical, or duplicates so heavy that no boundary leaves ``min_count`` on
 both sides.  The tree then leaves the node over-full, which never violates
@@ -29,6 +33,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.dataset.record import Record
 
@@ -43,48 +49,30 @@ class SplitDecision:
     right_count: int
 
 
+def point_matrix(records: Sequence[Record]) -> np.ndarray:
+    """The records' points as one float64 matrix, one row per record."""
+    return np.array([record.point for record in records], dtype=np.float64)
+
+
 def best_threshold(
     values: Sequence[float], min_count: int
 ) -> tuple[float, int] | None:
     """The most balanced legal threshold along one dimension.
 
     Candidate thresholds sit between consecutive *distinct* sorted values;
-    the one whose left-group size is closest to ``len(values) / 2`` wins,
-    subject to both sides holding at least ``min_count`` items.  Returns
-    ``(threshold, left_count)`` or ``None`` when no boundary qualifies
-    (single distinct value, or duplicates too concentrated).
-    """
-    candidates = candidate_thresholds(values, min_count)
-    return candidates[0] if candidates else None
-
-
-def candidate_thresholds(
-    values: Sequence[float], min_count: int
-) -> list[tuple[float, int]]:
-    """Promising legal thresholds along one dimension.
-
-    Two candidates per dimension, deduplicated:
-
-    * the **most balanced** boundary (closest to the median) — minimizes
-      tree imbalance, the B-tree instinct (always first in the result);
-    * the **widest gap** boundary — maximizes the empty space between the
-      two resulting MBRs, the R-tree instinct that buys compaction (a cut
-      through a gap leaves both sides' extents strictly smaller).
-
-    Each is returned as ``(threshold, left_count)`` and is legal: at least
-    ``min_count`` values on both sides.  Empty when no boundary is legal.
-    One linear sweep over the sorted values; on ties the first boundary
-    wins for both candidates.
+    the one whose left-group size is closest to ``len(values) / 2`` wins
+    (the first on ties), subject to both sides holding at least
+    ``min_count`` items.  Returns ``(threshold, left_count)`` or ``None``
+    when no boundary qualifies (single distinct value, or duplicates too
+    concentrated).  One linear sweep over the sorted values.
     """
     total = len(values)
     if total < 2 * min_count:
-        return []
+        return None
     ordered = sorted(values)
     target = total / 2.0
-    balanced: tuple[float, int] | None = None
-    balanced_distance = float("inf")
-    widest: tuple[float, int] | None = None
-    widest_gap = -1.0
+    best: tuple[float, int] | None = None
+    best_distance = float("inf")
     index = 0
     while index < total:
         value = ordered[index]
@@ -97,34 +85,22 @@ def candidate_thresholds(
             break
         if left_count >= min_count and right_count >= min_count:
             distance = abs(left_count - target)
-            if distance < balanced_distance:
-                balanced_distance = distance
-                balanced = (value, left_count)
-            gap = ordered[index + 1] - value
-            if gap > widest_gap:
-                widest_gap = gap
-                widest = (value, left_count)
+            if distance < best_distance:
+                best_distance = distance
+                best = (value, left_count)
         index += 1
-    candidates: list[tuple[float, int]] = []
-    if balanced is not None:
-        candidates.append(balanced)
-    if widest is not None and widest != balanced:
-        candidates.append(widest)
-    return candidates
+    return best
 
 
-def partition_records(
-    records: Sequence[Record], dimension: int, value: float
-) -> tuple[list[Record], list[Record]]:
-    """Split records by the cut predicate ``point[dimension] <= value``."""
-    left: list[Record] = []
-    right: list[Record] = []
-    for record in records:
-        if record.point[dimension] <= value:
-            left.append(record)
-        else:
-            right.append(record)
-    return left, right
+def _normalized_widths(
+    points: np.ndarray, domain_extents: Sequence[float]
+) -> list[float]:
+    """Each dimension's data extent over its domain extent (0 if degenerate)."""
+    spans = (points.max(axis=0) - points.min(axis=0)).tolist()
+    return [
+        span / extent if extent > 0 else 0.0
+        for span, extent in zip(spans, domain_extents)
+    ]
 
 
 class SplitPolicy(abc.ABC):
@@ -134,11 +110,15 @@ class SplitPolicy(abc.ABC):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
         """Pick a legal cut, or ``None`` when no legal cut exists.
 
+        ``points`` is the leaf's float64 point matrix, one row per record
+        in record order (:func:`point_matrix`); policies decide on it, and
+        only a policy that judges whole groups reads ``records``.
         ``domain_extents`` are the full attribute ranges used to normalize
         extents so that attributes on different scales compete fairly.
         """
@@ -176,45 +156,24 @@ class MinMarginSplitPolicy(SplitPolicy):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
-        if len(records) < 2 * min_count:
+        if len(points) < 2 * min_count:
             return None
         count = len(domain_extents)
         if self._max_dimensions is None or self._max_dimensions >= count:
             dimensions: Sequence[int] = range(count)
         else:
-            dimensions = widest_dimensions(
-                records, domain_extents, self._max_dimensions
-            )
+            # Widest first; the stable sort keeps ties in dimension order.
+            widths = _normalized_widths(points, domain_extents)
+            dimensions = sorted(range(count), key=widths.__getitem__, reverse=True)[
+                : self._max_dimensions
+            ]
         return exhaustive_ncp_split(
-            records, min_count, domain_extents, None, dimensions
+            points, min_count, domain_extents, None, dimensions
         )
-
-
-def widest_dimensions(
-    records: Sequence[Record],
-    domain_extents: Sequence[float],
-    how_many: int,
-) -> list[int]:
-    """The ``how_many`` dimensions with the widest normalized data extent."""
-    count = len(domain_extents)
-    mins = list(records[0].point)
-    maxs = list(records[0].point)
-    for record in records:
-        for dimension, value in enumerate(record.point):
-            if value < mins[dimension]:
-                mins[dimension] = value
-            elif value > maxs[dimension]:
-                maxs[dimension] = value
-    def normalized_width(dimension: int) -> float:
-        extent = domain_extents[dimension]
-        if extent <= 0:
-            return 0.0
-        return (maxs[dimension] - mins[dimension]) / extent
-    ranked = sorted(range(count), key=normalized_width, reverse=True)
-    return ranked[:how_many]
 
 
 class MidpointSplitPolicy(SplitPolicy):
@@ -227,29 +186,23 @@ class MidpointSplitPolicy(SplitPolicy):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
         # Too few records cannot split legally — and an empty group would
         # crash the max()/min() width scan below, a latent trap the other
         # policies already guard via their size checks.
-        if len(records) < 2 * min_count:
+        if len(points) < 2 * min_count:
             return None
-        widths: list[tuple[float, int]] = []
-        for dimension, domain_extent in enumerate(domain_extents):
-            values = [record.point[dimension] for record in records]
-            extent = max(values) - min(values)
-            normalized = extent / domain_extent if domain_extent > 0 else 0.0
-            widths.append((normalized, dimension))
-        widths.sort(reverse=True)
-        for _normalized, dimension in widths:
-            found = best_threshold(
-                [record.point[dimension] for record in records], min_count
-            )
+        widths = _normalized_widths(points, domain_extents)
+        # Widest first; ties go to the higher dimension.
+        for _width, dimension in sorted(zip(widths, range(len(widths))), reverse=True):
+            found = best_threshold(points[:, dimension].tolist(), min_count)
             if found is not None:
                 value, left_count = found
                 return SplitDecision(
-                    dimension, value, left_count, len(records) - left_count
+                    dimension, value, left_count, len(points) - left_count
                 )
         return None
 
@@ -276,15 +229,16 @@ class BiasedSplitPolicy(SplitPolicy):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
         chosen = exhaustive_ncp_split(
-            records, min_count, domain_extents, None, self._preferred
+            points, min_count, domain_extents, None, self._preferred
         )
         if chosen is not None:
             return chosen
-        return self._fallback.choose_split(records, min_count, domain_extents)
+        return self._fallback.choose_split(records, points, min_count, domain_extents)
 
 
 class WeightedSplitPolicy(SplitPolicy):
@@ -306,6 +260,7 @@ class WeightedSplitPolicy(SplitPolicy):
     def choose_split(
         self,
         records: Sequence[Record],
+        points: np.ndarray,
         min_count: int,
         domain_extents: Sequence[float],
     ) -> SplitDecision | None:
@@ -314,7 +269,7 @@ class WeightedSplitPolicy(SplitPolicy):
                 f"{len(self._weights)} weights for {len(domain_extents)} dimensions"
             )
         return exhaustive_ncp_split(
-            records,
+            points,
             min_count,
             domain_extents,
             self._weights,
@@ -322,41 +277,8 @@ class WeightedSplitPolicy(SplitPolicy):
         )
 
 
-def group_margin(
-    records: Sequence[Record],
-    domain_extents: Sequence[float],
-    weights: Sequence[float] | None = None,
-) -> float:
-    """Normalized (optionally weighted) margin of a record group's MBR.
-
-    This is the per-record NCP the certainty metric charges (Definition 4),
-    which is why minimizing it at split time directly buys quality.  A
-    single pass over the records computes the extents on every dimension.
-    """
-    if not records:
-        return 0.0
-    first = records[0].point
-    mins = list(first)
-    maxs = list(first)
-    for record in records:
-        for dimension, value in enumerate(record.point):
-            if value < mins[dimension]:
-                mins[dimension] = value
-            elif value > maxs[dimension]:
-                maxs[dimension] = value
-    total = 0.0
-    for dimension, domain_extent in enumerate(domain_extents):
-        if domain_extent <= 0:
-            continue
-        extent = (maxs[dimension] - mins[dimension]) / domain_extent
-        if weights is not None:
-            extent *= weights[dimension]
-        total += extent
-    return total
-
-
 def exhaustive_ncp_split(
-    records: Sequence[Record],
+    points: np.ndarray,
     min_count: int,
     domain_extents: Sequence[float],
     weights: Sequence[float] | None,
@@ -364,17 +286,15 @@ def exhaustive_ncp_split(
 ) -> SplitDecision | None:
     """Evaluate every legal boundary on the given dimensions, vectorized.
 
-    For each candidate dimension the records are sorted once and prefix /
+    ``points`` is the group's float64 point matrix, one row per record.
+    For each candidate dimension the rows are sorted once and prefix /
     suffix minima and maxima over **all** attributes are accumulated, after
     which every legal boundary's score —
     ``|L| * NCP(mbr(L)) + |R| * NCP(mbr(R))`` — costs O(d) to evaluate.
     """
-    import numpy as np
-
-    total = len(records)
+    total = len(points)
     if total < 2 * min_count:
         return None
-    points = np.array([record.point for record in records], dtype=np.float64)
     inverse = np.array(
         [1.0 / extent if extent > 0 else 0.0 for extent in domain_extents]
     )

@@ -3,9 +3,10 @@
 Each function here is the plain-Python form of an operation whose only
 production path is a numpy kernel: the per-record ``struct`` page decoder,
 the ``hilbert_key(quantize(...))`` sort (of a whole file, or of one
-sharded-scan slice) and the exhaustive NCP split search — plus the record-list
-forms of the release path (the subtree scan and the per-record
-compaction) that production replaced with runs of whole leaves.  They
+sharded-scan slice) and the exhaustive NCP split search with the margin
+it scores — plus the record-list forms of the release path (the subtree
+scan and the per-record compaction) that production replaced with runs
+of whole leaves.  They
 exist only so the differential suites can hold the production code to
 them record for record; nothing in ``src`` calls them.
 """
@@ -152,6 +153,30 @@ def _running_margins(
                 maxs[dimension] = value
         out[position] = margin
     return out
+
+
+def group_margin(
+    records: Sequence[Record],
+    domain_extents: Sequence[float],
+    weights: Sequence[float] | None = None,
+) -> float:
+    """Normalized (optionally weighted) margin of a record group's MBR.
+
+    The per-record NCP the certainty metric charges (Definition 4), i.e.
+    each side's term of the objective the exhaustive split minimizes.
+    """
+    if not records:
+        return 0.0
+    box = Box.from_points(record.point for record in records)
+    total = 0.0
+    for dimension, domain_extent in enumerate(domain_extents):
+        if domain_extent <= 0:
+            continue
+        extent = box.extent(dimension) / domain_extent
+        if weights is not None:
+            extent *= weights[dimension]
+        total += extent
+    return total
 
 
 def subtree_scan(

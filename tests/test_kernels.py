@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.dataset.record import Record
 from repro.index.hilbert import hilbert_key, quantize
-from repro.index.split import MidpointSplitPolicy
+from repro.index.split import MidpointSplitPolicy, point_matrix
 from repro.kernels.codec import decode_points, encode_points
 from repro.kernels.hilbert import (
     hilbert_keys,
@@ -238,8 +238,13 @@ class TestCodec:
 class TestMidpointEmptyGuard:
     def test_empty_records_return_none_not_crash(self) -> None:
         # Regression (found writing the kernels): max() over no extents.
-        assert MidpointSplitPolicy().choose_split([], 2, (10.0, 10.0)) is None
+        empty = np.empty((0, 2))
+        assert MidpointSplitPolicy().choose_split([], empty, 2, (10.0, 10.0)) is None
 
     def test_undersized_groups_return_none(self) -> None:
         records = [Record(0, (1.0, 2.0)), Record(1, (3.0, 4.0))]
-        assert MidpointSplitPolicy().choose_split(records, 2, (10.0, 10.0)) is None
+        points = point_matrix(records)
+        assert (
+            MidpointSplitPolicy().choose_split(records, points, 2, (10.0, 10.0))
+            is None
+        )

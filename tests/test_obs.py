@@ -491,6 +491,17 @@ class TestBuiltInHooks:
         assert depth["count"] >= 200
         assert depth["max"] >= 1
 
+    def test_buffered_load_observes_routing_depth(self) -> None:
+        # Every record a buffered load delivers is routed once, whether
+        # by a bootstrap insert or a leaf batch of a buffer flush.
+        obs.enable()
+        tree = RPlusTree(dimensions=3, k=3)
+        BufferTreeLoader(tree).load(random_records(3000, seed=7))
+        depth = obs.snapshot()["histograms"]["rtree.routing_depth"]
+        assert depth["count"] == 3000
+        # Deferred splits may still grow the tree after the last delivery.
+        assert 1 <= depth["max"] <= tree.height
+
     def test_loader_and_storage_hooks(self) -> None:
         from repro.index.leaf_store import PagedLeafStore
 

@@ -3,27 +3,48 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.record import Record
+from repro.geometry.box import Box
+from repro.index.rtree import RPlusTree
 from repro.index.split import (
     BiasedSplitPolicy,
     MidpointSplitPolicy,
     MinMarginSplitPolicy,
+    SplitDecision,
+    SplitPolicy,
     WeightedSplitPolicy,
     best_threshold,
-    candidate_thresholds,
     exhaustive_ncp_split,
-    group_margin,
-    partition_records,
-    widest_dimensions,
+    point_matrix,
 )
-from tests.oracles import exhaustive_ncp_split_small
+from tests.oracles import exhaustive_ncp_split_small, group_margin
 
 
 def records_from(points: list[tuple[float, ...]]) -> list[Record]:
     return [Record(i, p) for i, p in enumerate(points)]
+
+
+def choose(
+    policy: SplitPolicy,
+    records: list[Record],
+    min_count: int,
+    domain_extents: tuple[float, ...],
+) -> SplitDecision | None:
+    return policy.choose_split(
+        records, point_matrix(records), min_count, domain_extents
+    )
+
+
+def split_score(records, decision, extents) -> float:
+    """The objective a cut achieves, from the records' own sides."""
+    left = [r for r in records if r.point[decision.dimension] <= decision.value]
+    right = [r for r in records if r.point[decision.dimension] > decision.value]
+    return len(left) * group_margin(left, extents) + len(right) * group_margin(
+        right, extents
+    )
 
 
 class TestThresholds:
@@ -43,25 +64,20 @@ class TestThresholds:
     def test_no_legal_boundary_with_heavy_duplicates(self) -> None:
         assert best_threshold([1, 9, 9, 9], 2) is None
 
-    def test_candidates_include_widest_gap(self) -> None:
-        values = [1, 2, 3, 50, 51, 52]
-        candidates = candidate_thresholds(values, 1)
-        assert (3, 3) in candidates  # balanced == widest gap here
-        values = [1, 2, 3, 4, 5, 100]
-        candidates = candidate_thresholds(values, 1)
-        assert candidates[0] == (3, 3)  # balanced first
-        assert (5, 5) in candidates  # gap 5 -> 100
+    def test_balanced_boundary_wins_over_widest_gap(self) -> None:
+        # The widest gap (5 -> 100) is legal, but the balanced cut wins.
+        assert best_threshold([1, 2, 3, 4, 5, 100], 1) == (3, 3)
+        assert best_threshold([1, 2, 3, 50, 51, 52], 1) == (3, 3)
 
     @given(
         st.lists(st.integers(0, 6).map(float), max_size=40),
         st.integers(1, 6),
     )
-    def test_balanced_then_widest_gap_on_tie_heavy_inputs(
+    def test_balanced_cut_on_tie_heavy_inputs(
         self, values: list[float], min_count: int
     ) -> None:
         """Against the definition: of the legal boundaries between distinct
-        sorted values, the first closest to the median, then the first
-        widest gap unless it is the same boundary."""
+        sorted values, the first closest to the median."""
         ordered = sorted(values)
         legal = [
             (ordered[index], index + 1)
@@ -69,22 +85,26 @@ class TestThresholds:
             if ordered[index] != ordered[index + 1]
             and min_count <= index + 1 <= len(ordered) - min_count
         ]
-        expected = []
+        expected = None
         if legal:
-            balanced = min(legal, key=lambda cut: abs(cut[1] - len(values) / 2))
-            widest = max(
-                legal, key=lambda cut: ordered[cut[1]] - ordered[cut[1] - 1]
-            )
-            expected = [balanced] if widest == balanced else [balanced, widest]
-        assert candidate_thresholds(values, min_count) == expected
+            expected = min(legal, key=lambda cut: abs(cut[1] - len(values) / 2))
+        assert best_threshold(values, min_count) == expected
 
 
 class TestPartitioning:
-    def test_partition_records(self) -> None:
-        records = records_from([(1, 0), (5, 0), (9, 0)])
-        left, right = partition_records(records, 0, 5)
-        assert [r.rid for r in left] == [0, 1]
-        assert [r.rid for r in right] == [2]
+    def test_cut_keeps_record_order(self) -> None:
+        # Values fall as rids rise on both interleaved sides, so a cut
+        # that reordered by value would reverse each child's rids.
+        points = [(float(i % 2 * 100 - i), 0.0) for i in range(30)]
+        tree = RPlusTree(dimensions=2, k=3, split_policy=MidpointSplitPolicy())
+        tree.begin_bulk(trigger=30)
+        tree.insert_all(records_from(points))
+        tree.finish_bulk()
+        leaves = list(tree.leaves())
+        assert len(leaves) > 2
+        for leaf in leaves:
+            rids = [record.rid for record in leaf.records]
+            assert rids == sorted(rids)
 
     def test_group_margin_normalizes(self) -> None:
         records = records_from([(0, 0), (10, 40)])
@@ -97,14 +117,64 @@ class TestPartitioning:
         assert group_margin(records, (100, 100), (2.0, 1.0)) == pytest.approx(0.6)
 
     def test_widest_dimensions(self) -> None:
-        records = records_from([(0, 0, 0), (1, 50, 9)])
-        assert widest_dimensions(records, (100, 100, 100), 2) == [1, 2]
+        # Every dimension makes the same cut, so a full search keeps the
+        # first, dimension 0; preselection never tries it, the narrowest.
+        points = [(0.0, 0.0, 0.0), (1.0, 50.0, 9.0)] * 4
+        for count in (1, 2):
+            decision = choose(
+                MinMarginSplitPolicy(max_dimensions=count),
+                records_from(points),
+                2,
+                (100.0, 100.0, 100.0),
+            )
+            assert decision is not None and decision.dimension == 1
+
+    def test_preselection_ties_keep_dimension_order(self) -> None:
+        # Equal widths on all three dimensions: the first ones are searched.
+        points = [(0.0, 9.0, 0.0), (9.0, 0.0, 9.0)] * 4
+        decision = choose(
+            MinMarginSplitPolicy(max_dimensions=1),
+            records_from(points),
+            2,
+            (9.0, 9.0, 9.0),
+        )
+        assert decision is not None and decision.dimension == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 0, 1, 1.0, 2, -1.5])] * 2),
+            min_size=4,
+            max_size=60,
+        ),
+        st.integers(1, 4),
+        st.sampled_from([MinMarginSplitPolicy(), MidpointSplitPolicy()]),
+    )
+    def test_split_children_bound_like_from_points_by_repr(
+        self, points: list[tuple[float, float]], k: int, policy: SplitPolicy
+    ) -> None:
+        """Restore recomputes leaf MBRs with ``Box.from_points``, which
+        keeps the first of ``0.0``/``-0.0`` it sees; a child's box cut from
+        the leaf's matrix must match it by ``repr``, not just by ``==``."""
+        tree = RPlusTree(
+            dimensions=2, k=k, split_policy=policy, domain_extents=(4.0, 4.0)
+        )
+        # One over-full root leaf, split recursively by finish_bulk.
+        tree.begin_bulk(trigger=len(points))
+        tree.insert_all(records_from(points))
+        tree.finish_bulk()
+        if tree.root is None or tree.root.is_leaf:
+            return  # no legal cut: the root leaf was never split
+        for leaf in tree.leaves():
+            expected = Box.from_points(record.point for record in leaf.records)
+            assert repr(leaf.mbr) == repr(expected)
+        tree.check_invariants()
 
 
 class TestMinMargin:
     def test_respects_min_count(self) -> None:
         records = records_from([(float(i),) for i in range(10)])
-        decision = MinMarginSplitPolicy().choose_split(records, 4, (10.0,))
+        decision = choose(MinMarginSplitPolicy(), records, 4, (10.0,))
         assert decision is not None
         assert decision.left_count >= 4 and decision.right_count >= 4
 
@@ -114,15 +184,18 @@ class TestMinMargin:
         # cutting dimension 0 would leave both sides spanning the full
         # dimension-1 extent.
         points = [(float(i), 0.0 if i % 2 == 0 else 90.0) for i in range(10)]
-        decision = MinMarginSplitPolicy(max_dimensions=None).choose_split(
-            records_from(points), 2, (100.0, 100.0)
+        decision = choose(
+            MinMarginSplitPolicy(max_dimensions=None),
+            records_from(points),
+            2,
+            (100.0, 100.0),
         )
         assert decision is not None
         assert decision.dimension == 1
 
     def test_none_when_unsplittable(self) -> None:
         records = records_from([(5.0, 5.0)] * 8)
-        assert MinMarginSplitPolicy().choose_split(records, 2, (10.0, 10.0)) is None
+        assert choose(MinMarginSplitPolicy(), records, 2, (10.0, 10.0)) is None
 
     def test_axis_preselection_matches_full_search_often(self) -> None:
         import random
@@ -135,8 +208,8 @@ class TestMinMargin:
             records = records_from(
                 [tuple(float(rng.randint(0, 50)) for _ in range(3)) for _ in range(16)]
             )
-            a = full.choose_split(records, 4, (50.0,) * 3)
-            b = limited.choose_split(records, 4, (50.0,) * 3)
+            a = choose(full, records, 4, (50.0,) * 3)
+            b = choose(limited, records, 4, (50.0,) * 3)
             assert (a is None) == (b is None)
             if a is not None and a == b:
                 agreements += 1
@@ -158,21 +231,15 @@ class TestExhaustiveEquivalence:
     def test_numpy_and_python_paths_agree(self, points: list[tuple[int, int]]) -> None:
         records = records_from([(float(a), float(b)) for a, b in points])
         extents = (30.0, 30.0)
-        a = exhaustive_ncp_split(records, 3, extents, None, range(2))
+        a = exhaustive_ncp_split(point_matrix(records), 3, extents, None, range(2))
         b = exhaustive_ncp_split_small(records, 3, extents, None, range(2))
         assert (a is None) == (b is None)
         if a is not None:
             # Both search the same space; scores tie -> cuts may differ,
             # so compare the achieved objective, not the cut itself.
-            def score(decision) -> float:
-                left, right = partition_records(
-                    records, decision.dimension, decision.value
-                )
-                return len(left) * group_margin(left, extents) + len(
-                    right
-                ) * group_margin(right, extents)
-
-            assert score(a) == pytest.approx(score(b))
+            assert split_score(records, a, extents) == pytest.approx(
+                split_score(records, b, extents)
+            )
 
     @given(
         st.lists(
@@ -194,7 +261,8 @@ class TestExhaustiveEquivalence:
         the sweep's equality check."""
         records = records_from([(float(a), float(b)) for a, b in points])
         extents = (4.0, 4.0)
-        a = exhaustive_ncp_split(records, min_count, extents, None, range(2))
+        matrix = point_matrix(records)
+        a = exhaustive_ncp_split(matrix, min_count, extents, None, range(2))
         b = exhaustive_ncp_split_small(records, min_count, extents, None, range(2))
         assert a == b
 
@@ -203,7 +271,7 @@ class TestExhaustiveEquivalence:
             [(7.0, float(value)) for value in (0, 0, 1, 1, 8, 8)]
         )
         extents = (8.0, 8.0)
-        a = exhaustive_ncp_split(records, 2, extents, None, range(2))
+        a = exhaustive_ncp_split(point_matrix(records), 2, extents, None, range(2))
         b = exhaustive_ncp_split_small(records, 2, extents, None, range(2))
         assert a == b
         assert a is not None and a.dimension == 1
@@ -216,7 +284,8 @@ class TestExhaustiveEquivalence:
             [(1.0, 0.0), (1.0, 0.0), (9.0, 0.0), (9.0, 0.0), (9.0, 0.0)],
         ):
             records = records_from(rows)
-            assert exhaustive_ncp_split(records, 3, (9.0, 9.0), None, range(2)) is None
+            matrix = point_matrix(records)
+            assert exhaustive_ncp_split(matrix, 3, (9.0, 9.0), None, range(2)) is None
             assert (
                 exhaustive_ncp_split_small(records, 3, (9.0, 9.0), None, range(2))
                 is None
@@ -235,14 +304,14 @@ class TestExhaustiveEquivalence:
         records = records_from([(float(a), float(b)) for a, b in points])
         extents = (16.0, 16.0)
         weights = (2.0, 0.5)  # powers of two keep the arithmetic exact
-        a = exhaustive_ncp_split(records, 2, extents, weights, range(2))
+        a = exhaustive_ncp_split(point_matrix(records), 2, extents, weights, range(2))
         b = exhaustive_ncp_split_small(records, 2, extents, weights, range(2))
         assert a == b
 
     def test_exhaustive_policy_wrapper(self) -> None:
         records = records_from([(float(i), 0.0) for i in range(12)])
-        decision = MinMarginSplitPolicy(max_dimensions=None).choose_split(
-            records, 3, (12.0, 12.0)
+        decision = choose(
+            MinMarginSplitPolicy(max_dimensions=None), records, 3, (12.0, 12.0)
         )
         assert decision is not None
         assert decision.dimension == 0
@@ -251,8 +320,8 @@ class TestExhaustiveEquivalence:
 class TestMidpoint:
     def test_cuts_widest_dimension(self) -> None:
         points = [(float(i), float(i * 10)) for i in range(10)]
-        decision = MidpointSplitPolicy().choose_split(
-            records_from(points), 2, (100.0, 100.0)
+        decision = choose(
+            MidpointSplitPolicy(), records_from(points), 2, (100.0, 100.0)
         )
         assert decision is not None
         assert decision.dimension == 1
@@ -260,8 +329,8 @@ class TestMidpoint:
     def test_falls_back_when_widest_unusable(self) -> None:
         # Dimension 1 is widest but all-duplicate save one value.
         points = [(float(i), 0.0) for i in range(9)] + [(9.0, 90.0)]
-        decision = MidpointSplitPolicy().choose_split(
-            records_from(points), 3, (100.0, 100.0)
+        decision = choose(
+            MidpointSplitPolicy(), records_from(points), 3, (100.0, 100.0)
         )
         assert decision is not None
         assert decision.dimension == 0
@@ -277,14 +346,14 @@ class TestBiased:
             records = records_from(
                 [tuple(float(rng.randint(0, 50)) for _ in range(3)) for _ in range(12)]
             )
-            decision = policy.choose_split(records, 3, (50.0,) * 3)
+            decision = choose(policy, records, 3, (50.0,) * 3)
             if decision is not None:
                 assert decision.dimension == 1
 
     def test_fallback_when_preferred_unusable(self) -> None:
         points = [(float(i), 7.0) for i in range(10)]
-        decision = BiasedSplitPolicy([1]).choose_split(
-            records_from(points), 2, (10.0, 10.0)
+        decision = choose(
+            BiasedSplitPolicy([1]), records_from(points), 2, (10.0, 10.0)
         )
         assert decision is not None
         assert decision.dimension == 0
@@ -300,8 +369,8 @@ class TestWeighted:
         # cutting one leaves the other's extent wide; the x10 weight makes
         # shrinking dimension 1 the profitable choice.
         points = [(float(i), float(i * 7 % 10)) for i in range(10)]
-        decision = WeightedSplitPolicy([1.0, 10.0]).choose_split(
-            records_from(points), 2, (10.0, 10.0)
+        decision = choose(
+            WeightedSplitPolicy([1.0, 10.0]), records_from(points), 2, (10.0, 10.0)
         )
         assert decision is not None
         assert decision.dimension == 1
@@ -316,8 +385,8 @@ class TestWeighted:
             records = records_from(
                 [tuple(float(rng.randint(0, 50)) for _ in range(2)) for _ in range(14)]
             )
-            assert weighted.choose_split(records, 3, (50.0, 50.0)) == plain.choose_split(
-                records, 3, (50.0, 50.0)
+            assert choose(weighted, records, 3, (50.0, 50.0)) == choose(
+                plain, records, 3, (50.0, 50.0)
             )
 
     def test_negative_weights_rejected(self) -> None:
@@ -327,4 +396,4 @@ class TestWeighted:
     def test_wrong_weight_count_rejected(self) -> None:
         records = records_from([(1.0, 2.0)] * 6)
         with pytest.raises(ValueError):
-            WeightedSplitPolicy([1.0]).choose_split(records, 2, (10.0, 10.0))
+            choose(WeightedSplitPolicy([1.0]), records, 2, (10.0, 10.0))

@@ -12,8 +12,8 @@ instrumentation on, and writes one canonical JSON document
 * the exact workload configuration, and
 
 plus one environment block (interpreter, platform, timestamp, git rev) for
-the whole run.  ``repro bench --compare BENCH_core.json`` re-runs the same
-set and prints a per-figure regression report: wall-clock ratios against a
+the whole run.  ``repro bench --compare BENCH_core.json --out bench.json``
+re-runs the same set (``--out`` must not name the baseline) and prints a per-figure regression report: wall-clock ratios against a
 configurable tolerance (timings are machine-dependent, so the default is
 generous) and counter drift against a tight tolerance (the counters should
 not move at all unless the algorithm changed).

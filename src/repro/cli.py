@@ -12,7 +12,7 @@
     repro fig7a --profile-json p.jsonl   # machine-readable snapshot trail
     repro fig7a --trace t.json     # Chrome/Perfetto trace of the run
     repro bench                    # pinned-seed core set -> BENCH_core.json
-    repro bench --compare BENCH_core.json   # regression report vs baseline
+    repro bench --compare BENCH_core.json --out bench.json  # vs baseline
     repro anonymize --workers 4    # sharded parallel bulk anonymization
     repro anonymize --workers 4 --dataset census --records 20000 --k 10
     repro anonymize --dir state/   # durable: WAL + checkpoint in state/
@@ -323,8 +323,13 @@ def _bench_command(arguments: argparse.Namespace) -> int:
     Writes the bench document (timings + key obs counters + environment)
     to ``--out`` (default ``BENCH_core.json``), and with ``--compare``
     prints the per-figure regression report against a baseline, returning
-    exit code 1 when any figure regressed beyond tolerance.
+    exit code 1 when any figure regressed beyond tolerance.  The baseline
+    is loaded before anything runs, and an ``--out`` that names the
+    baseline file exits 2 at once: writing there would overwrite the
+    baseline and compare the run with itself.
     """
+    from pathlib import Path
+
     from repro.bench.regression import (
         DEFAULT_BENCH_PATH,
         DEFAULT_TIME_TOLERANCE,
@@ -334,17 +339,26 @@ def _bench_command(arguments: argparse.Namespace) -> int:
         write_bench,
     )
 
+    out = arguments.out if arguments.out is not None else DEFAULT_BENCH_PATH
+    baseline = None
+    if arguments.compare is not None:
+        if Path(out).resolve() == Path(arguments.compare).resolve():
+            print(
+                f"--out {out} is the --compare baseline; write the run "
+                "elsewhere (e.g. --out bench.json)",
+                file=sys.stderr,
+            )
+            return 2
+        baseline = load_bench(arguments.compare)
     mode = "quick" if arguments.quick else "core"
     print(f"running the {mode} bench set (pinned seeds, instrumented)...")
     document = run_core_bench(quick=arguments.quick)
-    out = arguments.out if arguments.out is not None else DEFAULT_BENCH_PATH
     target = write_bench(document, out)
     for figure, entry in document["figures"].items():  # type: ignore[union-attr]
         print(f"  {figure}: {entry['seconds']:.3f}s")
     print(f"bench document written to {target}")
-    if arguments.compare is None:
+    if baseline is None:
         return 0
-    baseline = load_bench(arguments.compare)
     tolerance = (
         arguments.tolerance
         if arguments.tolerance is not None

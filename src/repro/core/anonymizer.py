@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
@@ -33,6 +33,8 @@ from repro.core.partition import (
     AnonymizedTable,
     Partition,
     Release,
+    digest_fragment,
+    fragments_digest,
     release_digest,
 )
 from repro.dataset.record import Record
@@ -50,7 +52,7 @@ from repro.index.rtree import (
 )
 from repro.index.split import SplitPolicy
 from repro.obs import AUDITOR, OBS, span
-from repro.obs.audit import audit_release
+from repro.obs.audit import audit_release, normalized_volume
 from repro.storage.buffer_pool import BufferPool
 
 #: The paper's base anonymity level for bulk loads (§5.1).
@@ -61,27 +63,55 @@ def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
     """Each run of whole leaves as a partition under its minimum bounding box.
 
     The compacted publish path of the leaf-aligned strategies
-    (:meth:`RTreeAnonymizer._emit_release`).  A run's minimum bounding box
+    (:meth:`RTreeAnonymizer._publish_runs`), called for the runs the
+    previous release did not hold.  A run's minimum bounding box
     is the union of its leaves' cached MBRs, which the tree keeps exact
     (:meth:`~repro.index.rtree.RPlusTree.check_invariants` asserts each
     equals ``Box.from_points`` of the leaf's records), so no record point
     is read; a one-leaf run publishes ``leaf.mbr`` as is.
     """
-    with span("core.compact"):
-        partitions: list[Partition] = []
-        for run in runs:
-            if len(run) == 1:
-                leaf = run[0]
-                partitions.append(Partition.trusted(tuple(leaf.records), leaf.mbr))
-            else:
-                box = reduce(Box.union, [leaf.mbr for leaf in run])
-                partitions.append(Partition.trusted(_run_records(run), box))
-        return partitions
+    partitions: list[Partition] = []
+    for run in runs:
+        if len(run) == 1:
+            leaf = run[0]
+            partitions.append(Partition.trusted(tuple(leaf.records), leaf.mbr))
+        else:
+            box = reduce(Box.union, [leaf.mbr for leaf in run])
+            partitions.append(Partition.trusted(_run_records(run), box))
+    return partitions
 
 
 def _run_records(run: Run) -> tuple[Record, ...]:
     """A run's records, leaf by leaf in leaf order."""
     return tuple([record for leaf in run for record in leaf.records])
+
+
+class _PublishedRun:
+    """One compacted run as published: its partition, digest bytes and volume.
+
+    The digest bytes and the audit volume are computed on first use, by
+    the digest and the audit, and then kept for as long as the run stays
+    unchanged.
+    """
+
+    __slots__ = ("partition", "_fragment", "_volume")
+
+    def __init__(self, partition: Partition) -> None:
+        self.partition = partition
+        self._fragment: bytes | None = None
+        self._volume: float | None = None
+
+    def fragment(self) -> bytes:
+        """The partition's :func:`~repro.core.partition.digest_fragment`."""
+        if self._fragment is None:
+            self._fragment = digest_fragment(self.partition)
+        return self._fragment
+
+    def volume(self, extents: Sequence[float]) -> float:
+        """The box's :func:`~repro.obs.audit.normalized_volume`."""
+        if self._volume is None:
+            self._volume = normalized_volume(self.partition.box, extents)
+        return self._volume
 
 
 class RTreeAnonymizer:
@@ -111,9 +141,6 @@ class RTreeAnonymizer:
         recover existing state instead of re-opening it blind.
         """
         self._schema = schema_table.schema
-        domain_extents = [
-            attribute.domain_extent for attribute in self._schema.quasi_identifiers
-        ]
         leaf_store = PagedLeafStore(pool) if pool is not None else None
         self._tree = RPlusTree(
             dimensions=self._schema.dimensions,
@@ -121,7 +148,7 @@ class RTreeAnonymizer:
             capacity_factor=capacity_factor,
             max_fanout=max_fanout,
             split_policy=split_policy,
-            domain_extents=domain_extents,
+            domain_extents=self._schema.domain_extents(),
             leaf_store=leaf_store,
             leaf_capacity=leaf_capacity,
         )
@@ -129,6 +156,11 @@ class RTreeAnonymizer:
         self._loader = BufferTreeLoader(self._tree, pool=pool)
         #: The auditor's record of the latest release (see _emit_release).
         self._last_audit: dict[str, object] | None = None
+        #: The latest compacted leaf-run release's runs, keyed by their
+        #: leaves' versions (see _publish_runs), and the same runs in
+        #: partition order (None when the latest release was not one).
+        self._runs: dict[tuple[int, ...], _PublishedRun] = {}
+        self._last_runs: list[_PublishedRun] | None = None
         self._durability: DurabilityManager | None = None
         if durability is not None:
             self._durability = DurabilityManager.create(
@@ -162,6 +194,8 @@ class RTreeAnonymizer:
         anonymizer._loader = BufferTreeLoader(tree, pool=pool)
         anonymizer._durability = None
         anonymizer._last_audit = None
+        anonymizer._runs = {}
+        anonymizer._last_runs = None
         return anonymizer
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
@@ -433,15 +467,29 @@ class RTreeAnonymizer:
         global auditor on, the audit is the record it appended for this
         very table (strict mode gates the publish); otherwise an
         equivalent record is computed directly, so ``audit`` is never empty.
+
+        A compacted ``subtree`` or ``sequential`` release digests and
+        audits from its runs' kept digest bytes and volumes, so only the
+        runs that changed since the previous release are hashed and
+        measured; the result equals :func:`release_digest` and
+        :func:`audit_release` of the table.
         """
         table = self.anonymize(k, compacted, constraint, strategy)
         audit = self._last_audit
         if audit is None:
-            audit = audit_release(table, k, base_k=self._tree.k)
+            audit = audit_release(
+                table, k, base_k=self._tree.k, volumes=self._run_volumes()
+            )
+        runs = self._last_runs
+        if runs is None:
+            digest = release_digest(table)
+        else:
+            with span("core.digest"):
+                digest = fragments_digest([run.fragment() for run in runs])
         return Release(
             table=table,
             audit=audit,
-            digest=release_digest(table),
+            digest=digest,
             k=k,
             strategy=strategy,
             compacted=compacted,
@@ -458,11 +506,14 @@ class RTreeAnonymizer:
 
         ``subtree`` and ``sequential`` group *runs of whole leaves* (slices
         of ``tree.leaves()``).  Compacted, a run publishes the union of its
-        leaves' cached MBRs (:func:`build_compacted_partitions`);
-        uncompacted, the union of its leaves' region boxes.  ``hilbert``
-        chunks a global record order that cuts through leaves, so it
-        bounds each chunk's points with ``Box.from_points``.
+        leaves' cached MBRs, reused from the previous release when its
+        leaves are unchanged (:meth:`_publish_runs`); uncompacted, the
+        union of its leaves' region boxes.  ``hilbert`` chunks a global
+        record order that cuts through leaves, so it bounds each chunk's
+        points with ``Box.from_points``.  Neither of those two reuses
+        anything: a leaf's region can change while its records do not.
         """
+        self._last_runs = None
         if strategy == "hilbert":
             partitions = self._hilbert_partitions(k, compacted, constraint)
         else:
@@ -474,7 +525,8 @@ class RTreeAnonymizer:
                 else:
                     raise ValueError(f"unknown grouping strategy {strategy!r}")
             if compacted:
-                partitions = build_compacted_partitions(runs)
+                self._last_runs = self._publish_runs(runs)
+                partitions = [run.partition for run in self._last_runs]
             else:
                 regions = self.leaf_regions()
                 partitions = []
@@ -495,11 +547,52 @@ class RTreeAnonymizer:
         # record is kept for release(), which must hand out this release's
         # audit and not whatever another handle published since.
         self._last_audit = (
-            AUDITOR.on_release(release, k, base_k=self._tree.k)
+            AUDITOR.on_release(
+                release, k, base_k=self._tree.k, volumes=self._run_volumes()
+            )
             if AUDITOR.enabled
             else None
         )
         return release
+
+    def _publish_runs(self, runs: list[Run]) -> list[_PublishedRun]:
+        """The compacted runs of this release, reusing the previous release's.
+
+        A run is keyed by its leaves' versions.  A leaf draws a fresh
+        version from one process-wide sequence whenever its records
+        change (:meth:`~repro.index.node.LeafNode.touch`), so an equal key
+        means the same leaves holding the same records under the same
+        MBRs, and the previous release's partition, digest bytes and
+        volume for it still hold.  Only the other runs are built.  The
+        kept runs are then replaced by exactly this release's, so they
+        never outgrow one release.
+        """
+        with span("core.compact"):
+            previous = self._runs
+            keys = [tuple([leaf.version for leaf in run]) for run in runs]
+            missing = [run for key, run in zip(keys, runs) if key not in previous]
+            built = iter(build_compacted_partitions(missing))
+            published = [
+                previous[key] if key in previous else _PublishedRun(next(built))
+                for key in keys
+            ]
+            self._runs = dict(zip(keys, published))
+        if OBS.enabled:
+            OBS.count("core.runs_built", len(missing))
+            OBS.count("core.runs_reused", len(runs) - len(missing))
+        return published
+
+    def _run_volumes(self) -> Iterator[float] | None:
+        """The latest release's partition volumes, from its kept runs.
+
+        ``None`` when that release was not a compacted leaf-run release
+        (the audit then measures every box itself).  The volumes are
+        computed lazily, inside the audit's span.
+        """
+        if self._last_runs is None:
+            return None
+        extents = self._schema.domain_extents()
+        return (run.volume(extents) for run in self._last_runs)
 
     def _hilbert_partitions(
         self, k: int, compacted: bool, constraint: Constraint | None
@@ -603,7 +696,9 @@ class RTreeAnonymizer:
             return self._durability.checkpoint(self._tree, self._schema)
 
     def close(self) -> None:
-        """Flush and close the durability layer (no-op when not durable)."""
+        """Drop the kept release runs; flush and close the durability layer."""
+        self._runs = {}
+        self._last_runs = None
         if self._durability is not None:
             self._durability.close()
 

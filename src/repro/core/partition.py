@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -78,7 +79,10 @@ class Partition:
 
 
 class AnonymizedTable:
-    """An ordered set of partitions — one k-anonymous release of a table."""
+    """An ordered set of partitions — one k-anonymous release of a table.
+
+    Immutable, so its whole-table sums are computed once, on first read.
+    """
 
     def __init__(self, schema: Schema, partitions: Sequence[Partition]) -> None:
         if not partitions:
@@ -108,14 +112,14 @@ class AnonymizedTable:
     def __iter__(self) -> Iterator[Partition]:
         return iter(self._partitions)
 
-    @property
+    @cached_property
     def record_count(self) -> int:
-        return sum(len(partition) for partition in self._partitions)
+        return sum([len(partition.records) for partition in self._partitions])
 
-    @property
+    @cached_property
     def k_effective(self) -> int:
         """The smallest partition size — the strongest k this table satisfies."""
-        return min(len(partition) for partition in self._partitions)
+        return min([len(partition.records) for partition in self._partitions])
 
     def partition_of(self, rid: int) -> Partition:
         """The partition containing a record id (KeyError when absent)."""
@@ -185,25 +189,39 @@ class Release:
         return bool(self.audit["k_satisfied"])
 
 
+def digest_fragment(partition: Partition) -> bytes:
+    """The bytes one partition contributes to :func:`release_digest`.
+
+    The repr of the box's low/high tuples followed by the repr of the
+    sorted member rids.  The rids are sorted straight from the records: a
+    record id names one record, so the sorted list is the sorted member
+    set and no set is built.
+    """
+    box = partition.box
+    rids = sorted([record.rid for record in partition.records])
+    return (repr((tuple(box.lows), tuple(box.highs))) + repr(rids)).encode()
+
+
+def fragments_digest(fragments: Iterable[bytes]) -> str:
+    """The sha256 hex digest of the partitions' fragments, in order."""
+    return hashlib.sha256(b"".join(fragments)).hexdigest()
+
+
 def release_digest(table: AnonymizedTable) -> str:
     """A sha256 fingerprint of a release's published content.
 
-    Hashes every partition's box (repr of the low/high tuples) and sorted
-    member rids, in partition order.  Two releases digest equal iff they
+    Hashes every partition's :func:`digest_fragment` (box and sorted
+    member rids), in partition order.  Two releases digest equal iff they
     publish the same partitions with the same boxes in the same order —
     the property the parallel engine's determinism guarantee promises and
     the serial/parallel differential checks (`repro anonymize` prints this
     digest so CI can compare runs across worker counts textually).
 
-    The rids are sorted straight from the records: a record id names one
-    record, so the sorted list is the sorted member set and no set is built.
+    This is the full recompute; a release of unchanged leaf runs reuses
+    their fragments instead (:meth:`RTreeAnonymizer.release
+    <repro.core.anonymizer.RTreeAnonymizer.release>`).
     """
     with span("core.digest"):
-        hasher = hashlib.sha256()
-        for partition in table.partitions:
-            box = partition.box
-            hasher.update(repr((tuple(box.lows), tuple(box.highs))).encode())
-            hasher.update(
-                repr(sorted([record.rid for record in partition.records])).encode()
-            )
-        return hasher.hexdigest()
+        return fragments_digest(
+            [digest_fragment(partition) for partition in table.partitions]
+        )

@@ -129,3 +129,6 @@ class Schema:
 
     def domain_highs(self) -> tuple[float, ...]:
         return tuple(attribute.domain_high for attribute in self.quasi_identifiers)
+
+    def domain_extents(self) -> tuple[float, ...]:
+        return tuple(attribute.domain_extent for attribute in self.quasi_identifiers)

@@ -37,6 +37,9 @@ from repro.geometry.box import Box
 
 _node_ids = itertools.count()
 
+#: Leaf versions: one process-wide sequence, so a version is never reused.
+_leaf_versions = itertools.count()
+
 
 class Node:
     """Common base: identity, level (0 = leaf) and MBR.
@@ -61,13 +64,26 @@ class Node:
 
 
 class LeafNode(Node):
-    """A leaf: the records of one k-anonymous partition."""
+    """A leaf: the records of one k-anonymous partition.
 
-    __slots__ = ("records",)
+    ``version`` names the leaf's record content: it is drawn fresh when
+    the leaf is made and at every change to its records (:meth:`touch`),
+    from one process-wide sequence, so two observations of a leaf with
+    equal versions saw the same records, in the same order, under the
+    same MBR.  The release path keys its reuse of unchanged leaf runs on
+    it (:meth:`repro.core.anonymizer.RTreeAnonymizer.anonymize`).
+    """
+
+    __slots__ = ("records", "version")
 
     def __init__(self) -> None:
         super().__init__(level=0)
         self.records: list[Record] = []
+        self.version = next(_leaf_versions)
+
+    def touch(self) -> None:
+        """Record that ``records`` changed: draw a fresh version."""
+        self.version = next(_leaf_versions)
 
     def record_count(self) -> int:
         return len(self.records)

@@ -211,6 +211,7 @@ class RPlusTree:
             OBS.count("rtree.inserts")
             OBS.observe("rtree.routing_depth", len(path))
         leaf.records.append(record)
+        leaf.touch()
         self._store.on_append(leaf, record)
         self._count += 1
         self._grow_mbrs(leaf, path, record.point)
@@ -298,6 +299,7 @@ class RPlusTree:
         if OBS.enabled:
             OBS.count("rtree.inserts", len(records))
         leaf.records.extend(records)
+        leaf.touch()
         for record in records:
             self._store.on_append(leaf, record)
         self._count += len(records)
@@ -429,6 +431,7 @@ class RPlusTree:
         for index, record in enumerate(leaf.records):
             if record.rid == rid:
                 removed = leaf.records.pop(index)
+                leaf.touch()
                 break
         else:
             raise KeyError(rid)
@@ -484,6 +487,7 @@ class RPlusTree:
                 self._root = LeafNode()
             leaf, path = self._descend(record.point)
             leaf.records.append(record)
+            leaf.touch()
             self._count += 1
             self._grow_mbrs(leaf, path, record.point)
             touched[leaf.node_id] = leaf

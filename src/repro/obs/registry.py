@@ -71,6 +71,10 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "page.allocations",
     "anonymizer.releases",
     "anonymizer.partitions",
+    # Compacted leaf-run releases: runs kept from the previous release
+    # versus runs built afresh.
+    "core.runs_reused",
+    "core.runs_built",
     "kernels.keyed_records",
     "kernels.decoded_pages",
     "kernels.decoded_records",

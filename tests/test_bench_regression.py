@@ -194,3 +194,63 @@ class TestCLIBench:
             ]
         )
         assert exit_code == 1
+
+    def test_out_naming_the_baseline_exits_2_before_running(
+        self, tiny_bench: dict, tmp_path, monkeypatch
+    ) -> None:
+        """``--compare BENCH_core.json`` with the default ``--out`` (the same
+        file) used to overwrite the baseline and compare the run with
+        itself."""
+        from repro import cli
+        from repro.bench import regression
+
+        def must_not_run(quick: bool = False) -> dict:
+            raise AssertionError("the bench set ran")
+
+        monkeypatch.setattr(regression, "run_core_bench", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        baseline = write_bench(tiny_bench, regression.DEFAULT_BENCH_PATH)
+        before = baseline.read_bytes()
+        assert cli.main(["bench", "--compare", str(baseline)]) == 2
+        assert (
+            cli.main(
+                ["bench", "--compare", str(baseline.resolve()), "--out", "./"
+                 + regression.DEFAULT_BENCH_PATH]
+            )
+            == 2
+        )
+        assert baseline.read_bytes() == before
+
+    def test_baseline_is_loaded_before_the_run(
+        self, tiny_bench: dict, tmp_path, monkeypatch
+    ) -> None:
+        from repro import cli
+        from repro.bench import regression
+
+        fast = json.loads(json.dumps(tiny_bench))
+        fast["figures"]["fig7a"]["seconds"] = 1e-9
+        baseline = write_bench(fast, tmp_path / "baseline.json")
+
+        def run_over_the_baseline(quick: bool = False) -> dict:
+            # Rewrite the baseline file mid-run: the comparison must still
+            # be against the impossibly fast figure it held beforehand.
+            write_bench(tiny_bench, baseline)
+            return tiny_bench
+
+        monkeypatch.setattr(regression, "run_core_bench", run_over_the_baseline)
+        out = tmp_path / "current.json"
+        code = cli.main(
+            ["bench", "--compare", str(baseline), "--out", str(out)]
+        )
+        assert code == 1
+        assert load_bench(out) == tiny_bench
+
+        def must_not_run(quick: bool = False) -> dict:
+            raise AssertionError("the bench set ran")
+
+        monkeypatch.setattr(regression, "run_core_bench", must_not_run)
+        with pytest.raises(FileNotFoundError):
+            cli.main(
+                ["bench", "--compare", str(tmp_path / "absent.json"),
+                 "--out", str(out)]
+            )

@@ -1169,8 +1169,9 @@ def serve_bench(
     group commit (``barrier``), then serves ``reads_per_round`` releases
     cycling over ``ks``.  With the cache on, only the first read per k per
     round recomputes (the epoch bump invalidated the previous round's
-    snapshots) and the rest are cache hits; with it off every read pays
-    the full leaf-scan under the write lock.  The spread between the two
+    snapshots) and the rest are cache hits; the ``off`` row clears the
+    cache before every read, so every read misses and pays the full
+    leaf-scan under the write lock.  The spread between the two
     ``reads/s`` rows is the serving layer's contribution.
 
     Single-threaded by design: each round's group is submitted alone and
@@ -1255,7 +1256,7 @@ def serve_bench(
         for label, cached, telemetry in (uncached, *pair):
             engine = RTreeAnonymizer(table, base_k=base_k)
             with AnonymizerService(
-                engine, ServiceConfig(cache_releases=cached, telemetry=telemetry)
+                engine, ServiceConfig(telemetry=telemetry)
             ) as service:
                 service.load(base)
                 reads = writes = 0
@@ -1269,6 +1270,8 @@ def serve_bench(
                         service.barrier()
                         writes += write_batch
                         for read_index in range(reads_per_round):
+                            if not cached:
+                                service.cache.clear()
                             service.release(ks[read_index % len(ks)])
                             reads += 1
                     minima[round_index] = min(

@@ -436,14 +436,7 @@ class RTreeAnonymizer:
                 f"requested granularity {k} is below the base k "
                 f"{self._tree.k} the index was built with"
             )
-        # A release must reflect every record handed to this anonymizer:
-        # records parked in loader buffers (a caller used the loader without
-        # drain()) would silently be missing from the "k-anonymous" output,
-        # and a tree still in bulk mode may hold over-full, unsplit leaves.
-        if self._loader.buffered_records:
-            self._loader.drain()
-        elif self._tree.in_bulk_mode:
-            self._tree.finish_bulk()
+        self._settle()
         if len(self._tree) < k:
             raise ValueError(
                 f"cannot emit a {k}-anonymous release from {len(self._tree)} records"
@@ -494,6 +487,19 @@ class RTreeAnonymizer:
             strategy=strategy,
             compacted=compacted,
         )
+
+    def _settle(self) -> None:
+        """Drain the loader's buffers, or else finish bulk mode.
+
+        A release or checkpoint must reflect every record handed to this
+        anonymizer: records parked in loader buffers (a caller used the
+        loader without drain()) would silently be missing from it, and a
+        tree still in bulk mode may hold over-full, unsplit leaves.
+        """
+        if self._loader.buffered_records:
+            self._loader.drain()
+        elif self._tree.in_bulk_mode:
+            self._tree.finish_bulk()
 
     def _emit_release(
         self,
@@ -688,10 +694,7 @@ class RTreeAnonymizer:
                 "this anonymizer has no durability configured; pass "
                 "durability=DurabilityConfig(dir=...) at construction"
             )
-        if self._loader.buffered_records:
-            self._loader.drain()
-        elif self._tree.in_bulk_mode:
-            self._tree.finish_bulk()
+        self._settle()
         with span("anonymizer.checkpoint"):
             return self._durability.checkpoint(self._tree, self._schema)
 

@@ -157,10 +157,6 @@ class DurabilityManager:
         """The LSN of the most recently logged operation."""
         return self._wal.lsn
 
-    @property
-    def in_batch(self) -> bool:
-        return self._open_batch is not None
-
     # -- mutation logging (called after the in-memory apply succeeds) --------
 
     def log_insert(self, record: Record) -> int:

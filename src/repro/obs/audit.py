@@ -213,10 +213,6 @@ class ReleaseAuditor:
         self.records.clear()
         self._sequence = 0
 
-    def set_reference(self, table: "Table | None") -> None:
-        """Attach (or detach) the original table for full verification."""
-        self._reference = table
-
     # -- auditing ------------------------------------------------------------
 
     def on_release(

@@ -12,9 +12,10 @@ single-writer/multi-reader protocol:
   fsync);
 * **readers** call :meth:`AnonymizerService.release` and get an immutable
   :class:`~repro.core.partition.Release` stamped with its epoch —
-  computed under the lock on a cache miss,
-  served straight from the epoch-validated :class:`ReleaseCache` on a hit,
-  and never a view of a tree mid-mutation;
+  computed under the lock on a miss, served from the epoch-validated
+  :class:`ReleaseCache` (the service's one read cache) on a hit, and
+  never a view of a tree mid-mutation; :meth:`AnonymizerService.query`
+  answers from the query engine the cached release carries;
 * every applied write group bumps the service **epoch**, lazily
   invalidating cached releases, so a reader can never observe a
   pre-mutation release after its mutation was acknowledged.

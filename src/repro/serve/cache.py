@@ -1,11 +1,8 @@
-"""The epoch-validated release cache.
+"""The epoch-validated release cache: the service's one read cache.
 
 Readers of an :class:`~repro.serve.AnonymizerService` receive immutable
 :class:`~repro.core.partition.Release` objects stamped with the service
-epoch they reflect — never the live tree — so a concurrent writer can
-mutate freely without tearing a read.
-
-The :class:`ReleaseCache` keys releases by the full release recipe —
+epoch they reflect — never the live tree.  The :class:`ReleaseCache` keys releases by the full release recipe —
 ``(k, strategy, compacted, constraint)`` — and validates every lookup
 against the current epoch.  Constraints are keyed by *identity* (the
 callable object itself participates in the key, which doubles as the
@@ -15,21 +12,30 @@ the identity stable).  Invalidation is epoch-based: writers only bump an
 integer; a stale entry is dropped at the next lookup that trips over it,
 and every ``put`` sweeps entries older than the incoming release's epoch
 so keys that are never re-requested (e.g. churned constraint identities)
-cannot pin dead ``AnonymizedTable``s forever.  An optional ``max_entries``
-bound evicts oldest-inserted entries beyond a fixed count.
+cannot pin dead ``AnonymizedTable``s forever.  Beyond :data:`MAX_ENTRIES`
+recipes, the oldest-inserted entries are evicted.  A cached release
+carries its :class:`~repro.query.engine.QueryEngine`, built the first time
+that release is queried and dropped with it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.partition import Release
 from repro.obs import OBS
 
+if TYPE_CHECKING:
+    from repro.core.partition import AnonymizedTable
+    from repro.query.engine import QueryEngine
+
 #: A cache key: (k, strategy, compacted, constraint-or-None).
 CacheKey = tuple[int, str, bool, Hashable]
+
+#: How many release recipes the cache holds at once.
+MAX_ENTRIES = 64
 
 
 @dataclass
@@ -39,6 +45,14 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
+
+
+@dataclass(eq=False)
+class _Entry:
+    """One cached release and, once it has been queried, its engine."""
+
+    release: Release
+    engine: QueryEngine | None = None
 
 
 class ReleaseCache:
@@ -53,54 +67,78 @@ class ReleaseCache:
     current epoch* rather than every key ever requested.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive when set")
-        self._entries: dict[CacheKey, Release] = {}
+    def __init__(self) -> None:
+        self._entries: dict[CacheKey, _Entry] = {}
         self._lock = threading.Lock()
-        self._max_entries = max_entries
         self.stats = CacheStats()
 
     def get(self, key: CacheKey, epoch: int) -> Release | None:
+        """The release cached for ``key`` at ``epoch``; counts a hit or a miss."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.epoch != epoch:
+            if entry is not None and entry.release.epoch == epoch:
+                self.stats.hits += 1
+                return entry.release
+            self.stats.misses += 1
+            if entry is not None:
                 # Lazy invalidation: a write bumped the epoch since this
                 # release was published.
                 del self._entries[key]
                 self.stats.invalidations += 1
-                self.stats.misses += 1
                 if OBS.enabled:
                     OBS.count("serve.cache_invalidations")
-                return None
-            self.stats.hits += 1
-            return entry
+            return None
+
+    def peek(self, key: CacheKey, epoch: int) -> Release | None:
+        """:meth:`get` without counting: the read was counted once already."""
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is None or entry.release.epoch != epoch:
+            return None
+        return entry.release
 
     def put(self, key: CacheKey, release: Release) -> None:
         with self._lock:
             stale = [
                 existing_key
                 for existing_key, entry in self._entries.items()
-                if entry.epoch < release.epoch
+                if entry.release.epoch < release.epoch
             ]
             for existing_key in stale:
                 del self._entries[existing_key]
-                self.stats.invalidations += 1
-            if stale and OBS.enabled:
-                OBS.count("serve.cache_invalidations", len(stale))
-            self._entries[key] = release
-            if self._max_entries is not None:
-                # Dict preserves insertion order: drop oldest-inserted
-                # entries first until the bound holds.
-                while len(self._entries) > self._max_entries:
-                    oldest = next(iter(self._entries))
-                    del self._entries[oldest]
-                    self.stats.invalidations += 1
-                    if OBS.enabled:
-                        OBS.count("serve.cache_invalidations")
+            self._entries[key] = _Entry(release)
+            # Dict preserves insertion order: drop oldest-inserted entries
+            # first until the bound holds.
+            evicted = len(stale)
+            while len(self._entries) > MAX_ENTRIES:
+                del self._entries[next(iter(self._entries))]
+                evicted += 1
+            self.stats.invalidations += evicted
+            if evicted and OBS.enabled:
+                OBS.count("serve.cache_invalidations", evicted)
+
+    def query_engine(
+        self,
+        key: CacheKey,
+        release: Release,
+        build: Callable[[AnonymizedTable], QueryEngine],
+    ) -> QueryEngine:
+        """The engine cached with this very ``release``, built on first use.
+
+        ``build`` runs outside the lock (two racing first queries may both
+        build; the last engine stays).  A release no longer cached gets an
+        engine that is not kept.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is None or entry.release is not release:
+            return build(release.table)
+        engine = entry.engine
+        if engine is None:
+            engine = entry.engine = build(release.table)
+        elif OBS.enabled:
+            OBS.count("query.engine_cache_hits")
+        return engine
 
     def clear(self) -> None:
         with self._lock:

@@ -3,20 +3,17 @@
 :class:`AnonymizerService` turns an :class:`~repro.core.anonymizer.
 RTreeAnonymizer` into something shaped like a database serving layer:
 
-* all tree mutation happens on **one writer thread**, under one lock,
-  fed by the bounded :class:`~repro.serve.queue.WriteQueue` (submitting
-  callers get a :class:`~concurrent.futures.Future` and, when the queue
-  is full, backpressure);
-* consecutive single-record inserts are coalesced into one
-  ``insert_batch`` group — one buffered-loader pass over the tree and,
-  when durability is on, one WAL batch with a single group-commit fsync;
-* readers never touch the live tree: :meth:`release` returns an immutable
-  :class:`~repro.core.partition.Release` stamped with its epoch, computed
-  under the write lock on a miss and served from the epoch-validated
-  cache on a hit;
-* every applied write group bumps the **epoch**, so cached releases go
-  stale the moment their data changes and a reader can never be handed a
-  pre-mutation release after the mutation was acknowledged.
+* all tree mutation happens on **one writer thread**, under one lock, fed
+  by the bounded :class:`~repro.serve.queue.WriteQueue` (callers get a
+  :class:`~concurrent.futures.Future`, and backpressure when it is full);
+  consecutive inserts coalesce into one ``insert_batch`` group — one
+  buffered-loader pass and, with durability on, one group-commit fsync;
+* every applied write group bumps the **epoch**, so a reader is never
+  handed a pre-mutation release after the mutation was acknowledged;
+* readers never touch the live tree: :meth:`release` serves immutable,
+  epoch-stamped releases from the one :class:`~repro.serve.cache.
+  ReleaseCache` (computed under the write lock on a miss), and
+  :meth:`query` answers from the engine the cached release carries.
 
 Observability: ``serve.cache_hits`` / ``serve.cache_misses`` /
 ``serve.cache_invalidations`` / ``serve.epoch_bumps`` /
@@ -67,10 +64,6 @@ from repro.serve.queue import INSERT_KINDS, WriteOp, WriteQueue
 from repro.core.partition import release_digest  # noqa: F401
 from repro.obs.audit import audit_release  # noqa: F401
 
-#: Query engines cached per release recipe; oldest-built evicted beyond
-#: this (an engine is cheap to rebuild — one pass building the columns).
-MAX_QUERY_ENGINES = 8
-
 
 class ServiceClosedError(RuntimeError):
     """Raised when submitting to or reading from a closed service."""
@@ -82,24 +75,18 @@ class ServiceConfig:
 
     ``max_queue`` bounds the write queue (submitters block when full —
     that bound *is* the backpressure).  ``max_batch`` caps how many
-    queued insert operations one group commit coalesces.
-    ``cache_releases`` switches the release cache (off = every read
-    recomputes under the lock).  ``journal`` keeps an in-memory log of
-    every applied write group — the differential stress suite replays it
-    to prove snapshot isolation — and costs memory proportional to the
-    write history, so leave it off in production use.  ``telemetry``
-    opts into the live layer (:mod:`repro.obs.live`): the ``/metrics`` +
-    ``/healthz`` endpoint, the writer watchdog thresholds, and the
-    slow-op log.  ``cache_max_entries`` bounds how many release recipes
-    the cache may hold at once (stale epochs are swept on every put
-    regardless; ``None`` removes the bound).  Bounds below 1 raise
-    ``ValueError`` at construction.
+    queued insert operations one group commit coalesces.  ``journal``
+    keeps an in-memory log of every applied write group — the
+    differential stress suite replays it to prove snapshot isolation —
+    and costs memory proportional to the write history, so leave it off
+    in production use.  ``telemetry`` opts into the live layer
+    (:mod:`repro.obs.live`): the ``/metrics`` + ``/healthz`` endpoint,
+    the writer watchdog thresholds, and the slow-op log.  Bounds below 1
+    raise ``ValueError`` at construction.
     """
 
     max_queue: int = 1024
     max_batch: int = 256
-    cache_releases: bool = True
-    cache_max_entries: int | None = 64
     journal: bool = False
     telemetry: TelemetryConfig | None = None
 
@@ -108,8 +95,6 @@ class ServiceConfig:
             raise ValueError("max_queue must be at least 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be at least 1 when set")
 
 
 class AnonymizerService:
@@ -123,9 +108,7 @@ class AnonymizerService:
         self._engine = engine
         self._config = config if config is not None else ServiceConfig()
         self._write_lock = threading.RLock()
-        self._cache = ReleaseCache(max_entries=self._config.cache_max_entries)
-        self._query_engines: dict[CacheKey, tuple[str, QueryEngine]] = {}
-        self._query_lock = threading.Lock()
+        self._cache = ReleaseCache()
         self._epoch = 0
         self._queue = WriteQueue(self._config.max_queue)
         self._journal: list[tuple] | None = [] if self._config.journal else None
@@ -393,29 +376,27 @@ class AnonymizerService:
         A cache hit never touches the tree.  A miss publishes through
         :meth:`RTreeAnonymizer.release` under the write lock (writers
         wait; other readers of the same key piggyback on the recheck) and
-        atomically swaps the fresh release in.  The release reflects
-        exactly the epoch it is stamped with — never a tree mid-mutation.
+        atomically swaps the fresh release in.  Each call counts exactly
+        one cache hit or miss, decided by the lock-free lookup.  The
+        release reflects exactly the epoch it is stamped with — never a
+        tree mid-mutation.
         """
         self._assert_open()
         key: CacheKey = (k, strategy, compacted, constraint)
-        if self._config.cache_releases:
-            release = self._cache.get(key, self._epoch)
-            if release is not None:
-                if OBS.enabled:
-                    OBS.count("serve.cache_hits")
-                if TRACE.enabled:
-                    TRACE.instant("serve.cache_hit", k=k)
-                return release
+        release = self._cache.get(key, self._epoch)
+        if release is not None:
+            if OBS.enabled:
+                OBS.count("serve.cache_hits")
+            if TRACE.enabled:
+                TRACE.instant("serve.cache_hit", k=k)
+            return release
+        if OBS.enabled:
+            OBS.count("serve.cache_misses")
         with self._write_lock:
             epoch = self._epoch
-            if self._config.cache_releases:
-                release = self._cache.get(key, epoch)
-                if release is not None:  # another reader built it just now
-                    if OBS.enabled:
-                        OBS.count("serve.cache_hits")
-                    return release
-            if OBS.enabled:
-                OBS.count("serve.cache_misses")
+            release = self._cache.peek(key, epoch)
+            if release is not None:  # another reader built it just now
+                return release
             with span(
                 "serve.release", k=k, strategy=strategy, epoch=epoch
             ) as timed:
@@ -427,9 +408,8 @@ class AnonymizerService:
                 "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
             )
             release = replace(release, epoch=epoch)
-            if self._config.cache_releases:
-                with span("serve.snapshot_swap", k=k):
-                    self._cache.put(key, release)
+            with span("serve.snapshot_swap", k=k):
+                self._cache.put(key, release)
             return release
 
     # -- query path ----------------------------------------------------------
@@ -465,8 +445,10 @@ class AnonymizerService:
         release = self.release(
             k, compacted=compacted, constraint=constraint, strategy=strategy
         )
-        engine = self._query_engine(
-            (k, strategy, compacted, constraint), release
+        # The cached release carries its engine; the first query of a
+        # release builds it, outside every lock.
+        engine = self._cache.query_engine(
+            (k, strategy, compacted, constraint), release, QueryEngine
         )
         values = engine.evaluate(batch, kind)
         if OBS.enabled:
@@ -478,28 +460,6 @@ class AnonymizerService:
             epoch=release.epoch,
             digest=release.digest,
         )
-
-    def _query_engine(self, key: CacheKey, release: Release) -> QueryEngine:
-        """The cached query engine for one release recipe.
-
-        Keyed by recipe, validated by digest: a digest match means the
-        release's table is bit-identical to the one the engine was built
-        over, so reuse is safe across epochs whose writes did not change
-        this release.  The engine is immutable, so handing one engine to
-        many reader threads is fine.
-        """
-        with self._query_lock:
-            cached = self._query_engines.get(key)
-            if cached is not None and cached[0] == release.digest:
-                if OBS.enabled:
-                    OBS.count("query.engine_cache_hits")
-                return cached[1]
-        engine = QueryEngine(release.table)
-        with self._query_lock:
-            self._query_engines[key] = (release.digest, engine)
-            while len(self._query_engines) > MAX_QUERY_ENGINES:
-                del self._query_engines[next(iter(self._query_engines))]
-        return engine
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -50,10 +50,6 @@ class BufferPool(Generic[ItemT]):
         """How many pages the memory budget holds."""
         return self._capacity
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._cached)
-
     def new_page(self) -> Page[ItemT]:
         """Allocate a fresh page directly into the pool, marked dirty."""
         page = self._pagefile.allocate()

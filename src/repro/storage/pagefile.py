@@ -112,6 +112,3 @@ class PageFile(Generic[ItemT]):
     def free(self, page_id: int) -> None:
         """Release a page (no I/O charged — deallocation is a metadata op)."""
         self._pages.pop(page_id, None)
-
-    def reset_stats(self) -> None:
-        self.stats = IOStats()

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import queue as stdlib_queue
+import random
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import Release, release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.durability import DurabilityConfig, recover
+from repro.geometry.box import Box
+from repro.query.engine import QueryEngine
+from repro.query.ranges import RangeQuery, count_anonymized
 from repro.serve import (
     AnonymizerService,
     ReleaseCache,
@@ -20,6 +25,8 @@ from repro.serve import (
     WriteOp,
     WriteQueue,
 )
+from repro.serve import service as service_module
+from repro.serve.cache import MAX_ENTRIES
 
 from .conftest import random_records
 
@@ -92,16 +99,23 @@ class TestReleaseCache:
         assert len(cache) == 2  # same epoch: both recipes stay live
 
     def test_max_entries_bounds_same_epoch_keys(self) -> None:
-        cache = ReleaseCache(max_entries=4)
-        for k in range(10, 20):
+        cache = ReleaseCache()
+        newest = 10 + MAX_ENTRIES + 5
+        for k in range(10, newest + 1):
             cache.put((k, "subtree", True, None), _snapshot(1, k=k))
-        assert len(cache) == 4
-        assert cache.get((19, "subtree", True, None), 1) is not None
+        assert len(cache) == MAX_ENTRIES
+        assert cache.get((newest, "subtree", True, None), 1) is not None
         assert cache.get((10, "subtree", True, None), 1) is None
 
-    def test_max_entries_must_be_positive(self) -> None:
-        with pytest.raises(ValueError):
-            ReleaseCache(max_entries=0)
+    def test_peek_counts_and_drops_nothing(self) -> None:
+        cache = ReleaseCache()
+        key = (10, "subtree", True, None)
+        cache.put(key, _snapshot(epoch=3))
+        assert cache.peek(key, 3) is not None
+        assert cache.peek(key, 4) is None
+        assert cache.peek((25, "subtree", True, None), 3) is None
+        assert dataclasses.astuple(cache.stats) == (0, 0, 0)
+        assert len(cache) == 1
 
 
 class TestWriteQueue:
@@ -145,6 +159,15 @@ class TestWriteQueue:
 
 
 @pytest.fixture
+def metered():
+    """The process-wide metrics registry, enabled and empty for one test."""
+    obs.enable()
+    yield obs.OBS
+    obs.disable()
+    obs.reset()
+
+
+@pytest.fixture
 def service(schema3) -> AnonymizerService:
     table = Table(schema3, random_records(600, seed=7))
     engine = RTreeAnonymizer(table, base_k=5)
@@ -169,18 +192,78 @@ class TestAnonymizerService:
         assert after.epoch > before.epoch
         assert after.record_count == before.record_count + 1
 
-    def test_cache_off_recomputes_every_read(self, schema3) -> None:
-        table = Table(schema3, random_records(300, seed=8))
-        engine = RTreeAnonymizer(table, base_k=5)
-        with AnonymizerService(
-            engine, ServiceConfig(cache_releases=False)
-        ) as service:
-            service.load(table)
-            first = service.release(10)
-            second = service.release(10)
-            assert second is not first
-            assert second.digest == first.digest  # same data, same release
-            assert service.cache.stats.hits == 0
+    def test_cleared_cache_recomputes_the_read(self, service) -> None:
+        first = service.release(10)
+        service.cache.clear()
+        second = service.release(10)
+        assert second is not first
+        assert second.digest == first.digest  # same data, same release
+        assert service.cache.stats.hits == 0
+
+    def test_each_read_counts_one_hit_or_miss(self, service, metered) -> None:
+        """Regression: the recheck under the write lock counted a second
+        miss, so two misses and a hit read as (1, 4) and ``/healthz``
+        reported a hit ratio of 0.2."""
+        service.release(10)
+        service.release(25)
+        service.release(10)
+        stats = service.cache.stats
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert metered.counter_value("serve.cache_hits") == 1
+        assert metered.counter_value("serve.cache_misses") == 2
+        assert service.health()["cache"]["hit_ratio"] == pytest.approx(1 / 3)
+
+    def test_each_cached_release_carries_one_engine(
+        self, service, metered, monkeypatch
+    ) -> None:
+        """The read path's contract, over insert groups and two k values.
+
+        Every release miss builds one query engine, every hit answers from
+        the engine built for that very ``Release``, and every answer
+        equals the scalar oracle over the cached release it names.
+        """
+        built: list[QueryEngine] = []
+        used: list[QueryEngine] = []
+
+        class RecordingEngine(QueryEngine):
+            def __init__(self, table) -> None:
+                super().__init__(table)
+                built.append(self)
+
+            def evaluate(self, queries, kind="count"):
+                used.append(self)
+                return super().evaluate(queries, kind)
+
+        monkeypatch.setattr(service_module, "QueryEngine", RecordingEngine)
+        rng = random.Random(5)
+        answered: list[Release] = []  # keeps every release alive
+        rid = 100_000
+        for _ in range(4):
+            service.insert_batch(
+                [Record(rid + i, (float(i), 50.0, 50.0), ("flu",)) for i in range(20)]
+            )
+            rid += 20
+            for _ in range(3):
+                for k in (10, 25):
+                    queries = []
+                    for _ in range(8):
+                        lows = [rng.uniform(0, 60) for _ in range(3)]
+                        highs = [low + rng.uniform(0, 40) for low in lows]
+                        queries.append(RangeQuery(Box(tuple(lows), tuple(highs))))
+                    result = service.query(queries, k=k)
+                    release = service.cache.get((k, "subtree", True, None), result.epoch)
+                    assert release is not None and release.digest == result.digest
+                    assert used[-1].table is release.table
+                    assert sum(engine.table is release.table for engine in built) == 1
+                    assert list(result.values) == [
+                        count_anonymized(query, release.table) for query in queries
+                    ]
+                    answered.append(release)
+        misses = metered.counter_value("serve.cache_misses")
+        assert misses == 8  # the first read per k after each insert group
+        assert metered.counter_value("query.engine_builds") == misses == len(built)
+        assert metered.counter_value("query.engine_cache_hits") == 24 - misses
+        assert len({id(release) for release in answered}) == misses
 
     def test_blocking_writes_return_results(self, service) -> None:
         count = len(service)
@@ -338,21 +421,20 @@ class TestServiceDurability:
 
 
 class TestServiceConfig:
-    @pytest.mark.parametrize(
-        "field", ["max_queue", "max_batch", "cache_max_entries"]
-    )
+    @pytest.mark.parametrize("field", ["max_queue", "max_batch"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_bounds_rejected_at_construction(
         self, field: str, value: int
     ) -> None:
         """A zero ``max_batch`` used to be accepted and silently turn off
-        group commit; zero ``max_queue``/``cache_max_entries`` failed only
-        later, inside the service, naming internal parameters."""
+        group commit; a zero ``max_queue`` failed only later, inside the
+        service, naming internal parameters."""
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
 
-    def test_unbounded_cache_is_allowed(self) -> None:
-        assert ServiceConfig(cache_max_entries=None).cache_max_entries is None
+    def test_settable_fields(self) -> None:
+        names = [field.name for field in dataclasses.fields(ServiceConfig)]
+        assert names == ["max_queue", "max_batch", "journal", "telemetry"]
 
     def test_keyword_only(self) -> None:
         with pytest.raises(TypeError):

@@ -10,12 +10,12 @@ Quickstart::
     table = make_landsend_table(10_000, seed=1)
     handle = api.open(table, base_k=5)
     handle.load(table)
-    release = handle.release(10, compacted=True, constraint=None)
+    release = handle.release(10, constraint=None, strategy="subtree")
     print(release.table.summary(), release.k_satisfied, release.digest)
 
 Both handles — :func:`repro.api.open` and :func:`repro.api.serve` — return
 the same frozen :class:`Release` (table, audit, digest, k, strategy,
-compacted, epoch); only the serving handle stamps ``epoch``.
+epoch); only the serving handle stamps ``epoch``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.

@@ -143,15 +143,12 @@ class Anonymizer:
         self,
         k: int,
         *,
-        compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> Release:
         """Publish a k-anonymous release with its audit and digest; see
         :meth:`RTreeAnonymizer.release`."""
-        return self._engine.release(
-            k, compacted=compacted, constraint=constraint, strategy=strategy
-        )
+        return self._engine.release(k, constraint=constraint, strategy=strategy)
 
     # -- durability ----------------------------------------------------------
 

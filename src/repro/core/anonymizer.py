@@ -9,8 +9,8 @@
   any time — index maintenance keeps the leaf partitioning k-anonymous;
 * **release generation** (§3.2): emit a k1-anonymous table for any
   ``k1 >= base k`` by leaf-scanning, optionally under an extra per-partition
-  constraint (l-diversity etc.), with boxes either compacted (MBRs — the
-  index's native output) or uncompacted (the leaves' region boxes).
+  constraint (l-diversity etc.), each partition published under its
+  minimum bounding box (§4's compaction — the index's native output).
 
 Because every release is built from whole leaves, any collection of
 releases at different granularities preserves base-k anonymity under
@@ -35,7 +35,6 @@ from repro.core.partition import (
     Release,
     digest_fragment,
     fragments_digest,
-    release_digest,
 )
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -44,7 +43,6 @@ from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.geometry.box import Box
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.leaf_store import PagedLeafStore
-from repro.index.node import Cut, LeafNode, Node
 from repro.index.rtree import (
     DEFAULT_CAPACITY_FACTOR,
     DEFAULT_MAX_FANOUT,
@@ -58,17 +56,19 @@ from repro.storage.buffer_pool import BufferPool
 #: The paper's base anonymity level for bulk loads (§5.1).
 DEFAULT_BASE_K = 5
 
+#: The release strategies: how a release groups whole leaves (see anonymize).
+STRATEGIES = ("subtree", "sequential")
+
 
 def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
     """Each run of whole leaves as a partition under its minimum bounding box.
 
-    The compacted publish path of the leaf-aligned strategies
-    (:meth:`RTreeAnonymizer._publish_runs`), called for the runs the
-    previous release did not hold.  A run's minimum bounding box
-    is the union of its leaves' cached MBRs, which the tree keeps exact
-    (:meth:`~repro.index.rtree.RPlusTree.check_invariants` asserts each
-    equals ``Box.from_points`` of the leaf's records), so no record point
-    is read; a one-leaf run publishes ``leaf.mbr`` as is.
+    The publish path of every release (:meth:`RTreeAnonymizer._publish_runs`),
+    called for the runs the previous release did not hold.  A run's
+    minimum bounding box is the union of its leaves' cached MBRs, which
+    the tree keeps exact (:meth:`~repro.index.rtree.RPlusTree.check_invariants`
+    asserts each equals ``Box.from_points`` of the leaf's records), so no
+    record point is read; a one-leaf run publishes ``leaf.mbr`` as is.
     """
     partitions: list[Partition] = []
     for run in runs:
@@ -156,11 +156,10 @@ class RTreeAnonymizer:
         self._loader = BufferTreeLoader(self._tree, pool=pool)
         #: The auditor's record of the latest release (see _emit_release).
         self._last_audit: dict[str, object] | None = None
-        #: The latest compacted leaf-run release's runs, keyed by their
-        #: leaves' versions (see _publish_runs), and the same runs in
-        #: partition order (None when the latest release was not one).
+        #: The latest release's runs, keyed by their leaves' versions (see
+        #: _publish_runs), and the same runs in partition order.
         self._runs: dict[tuple[int, ...], _PublishedRun] = {}
-        self._last_runs: list[_PublishedRun] | None = None
+        self._last_runs: list[_PublishedRun] = []
         self._durability: DurabilityManager | None = None
         if durability is not None:
             self._durability = DurabilityManager.create(
@@ -195,7 +194,7 @@ class RTreeAnonymizer:
         anonymizer._durability = None
         anonymizer._last_audit = None
         anonymizer._runs = {}
-        anonymizer._last_runs = None
+        anonymizer._last_runs = []
         return anonymizer
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
@@ -407,48 +406,35 @@ class RTreeAnonymizer:
     def anonymize(
         self,
         k: int,
-        compacted: bool = True,
+        *,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> AnonymizedTable:
         """Emit a k-anonymous release at granularity ``k`` (leaf scan, §3.2).
 
-        ``k`` must be at least the tree's base k.  ``compacted=True``
-        publishes each partition's minimum bounding box (the index's native
-        MBR output); ``compacted=False`` publishes the union of the member
-        leaves' *region* boxes — the "uncompacted" shape a gap-free
-        partitioner would emit, kept for apples-to-apples metric studies.
+        ``k`` must be at least the tree's base k.  Each partition is a run
+        of whole leaves published under its minimum bounding box (§4's
+        compaction — the index's native MBR output).
 
         ``strategy`` selects how whole leaves are grouped into partitions:
         ``"subtree"`` (default) aligns group boundaries with the cut
         hierarchy so partition boxes stay disjoint;
         ``"sequential"`` is the literal Figure 5 scan.  Both carry the same
         Lemma 1 multi-release guarantee (whole leaves, sequential order).
-        ``"hilbert"`` instead sorts every record by ``(Hilbert key, rid)``
-        and chunks the global order — a *tree-shape-independent* release:
-        it is a pure function of the record set, so two indexes holding
-        the same records publish identical output however they were built
-        (bulk load, shuffled inserts, inserts followed by deletes).  It
-        requires ``compacted=True`` and no constraint.
         """
-        if k < self._tree.k:
-            raise ValueError(
-                f"requested granularity {k} is below the base k "
-                f"{self._tree.k} the index was built with"
-            )
+        self.check_recipe(k, strategy)
         self._settle()
         if len(self._tree) < k:
             raise ValueError(
                 f"cannot emit a {k}-anonymous release from {len(self._tree)} records"
             )
         with span("core.release", k=k, strategy=strategy):
-            return self._emit_release(k, compacted, constraint, strategy)
+            return self._emit_release(k, constraint, strategy)
 
     def release(
         self,
         k: int,
         *,
-        compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> Release:
@@ -461,32 +447,40 @@ class RTreeAnonymizer:
         very table (strict mode gates the publish); otherwise an
         equivalent record is computed directly, so ``audit`` is never empty.
 
-        A compacted ``subtree`` or ``sequential`` release digests and
-        audits from its runs' kept digest bytes and volumes, so only the
-        runs that changed since the previous release are hashed and
-        measured; the result equals :func:`release_digest` and
+        The release digests and audits from its runs' kept digest bytes
+        and volumes, so only the runs that changed since the previous
+        release are hashed and measured; the result equals
+        :func:`~repro.core.partition.release_digest` and
         :func:`audit_release` of the table.
         """
-        table = self.anonymize(k, compacted, constraint, strategy)
+        table = self.anonymize(k, constraint=constraint, strategy=strategy)
         audit = self._last_audit
         if audit is None:
             audit = audit_release(
                 table, k, base_k=self._tree.k, volumes=self._run_volumes()
             )
-        runs = self._last_runs
-        if runs is None:
-            digest = release_digest(table)
-        else:
-            with span("core.digest"):
-                digest = fragments_digest([run.fragment() for run in runs])
+        with span("core.digest"):
+            digest = fragments_digest([run.fragment() for run in self._last_runs])
         return Release(
-            table=table,
-            audit=audit,
-            digest=digest,
-            k=k,
-            strategy=strategy,
-            compacted=compacted,
+            table=table, audit=audit, digest=digest, k=k, strategy=strategy
         )
+
+    def check_recipe(self, k: int, strategy: str) -> None:
+        """Raise ``ValueError`` for a recipe this tree can never publish.
+
+        An unknown strategy, or a ``k`` below the tree's base k.  Whether
+        the tree holds at least ``k`` records is checked at publish time.
+        """
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown grouping strategy {strategy!r}; expected one of "
+                f"{', '.join(STRATEGIES)}"
+            )
+        if k < self._tree.k:
+            raise ValueError(
+                f"requested granularity {k} is below the base k "
+                f"{self._tree.k} the index was built with"
+            )
 
     def _settle(self) -> None:
         """Drain the loader's buffers, or else finish bulk mode.
@@ -502,46 +496,22 @@ class RTreeAnonymizer:
             self._tree.finish_bulk()
 
     def _emit_release(
-        self,
-        k: int,
-        compacted: bool,
-        constraint: Constraint | None,
-        strategy: str,
+        self, k: int, constraint: Constraint | None, strategy: str
     ) -> AnonymizedTable:
-        """Group the tree into partitions, box them, and audit the release.
+        """Group the tree into runs of whole leaves, box them, and audit.
 
-        ``subtree`` and ``sequential`` group *runs of whole leaves* (slices
-        of ``tree.leaves()``).  Compacted, a run publishes the union of its
-        leaves' cached MBRs, reused from the previous release when its
-        leaves are unchanged (:meth:`_publish_runs`); uncompacted, the
-        union of its leaves' region boxes.  ``hilbert`` chunks a global
-        record order that cuts through leaves, so it bounds each chunk's
-        points with ``Box.from_points``.  Neither of those two reuses
-        anything: a leaf's region can change while its records do not.
+        Both strategies group *runs of whole leaves* (slices of
+        ``tree.leaves()``).  A run publishes the union of its leaves'
+        cached MBRs, reused from the previous release when its leaves are
+        unchanged (:meth:`_publish_runs`).
         """
-        self._last_runs = None
-        if strategy == "hilbert":
-            partitions = self._hilbert_partitions(k, compacted, constraint)
-        else:
-            with span("core.group", strategy=strategy):
-                if strategy == "subtree":
-                    runs = subtree_scan(self._tree, k, constraint)
-                elif strategy == "sequential":
-                    runs = sequential_scan(self._tree, k, constraint)
-                else:
-                    raise ValueError(f"unknown grouping strategy {strategy!r}")
-            if compacted:
-                self._last_runs = self._publish_runs(runs)
-                partitions = [run.partition for run in self._last_runs]
+        with span("core.group", strategy=strategy):
+            if strategy == "subtree":
+                runs = subtree_scan(self._tree, k, constraint)
             else:
-                regions = self.leaf_regions()
-                partitions = []
-                first = 0
-                for run in runs:
-                    stop = first + len(run)
-                    box = reduce(Box.union, regions[first:stop])
-                    partitions.append(Partition.trusted(_run_records(run), box))
-                    first = stop
+                runs = sequential_scan(self._tree, k, constraint)
+        self._last_runs = self._publish_runs(runs)
+        partitions = [run.partition for run in self._last_runs]
         if OBS.enabled:
             OBS.count("anonymizer.releases")
             OBS.count("anonymizer.partitions", len(partitions))
@@ -562,7 +532,7 @@ class RTreeAnonymizer:
         return release
 
     def _publish_runs(self, runs: list[Run]) -> list[_PublishedRun]:
-        """The compacted runs of this release, reusing the previous release's.
+        """The published runs of this release, reusing the previous release's.
 
         A run is keyed by its leaves' versions.  A leaf draws a fresh
         version from one process-wide sequence whenever its records
@@ -588,92 +558,13 @@ class RTreeAnonymizer:
             OBS.count("core.runs_reused", len(runs) - len(missing))
         return published
 
-    def _run_volumes(self) -> Iterator[float] | None:
+    def _run_volumes(self) -> Iterator[float]:
         """The latest release's partition volumes, from its kept runs.
 
-        ``None`` when that release was not a compacted leaf-run release
-        (the audit then measures every box itself).  The volumes are
-        computed lazily, inside the audit's span.
+        The volumes are computed lazily, inside the audit's span.
         """
-        if self._last_runs is None:
-            return None
         extents = self._schema.domain_extents()
         return (run.volume(extents) for run in self._last_runs)
-
-    def _hilbert_partitions(
-        self, k: int, compacted: bool, constraint: Constraint | None
-    ) -> list[Partition]:
-        """The order-based strategy's partitions.
-
-        Sort *all* records by (Hilbert key, rid) over the schema's domain
-        box and chunk the global order with the k-floor.  Unlike the
-        leaf-aligned strategies the output is a pure function of the
-        record set — two trees holding the same records release
-        identically however they were built.
-        """
-        if constraint is not None:
-            raise ValueError(
-                "the 'hilbert' strategy does not support per-partition "
-                "constraints; use 'subtree' or 'sequential'"
-            )
-        if not compacted:
-            raise ValueError(
-                "the 'hilbert' strategy groups a global record order, "
-                "not whole leaves, so it has no leaf regions to "
-                "publish; use compacted=True"
-            )
-        from repro.index.bulk import chunk_with_floor, hilbert_ordered
-
-        with span("core.group", strategy="hilbert"):
-            records = [
-                record for leaf in self._tree.leaves() for record in leaf.records
-            ]
-            ordered = hilbert_ordered(
-                records,
-                self._schema.domain_lows(),
-                self._schema.domain_highs(),
-            )
-            groups = chunk_with_floor(ordered, k)
-        with span("core.compact"):
-            return [
-                Partition.trusted(
-                    tuple(group), Box.from_points(r.point for r in group)
-                )
-                for group in groups
-            ]
-
-    def leaf_regions(self) -> list[Box]:
-        """The leaves' disjoint region boxes, in leaf order.
-
-        Regions are reconstructed by pushing the schema's domain box down
-        through the cut trees — one explicit-stack walk in
-        :meth:`~repro.index.rtree.RPlusTree.leaves` order carrying
-        lows/highs tuples, one ``Box`` per leaf.  They tile the domain
-        exactly (tested by the property suite) and are what "uncompacted"
-        releases publish.
-        """
-        root = self._tree.root
-        if root is None:
-            return []
-        regions: list[Box] = []
-        stack: list[tuple[Node | Cut, tuple[float, ...], tuple[float, ...]]] = [
-            (root, self._schema.domain_lows(), self._schema.domain_highs())
-        ]
-        while stack:
-            item, lows, highs = stack.pop()
-            if isinstance(item, Cut):
-                dimension, value = item.dimension, item.value
-                left_highs = list(highs)
-                left_highs[dimension] = min(value, highs[dimension])
-                right_lows = list(lows)
-                right_lows[dimension] = max(value, lows[dimension])
-                stack.append((item.right.inner, tuple(right_lows), highs))
-                stack.append((item.left.inner, lows, tuple(left_highs)))
-            elif isinstance(item, LeafNode):
-                regions.append(Box(lows, highs))
-            else:
-                stack.append((item.cuts.inner, lows, highs))  # type: ignore[union-attr]
-        return regions
 
     # -- durability --------------------------------------------------------------------
 
@@ -701,7 +592,7 @@ class RTreeAnonymizer:
     def close(self) -> None:
         """Drop the kept release runs; flush and close the durability layer."""
         self._runs = {}
-        self._last_runs = None
+        self._last_runs = []
         if self._durability is not None:
             self._durability.close()
 

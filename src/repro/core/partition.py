@@ -173,7 +173,6 @@ class Release:
     digest: str
     k: int
     strategy: str
-    compacted: bool
     epoch: int | None = None
 
     @property

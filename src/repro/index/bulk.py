@@ -12,11 +12,10 @@ partitions they produce.
   with balanced axis cuts, cycling through the dimensions, until groups fit
   in a leaf.
 
-:func:`hilbert_ordered` is also the sort of the ``"hilbert"`` release
-strategy, and its ``(key, rid)`` order is the stream the sharded file load
-(:mod:`repro.parallel`) feeds the buffer-tree loader: each worker sorts
-its file slice into that order, and one merge of the slices' runs
-yields it for the whole file.
+:func:`hilbert_ordered`'s ``(key, rid)`` order is also the stream the
+sharded file load (:mod:`repro.parallel`) feeds the buffer-tree loader:
+each worker sorts its file slice into that order, and one merge of the
+slices' runs yields it for the whole file.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ def hilbert_ordered(
     """Records sorted by ``(hilbert key, rid)`` over the given domain box.
 
     The rid tie-break makes this order a pure function of the record
-    **set**, independent of how the records arrive.  The ``"hilbert"``
-    release strategy sorts with this function, which is what makes its
-    release independent of the tree's shape.
+    **set**, independent of how the records arrive: the order the
+    sharded load reproduces at every worker count.
     """
     with span("bulk.hilbert_order", records=len(records)):
         if len(records) < 2:

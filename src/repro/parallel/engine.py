@@ -17,7 +17,7 @@ The pipeline has three steps:
 
 **Determinism guarantee.**  Rids are unique, so ``(key, rid)`` is a total
 order, and merging sorted runs yields the one sorted sequence: the stream
-is the global ``(key, rid)`` order — what
+is the global ``(key, rid)`` order — what the ablation's
 :func:`repro.index.bulk.hilbert_ordered` sorts the same records into —
 *regardless of the worker count*.  The loaded tree is a deterministic
 function of that stream, so it is identical for every worker count; the

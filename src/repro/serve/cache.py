@@ -2,20 +2,21 @@
 
 Readers of an :class:`~repro.serve.AnonymizerService` receive immutable
 :class:`~repro.core.partition.Release` objects stamped with the service
-epoch they reflect — never the live tree.  The :class:`ReleaseCache` keys releases by the full release recipe —
-``(k, strategy, compacted, constraint)`` — and validates every lookup
-against the current epoch.  Constraints are keyed by *identity* (the
-callable object itself participates in the key, which doubles as the
-"constraint fingerprint": two requests share a cache line iff they pass
-the very same constraint object, and holding the object in the key keeps
-the identity stable).  Invalidation is epoch-based: writers only bump an
-integer; a stale entry is dropped at the next lookup that trips over it,
-and every ``put`` sweeps entries older than the incoming release's epoch
-so keys that are never re-requested (e.g. churned constraint identities)
-cannot pin dead ``AnonymizedTable``s forever.  Beyond :data:`MAX_ENTRIES`
-recipes, the oldest-inserted entries are evicted.  A cached release
-carries its :class:`~repro.query.engine.QueryEngine`, built the first time
-that release is queried and dropped with it.
+epoch they reflect — never the live tree.  The :class:`ReleaseCache`
+keys releases by the full release recipe — ``(k, strategy, True,
+constraint)`` — and validates every lookup against the current epoch.
+Constraints are keyed by *identity* (the callable object itself
+participates in the key, which doubles as the "constraint fingerprint":
+two requests share a cache line iff they pass the very same constraint
+object, and holding the object in the key keeps the identity stable).
+Invalidation is epoch-based: writers only bump an integer; a stale entry
+is dropped at the next lookup that trips over it, and every ``put``
+sweeps entries older than the incoming release's epoch so keys that are
+never re-requested (e.g. churned constraint identities) cannot pin dead
+``AnonymizedTable``s forever.  Beyond :data:`MAX_ENTRIES` recipes, the
+oldest-inserted entries are evicted.  A cached release carries its
+:class:`~repro.query.engine.QueryEngine`, built the first time that
+release is queried and dropped with it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ if TYPE_CHECKING:
     from repro.core.partition import AnonymizedTable
     from repro.query.engine import QueryEngine
 
-#: A cache key: (k, strategy, compacted, constraint-or-None).
+#: A cache key: (k, strategy, True, constraint-or-None).  The third slot is
+#: always ``True`` (every release is compacted); it stays until the next
+#: change to the benchmark harness, which reads releases by this key.
 CacheKey = tuple[int, str, bool, Hashable]
 
 #: How many release recipes the cache holds at once.

@@ -367,7 +367,6 @@ class AnonymizerService:
         self,
         k: int,
         *,
-        compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> Release:
@@ -377,12 +376,15 @@ class AnonymizerService:
         :meth:`RTreeAnonymizer.release` under the write lock (writers
         wait; other readers of the same key piggyback on the recheck) and
         atomically swaps the fresh release in.  Each call counts exactly
-        one cache hit or miss, decided by the lock-free lookup.  The
-        release reflects exactly the epoch it is stamped with — never a
-        tree mid-mutation.
+        one cache hit or miss, decided by the lock-free lookup; a recipe
+        the engine can never publish (an unknown strategy, a ``k`` below
+        the base k) raises ``ValueError`` before it and counts neither.
+        The release reflects exactly the epoch it is stamped with — never
+        a tree mid-mutation.
         """
         self._assert_open()
-        key: CacheKey = (k, strategy, compacted, constraint)
+        self._engine.check_recipe(k, strategy)
+        key: CacheKey = (k, strategy, True, constraint)
         release = self._cache.get(key, self._epoch)
         if release is not None:
             if OBS.enabled:
@@ -401,8 +403,7 @@ class AnonymizerService:
                 "serve.release", k=k, strategy=strategy, epoch=epoch
             ) as timed:
                 release = self._engine.release(
-                    k, compacted=compacted, constraint=constraint,
-                    strategy=strategy,
+                    k, constraint=constraint, strategy=strategy
                 )
             self._note_slow(
                 "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
@@ -420,7 +421,6 @@ class AnonymizerService:
         *,
         k: int,
         kind: str = "count",
-        compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
     ) -> QueryResult:
@@ -442,13 +442,11 @@ class AnonymizerService:
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected {QUERY_KINDS}")
         batch = [queries] if isinstance(queries, RangeQuery) else list(queries)
-        release = self.release(
-            k, compacted=compacted, constraint=constraint, strategy=strategy
-        )
+        release = self.release(k, constraint=constraint, strategy=strategy)
         # The cached release carries its engine; the first query of a
         # release builds it, outside every lock.
         engine = self._cache.query_engine(
-            (k, strategy, compacted, constraint), release, QueryEngine
+            (k, strategy, True, constraint), release, QueryEngine
         )
         values = engine.evaluate(batch, kind)
         if OBS.enabled:

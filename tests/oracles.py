@@ -6,7 +6,8 @@ the ``hilbert_key(quantize(...))`` sort (of a whole file, or of one
 sharded-scan slice) and the exhaustive NCP split search with the margin
 it scores — plus the record-list forms of the release path (the subtree
 scan and the per-record compaction) that production replaced with runs
-of whole leaves.  They
+of whole leaves, and the leaves' region boxes that compare tree shapes
+and box the uncompacted releases the golden digests still pin.  They
 exist only so the differential suites can hold the production code to
 them record for record; nothing in ``src`` calls them.
 """
@@ -72,7 +73,7 @@ def hilbert_ordered(
     highs: Sequence[float],
     bits: int = DEFAULT_HILBERT_BITS,
 ) -> list[Record]:
-    """Sort by ``(Hilbert key, rid)``: the ``"hilbert"`` release order and
+    """Sort by ``(Hilbert key, rid)``: the bulk-load ablation's order and
     the stream a sharded file load feeds the loader at any worker count."""
     return sorted(
         records,
@@ -278,9 +279,11 @@ def release_partitions(
 
     Groups come from :func:`subtree_scan` (or the record-list
     :func:`~repro.core.leafscan.leaf_scan`); a compacted partition is
-    boxed by ``Box.from_points`` over its records, an uncompacted one by
-    the union of the regions of the leaves its records consumed, found by
-    walking leaf sizes alongside the groups.
+    boxed by ``Box.from_points`` over its records, as production
+    publishes it.  An uncompacted one is boxed by the union of the
+    :func:`leaf_regions` its records consumed, found by walking leaf
+    sizes alongside the groups: production no longer publishes that
+    shape, but its golden digests pin the tree's cut values.
     """
     tree = anonymizer.tree
     leaves = tree.leaves()
@@ -294,7 +297,7 @@ def release_partitions(
             Partition(tuple(group), Box.from_points(r.point for r in group))
             for group in groups
         ]
-    regions = anonymizer.leaf_regions()
+    regions = leaf_regions(anonymizer)
     partitions = []
     cursor = 0
     for group in groups:
@@ -309,3 +312,36 @@ def release_partitions(
             box = box.union(extra)
         partitions.append(Partition(tuple(group), box))
     return partitions
+
+
+def leaf_regions(anonymizer: "RTreeAnonymizer") -> list[Box]:
+    """The leaves' disjoint region boxes, in leaf order.
+
+    The schema's domain box pushed down through the cut trees: each cut
+    clamps the high of its left side and the low of its right side in
+    its dimension.  The regions tile the domain, so they name the tree's
+    shape — its cut values included — and not just its leaves' records.
+    """
+    schema = anonymizer.schema
+    regions: list[Box] = []
+
+    def walk(
+        item: object, lows: tuple[float, ...], highs: tuple[float, ...]
+    ) -> None:
+        if isinstance(item, LeafNode):
+            regions.append(Box(lows, highs))
+        elif isinstance(item, InternalNode):
+            walk(item.cuts.inner, lows, highs)
+        else:
+            assert isinstance(item, Cut)
+            dimension, value = item.dimension, item.value
+            left_highs = list(highs)
+            left_highs[dimension] = min(value, highs[dimension])
+            right_lows = list(lows)
+            right_lows[dimension] = max(value, lows[dimension])
+            walk(item.left.inner, lows, tuple(left_highs))
+            walk(item.right.inner, tuple(right_lows), highs)
+
+    if anonymizer.tree.root is not None:
+        walk(anonymizer.tree.root, schema.domain_lows(), schema.domain_highs())
+    return regions

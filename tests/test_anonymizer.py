@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
-from repro.core.partition import release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.geometry.box import Box
@@ -15,6 +12,7 @@ from repro.privacy.kanonymity import verify_release
 from repro.privacy.ldiversity import DistinctLDiversity
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagefile import PageFile
+from tests import oracles
 from tests.conftest import random_records
 
 
@@ -65,18 +63,13 @@ class TestBulkAnonymization:
 
 
 class TestUncompactedReleases:
-    def test_region_boxes_contain_mbrs(self, loaded) -> None:
-        compacted = loaded.anonymize(10, compacted=True)
-        uncompacted = loaded.anonymize(10, compacted=False)
-        assert len(compacted.partitions) == len(uncompacted.partitions)
-        for tight, loose in zip(compacted.partitions, uncompacted.partitions):
-            assert loose.box.contains_box(tight.box)
-            assert tight.rids() == loose.rids()
+    """The leaves' region boxes (``oracles.leaf_regions``), which tile the
+    domain and box the uncompacted releases the golden digests pin."""
 
     def test_leaf_regions_tile_the_domain(self, loaded, medium_table) -> None:
         """Sibling regions are disjoint and cover the whole domain box:
         total discrete volume of the leaf regions equals the domain's."""
-        regions = loaded.leaf_regions()
+        regions = oracles.leaf_regions(loaded)
         domain = medium_table.domain_box()
         assert all(domain.contains_box(region) for region in regions)
         # Pairwise interiors are disjoint: shared volume must be zero.
@@ -88,7 +81,7 @@ class TestUncompactedReleases:
         assert total_area == pytest.approx(domain.area())
 
     def test_every_record_in_its_leaf_region(self, loaded) -> None:
-        regions = loaded.leaf_regions()
+        regions = oracles.leaf_regions(loaded)
         leaves = loaded.tree.leaves()
         assert len(regions) == len(leaves)
         for region, leaf in zip(regions, leaves):
@@ -128,45 +121,6 @@ class TestIncremental:
         survivors = Table(schema3, records[100:])
         release = anonymizer.anonymize(8)
         assert verify_release(release, survivors, 8) == []
-
-
-class TestHilbertStrategy:
-    """The ``"hilbert"`` release is a pure function of the record set."""
-
-    def test_release_is_independent_of_how_the_tree_was_built(
-        self, schema3
-    ) -> None:
-        # A coarse grid makes many records share a point, so the release
-        # also depends on how ties in the Hilbert order are broken.
-        records = random_records(600, seed=21, high=9)
-        extras = [
-            Record(10_000 + record.rid, record.point, record.sensitive)
-            for record in random_records(200, seed=22, high=9)
-        ]
-        bulk = RTreeAnonymizer(Table(schema3, ()), base_k=5)
-        bulk.bulk_load(Table(schema3, records))
-        inserted = RTreeAnonymizer(Table(schema3, ()), base_k=5)
-        shuffled = list(records)
-        random.Random(23).shuffle(shuffled)
-        for record in shuffled:
-            inserted.insert(record)
-        pruned = RTreeAnonymizer(Table(schema3, ()), base_k=5)
-        pruned.bulk_load(Table(schema3, records + extras))
-        for record in extras:
-            pruned.delete(record.rid, record.point)
-        builds = (bulk, inserted, pruned)
-        # The three trees really differ, so equal digests are not trivial.
-        shapes = {
-            tuple(leaf.mbr for leaf in anonymizer.tree.leaves())
-            for anonymizer in builds
-        }
-        assert len(shapes) == 3
-        for k in (5, 10, 25):
-            digests = {
-                release_digest(anonymizer.anonymize(k, strategy="hilbert"))
-                for anonymizer in builds
-            }
-            assert len(digests) == 1, k
 
 
 class TestStorageIntegration:
@@ -291,27 +245,3 @@ class TestReleaseReflectsPendingWork:
         assert not anonymizer.tree.in_bulk_mode
         assert release.record_count == len(medium_table)
         assert verify_release(release, medium_table, 10) == []
-
-    def test_uncompacted_subtree_cursor_stays_aligned(
-        self, loaded, medium_table
-    ) -> None:
-        """The leaf-cursor arithmetic of ``compacted=False`` must consume
-        exactly the leaves each subtree-scan group is made of."""
-        release = loaded.anonymize(10, compacted=False, strategy="subtree")
-        leaves = loaded.tree.leaves()
-        regions = loaded.leaf_regions()
-        assert release.record_count == len(medium_table)
-        assert sum(len(leaf.records) for leaf in leaves) == len(medium_table)
-        cursor = 0
-        for partition in release.partitions:
-            consumed = 0
-            expected_rids = set()
-            while consumed < len(partition):
-                expected_rids.update(r.rid for r in leaves[cursor].records)
-                # Every consumed leaf's region is inside the published box.
-                assert partition.box.contains_box(regions[cursor])
-                consumed += len(leaves[cursor].records)
-                cursor += 1
-            assert consumed == len(partition)
-            assert expected_rids == partition.rids()
-        assert cursor == len(leaves)

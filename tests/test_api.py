@@ -60,7 +60,7 @@ def test_release_result_carries_audit_and_digest(schema3):
     result = handle.release(k=10)
     assert isinstance(result, api.Release)
     assert result.k == 10
-    assert result.strategy == "subtree" and result.compacted
+    assert result.strategy == "subtree"
     assert result.epoch is None  # only a service stamps an epoch
     assert result.record_count == 200
     assert result.partition_count > 1

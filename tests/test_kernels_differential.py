@@ -109,7 +109,7 @@ def _release_snapshot(
         AUDITOR.disable()
     audit.pop("sequence", None)
     regions = [
-        (region.lows, region.highs) for region in anonymizer.leaf_regions()
+        (region.lows, region.highs) for region in oracles.leaf_regions(anonymizer)
     ]
     partitions = [
         ((p.box.lows, p.box.highs), sorted(p.rids()))
@@ -159,8 +159,8 @@ def test_forced_multiprocessing_matches_oracle(
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_hilbert_ordering_matches_oracle(dataset: str) -> None:
-    """The ``(key, rid)`` order of the ``hilbert`` release strategy, and
-    the Hilbert grouping of the bulk-loading ablation built on it."""
+    """The ``(key, rid)`` order of the bulk-loading ablation, and the
+    Hilbert grouping it builds on that order."""
     table = _table(dataset, RECORDS)
     records = list(table.records)
     lows, highs = _domain(table)

@@ -145,7 +145,7 @@ def _released(dataset: str, k: int, workers: int, path: str):
     finally:
         AUDITOR.disable()
     regions = [
-        (region.lows, region.highs) for region in anonymizer.leaf_regions()
+        (region.lows, region.highs) for region in oracles.leaf_regions(anonymizer)
     ]
     return release, regions, audit
 

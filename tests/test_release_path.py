@@ -15,7 +15,9 @@ import pytest
 from repro import api, obs
 from repro.core.partition import Release
 from repro.dataset.table import Table
+from repro.geometry.box import Box
 from repro.obs.audit import ReleaseAuditor
+from repro.query.ranges import RangeQuery
 from tests.conftest import random_records
 
 
@@ -81,29 +83,22 @@ def test_release_audit_survives_a_racing_publish(
 
 
 RECIPES = [
-    pytest.param("subtree", True, None, id="subtree-compacted"),
-    pytest.param("subtree", False, None, id="subtree-uncompacted"),
-    pytest.param("sequential", True, None, id="sequential-compacted"),
-    pytest.param("sequential", False, None, id="sequential-uncompacted"),
-    pytest.param("hilbert", True, None, id="hilbert"),
-    pytest.param("subtree", True, two_diagnoses, id="subtree-constraint"),
+    pytest.param("subtree", None, id="subtree-compacted"),
+    pytest.param("sequential", None, id="sequential-compacted"),
+    pytest.param("subtree", two_diagnoses, id="subtree-constraint"),
 ]
 
 
-@pytest.mark.parametrize("strategy,compacted,constraint", RECIPES)
+@pytest.mark.parametrize("strategy,constraint", RECIPES)
 @pytest.mark.parametrize("k", [5, 20])
 def test_both_handles_publish_equal_releases(
-    schema3, strategy, compacted, constraint, k
+    schema3, strategy, constraint, k
 ) -> None:
     table = Table(schema3, tuple(random_records(700, seed=32)))
     handle = open_handle(table)
     with serve_handle(table) as service:
-        served = service.release(
-            k, compacted=compacted, constraint=constraint, strategy=strategy
-        )
-    opened = handle.release(
-        k, compacted=compacted, constraint=constraint, strategy=strategy
-    )
+        served = service.release(k, constraint=constraint, strategy=strategy)
+    opened = handle.release(k, constraint=constraint, strategy=strategy)
     assert opened.epoch is None
     assert served.epoch == 1  # one bump: the load
     served = replace(served, epoch=None)
@@ -113,5 +108,32 @@ def test_both_handles_publish_equal_releases(
         assert getattr(served, field.name) == getattr(opened, field.name), field.name
     assert served.table.schema is opened.table.schema
     assert served.table.partitions == opened.table.partitions
-    assert (opened.k, opened.strategy, opened.compacted) == (k, strategy, compacted)
+    assert (opened.k, opened.strategy) == (k, strategy)
     assert opened.k_satisfied
+
+
+def test_removed_release_options_fail_loudly(schema3) -> None:
+    """Every release is a compacted ``subtree`` or ``sequential`` one: the
+    old ``compacted=`` keyword is refused by every publish entry point, and
+    so is the old ``"hilbert"`` strategy, with an error naming both kept
+    strategies."""
+    table = Table(schema3, tuple(random_records(300, seed=33)))
+    handle = open_handle(table)
+    everything = RangeQuery(Box((0.0,) * 3, (1e9,) * 3))
+    with serve_handle(table) as service:
+        publishers = [
+            handle.engine.anonymize,
+            handle.engine.release,
+            handle.release,
+            service.release,
+            lambda k, **options: service.query(everything, k=k, **options),
+        ]
+        for publish in publishers:
+            with pytest.raises(TypeError):
+                publish(10, **{"compacted": True})
+            with pytest.raises(ValueError, match="subtree.*sequential"):
+                publish(10, **{"strategy": "hilbert"})
+    # A positional second argument no longer binds to a keyword either.
+    with pytest.raises(TypeError):
+        handle.engine.anonymize(10, False)
+    handle.close()

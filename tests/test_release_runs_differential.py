@@ -1,11 +1,10 @@
 """Leaf-run releases against the record-list oracle, under random writes.
 
 The ``subtree`` and ``sequential`` strategies publish runs of whole
-leaves: a compacted box is the union of the leaves' cached MBRs and an
-uncompacted one the union of their regions.  ``tests/oracles.py`` keeps
-the record-list form of the same release (``subtree_scan`` over copied
-records, ``Box.from_points`` per partition, the region union found by
-walking leaf sizes).  This suite drives a small tree through random
+leaves, each boxed by the union of its leaves' cached MBRs.
+``tests/oracles.py`` keeps the record-list form of the same release
+(``subtree_scan`` over copied records, ``Box.from_points`` per
+partition).  This suite drives a small tree through random
 insert, delete and update sequences on a tiny integer grid — so ties,
 unsplittable leaves and cut values equal to record coordinates are the
 norm — and demands partition-for-partition equality with the oracle:
@@ -86,23 +85,18 @@ def _build(
 def _assert_matches_oracle(
     anonymizer: RTreeAnonymizer,
     k: int,
-    compacted: bool,
     strategy: str,
     constraint=None,
 ) -> None:
     try:
         expected = oracles.release_partitions(
-            anonymizer, k, compacted, constraint, strategy
+            anonymizer, k, True, constraint, strategy
         )
     except ValueError:
         with pytest.raises(ValueError):
-            anonymizer.anonymize(
-                k, compacted=compacted, constraint=constraint, strategy=strategy
-            )
+            anonymizer.anonymize(k, constraint=constraint, strategy=strategy)
         return
-    release = anonymizer.anonymize(
-        k, compacted=compacted, constraint=constraint, strategy=strategy
-    )
+    release = anonymizer.anonymize(k, constraint=constraint, strategy=strategy)
     actual = release.partitions
     assert [p.records for p in actual] == [p.records for p in expected]
     assert [p.box for p in actual] == [p.box for p in expected]
@@ -129,10 +123,9 @@ def test_leaf_run_releases_match_the_record_list_oracle(
         if k > len(anonymizer):
             continue
         for strategy in ("subtree", "sequential"):
-            for compacted in (True, False):
-                _assert_matches_oracle(anonymizer, k, compacted, strategy)
+            _assert_matches_oracle(anonymizer, k, strategy)
             _assert_matches_oracle(
-                anonymizer, k, True, strategy, DistinctLDiversity(2)
+                anonymizer, k, strategy, DistinctLDiversity(2)
             )
 
 

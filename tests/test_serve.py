@@ -45,7 +45,6 @@ def _snapshot(epoch: int, k: int = 10) -> Release:
         digest=f"digest-{epoch}",
         k=k,
         strategy="subtree",
-        compacted=True,
         epoch=epoch,
     )
 
@@ -212,6 +211,25 @@ class TestAnonymizerService:
         assert metered.counter_value("serve.cache_hits") == 1
         assert metered.counter_value("serve.cache_misses") == 2
         assert service.health()["cache"]["hit_ratio"] == pytest.approx(1 / 3)
+
+    def test_refused_recipes_count_no_read(self, service, metered) -> None:
+        """Regression: an unknown strategy or a k below the base k counted a
+        cache miss (and took the write lock) before the engine refused it,
+        so two good reads and two refused ones read as (1, 3) and
+        ``/healthz`` reported a hit ratio of 0.25."""
+        service.release(10)
+        service.release(10)
+        everything = RangeQuery(Box((0.0,) * 3, (1e9,) * 3))
+        for k, strategy in ((10, "zigzag"), (10, "hilbert"), (3, "subtree")):
+            with pytest.raises(ValueError):
+                service.release(k, strategy=strategy)
+            with pytest.raises(ValueError):
+                service.query(everything, k=k, strategy=strategy)
+        stats = service.cache.stats
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert metered.counter_value("serve.cache_hits") == 1
+        assert metered.counter_value("serve.cache_misses") == 1
+        assert service.health()["cache"]["hit_ratio"] == pytest.approx(0.5)
 
     def test_each_cached_release_carries_one_engine(
         self, service, metered, monkeypatch

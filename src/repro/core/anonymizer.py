@@ -59,12 +59,22 @@ DEFAULT_BASE_K = 5
 #: The release strategies: how a release groups whole leaves (see anonymize).
 STRATEGIES = ("subtree", "sequential")
 
+#: How many release recipes keep their runs (see _publish_runs); the least
+#: recently published recipe is dropped first.  The service's release
+#: cache holds as many recipes (:data:`repro.serve.cache.MAX_ENTRIES`).
+MAX_RECIPES = 64
+
+#: A release recipe, ``(k, strategy, constraint)``, and a run's key: its
+#: leaves' versions.
+Recipe = tuple[int, str, Constraint | None]
+RunKey = tuple[int, ...]
+
 
 def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
     """Each run of whole leaves as a partition under its minimum bounding box.
 
     The publish path of every release (:meth:`RTreeAnonymizer._publish_runs`),
-    called for the runs the previous release did not hold.  A run's
+    called for the runs no kept recipe holds.  A run's
     minimum bounding box is the union of its leaves' cached MBRs, which
     the tree keeps exact (:meth:`~repro.index.rtree.RPlusTree.check_invariants`
     asserts each equals ``Box.from_points`` of the leaf's records), so no
@@ -91,13 +101,15 @@ class _PublishedRun:
 
     The digest bytes and the audit volume are computed on first use, by
     the digest and the audit, and then kept for as long as the run stays
-    unchanged.
+    unchanged.  ``holders`` counts the kept recipes whose latest release
+    holds the run.
     """
 
-    __slots__ = ("partition", "_fragment", "_volume")
+    __slots__ = ("partition", "holders", "_fragment", "_volume")
 
     def __init__(self, partition: Partition) -> None:
         self.partition = partition
+        self.holders = 0
         self._fragment: bytes | None = None
         self._volume: float | None = None
 
@@ -156,10 +168,7 @@ class RTreeAnonymizer:
         self._loader = BufferTreeLoader(self._tree, pool=pool)
         #: The auditor's record of the latest release (see _emit_release).
         self._last_audit: dict[str, object] | None = None
-        #: The latest release's runs, keyed by their leaves' versions (see
-        #: _publish_runs), and the same runs in partition order.
-        self._runs: dict[tuple[int, ...], _PublishedRun] = {}
-        self._last_runs: list[_PublishedRun] = []
+        self._drop_kept_runs()
         self._durability: DurabilityManager | None = None
         if durability is not None:
             self._durability = DurabilityManager.create(
@@ -193,8 +202,7 @@ class RTreeAnonymizer:
         anonymizer._loader = BufferTreeLoader(tree, pool=pool)
         anonymizer._durability = None
         anonymizer._last_audit = None
-        anonymizer._runs = {}
-        anonymizer._last_runs = []
+        anonymizer._drop_kept_runs()
         return anonymizer
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
@@ -502,7 +510,7 @@ class RTreeAnonymizer:
 
         Both strategies group *runs of whole leaves* (slices of
         ``tree.leaves()``).  A run publishes the union of its leaves'
-        cached MBRs, reused from the previous release when its leaves are
+        cached MBRs, reused from a kept release when its leaves are
         unchanged (:meth:`_publish_runs`).
         """
         with span("core.group", strategy=strategy):
@@ -510,7 +518,7 @@ class RTreeAnonymizer:
                 runs = subtree_scan(self._tree, k, constraint)
             else:
                 runs = sequential_scan(self._tree, k, constraint)
-        self._last_runs = self._publish_runs(runs)
+        self._last_runs = self._publish_runs((k, strategy, constraint), runs)
         partitions = [run.partition for run in self._last_runs]
         if OBS.enabled:
             OBS.count("anonymizer.releases")
@@ -531,32 +539,60 @@ class RTreeAnonymizer:
         )
         return release
 
-    def _publish_runs(self, runs: list[Run]) -> list[_PublishedRun]:
-        """The published runs of this release, reusing the previous release's.
+    def _publish_runs(self, recipe: Recipe, runs: list[Run]) -> list[_PublishedRun]:
+        """The published runs of this release, reusing the kept ones.
 
         A run is keyed by its leaves' versions.  A leaf draws a fresh
         version from one process-wide sequence whenever its records
         change (:meth:`~repro.index.node.LeafNode.touch`), so an equal key
         means the same leaves holding the same records under the same
-        MBRs, and the previous release's partition, digest bytes and
-        volume for it still hold.  Only the other runs are built.  The
-        kept runs are then replaced by exactly this release's, so they
-        never outgrow one release.
+        MBRs, and a kept partition, digest bytes and volume for it still
+        hold, whichever recipe published it.  Only the other runs are
+        built.  One dict holds every kept run, so each key costs one
+        lookup however many recipes are kept.  The runs kept for this
+        recipe are then exactly this release's, and beyond
+        :data:`MAX_RECIPES` the least recently published recipe lets its
+        runs go.
         """
         with span("core.compact"):
-            previous = self._runs
+            kept = self._runs
             keys = [tuple([leaf.version for leaf in run]) for run in runs]
-            missing = [run for key, run in zip(keys, runs) if key not in previous]
+            found = [kept.get(key) for key in keys]
+            missing = [run for run, hit in zip(runs, found) if hit is None]
             built = iter(build_compacted_partitions(missing))
-            published = [
-                previous[key] if key in previous else _PublishedRun(next(built))
-                for key in keys
-            ]
-            self._runs = dict(zip(keys, published))
+            published = []
+            for key, run in zip(keys, found):
+                if run is None:
+                    run = kept[key] = _PublishedRun(next(built))
+                run.holders += 1
+                published.append(run)
+            recipes = self._recipes
+            self._release_runs(recipes.pop(recipe, ()))
+            recipes[recipe] = keys
+            if len(recipes) > MAX_RECIPES:
+                self._release_runs(recipes.pop(next(iter(recipes))))
         if OBS.enabled:
             OBS.count("core.runs_built", len(missing))
             OBS.count("core.runs_reused", len(runs) - len(missing))
+            OBS.gauge("core.kept_runs", len(kept))
         return published
+
+    def _release_runs(self, keys: Iterable[RunKey]) -> None:
+        """Drop a retired release's hold on its runs; free the unheld ones."""
+        kept = self._runs
+        for key in keys:
+            run = kept[key]
+            run.holders -= 1
+            if not run.holders:
+                del kept[key]
+
+    def _drop_kept_runs(self) -> None:
+        #: Every kept run by key, and each kept recipe's latest run keys,
+        #: least recently published first (see _publish_runs).
+        self._runs: dict[RunKey, _PublishedRun] = {}
+        self._recipes: dict[Recipe, list[RunKey]] = {}
+        #: The latest release's runs, in partition order.
+        self._last_runs: list[_PublishedRun] = []
 
     def _run_volumes(self) -> Iterator[float]:
         """The latest release's partition volumes, from its kept runs.
@@ -590,9 +626,8 @@ class RTreeAnonymizer:
             return self._durability.checkpoint(self._tree, self._schema)
 
     def close(self) -> None:
-        """Drop the kept release runs; flush and close the durability layer."""
-        self._runs = {}
-        self._last_runs = []
+        """Drop every recipe's kept runs; flush and close the durability layer."""
+        self._drop_kept_runs()
         if self._durability is not None:
             self._durability.close()
 

@@ -11,14 +11,37 @@ Mondrian, compacted or not) produced it.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
 from repro.geometry.box import Box
 from repro.obs import span
+
+
+class _computed_once:
+    """A method result kept in the instance's ``__dict__`` on first read.
+
+    :func:`functools.cached_property` without its lock, whose cost is
+    most of a first read here.  Writing the ``__dict__`` directly also
+    works on frozen dataclasses.
+    """
+
+    def __init__(self, compute: Callable[[object], object]) -> None:
+        self._compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: object, owner: type | None = None) -> object:
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._compute(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -64,6 +87,14 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.records)
+
+    @_computed_once
+    def box_row(self) -> bytes:
+        """The box's lows then highs as packed native float64, packed on
+        first read: a release reusing this partition reuses its row in the
+        query engine's columns (:func:`repro.query.ranges.partition_columns`)."""
+        box = self.box
+        return struct.pack(f"{2 * len(box.lows)}d", *box.lows, *box.highs)
 
     def mbr(self) -> Box:
         """The minimum bounding box of the member records (the compacted box)."""

@@ -71,8 +71,8 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "page.allocations",
     "anonymizer.releases",
     "anonymizer.partitions",
-    # Compacted leaf-run releases: runs kept from the previous release
-    # versus runs built afresh.
+    # Compacted leaf-run releases: runs a kept recipe already held versus
+    # runs built afresh.
     "core.runs_reused",
     "core.runs_built",
     "kernels.keyed_records",
@@ -115,6 +115,8 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
 
 #: Gauge names pre-registered alongside the counters (point-in-time levels).
 DEFAULT_GAUGES: tuple[str, ...] = (
+    # Distinct release runs the engine keeps across recipes, set per publish.
+    "core.kept_runs",
     "serve.queue_depth",
     "serve.backpressure",
     "serve.epoch",

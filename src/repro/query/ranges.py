@@ -100,15 +100,21 @@ def partition_columns(
     table: AnonymizedTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A release as columns: ``lows`` and ``highs`` (one float64 row per
-    attribute, one column per partition) and int64 partition ``sizes``."""
+    attribute, one column per partition) and int64 partition ``sizes``.
+
+    Joins the partitions' packed :attr:`~repro.core.partition.Partition.box_row`
+    bytes into one buffer, so partitions kept from an earlier release
+    cost no float conversion.
+    """
     partitions = table.partitions
-    shape = (len(partitions), partitions[0].box.dimensions)
-    lows = np.array([p.box.lows for p in partitions], dtype=np.float64)
-    highs = np.array([p.box.highs for p in partitions], dtype=np.float64)
-    sizes = np.array([len(p) for p in partitions], dtype=np.int64)
+    dimensions = partitions[0].box.dimensions
+    rows = np.frombuffer(
+        b"".join([partition.box_row for partition in partitions]), dtype=np.float64
+    ).reshape(len(partitions), 2 * dimensions)
+    sizes = np.fromiter(map(len, partitions), dtype=np.int64, count=len(partitions))
     return (
-        np.ascontiguousarray(lows.reshape(shape).T),
-        np.ascontiguousarray(highs.reshape(shape).T),
+        np.array(rows[:, :dimensions].T, order="C"),
+        np.array(rows[:, dimensions:].T, order="C"),
         sizes,
     )
 

@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable
 
+from repro.core.anonymizer import MAX_RECIPES
 from repro.core.partition import Release
 from repro.obs import OBS
 
@@ -37,8 +38,9 @@ if TYPE_CHECKING:
 #: change to the benchmark harness, which reads releases by this key.
 CacheKey = tuple[int, str, bool, Hashable]
 
-#: How many release recipes the cache holds at once.
-MAX_ENTRIES = 64
+#: How many release recipes the cache holds at once: as many as the engine
+#: keeps runs for, so every cached recipe republishes at dirty-run cost.
+MAX_ENTRIES = MAX_RECIPES
 
 
 @dataclass
@@ -77,12 +79,19 @@ class ReleaseCache:
 
     def get(self, key: CacheKey, epoch: int) -> Release | None:
         """The release cached for ``key`` at ``epoch``; counts a hit or a miss."""
+        release = self.lookup(key, epoch)
+        if release is None:
+            self.count_miss()
+        return release
+
+    def lookup(self, key: CacheKey, epoch: int) -> Release | None:
+        """:meth:`get` counting only a hit: the caller counts the miss with
+        :meth:`count_miss` once the read is served."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.release.epoch == epoch:
                 self.stats.hits += 1
                 return entry.release
-            self.stats.misses += 1
             if entry is not None:
                 # Lazy invalidation: a write bumped the epoch since this
                 # release was published.
@@ -91,6 +100,11 @@ class ReleaseCache:
                 if OBS.enabled:
                     OBS.count("serve.cache_invalidations")
             return None
+
+    def count_miss(self) -> None:
+        """Count one served read that :meth:`lookup` did not find."""
+        with self._lock:
+            self.stats.misses += 1
 
     def peek(self, key: CacheKey, epoch: int) -> Release | None:
         """:meth:`get` without counting: the read was counted once already."""

@@ -375,43 +375,44 @@ class AnonymizerService:
         A cache hit never touches the tree.  A miss publishes through
         :meth:`RTreeAnonymizer.release` under the write lock (writers
         wait; other readers of the same key piggyback on the recheck) and
-        atomically swaps the fresh release in.  Each call counts exactly
-        one cache hit or miss, decided by the lock-free lookup; a recipe
-        the engine can never publish (an unknown strategy, a ``k`` below
-        the base k) raises ``ValueError`` before it and counts neither.
-        The release reflects exactly the epoch it is stamped with — never
-        a tree mid-mutation.
+        atomically swaps the fresh release in.  Each served call counts
+        exactly one cache hit or miss: a hit on the lock-free lookup, a
+        miss once the release is published or picked up from a racing
+        reader.  A recipe the engine refuses (an unknown strategy, a ``k``
+        below the base k or above the record count) raises ``ValueError``
+        and counts neither.  The release reflects exactly the epoch it is
+        stamped with — never a tree mid-mutation.
         """
         self._assert_open()
         self._engine.check_recipe(k, strategy)
         key: CacheKey = (k, strategy, True, constraint)
-        release = self._cache.get(key, self._epoch)
+        release = self._cache.lookup(key, self._epoch)
         if release is not None:
             if OBS.enabled:
                 OBS.count("serve.cache_hits")
             if TRACE.enabled:
                 TRACE.instant("serve.cache_hit", k=k)
             return release
-        if OBS.enabled:
-            OBS.count("serve.cache_misses")
         with self._write_lock:
             epoch = self._epoch
             release = self._cache.peek(key, epoch)
-            if release is not None:  # another reader built it just now
-                return release
-            with span(
-                "serve.release", k=k, strategy=strategy, epoch=epoch
-            ) as timed:
-                release = self._engine.release(
-                    k, constraint=constraint, strategy=strategy
+            if release is None:  # else another reader built it just now
+                with span(
+                    "serve.release", k=k, strategy=strategy, epoch=epoch
+                ) as timed:
+                    release = self._engine.release(
+                        k, constraint=constraint, strategy=strategy
+                    )
+                self._note_slow(
+                    "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
                 )
-            self._note_slow(
-                "release", timed.seconds, k=k, strategy=strategy, epoch=epoch
-            )
-            release = replace(release, epoch=epoch)
-            with span("serve.snapshot_swap", k=k):
-                self._cache.put(key, release)
-            return release
+                release = replace(release, epoch=epoch)
+                with span("serve.snapshot_swap", k=k):
+                    self._cache.put(key, release)
+        self._cache.count_miss()
+        if OBS.enabled:
+            OBS.count("serve.cache_misses")
+        return release
 
     # -- query path ----------------------------------------------------------
 

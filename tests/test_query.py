@@ -107,6 +107,8 @@ class TestCounting:
         """
 
         class _HugePartition:
+            box_row = Partition.box_row  # the columns are joined from it
+
             def __init__(self, box: Box, size: int) -> None:
                 self.box = box
                 self._size = size

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
+from repro.core.partition import AnonymizedTable, Partition
+from repro.dataset.schema import Attribute, Schema
 from repro.geometry.box import Box
 from repro.dataset.agrawal import make_agrawal_table
 from repro.dataset.census import make_census_table
@@ -187,6 +190,74 @@ class TestEngineUnits:
             assert service.query(good, k=5).values == (
                 count_anonymized(good, service.release(5).table),
             )
+
+
+def _converted_columns(table: AnonymizedTable) -> tuple[np.ndarray, ...]:
+    """The columns by numpy's conversion of every box's tuples: the
+    construction the packed rows replaced, kept as the reference."""
+    partitions = table.partitions
+    lows = np.array([p.box.lows for p in partitions], dtype=np.float64)
+    highs = np.array([p.box.highs for p in partitions], dtype=np.float64)
+    sizes = np.array([len(p) for p in partitions], dtype=np.int64)
+    return (np.ascontiguousarray(lows.T), np.ascontiguousarray(highs.T), sizes)
+
+
+def _assert_columns_bit_identical(table: AnonymizedTable) -> None:
+    engine = QueryEngine(table)
+    for built, converted in zip(
+        (engine.lows, engine.highs, engine.sizes), _converted_columns(table)
+    ):
+        assert built.dtype == converted.dtype
+        assert built.shape == converted.shape
+        assert built.flags.c_contiguous and built.flags.writeable
+        assert built.tobytes() == converted.tobytes()
+
+
+class TestEngineColumns:
+    """Columns joined from packed box rows equal numpy's conversion of
+    the box tuples, bit for bit."""
+
+    def test_fresh_table(self) -> None:
+        schema = Schema(
+            (Attribute.numeric("a", -10, 10), Attribute.numeric("b", 0, 9))
+        )
+        rows = [
+            ((-0.0, 3), (0.1, 9)),
+            ((-10, 1 / 3), (2**53 + 1, 7.25)),
+            ((5, 0), (5, 0)),
+        ]
+        partitions = [
+            Partition(
+                (Record(index, low, ()), Record(index + 10, high, ())),
+                Box(low, high),
+            )
+            for index, (low, high) in enumerate(rows)
+        ]
+        _assert_columns_bit_identical(AnonymizedTable(schema, partitions))
+
+    def test_one_partition_of_one_attribute(self) -> None:
+        schema = Schema((Attribute.numeric("a", 0, 9),))
+        partition = Partition((Record(0, (4.0,), ()),), Box((4.0,), (4.0,)))
+        _assert_columns_bit_identical(AnonymizedTable(schema, [partition]))
+
+    def test_release_reusing_earlier_rows(self) -> None:
+        """A release whose kept partitions already packed their rows for
+        an earlier engine, and a release at another k that shares some."""
+        table = make_census_table(1_500, seed=3)
+        engine_core = RTreeAnonymizer(Table(table.schema, ()), base_k=5)
+        with AnonymizerService(engine_core) as service:
+            service.insert_batch(table.records[:1_490])
+            first = service.release(10).table
+            QueryEngine(first)
+            service.insert_batch(table.records[1_490:])
+            again = service.release(10).table
+            other = service.release(25).table
+        kept = {id(partition) for partition in first.partitions}
+        reused = [p for p in again.partitions if id(p) in kept]
+        assert len(again.partitions) > len(reused) > len(again.partitions) // 2
+        assert all("box_row" in partition.__dict__ for partition in reused)
+        _assert_columns_bit_identical(again)
+        _assert_columns_bit_identical(other)
 
 
 def test_query_differential_tier1_cells() -> None:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.anonymizer import RTreeAnonymizer
+from repro.core.anonymizer import MAX_RECIPES, RTreeAnonymizer
 from repro.core.partition import AnonymizedTable, Release, release_digest
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
@@ -308,3 +308,136 @@ def test_audited_releases_number_in_sequence(strict: bool) -> None:
     finally:
         AUDITOR.disable()
         AUDITOR.reset()
+
+
+#: The one constraint object every constrained recipe below shares.
+DIVERSE = DistinctLDiversity(2)
+#: A recipe: (multiple of the base k, strategy, constrained?).
+recipes = st.tuples(
+    st.sampled_from([1, 2, 5]),
+    st.sampled_from(["subtree", "sequential"]),
+    st.booleans(),
+)
+#: Two or three recipes, and rounds of up to three writes, each round
+#: closed by one release of every recipe, in an order rotated per round.
+alternating_programs = st.tuples(
+    st.lists(recipes, min_size=2, max_size=3, unique=True),
+    st.lists(st.lists(writes, max_size=3), max_size=10),
+)
+
+
+def _run_alternating(base: int, initial: list, program: tuple) -> None:
+    """Releases that rotate over a few recipes between write rounds each
+    equal a full recompute; so do the releases after ``close()``."""
+    chosen, write_rounds = program
+    state = _Program(base, initial)
+    anonymizer = state.anonymizer
+    for turn, round_writes in enumerate(write_rounds):
+        for operation in round_writes:
+            state.run(operation)
+        shift = turn % len(chosen)
+        for multiple, strategy, diverse in chosen[shift:] + chosen[:shift]:
+            if multiple * base <= len(anonymizer):
+                constraint = DIVERSE if diverse else None
+                _assert_full_recompute(
+                    anonymizer, multiple * base, strategy, constraint
+                )
+    anonymizer.close()
+    for multiple, strategy, diverse in chosen:
+        if multiple * base <= len(anonymizer):
+            constraint = DIVERSE if diverse else None
+            _assert_full_recompute(anonymizer, multiple * base, strategy, constraint)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    base=st.sampled_from([2, 3, 5]),
+    initial=st.lists(st.tuples(points, diagnoses), min_size=1, max_size=100),
+    program=alternating_programs,
+)
+def test_alternating_recipes_equal_a_full_recompute(
+    base: int, initial: list, program: tuple
+) -> None:
+    _run_alternating(base, initial, program)
+
+
+@pytest.mark.stress
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    base=st.sampled_from([2, 3, 5]),
+    initial=st.lists(st.tuples(points, diagnoses), min_size=1, max_size=100),
+    program=alternating_programs,
+)
+def test_alternating_recipes_equal_a_full_recompute_long(
+    base: int, initial: list, program: tuple
+) -> None:
+    _run_alternating(base, initial, program)
+
+
+def _counted(
+    anonymizer: RTreeAnonymizer, k: int, strategy: str = "subtree"
+) -> tuple[int, int]:
+    """Release a recipe; return (runs reused, runs built)."""
+    OBS.enable(reset=True)
+    try:
+        _assert_full_recompute(anonymizer, k, strategy)
+        assert OBS.gauge_value("core.kept_runs") == len(anonymizer._runs)
+        return (
+            OBS.counter_value("core.runs_reused"),
+            OBS.counter_value("core.runs_built"),
+        )
+    finally:
+        OBS.disable()
+        OBS.reset()
+
+
+def test_each_recipe_keeps_its_runs_until_it_is_least_recently_published() -> None:
+    """Recipe A (k = base k) publishes one run per leaf.  The fillers have
+    k above the leaf capacity, so none of their runs is one leaf and
+    none is A's.  A stays kept while it is among the MAX_RECIPES most
+    recently published recipes, and rebuilds every run once it is not."""
+    anonymizer = _loaded()
+    leaves = len(anonymizer.tree.leaves())
+    first_k = anonymizer.tree.leaf_capacity + 1
+    fillers = [
+        (k, strategy)
+        for k in range(first_k, first_k + MAX_RECIPES // 2)
+        for strategy in ("subtree", "sequential")
+    ]
+    assert len(fillers) == MAX_RECIPES
+    assert _counted(anonymizer, 3) == (0, leaves)
+    for k, strategy in fillers[:-1]:
+        _counted(anonymizer, k, strategy)
+    # MAX_RECIPES recipes are kept; A republishes and becomes the newest.
+    assert _counted(anonymizer, 3) == (leaves, 0)
+    # One recipe past the bound evicts the least recently published
+    # (the first filler), not A, the first published.
+    _counted(anonymizer, *fillers[-1])
+    assert _counted(anonymizer, 3) == (leaves, 0)
+    # MAX_RECIPES other recipes since A's last release: A is evicted.
+    for k, strategy in fillers:
+        _counted(anonymizer, k, strategy)
+    assert _counted(anonymizer, 3) == (0, leaves)
+
+
+def test_close_drops_every_recipe() -> None:
+    """Two kept recipes with no run in common (one-leaf runs at the base
+    k, runs of two or more leaves above the leaf capacity); after
+    ``close()`` each rebuilds all its runs."""
+    anonymizer = _loaded()
+    chosen = [(3, "subtree"), (anonymizer.tree.leaf_capacity + 1, "sequential")]
+    runs = [_counted(anonymizer, k, strategy)[1] for k, strategy in chosen]
+    assert [_counted(anonymizer, k, strategy) for k, strategy in chosen] == [
+        (count, 0) for count in runs
+    ]
+    anonymizer.close()
+    for (k, strategy), count in zip(reversed(chosen), reversed(runs)):
+        assert _counted(anonymizer, k, strategy) == (0, count)

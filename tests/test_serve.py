@@ -11,6 +11,7 @@ import pytest
 from repro import api, obs
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import Release, release_digest
+from repro.dataset.landsend import LandsEndGenerator
 from repro.dataset.record import Record
 from repro.dataset.table import Table
 from repro.durability import DurabilityConfig, recover
@@ -213,14 +214,16 @@ class TestAnonymizerService:
         assert service.health()["cache"]["hit_ratio"] == pytest.approx(1 / 3)
 
     def test_refused_recipes_count_no_read(self, service, metered) -> None:
-        """Regression: an unknown strategy or a k below the base k counted a
-        cache miss (and took the write lock) before the engine refused it,
-        so two good reads and two refused ones read as (1, 3) and
-        ``/healthz`` reported a hit ratio of 0.25."""
+        """Regression: an unknown strategy, a k below the base k or a k
+        above the record count counted a cache miss (and took the write
+        lock) before the engine refused it, so two good reads and two
+        refused ones read as (1, 3) and ``/healthz`` reported a hit ratio
+        of 0.25."""
         service.release(10)
         service.release(10)
         everything = RangeQuery(Box((0.0,) * 3, (1e9,) * 3))
-        for k, strategy in ((10, "zigzag"), (10, "hilbert"), (3, "subtree")):
+        refused = ((10, "zigzag"), (10, "hilbert"), (3, "subtree"), (1000, "subtree"))
+        for k, strategy in refused:
             with pytest.raises(ValueError):
                 service.release(k, strategy=strategy)
             with pytest.raises(ValueError):
@@ -230,6 +233,35 @@ class TestAnonymizerService:
         assert metered.counter_value("serve.cache_hits") == 1
         assert metered.counter_value("serve.cache_misses") == 1
         assert service.health()["cache"]["hit_ratio"] == pytest.approx(0.5)
+
+    def test_alternating_recipes_republish_at_dirty_run_cost(self, metered) -> None:
+        """Two recipes served in turn each keep their runs: after a write,
+        each republishes only the runs the write touched."""
+        generator = LandsEndGenerator(0)
+        base = generator.generate(30_000)
+        with api.serve(base) as lands_end:
+            lands_end.load(base)
+            for k in (10, 25):
+                lands_end.release(k)
+            lands_end.insert_batch(
+                generator.generate(50, stream_offset=1, first_rid=30_000)
+            )
+            for k in (10, 25):
+                metered.reset()
+                lands_end.release(k)
+                reused = metered.counter_value("core.runs_reused")
+                built = metered.counter_value("core.runs_built")
+                assert reused / (reused + built) >= 0.9, (k, reused, built)
+
+    def test_kept_runs_gauge_reaches_metrics(self, service, metered) -> None:
+        """``core.kept_runs`` is the distinct runs kept across recipes,
+        set at each publish and exported at ``/metrics``."""
+        first = service.release(10)
+        assert metered.gauge_value("core.kept_runs") == first.partition_count
+        service.release(25)
+        kept = metered.gauge_value("core.kept_runs")
+        assert first.partition_count < kept == len(service.engine._runs)
+        assert f"repro_core_kept_runs {kept:g}" in service.metrics_text()
 
     def test_each_cached_release_carries_one_engine(
         self, service, metered, monkeypatch

@@ -105,7 +105,6 @@ class Anonymizer:
         source: "Table | Iterable[Record] | str | Path",
         *,
         workers: int | None = None,
-        batch_size: int = 8_192,
         first_rid: int = 0,
     ) -> int:
         """Bulk-anonymize a table, record stream, or record file.
@@ -115,9 +114,7 @@ class Anonymizer:
         worker count); it is rejected for in-memory sources
         (:meth:`RTreeAnonymizer.load`).
         """
-        return self._engine.load(
-            source, workers=workers, batch_size=batch_size, first_rid=first_rid
-        )
+        return self._engine.load(source, workers=workers, first_rid=first_rid)
 
     def insert(self, record: Record) -> None:
         """Insert one record incrementally."""

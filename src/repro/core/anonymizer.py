@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
@@ -33,8 +33,7 @@ from repro.core.partition import (
     AnonymizedTable,
     Partition,
     Release,
-    digest_fragment,
-    fragments_digest,
+    release_digest,
 )
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -50,7 +49,7 @@ from repro.index.rtree import (
 )
 from repro.index.split import SplitPolicy
 from repro.obs import AUDITOR, OBS, span
-from repro.obs.audit import audit_release, normalized_volume
+from repro.obs.audit import audit_release
 from repro.storage.buffer_pool import BufferPool
 
 #: The paper's base anonymity level for bulk loads (§5.1).
@@ -94,36 +93,6 @@ def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
 def _run_records(run: Run) -> tuple[Record, ...]:
     """A run's records, leaf by leaf in leaf order."""
     return tuple([record for leaf in run for record in leaf.records])
-
-
-class _PublishedRun:
-    """One compacted run as published: its partition, digest bytes and volume.
-
-    The digest bytes and the audit volume are computed on first use, by
-    the digest and the audit, and then kept for as long as the run stays
-    unchanged.  ``holders`` counts the kept recipes whose latest release
-    holds the run.
-    """
-
-    __slots__ = ("partition", "holders", "_fragment", "_volume")
-
-    def __init__(self, partition: Partition) -> None:
-        self.partition = partition
-        self.holders = 0
-        self._fragment: bytes | None = None
-        self._volume: float | None = None
-
-    def fragment(self) -> bytes:
-        """The partition's :func:`~repro.core.partition.digest_fragment`."""
-        if self._fragment is None:
-            self._fragment = digest_fragment(self.partition)
-        return self._fragment
-
-    def volume(self, extents: Sequence[float]) -> float:
-        """The box's :func:`~repro.obs.audit.normalized_volume`."""
-        if self._volume is None:
-            self._volume = normalized_volume(self.partition.box, extents)
-        return self._volume
 
 
 class RTreeAnonymizer:
@@ -228,7 +197,6 @@ class RTreeAnonymizer:
         source: Iterable[Record] | Table | str | Path,
         *,
         workers: int | None = None,
-        batch_size: int = 8_192,
         first_rid: int = 0,
     ) -> int:
         """Bulk-anonymize a table, record stream, or record file.
@@ -241,10 +209,7 @@ class RTreeAnonymizer:
         """
         if isinstance(source, (str, Path)):
             return self.bulk_load_file(
-                str(source),
-                batch_size=batch_size,
-                first_rid=first_rid,
-                workers=workers,
+                str(source), first_rid=first_rid, workers=workers
             )
         if workers is not None:
             raise ValueError(
@@ -296,15 +261,15 @@ class RTreeAnonymizer:
     def bulk_load_file(
         self,
         path: str,
-        batch_size: int = 8_192,
         first_rid: int = 0,
         workers: int | None = None,
     ) -> int:
         """Bulk-anonymize straight from a binary record file (§5.2).
 
-        Streams the file through the buffer-tree loader in ``batch_size``
-        chunks — the staging input is never materialized as a table, which
-        is how the paper's larger-than-memory runs feed the loader.
+        Streams the file through the buffer-tree loader a page of decoded
+        records at a time — the staging input is never materialized as a
+        table, which is how the paper's larger-than-memory runs feed the
+        loader.
         Returns the number of records the loader actually consumed (which
         the file's header may misreport on a short read).
 
@@ -329,16 +294,13 @@ class RTreeAnonymizer:
             )
         with span("index.load", path=path, workers=workers or 0):
             if workers is None:
-                stream: Iterable[Record] = reader.iter_records(
-                    batch_size, first_rid=first_rid
-                )
+                stream: Iterable[Record] = reader.iter_records(first_rid=first_rid)
             else:
                 stream = parallel.scan_file_shards(
                     path,
                     self._schema.domain_lows(),
                     self._schema.domain_highs(),
                     workers=workers,
-                    batch_size=batch_size,
                     first_rid=first_rid,
                 )
             return self._logged_batch(self._loader.load, stream)
@@ -455,20 +417,16 @@ class RTreeAnonymizer:
         very table (strict mode gates the publish); otherwise an
         equivalent record is computed directly, so ``audit`` is never empty.
 
-        The release digests and audits from its runs' kept digest bytes
-        and volumes, so only the runs that changed since the previous
-        release are hashed and measured; the result equals
-        :func:`~repro.core.partition.release_digest` and
-        :func:`audit_release` of the table.
+        A partition reused from a kept run brings the digest bytes and
+        volume it already holds, so :func:`release_digest` and
+        :func:`audit_release` encode and measure only the runs that
+        changed since they were last published.
         """
         table = self.anonymize(k, constraint=constraint, strategy=strategy)
         audit = self._last_audit
         if audit is None:
-            audit = audit_release(
-                table, k, base_k=self._tree.k, volumes=self._run_volumes()
-            )
-        with span("core.digest"):
-            digest = fragments_digest([run.fragment() for run in self._last_runs])
+            audit = audit_release(table, k, base_k=self._tree.k)
+        digest = release_digest(table)
         return Release(
             table=table, audit=audit, digest=digest, k=k, strategy=strategy
         )
@@ -518,8 +476,7 @@ class RTreeAnonymizer:
                 runs = subtree_scan(self._tree, k, constraint)
             else:
                 runs = sequential_scan(self._tree, k, constraint)
-        self._last_runs = self._publish_runs((k, strategy, constraint), runs)
-        partitions = [run.partition for run in self._last_runs]
+        partitions = self._publish_runs((k, strategy, constraint), runs)
         if OBS.enabled:
             OBS.count("anonymizer.releases")
             OBS.count("anonymizer.partitions", len(partitions))
@@ -531,26 +488,24 @@ class RTreeAnonymizer:
         # record is kept for release(), which must hand out this release's
         # audit and not whatever another handle published since.
         self._last_audit = (
-            AUDITOR.on_release(
-                release, k, base_k=self._tree.k, volumes=self._run_volumes()
-            )
+            AUDITOR.on_release(release, k, base_k=self._tree.k)
             if AUDITOR.enabled
             else None
         )
         return release
 
-    def _publish_runs(self, recipe: Recipe, runs: list[Run]) -> list[_PublishedRun]:
-        """The published runs of this release, reusing the kept ones.
+    def _publish_runs(self, recipe: Recipe, runs: list[Run]) -> list[Partition]:
+        """The partitions of this release, reusing the kept runs' ones.
 
         A run is keyed by its leaves' versions.  A leaf draws a fresh
         version from one process-wide sequence whenever its records
         change (:meth:`~repro.index.node.LeafNode.touch`), so an equal key
         means the same leaves holding the same records under the same
-        MBRs, and a kept partition, digest bytes and volume for it still
-        hold, whichever recipe published it.  Only the other runs are
-        built.  One dict holds every kept run, so each key costs one
-        lookup however many recipes are kept.  The runs kept for this
-        recipe are then exactly this release's, and beyond
+        MBRs, and a kept partition for it still holds, with the digest
+        bytes and volume it keeps, whichever recipe published it.  Only
+        the other runs are built.  One dict holds every kept run, so each
+        key costs one lookup however many recipes are kept.  The runs kept
+        for this recipe are then exactly this release's, and beyond
         :data:`MAX_RECIPES` the least recently published recipe lets its
         runs go.
         """
@@ -561,11 +516,11 @@ class RTreeAnonymizer:
             missing = [run for run, hit in zip(runs, found) if hit is None]
             built = iter(build_compacted_partitions(missing))
             published = []
-            for key, run in zip(keys, found):
-                if run is None:
-                    run = kept[key] = _PublishedRun(next(built))
-                run.holders += 1
-                published.append(run)
+            for key, entry in zip(keys, found):
+                if entry is None:
+                    entry = kept[key] = [next(built), 0]
+                entry[1] += 1
+                published.append(entry[0])
             recipes = self._recipes
             self._release_runs(recipes.pop(recipe, ()))
             recipes[recipe] = keys
@@ -581,26 +536,18 @@ class RTreeAnonymizer:
         """Drop a retired release's hold on its runs; free the unheld ones."""
         kept = self._runs
         for key in keys:
-            run = kept[key]
-            run.holders -= 1
-            if not run.holders:
+            entry = kept[key]
+            entry[1] -= 1
+            if not entry[1]:
                 del kept[key]
 
     def _drop_kept_runs(self) -> None:
-        #: Every kept run by key, and each kept recipe's latest run keys,
-        #: least recently published first (see _publish_runs).
-        self._runs: dict[RunKey, _PublishedRun] = {}
+        #: Every kept run by key, as ``[partition, holders]``: holders
+        #: counts the kept recipes whose latest release holds the run.
+        #: Each kept recipe's latest run keys, least recently published
+        #: first (see _publish_runs).
+        self._runs: dict[RunKey, list] = {}
         self._recipes: dict[Recipe, list[RunKey]] = {}
-        #: The latest release's runs, in partition order.
-        self._last_runs: list[_PublishedRun] = []
-
-    def _run_volumes(self) -> Iterator[float]:
-        """The latest release's partition volumes, from its kept runs.
-
-        The volumes are computed lazily, inside the audit's span.
-        """
-        extents = self._schema.domain_extents()
-        return (run.volume(extents) for run in self._last_runs)
 
     # -- durability --------------------------------------------------------------------
 

@@ -21,12 +21,11 @@ The process-wide instance is :data:`repro.obs.AUDITOR`;
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.partition import AnonymizedTable
     from repro.dataset.table import Table
-    from repro.geometry.box import Box
 
 #: Version stamp carried by every audit record; bump on any key change.
 AUDIT_SCHEMA_VERSION = 1
@@ -82,28 +81,12 @@ def _distribution(values: Sequence[float]) -> dict[str, object]:
     }
 
 
-def normalized_volume(box: "Box", extents: Sequence[float]) -> float:
-    """A box's volume as a fraction of the domain volume.
-
-    ``extents`` are the schema's ``domain_extents()``.  Zero-extent domain
-    attributes contribute no factor (no precision exists to lose along
-    them), matching the certainty metric's convention.
-    """
-    fraction = 1.0
-    for dimension, full in enumerate(extents):
-        if full <= 0:
-            continue
-        fraction *= box.extent(dimension) / full
-    return fraction
-
-
 def audit_release(
     release: "AnonymizedTable",
     k: int,
     base_k: int | None = None,
     original: "Table | None" = None,
     sequence: int = 0,
-    volumes: Iterable[float] | None = None,
 ) -> dict[str, object]:
     """Build one audit record for a published release.
 
@@ -114,10 +97,10 @@ def audit_release(
     conservation, identity, box containment); without it, ``problems``
     reports only k-floor violations.
 
-    ``volumes`` are the partitions' :func:`normalized_volume` values in
-    partition order, from a caller that keeps them per partition (the
-    engine's reuse of unchanged leaf runs); they are consumed inside the
-    ``obs.audit`` span.  By default every box is measured here.
+    Each box's volume is its partition's
+    :meth:`~repro.core.partition.Partition.volume`, which the partition
+    keeps: a release that reuses unchanged runs measures only its new
+    partitions.
     """
     from repro.metrics.certainty import certainty_penalty
     from repro.metrics.discernibility import discernibility_penalty
@@ -125,12 +108,8 @@ def audit_release(
     from repro.privacy.kanonymity import is_k_anonymous, verify_release
 
     with span("obs.audit", k=k):
-        if volumes is None:
-            extents = release.schema.domain_extents()
-            volumes = [
-                normalized_volume(partition.box, extents)
-                for partition in release.partitions
-            ]
+        schema = release.schema
+        volumes = [partition.volume(schema) for partition in release.partitions]
         sizes = [float(len(partition)) for partition in release.partitions]
         k_satisfied = is_k_anonymous(release, k)
         if original is not None:
@@ -158,7 +137,7 @@ def audit_release(
             "record_count": record_count,
             "partition_count": len(release.partitions),
             "occupancy": _distribution(sizes),
-            "mbr_volume": _distribution(list(volumes)),
+            "mbr_volume": _distribution(volumes),
             "discernibility": discernibility,
             "discernibility_per_record": discernibility / record_count,
             "certainty": certainty,
@@ -221,14 +200,13 @@ class ReleaseAuditor:
         k: int,
         base_k: int | None = None,
         original: "Table | None" = None,
-        volumes: Iterable[float] | None = None,
     ) -> dict[str, object]:
         """Audit one published release; appends and returns the record.
 
         ``original`` overrides the configured reference table for this one
-        release; ``volumes`` passes through to :func:`audit_release`.  In
-        strict mode a failing record raises :class:`AuditFailure` *after*
-        being appended, so the trail still shows what was rejected.
+        release.  In strict mode a failing record raises
+        :class:`AuditFailure` *after* being appended, so the trail still
+        shows what was rejected.
         """
         record = audit_release(
             release,
@@ -236,7 +214,6 @@ class ReleaseAuditor:
             base_k=base_k,
             original=original if original is not None else self._reference,
             sequence=self._sequence,
-            volumes=volumes,
         )
         self._sequence += 1
         self.records.append(record)

@@ -264,7 +264,6 @@ class AnonymizerService:
         source: "Table | Iterable[Record] | str | Path",
         *,
         workers: int | None = None,
-        batch_size: int = 8_192,
         first_rid: int = 0,
     ) -> int:
         """Bulk-load under the write lock (one epoch bump for the lot).
@@ -280,12 +279,10 @@ class AnonymizerService:
             # records (journal=True is a test facility).
             source = tuple(source.records if isinstance(source, Table) else source)
         with self._write_lock:
-            consumed = self._engine.load(
-                source, workers=workers, batch_size=batch_size, first_rid=first_rid
-            )
+            consumed = self._engine.load(source, workers=workers, first_rid=first_rid)
             if is_file:
                 self._journal_append(
-                    ("bulk_load_file", str(source), batch_size, first_rid, workers)
+                    ("bulk_load_file", str(source), first_rid, workers)
                 )
             else:
                 self._journal_append(("bulk_load", source))

@@ -154,7 +154,7 @@ class TestFileLoading:
         path = tmp_path / "stage.rec"
         write_table(table, path)
         anonymizer = RTreeAnonymizer(table, base_k=5)
-        consumed = anonymizer.bulk_load_file(str(path), batch_size=64)
+        consumed = anonymizer.bulk_load_file(str(path))
         assert consumed == 500
         assert len(anonymizer) == 500
         release = anonymizer.anonymize(10)

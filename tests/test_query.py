@@ -107,11 +107,11 @@ class TestCounting:
         """
 
         class _HugePartition:
-            box_row = Partition.box_row  # the columns are joined from it
-
             def __init__(self, box: Box, size: int) -> None:
                 self.box = box
                 self._size = size
+                # The columns are joined from the row a partition packs.
+                self.box_row = Partition((Record(0, box.lows),), box).box_row
 
             def __len__(self) -> int:
                 return self._size

@@ -1,16 +1,19 @@
 """Releases that reuse unchanged leaf runs, against a full recompute.
 
 A compacted ``subtree`` or ``sequential`` release keeps each run's
-partition, digest bytes and audit volume, keyed by the versions of the
-run's leaves, and the next release builds only the runs whose key it has
-not seen.  That is sound only if every change to a leaf's records draws a
-fresh version.  This suite drives ONE handle through random programs that
-interleave writes of every kind (``insert``, buffered ``insert_batch``,
-``delete`` with underflow dissolves, ``update``) with releases at several
-k, under both strategies, with and without a constraint, and holds every
-release to the record-list oracle (``tests/oracles.py``), to the full
-:func:`release_digest` and to the full :func:`audit_release`.  A missed
-version bump shows as a stale partition, box or digest.  Programs come in
+partition, keyed by the versions of the run's leaves, and the partition
+keeps its digest bytes and audit volume; the next release builds only the
+runs whose key it has not seen.  That is sound only if every change to a
+leaf's records draws a fresh version.  This suite drives ONE handle
+through random programs that interleave writes of every kind
+(``insert``, buffered ``insert_batch``, ``delete`` with underflow
+dissolves, ``update``) with releases at several k, under both strategies,
+with and without a constraint, and holds every release to the
+record-list oracle (``tests/oracles.py``).  Its digest and its audit must
+equal :func:`release_digest` and :func:`audit_release` over a table of
+the oracle's fresh partitions, which hold no kept value, so they are a
+full recompute.  A missed version bump shows as a stale partition, box,
+digest or volume.  Programs come in
 rounds of a few writes closed by a release, so most writes land between
 two releases whose runs can be reused; a flat mix of writes and releases
 found a deleted bump in only about one run in three.
@@ -89,6 +92,9 @@ def _assert_full_recompute(
         AnonymizedTable(anonymizer.schema, expected)
     )
     assert release.audit == audit_release(table, k, base_k=anonymizer.base_k)
+    assert release.audit == audit_release(
+        AnonymizedTable(anonymizer.schema, expected), k, base_k=anonymizer.base_k
+    )
     return release
 
 
@@ -295,15 +301,21 @@ def test_audited_releases_number_in_sequence(strict: bool) -> None:
     AUDITOR.enable(strict=strict, reset=True)
     try:
         published = []
+        fresh = []
         for step in range(3):
             victim = anonymizer.tree.leaves()[step].records[0]
             anonymizer.delete(victim.rid, victim.point)
             published.append(anonymizer.release(3))
+            expected = oracles.release_partitions(anonymizer, 3, True)
+            fresh.append(AnonymizedTable(anonymizer.schema, expected))
         assert len(AUDITOR.records) == 3
         for sequence, release in enumerate(published):
             assert release.audit is AUDITOR.records[sequence]
             assert release.audit == audit_release(
                 release.table, 3, base_k=3, sequence=sequence
+            )
+            assert release.audit == audit_release(
+                fresh[sequence], 3, base_k=3, sequence=sequence
             )
     finally:
         AUDITOR.disable()

@@ -525,9 +525,7 @@ def _replay(empty_table: Table, journal) -> RTreeAnonymizer:
         if kind == "bulk_load":
             engine.bulk_load(entry[1])
         elif kind == "bulk_load_file":
-            engine.bulk_load_file(
-                entry[1], batch_size=entry[2], first_rid=entry[3], workers=entry[4]
-            )
+            engine.bulk_load_file(entry[1], first_rid=entry[2], workers=entry[3])
         elif kind == "insert_batch":
             engine.insert_batch(entry[1])
         elif kind == "delete":

@@ -28,8 +28,11 @@ from repro.obs import OBS
 
 _MAGIC = b"RPR1"
 _HEADER = struct.Struct("<4sII")  # magic, dimensions, record count
+#: Records per page: what a :class:`RecordFileReader` decodes at once by
+#: default, and what a sharded load's workers decode at a time.
+PAGE_RECORDS = 8_192
 #: Records per page that :meth:`RecordFileWriter.write_all` encodes at once.
-_WRITE_PAGE_RECORDS = 8_192
+_WRITE_PAGE_RECORDS = PAGE_RECORDS
 
 
 class RecordFileWriter:
@@ -150,7 +153,7 @@ class RecordFileReader:
 
     def iter_point_batches(
         self,
-        batch_size: int = 8192,
+        batch_size: int = PAGE_RECORDS,
         start: int = 0,
         count: int | None = None,
     ) -> Iterator[tuple[int, np.ndarray]]:
@@ -201,7 +204,7 @@ class RecordFileReader:
 
     def iter_points(
         self,
-        batch_size: int = 8192,
+        batch_size: int = PAGE_RECORDS,
         start: int = 0,
         count: int | None = None,
     ) -> Iterator[tuple[float, ...]]:
@@ -211,7 +214,7 @@ class RecordFileReader:
 
     def iter_records(
         self,
-        batch_size: int = 8192,
+        batch_size: int = PAGE_RECORDS,
         first_rid: int = 0,
         start: int = 0,
         count: int | None = None,

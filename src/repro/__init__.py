@@ -13,16 +13,17 @@ Quickstart::
     release = handle.release(10, constraint=None, strategy="subtree")
     print(release.table.summary(), release.k_satisfied, release.digest)
 
-Both handles — :func:`repro.api.open` and :func:`repro.api.serve` — return
-the same frozen :class:`Release` (table, audit, digest, k, strategy,
-epoch); only the serving handle stamps ``epoch``.
+:func:`repro.api.open` returns the :class:`RTreeAnonymizer` itself, the
+single-writer handle; :func:`repro.api.serve` wraps one in a thread-safe
+:class:`AnonymizerService`.  Both publish the same frozen
+:class:`Release` (table, audit, digest, k, strategy, epoch); only the
+service stamps ``epoch``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
 from repro import api
-from repro.api import Anonymizer
 from repro.serve import AnonymizerService, ServiceConfig, TelemetryConfig
 from repro.baselines.grid import GridFileAnonymizer, gridfile_anonymize
 from repro.baselines.mondrian import MondrianAnonymizer, mondrian_anonymize
@@ -72,7 +73,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AgrawalGenerator",
     "AnonymizedTable",
-    "Anonymizer",
     "AnonymizerService",
     "Attribute",
     "AttributeKind",

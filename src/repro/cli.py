@@ -26,7 +26,7 @@
 The data-facing commands (``anonymize``, ``bench``, ``recover``,
 ``checkpoint``) share one option vocabulary — ``--dataset``, ``--k``,
 ``--out``, ``--workers``, ``--dir`` — and are all implemented on
-:mod:`repro.api`, the consolidated facade (see docs/API.md).
+:mod:`repro.api`, the consolidated front door (see docs/API.md).
 
 Each experiment prints the same rows the paper plots; see EXPERIMENTS.md
 for the recorded paper-vs-measured comparison.  ``--profile`` switches the
@@ -519,10 +519,11 @@ def _anonymize_command(arguments: argparse.Namespace) -> int:
     """``repro anonymize``: one sharded bulk-anonymization run, audited.
 
     Generates the chosen dataset (or takes ``--dataset-file``), stages it
-    as a binary record file, and runs it through the :mod:`repro.api`
-    facade: :func:`repro.api.open` (durable when ``--dir`` is given),
-    :meth:`~repro.api.Anonymizer.load` with ``--workers`` processes, and
-    one audited :meth:`~repro.api.Anonymizer.release`.  The printed
+    as a binary record file, and runs it through :func:`repro.api.open`
+    (durable when ``--dir`` is given): the anonymizer's
+    :meth:`~repro.core.anonymizer.RTreeAnonymizer.load` with ``--workers``
+    processes, and one audited
+    :meth:`~repro.core.anonymizer.RTreeAnonymizer.release`.  The printed
     release digest is a sha256 over the published partitions — runs at
     different worker counts print the *same* digest (the engine's
     determinism guarantee), which is exactly what the CI differential leg
@@ -575,7 +576,7 @@ def _anonymize_command(arguments: argparse.Namespace) -> int:
             ) as handle:
                 consumed = handle.load(path, workers=workers)
                 result = handle.release(k=k)
-                leaves = handle.engine.leaf_count()
+                leaves = handle.leaf_count()
                 if durability is not None:
                     checkpoint = handle.checkpoint()
         print(
@@ -610,9 +611,8 @@ def _recover_command(arguments: argparse.Namespace) -> int:
         return 2
     obs.AUDITOR.enable(reset=True)
     try:
-        with api.recover(arguments.dir) as handle:
-            evidence = handle.recovery
-            assert evidence is not None
+        evidence = api.recover(arguments.dir)
+        with evidence.anonymizer as handle:
             print(f"recovered {len(handle):,} records from {arguments.dir}")
             print(f"  snapshot:   LSN {evidence.snapshot_lsn}")
             print(
@@ -622,7 +622,7 @@ def _recover_command(arguments: argparse.Namespace) -> int:
             )
             k = arguments.k if arguments.k is not None else handle.base_k
             result = handle.release(k=k)
-            _print_release(result, leaves=handle.engine.leaf_count())
+            _print_release(result, leaves=handle.leaf_count())
             _write_release(result, arguments.out)
         return 0 if result.k_satisfied else 1
     finally:
@@ -644,7 +644,7 @@ def _checkpoint_command(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    with api.recover(arguments.dir) as handle:
+    with api.recover(arguments.dir).anonymizer as handle:
         checkpoint = handle.checkpoint()
         print(f"checkpoint written at LSN {checkpoint.lsn} in {checkpoint.directory}")
         print(f"  records:    {len(handle):,}")

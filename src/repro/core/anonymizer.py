@@ -38,7 +38,11 @@ from repro.core.partition import (
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
-from repro.durability.manager import DurabilityConfig, DurabilityManager
+from repro.durability.manager import (
+    CheckpointResult,
+    DurabilityConfig,
+    DurabilityManager,
+)
 from repro.geometry.box import Box
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.leaf_store import PagedLeafStore
@@ -113,7 +117,8 @@ class RTreeAnonymizer:
 
         ``schema_table`` supplies the schema and the attribute domains used
         to normalize split decisions; pass the actual data table and then
-        call :meth:`bulk_load` (or construct via :meth:`anonymize_table`).
+        call :meth:`load`.  :func:`repro.api.open` builds one from a schema,
+        table or record file.
         ``pool`` attaches the simulated storage layer for I/O accounting.
         ``durability`` opts into crash safety: every acknowledged mutation
         is written ahead to a log in ``durability.dir`` and
@@ -176,19 +181,6 @@ class RTreeAnonymizer:
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
         self._durability = manager
-
-    @classmethod
-    def anonymize_table(
-        cls,
-        table: Table,
-        k: int,
-        base_k: int = DEFAULT_BASE_K,
-        **kwargs: object,
-    ) -> AnonymizedTable:
-        """One-shot: bulk-load a table and emit its k-anonymous release."""
-        anonymizer = cls(table, base_k=min(base_k, k), **kwargs)  # type: ignore[arg-type]
-        anonymizer.bulk_load(table)
-        return anonymizer.anonymize(k)
 
     # -- data ingestion -------------------------------------------------------------
 
@@ -410,9 +402,9 @@ class RTreeAnonymizer:
     ) -> Release:
         """Publish :meth:`anonymize`'s table with its audit and digest.
 
-        The one place a release is grouped, audited and digested; both
-        handles (:class:`repro.api.Anonymizer`,
-        :class:`repro.serve.AnonymizerService`) forward here.  With the
+        The one place a release is grouped, audited and digested; the
+        service (:class:`repro.serve.AnonymizerService`) publishes through
+        it under its write lock.  With the
         global auditor on, the audit is the record it appended for this
         very table (strict mode gates the publish); otherwise an
         equivalent record is computed directly, so ``audit`` is never empty.
@@ -556,8 +548,8 @@ class RTreeAnonymizer:
         """The durability manager, or ``None`` for an in-memory anonymizer."""
         return self._durability
 
-    def checkpoint(self) -> int:
-        """Snapshot the tree and truncate the WAL there; returns the LSN.
+    def checkpoint(self) -> CheckpointResult:
+        """Snapshot the tree, truncate the WAL there; return LSN and directory.
 
         Drains any buffered loader records first so the snapshot captures
         exactly the acknowledged state, then delegates to
@@ -578,6 +570,12 @@ class RTreeAnonymizer:
         if self._durability is not None:
             self._durability.close()
 
+    def __enter__(self) -> "RTreeAnonymizer":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- introspection ----------------------------------------------------------------
 
     @property
@@ -595,7 +593,7 @@ class RTreeAnonymizer:
         return self._loader
 
     @property
-    def schema(self):  # noqa: ANN201 - Schema import kept light
+    def schema(self) -> Schema:
         return self._schema
 
     @property

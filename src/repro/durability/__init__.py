@@ -5,7 +5,9 @@ See :mod:`repro.durability.manager` for the protocol invariants, and
 
 * :class:`DurabilityConfig` — the opt-in knob for
   :class:`~repro.core.anonymizer.RTreeAnonymizer` / :func:`repro.api.open`;
-* :func:`recover` — rebuild an anonymizer from a durability directory;
+* :func:`recover` — rebuild an anonymizer from a durability directory
+  (also :func:`repro.api.recover`); the :class:`RecoveryResult` holds
+  the live anonymizer and the replay evidence;
 * :class:`RecoveryError` and its subclasses — every corruption is loud;
 * :mod:`repro.durability.faults` — the fault-injection harness CI runs.
 """

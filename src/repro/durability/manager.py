@@ -70,8 +70,9 @@ class DurabilityConfig:
 class CheckpointResult:
     """Where a checkpoint landed: its LSN and the directory holding it.
 
-    Returned by the ``checkpoint()`` of both handles,
-    :class:`repro.api.Anonymizer` and :class:`repro.serve.AnonymizerService`.
+    Returned by :meth:`DurabilityManager.checkpoint`, and so by the
+    ``checkpoint()`` of :class:`~repro.core.anonymizer.RTreeAnonymizer`
+    and :class:`repro.serve.AnonymizerService`.
     """
 
     lsn: int
@@ -200,12 +201,12 @@ class DurabilityManager:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def checkpoint(self, tree: "RPlusTree", schema: "Schema") -> int:
+    def checkpoint(self, tree: "RPlusTree", schema: "Schema") -> CheckpointResult:
         """Snapshot the tree at the current LSN and truncate the WAL there.
 
-        Returns the checkpoint LSN.  Must be called at a quiescent point:
-        no open batch, loader drained (the anonymizer's ``checkpoint()``
-        guarantees both).
+        Returns the checkpoint's LSN and directory.  Must be called at a
+        quiescent point: no open batch, loader drained (the anonymizer's
+        ``checkpoint()`` guarantees both).
         """
         self._assert_no_open_batch("checkpoint")
         self._wal.sync()
@@ -231,7 +232,7 @@ class DurabilityManager:
             group_commit_window=self._config.group_commit_window,
             io_stats=self._io_stats,
         )
-        return lsn
+        return CheckpointResult(lsn=lsn, directory=self.directory)
 
     def sync(self) -> None:
         self._wal.sync()

@@ -60,7 +60,6 @@ def recover(
     pool: "BufferPool | None" = None,
     group_commit_window: float = 0.0,
     allow_torn_tail: bool = False,
-    reattach: bool = True,
 ) -> RecoveryResult:
     """Restore a durable anonymizer from ``directory``.
 
@@ -69,9 +68,9 @@ def recover(
     ``allow_torn_tail=True`` a partial final WAL frame — the signature of
     a crash mid-append — is discarded instead of raised, matching
     classical WAL recovery; the strict default satisfies deployments that
-    prefer loud operator intervention over silent truncation.
-    ``reattach=False`` recovers read-only (no WAL is reopened), which the
-    fault-injection grid uses to probe cloned state without mutating it.
+    prefer loud operator intervention over silent truncation.  The
+    recovered anonymizer holds its reattached WAL open: close it, or use
+    it as a context manager (``with recover(dir).anonymizer as engine:``).
     """
     directory = Path(directory)
     wal_path = directory / WAL_NAME
@@ -102,14 +101,11 @@ def recover(
         if OBS.enabled:
             OBS.count("recovery.replayed_ops", replayed)
             OBS.count("recovery.discarded_ops", discarded)
-        if reattach:
-            config = DurabilityConfig(
-                directory, group_commit_window=group_commit_window
-            )
-            manager = DurabilityManager.attach(
-                config, io_stats=anonymizer.io_stats()
-            )
-            anonymizer._attach_durability(manager)
+        config = DurabilityConfig(
+            directory, group_commit_window=group_commit_window
+        )
+        manager = DurabilityManager.attach(config, io_stats=anonymizer.io_stats())
+        anonymizer._attach_durability(manager)
     last_lsn = scan.last_lsn if scan is not None else snapshot.lsn
     return RecoveryResult(
         anonymizer=anonymizer,

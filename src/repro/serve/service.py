@@ -130,18 +130,25 @@ class AnonymizerService:
                 sample_every=telemetry.slow_op_sample,
                 max_spans=telemetry.slow_op_spans,
             )
+        if telemetry is not None and telemetry.endpoint:
+            # Bound before the writer starts: a port that cannot be bound
+            # must not strand a writer thread pinning the engine and its WAL.
+            try:
+                self._telemetry_server = TelemetryServer(
+                    self.metrics_text,
+                    self.health,
+                    host=telemetry.host,
+                    port=telemetry.port,
+                )
+            except BaseException:
+                if self._slow_ops is not None:
+                    self._slow_ops.close()
+                raise
+            self._telemetry_server.start()
         self._writer = threading.Thread(
             target=self._writer_loop, name="repro-serve-writer", daemon=True
         )
         self._writer.start()
-        if telemetry is not None and telemetry.endpoint:
-            self._telemetry_server = TelemetryServer(
-                self.metrics_text,
-                self.health,
-                host=telemetry.host,
-                port=telemetry.port,
-            )
-            self._telemetry_server.start()
 
     # -- introspection -------------------------------------------------------
 
@@ -468,10 +475,7 @@ class AnonymizerService:
         """
         self._assert_open()
         with self._write_lock:
-            lsn = self._engine.checkpoint()
-        manager = self._engine.durability
-        assert manager is not None  # checkpoint() raised otherwise
-        return CheckpointResult(lsn=lsn, directory=manager.directory)
+            return self._engine.checkpoint()
 
     def close(self) -> None:
         """Drain the queue, stop the writer, close the engine.  Idempotent.

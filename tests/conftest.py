@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.core.anonymizer import RTreeAnonymizer
+from repro.core.partition import AnonymizedTable
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
@@ -38,6 +40,13 @@ def random_records(
         )
         for rid in range(count)
     ]
+
+
+def bulk_release(table: Table, k: int, base_k: int = 5) -> AnonymizedTable:
+    """Bulk-load ``table`` into a fresh anonymizer and emit its k-release."""
+    anonymizer = RTreeAnonymizer(table, base_k=base_k)
+    anonymizer.bulk_load(table)
+    return anonymizer.anonymize(k)
 
 
 @pytest.fixture

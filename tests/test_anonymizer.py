@@ -40,11 +40,6 @@ class TestBulkAnonymization:
         with pytest.raises(ValueError):
             anonymizer.anonymize(20)
 
-    def test_one_shot_classmethod(self, medium_table) -> None:
-        release = RTreeAnonymizer.anonymize_table(medium_table, k=10)
-        assert release.k_effective >= 10
-        assert release.record_count == len(medium_table)
-
     def test_unknown_strategy_rejected(self, loaded) -> None:
         with pytest.raises(ValueError):
             loaded.anonymize(10, strategy="zigzag")

@@ -1,4 +1,4 @@
-"""The repro.api facade: open/load/release/recover, typed results."""
+"""The repro.api front door: open/load/release/recover, typed results."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.core.anonymizer import RTreeAnonymizer
 from repro.dataset.io import RecordFileWriter
 from repro.dataset.record import Record
 from repro.dataset.schema import Schema
@@ -23,10 +24,11 @@ def staged_file(tmp_path, points):
 
 def test_open_accepts_schema(schema3):
     handle = api.open(schema3, base_k=5)
+    assert isinstance(handle, RTreeAnonymizer)
     assert handle.schema is schema3
     assert handle.base_k == 5
     assert len(handle) == 0
-    assert not handle.durable
+    assert handle.durability is None
 
 
 def test_open_accepts_table_without_loading(schema3):
@@ -137,7 +139,7 @@ def test_incremental_ops_round_trip(schema3):
     assert removed.rid == 3
     handle.update(7, table.records[7].point, Record(7, (1.0, 2.0, 3.0), ("flu",)))
     assert len(handle) == 119
-    handle.engine.tree.check_invariants()
+    handle.tree.check_invariants()
 
 
 def test_durable_open_checkpoint_recover(tmp_path, schema3):
@@ -152,11 +154,12 @@ def test_durable_open_checkpoint_recover(tmp_path, schema3):
         assert checkpoint.lsn == 151
         assert checkpoint.directory == directory
 
-    recovered = api.recover(directory)
-    assert recovered.recovery is not None
-    assert recovered.recovery.snapshot_lsn == checkpoint.lsn
-    assert recovered.release(k=5).digest == digest
-    recovered.close()
+    result = api.recover(directory)
+    assert result.directory == directory
+    assert result.snapshot_lsn == checkpoint.lsn
+    with result.anonymizer as recovered:
+        assert recovered.release(k=5).digest == digest
+        assert recovered.checkpoint().lsn == checkpoint.lsn
 
 
 def test_recover_propagates_corruption(tmp_path, schema3):
@@ -181,6 +184,7 @@ def test_checkpoint_without_durability_raises(schema3):
 def test_facade_is_reexported_from_package_root():
     assert repro.api is api
     assert repro.Release is api.Release
-    assert repro.Anonymizer is api.Anonymizer
+    assert repro.RTreeAnonymizer is api.RTreeAnonymizer
+    assert api.recover is repro.durability.recovery.recover
     assert repro.DurabilityConfig is DurabilityConfig
     assert repro.RecoveryError is RecoveryError

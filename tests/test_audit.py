@@ -18,7 +18,7 @@ from repro.obs import (
     ReleaseAuditor,
     audit_release,
 )
-from tests.conftest import random_records
+from tests.conftest import bulk_release, random_records
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +44,7 @@ def _release_with_undersized_partition(schema) -> AnonymizedTable:
 
 class TestAuditRecord:
     def test_record_schema_is_stable(self, medium_table: Table) -> None:
-        release = RTreeAnonymizer.anonymize_table(medium_table, k=10)
+        release = bulk_release(medium_table, 10)
         record = audit_release(release, k=10, base_k=5)
         assert set(record) == AUDIT_RECORD_KEYS
         assert record["schema_version"] == AUDIT_SCHEMA_VERSION
@@ -52,7 +52,7 @@ class TestAuditRecord:
         json.dumps(record)
 
     def test_real_release_satisfies_k(self, medium_table: Table) -> None:
-        release = RTreeAnonymizer.anonymize_table(medium_table, k=10)
+        release = bulk_release(medium_table, 10)
         record = audit_release(release, k=10, base_k=5)
         assert record["k_satisfied"] is True
         assert record["k_effective"] >= 10
@@ -69,7 +69,7 @@ class TestAuditRecord:
     def test_original_table_enables_full_verification(
         self, medium_table: Table
     ) -> None:
-        release = RTreeAnonymizer.anonymize_table(medium_table, k=10)
+        release = bulk_release(medium_table, 10)
         record = audit_release(release, k=10, original=medium_table)
         assert record["k_satisfied"] is True
         assert record["certainty"] is not None
@@ -142,7 +142,7 @@ class TestReleaseAuditor:
     def test_reference_table_applies_to_every_audit(
         self, medium_table: Table
     ) -> None:
-        release = RTreeAnonymizer.anonymize_table(medium_table, k=10)
+        release = bulk_release(medium_table, 10)
         auditor = ReleaseAuditor()
         auditor.enable(reference=medium_table)
         record = auditor.on_release(release, k=10)
@@ -180,5 +180,5 @@ class TestAnonymizerWiring:
 
     def test_disabled_auditor_collects_nothing(self, medium_table: Table) -> None:
         assert not AUDITOR.enabled
-        RTreeAnonymizer.anonymize_table(medium_table, k=10)
+        bulk_release(medium_table, 10)
         assert AUDITOR.records == []

@@ -17,6 +17,7 @@ from repro.dataset.census import (
 from repro.metrics.certainty import certainty_penalty
 from repro.privacy.kanonymity import verify_release
 from repro.privacy.ldiversity import DistinctLDiversity
+from tests.conftest import bulk_release
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +91,13 @@ class TestGenerator:
 
 class TestHierarchyAwarePipeline:
     def test_release_audits_clean(self, census_table) -> None:
-        release = RTreeAnonymizer.anonymize_table(census_table, k=10)
+        release = bulk_release(census_table, 10)
         assert verify_release(release, census_table, 10) == []
 
     def test_hierarchical_certainty_differs_from_numeric(self, census_table) -> None:
         """The categorical NCP branch charges leaf fractions, not interval
         widths — the two scores must genuinely differ on hierarchy data."""
-        release = RTreeAnonymizer.anonymize_table(census_table, k=10)
+        release = bulk_release(census_table, 10)
         numeric = certainty_penalty(release, census_table)
         hierarchical = certainty_penalty(
             release, census_table, use_hierarchies=True
@@ -105,7 +106,7 @@ class TestHierarchyAwarePipeline:
         assert hierarchical > 0
 
     def test_describe_partition_uses_hierarchy_labels(self, census_table) -> None:
-        release = RTreeAnonymizer.anonymize_table(census_table, k=25)
+        release = bulk_release(census_table, 25)
         rendered = [
             describe_partition(partition, census_table.schema)
             for partition in release.partitions[:50]

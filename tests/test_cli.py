@@ -97,6 +97,19 @@ def test_anonymize_recover_checkpoint_round_trip(tmp_path, capsys):
     code, checkpoint_out = run_cli(capsys, ["checkpoint", "--dir", state])
     assert code == 0
     assert "checkpoint written at LSN" in checkpoint_out
+    checkpoint_lsn = checkpoint_out.split("LSN ")[1].split()[0]
+
+    # A recovery from the CLI-written checkpoint restores it, replaying
+    # nothing, and publishes the same release.
+    code, second_out = run_cli(capsys, ["recover", "--dir", state, "--k", "10"])
+    assert code == 0
+    assert grep_line(second_out, "digest:") == grep_line(
+        anonymize_out, "digest:"
+    )
+    assert grep_line(second_out, "snapshot:").split() == [
+        "snapshot:", "LSN", checkpoint_lsn
+    ]
+    assert "replayed:   0 op(s)" in second_out
 
 
 def test_recover_requires_dir(capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.anonymizer import RTreeAnonymizer
 from repro.dataset.census import make_census_table
 from repro.dataset.export import (
     PARTITION_COLUMN,
@@ -16,13 +15,13 @@ from repro.dataset.table import Table
 from repro.geometry.box import Box
 from repro.query.ranges import RangeQuery, count_anonymized
 from repro.query.workload import random_range_workload
-from tests.conftest import random_records
+from tests.conftest import bulk_release, random_records
 
 
 @pytest.fixture
 def release(schema3):
     table = Table(schema3, random_records(300, seed=11))
-    return RTreeAnonymizer.anonymize_table(table, k=10), table
+    return bulk_release(table, 10), table
 
 
 class TestExport:
@@ -85,7 +84,7 @@ class TestExport:
         """Hierarchy-labelled categorical columns decode back to the code
         intervals they cover."""
         table = make_census_table(800, seed=9)
-        anonymized = RTreeAnonymizer.anonymize_table(table, k=20)
+        anonymized = bulk_release(table, 20)
         path = tmp_path / "census.csv"
         write_release_csv(anonymized, path)
         loaded = read_release_csv(path, table.schema)

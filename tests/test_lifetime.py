@@ -48,10 +48,10 @@ def test_dropped_open_handle_frees_its_tree(no_cyclic_gc, schema3):
     handle = api.open(schema3, base_k=5)
     handle.load(Table(schema3, tuple(records)))
     assert handle.release(k=10).k_satisfied
-    height = handle.engine.tree.height
+    height = handle.tree.height
     for record in records[:590]:
         handle.delete(record.rid, record.point)
-    assert handle.engine.tree.height < height  # dissolves collapsed the levels
+    assert handle.tree.height < height  # dissolves collapsed the levels
     for record in records[590:]:
         handle.update(record.rid, record.point, moved(record))
     assert handle.release(k=10).k_satisfied
@@ -93,10 +93,11 @@ def test_recovered_handle_frees_its_tree(no_cyclic_gc, tmp_path, schema3):
             handle.delete(record.rid, record.point)
     del handle
     baseline = live_nodes()
-    with api.recover(directory) as recovered:
-        assert recovered.recovery.snapshot_lsn > 0  # restored from a checkpoint
+    result = api.recover(directory)
+    assert result.snapshot_lsn > 0  # restored from a checkpoint
+    with result.anonymizer as recovered:
         assert len(recovered) == 370
         assert recovered.release(k=10).k_satisfied
     assert live_nodes() > baseline
-    del recovered
+    del recovered, result
     assert live_nodes() == baseline

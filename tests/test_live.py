@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -12,6 +13,7 @@ import pytest
 
 from repro import api, obs
 from repro.dataset.table import Table
+from repro.durability import DurabilityConfig, recover
 from repro.obs.live import (
     DEGRADED,
     HEALTH_CODES,
@@ -363,6 +365,42 @@ class TestServiceTelemetry:
             service.release(k=5)
             assert service.health()["status"] == HEALTHY
         assert "slow-op log failed" in capsys.readouterr().err
+
+
+def _live_writers() -> int:
+    return sum(
+        thread.name == "repro-serve-writer" and thread.is_alive()
+        for thread in threading.enumerate()
+    )
+
+
+class TestUnbindableEndpoint:
+    def test_service_leaks_no_writer_and_no_wal(
+        self, small_table: Table, tmp_path
+    ) -> None:
+        """A taken telemetry port fails the service before its writer
+        starts, and closes the slow-op log and the engine's WAL."""
+        directory = tmp_path / "state"
+        writers = _live_writers()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = api.ServiceConfig(
+                telemetry=TelemetryConfig(
+                    endpoint=True,
+                    port=taken.getsockname()[1],
+                    slow_op_log=tmp_path / "slow.jsonl",
+                )
+            )
+            with pytest.raises(OSError):
+                api.serve(
+                    small_table,
+                    durability=DurabilityConfig(directory),
+                    service_config=config,
+                )
+        assert _live_writers() == writers
+        with recover(directory).anonymizer as recovered:
+            assert len(recovered) == 0
 
 
 class TestStalledWatchdog:

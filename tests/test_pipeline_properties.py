@@ -35,6 +35,7 @@ from repro.privacy.attack import intersection_attack
 from repro.privacy.kanonymity import verify_release
 from repro.query.ranges import count_anonymized, count_original
 from repro.query.workload import random_range_workload
+from tests.conftest import bulk_release
 
 #: Random integer tables: 2-4 dimensions, 20-150 records, small domains
 #: (to force duplicate-heavy corner cases).
@@ -67,7 +68,7 @@ def test_release_always_audits_clean(points, k) -> None:
     table = build_table(points)
     if len(table) < k:
         return
-    release = RTreeAnonymizer.anonymize_table(table, k, base_k=min(3, k))
+    release = bulk_release(table, k, base_k=min(3, k))
     assert verify_release(release, table, k) == []
 
 
@@ -97,7 +98,7 @@ def test_anonymized_counts_never_undercount(points, k, seed) -> None:
     table = build_table(points)
     if len(table) < k:
         return
-    release = RTreeAnonymizer.anonymize_table(table, k, base_k=min(3, k))
+    release = bulk_release(table, k, base_k=min(3, k))
     for query in random_range_workload(table, 5, seed=seed):
         assert count_anonymized(query, release) >= count_original(query, table)
 
@@ -108,7 +109,7 @@ def test_metric_bounds(points, k) -> None:
     table = build_table(points)
     if len(table) < k:
         return
-    release = RTreeAnonymizer.anonymize_table(table, k, base_k=min(3, k))
+    release = bulk_release(table, k, base_k=min(3, k))
     n = len(table)
     dm = discernibility_penalty(release)
     assert discernibility_lower_bound(n, k) <= dm <= n * n

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.compaction import compact_table
 from repro.core.partition import AnonymizedTable, Partition
 from repro.dataset.record import Record
@@ -13,7 +12,7 @@ from repro.dataset.table import Table
 from repro.geometry.box import Box
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.profile import gap_statistics, information_profile
-from tests.conftest import random_records
+from tests.conftest import bulk_release, random_records
 
 
 @pytest.fixture
@@ -56,14 +55,14 @@ class TestInformationProfile:
 
     def test_total_matches_certainty_per_record(self, schema3) -> None:
         table = Table(schema3, random_records(400, seed=1))
-        release = RTreeAnonymizer.anonymize_table(table, k=10)
+        release = bulk_release(table, 10)
         profile = information_profile(release, table)
         expected = certainty_penalty(release, table) / len(table)
         assert profile.total_ncp_per_record == pytest.approx(expected)
 
     def test_partition_size_histogram(self, schema3) -> None:
         table = Table(schema3, random_records(400, seed=2))
-        release = RTreeAnonymizer.anonymize_table(table, k=10)
+        release = bulk_release(table, 10)
         profile = information_profile(release, table)
         assert sum(size * count for size, count in profile.partition_sizes.items()) == 400
         assert min(profile.partition_sizes) >= 10

@@ -122,8 +122,7 @@ def test_removed_release_options_fail_loudly(schema3) -> None:
     everything = RangeQuery(Box((0.0,) * 3, (1e9,) * 3))
     with serve_handle(table) as service:
         publishers = [
-            handle.engine.anonymize,
-            handle.engine.release,
+            handle.anonymize,
             handle.release,
             service.release,
             lambda k, **options: service.query(everything, k=k, **options),
@@ -135,5 +134,5 @@ def test_removed_release_options_fail_loudly(schema3) -> None:
                 publish(10, **{"strategy": "hilbert"})
     # A positional second argument no longer binds to a keyword either.
     with pytest.raises(TypeError):
-        handle.engine.anonymize(10, False)
+        handle.anonymize(10, False)
     handle.close()

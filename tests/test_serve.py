@@ -459,8 +459,9 @@ class TestServiceDurability:
             assert lsns == sorted(lsns)
             live = service.release(10)
         assert live.record_count == 1_500
-        with api.recover(directory) as recovered:
-            assert recovered.recovery.snapshot_lsn == lsns[-1]
+        result = api.recover(directory)
+        assert result.snapshot_lsn == lsns[-1]
+        with result.anonymizer as recovered:
             assert len(recovered) == 1_500
             assert recovered.release(10).digest == live.digest
 
@@ -492,29 +493,18 @@ class TestServiceConfig:
 
 
 class TestApiFacade:
-    def test_open_serve_returns_a_service(self, schema3) -> None:
-        table = Table(schema3, random_records(200, seed=14))
-        with api.open(table, base_k=5, serve=True) as service:
-            assert isinstance(service, AnonymizerService)
-            service.load(table)
-            snapshot = service.release(10)
-            assert snapshot.k_satisfied
-            assert snapshot.record_count == 200
-
     def test_serve_shorthand(self, schema3) -> None:
         table = Table(schema3, random_records(150, seed=15))
         with api.serve(
             table, base_k=5, service_config=ServiceConfig(max_batch=8)
         ) as service:
+            assert isinstance(service, AnonymizerService)
             assert service.config.max_batch == 8
+            assert service.engine.base_k == 5
             service.load(table)
-            assert service.release(10).record_count == 150
-
-    def test_service_config_without_serve_is_rejected(self, schema3) -> None:
-        with pytest.raises(ValueError, match="serve=True"):
-            api.open(
-                Table(schema3, ()), service_config=ServiceConfig()
-            )
+            snapshot = service.release(10)
+            assert snapshot.k_satisfied
+            assert snapshot.record_count == 150
 
 
 def _replay(empty_table: Table, journal) -> RTreeAnonymizer:

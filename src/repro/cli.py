@@ -460,6 +460,9 @@ def _top_command(arguments: argparse.Namespace) -> int:
     if arguments.url is None:
         print("top requires --url (a serve-demo telemetry endpoint)", file=sys.stderr)
         return 2
+    if arguments.interval < 0:
+        print("--interval must be at least 0", file=sys.stderr)
+        return 2
     base = arguments.url.rstrip("/")
     frames = 0
     try:
@@ -559,42 +562,38 @@ def _anonymize_command(arguments: argparse.Namespace) -> int:
     profiling = arguments.profile or arguments.profile_json is not None
     if profiling:
         obs.enable()
-    obs.AUDITOR.enable(reset=True)
-    try:
-        with tempfile.TemporaryDirectory() as staging:
-            if arguments.dataset_file is not None:
-                path = arguments.dataset_file
-                # The schema (domains, dimensionality) still comes from the
-                # dataset generator; the file supplies only the points.
-                schema_table = maker(1, seed=seed)
-            else:
-                schema_table = maker(records, seed=seed)
-                path = str(Path(staging) / f"{arguments.dataset}.records")
-                write_table(schema_table, path)
-            with api.open(
-                schema_table, base_k=min(DEFAULT_BASE_K, k), durability=durability
-            ) as handle:
-                consumed = handle.load(path, workers=workers)
-                result = handle.release(k=k)
-                leaves = handle.leaf_count()
-                if durability is not None:
-                    checkpoint = handle.checkpoint()
+    with tempfile.TemporaryDirectory() as staging:
+        if arguments.dataset_file is not None:
+            path = arguments.dataset_file
+            # The schema (domains, dimensionality) still comes from the
+            # dataset generator; the file supplies only the points.
+            schema_table = maker(1, seed=seed)
+        else:
+            schema_table = maker(records, seed=seed)
+            path = str(Path(staging) / f"{arguments.dataset}.records")
+            write_table(schema_table, path)
+        with api.open(
+            schema_table, base_k=min(DEFAULT_BASE_K, k), durability=durability
+        ) as handle:
+            consumed = handle.load(path, workers=workers)
+            result = handle.release(k=k)
+            leaves = handle.leaf_count()
+            if durability is not None:
+                checkpoint = handle.checkpoint()
+    print(
+        f"anonymized {consumed:,} {arguments.dataset} records "
+        f"with {workers} worker(s) at k={k}"
+    )
+    _print_release(result, leaves=leaves)
+    if durability is not None:
         print(
-            f"anonymized {consumed:,} {arguments.dataset} records "
-            f"with {workers} worker(s) at k={k}"
+            f"  durable:    checkpoint at LSN {checkpoint.lsn} "
+            f"in {checkpoint.directory}"
         )
-        _print_release(result, leaves=leaves)
-        if durability is not None:
-            print(
-                f"  durable:    checkpoint at LSN {checkpoint.lsn} "
-                f"in {checkpoint.directory}"
-            )
-        _write_release(result, arguments.out)
-        if profiling:
-            _show_profile("anonymize", arguments.profile_json)
-        return 0 if result.k_satisfied else 1
-    finally:
-        obs.AUDITOR.disable()
+    _write_release(result, arguments.out)
+    if profiling:
+        _show_profile("anonymize", arguments.profile_json)
+    return 0 if result.k_satisfied else 1
 
 
 def _recover_command(arguments: argparse.Namespace) -> int:
@@ -604,29 +603,25 @@ def _recover_command(arguments: argparse.Namespace) -> int:
     be compared textually: a recovery is correct iff the digest equals the
     one the uninterrupted run printed.
     """
-    from repro import api, obs
+    from repro import api
 
     if arguments.dir is None:
         print("recover requires --dir (the durability directory)", file=sys.stderr)
         return 2
-    obs.AUDITOR.enable(reset=True)
-    try:
-        evidence = api.recover(arguments.dir)
-        with evidence.anonymizer as handle:
-            print(f"recovered {len(handle):,} records from {arguments.dir}")
-            print(f"  snapshot:   LSN {evidence.snapshot_lsn}")
-            print(
-                f"  replayed:   {evidence.replayed_ops} op(s) "
-                f"({evidence.skipped_ops} skipped, "
-                f"{evidence.discarded_ops} discarded)"
-            )
-            k = arguments.k if arguments.k is not None else handle.base_k
-            result = handle.release(k=k)
-            _print_release(result, leaves=handle.leaf_count())
-            _write_release(result, arguments.out)
-        return 0 if result.k_satisfied else 1
-    finally:
-        obs.AUDITOR.disable()
+    evidence = api.recover(arguments.dir)
+    with evidence.anonymizer as handle:
+        print(f"recovered {len(handle):,} records from {arguments.dir}")
+        print(f"  snapshot:   LSN {evidence.snapshot_lsn}")
+        print(
+            f"  replayed:   {evidence.replayed_ops} op(s) "
+            f"({evidence.skipped_ops} skipped, "
+            f"{evidence.discarded_ops} discarded)"
+        )
+        k = arguments.k if arguments.k is not None else handle.base_k
+        result = handle.release(k=k)
+        _print_release(result, leaves=handle.leaf_count())
+        _write_release(result, arguments.out)
+    return 0 if result.k_satisfied else 1
 
 
 def _checkpoint_command(arguments: argparse.Namespace) -> int:

@@ -46,13 +46,9 @@ from repro.durability.manager import (
 from repro.geometry.box import Box
 from repro.index.buffer_tree import BufferTreeLoader
 from repro.index.leaf_store import PagedLeafStore
-from repro.index.rtree import (
-    DEFAULT_CAPACITY_FACTOR,
-    DEFAULT_MAX_FANOUT,
-    RPlusTree,
-)
+from repro.index.rtree import DEFAULT_MAX_FANOUT, RPlusTree
 from repro.index.split import SplitPolicy
-from repro.obs import AUDITOR, OBS, span
+from repro.obs import OBS, span
 from repro.obs.audit import audit_release
 from repro.storage.buffer_pool import BufferPool
 
@@ -106,7 +102,6 @@ class RTreeAnonymizer:
         self,
         schema_table: Table,
         base_k: int = DEFAULT_BASE_K,
-        capacity_factor: int = DEFAULT_CAPACITY_FACTOR,
         max_fanout: int = DEFAULT_MAX_FANOUT,
         split_policy: SplitPolicy | None = None,
         pool: BufferPool[Record] | None = None,
@@ -131,7 +126,6 @@ class RTreeAnonymizer:
         self._tree = RPlusTree(
             dimensions=self._schema.dimensions,
             k=base_k,
-            capacity_factor=capacity_factor,
             max_fanout=max_fanout,
             split_policy=split_policy,
             domain_extents=self._schema.domain_extents(),
@@ -140,8 +134,6 @@ class RTreeAnonymizer:
         )
         self._pool = pool
         self._loader = BufferTreeLoader(self._tree, pool=pool)
-        #: The auditor's record of the latest release (see _emit_release).
-        self._last_audit: dict[str, object] | None = None
         self._drop_kept_runs()
         self._durability: DurabilityManager | None = None
         if durability is not None:
@@ -175,7 +167,6 @@ class RTreeAnonymizer:
             tree.adopt_leaf_store(PagedLeafStore(pool))
         anonymizer._loader = BufferTreeLoader(tree, pool=pool)
         anonymizer._durability = None
-        anonymizer._last_audit = None
         anonymizer._drop_kept_runs()
         return anonymizer
 
@@ -404,10 +395,9 @@ class RTreeAnonymizer:
 
         The one place a release is grouped, audited and digested; the
         service (:class:`repro.serve.AnonymizerService`) publishes through
-        it under its write lock.  With the
-        global auditor on, the audit is the record it appended for this
-        very table (strict mode gates the publish); otherwise an
-        equivalent record is computed directly, so ``audit`` is never empty.
+        it under its write lock.  The audit is
+        :func:`audit_release` of this very table, and it lives only on the
+        returned :class:`Release` (:meth:`anonymize` audits nothing).
 
         A partition reused from a kept run brings the digest bytes and
         volume it already holds, so :func:`release_digest` and
@@ -415,9 +405,7 @@ class RTreeAnonymizer:
         changed since they were last published.
         """
         table = self.anonymize(k, constraint=constraint, strategy=strategy)
-        audit = self._last_audit
-        if audit is None:
-            audit = audit_release(table, k, base_k=self._tree.k)
+        audit = audit_release(table, k, base_k=self._tree.k)
         digest = release_digest(table)
         return Release(
             table=table, audit=audit, digest=digest, k=k, strategy=strategy
@@ -456,7 +444,7 @@ class RTreeAnonymizer:
     def _emit_release(
         self, k: int, constraint: Constraint | None, strategy: str
     ) -> AnonymizedTable:
-        """Group the tree into runs of whole leaves, box them, and audit.
+        """Group the tree into runs of whole leaves and box them.
 
         Both strategies group *runs of whole leaves* (slices of
         ``tree.leaves()``).  A run publishes the union of its leaves'
@@ -472,19 +460,7 @@ class RTreeAnonymizer:
         if OBS.enabled:
             OBS.count("anonymizer.releases")
             OBS.count("anonymizer.partitions", len(partitions))
-        release = AnonymizedTable(self._schema, partitions)
-        # Every publish runs through the release auditor when it is on: the
-        # audit record (k verdict, occupancy/volume distributions, quality
-        # metrics) is the per-release evidence trail, and strict mode turns
-        # a failed audit into an exception at this very publish site.  The
-        # record is kept for release(), which must hand out this release's
-        # audit and not whatever another handle published since.
-        self._last_audit = (
-            AUDITOR.on_release(release, k, base_k=self._tree.k)
-            if AUDITOR.enabled
-            else None
-        )
-        return release
+        return AnonymizedTable(self._schema, partitions)
 
     def _publish_runs(self, recipe: Recipe, runs: list[Run]) -> list[Partition]:
         """The partitions of this release, reusing the kept runs' ones.

@@ -3,9 +3,10 @@
 A snapshot captures everything recovery needs to reconstruct a tree whose
 releases are bit-identical to the pre-crash tree: the tree's configuration
 (k, capacities, fanout, domain extents), the full cut-tree topology with
-every leaf's records, the schema the anonymizer publishes under, and the
-obs/audit watermarks (audit sequence, release count) so post-recovery
-evidence trails continue numbering instead of restarting.
+every leaf's records, and the schema the anonymizer publishes under.
+Nothing about past releases is kept, since each release carries its own
+audit.  The reader ignores document keys it does not use, so snapshots
+whose writers stored release counters beside the tree still recover.
 
 The on-disk format is a small binary envelope — magic, version, payload
 length, CRC32 — around a JSON payload.  JSON keeps the topology diffable
@@ -60,7 +61,6 @@ class Snapshot:
     tree: RPlusTree
     schema: Schema
     base_k: int
-    watermarks: dict[str, object]
 
 
 # -- serialization -----------------------------------------------------------
@@ -199,7 +199,6 @@ def write_snapshot(
     tree: RPlusTree,
     schema: Schema,
     lsn: int,
-    watermarks: dict[str, object] | None = None,
 ) -> Path:
     """Serialize and atomically publish one checkpoint snapshot.
 
@@ -214,7 +213,6 @@ def write_snapshot(
         "base_k": tree.k,
         "tree": serialize_tree(tree),
         "schema": serialize_schema(schema),
-        "watermarks": dict(watermarks or {}),
     }
     with span("checkpoint.write", lsn=lsn):
         payload = json.dumps(document, separators=(",", ":")).encode("utf-8")
@@ -269,7 +267,6 @@ def read_snapshot(
             tree=tree,
             schema=schema,
             base_k=int(document["base_k"]),
-            watermarks=dict(document.get("watermarks", {})),
         )
     except SnapshotCorruption:
         raise

@@ -15,9 +15,10 @@ failures would:
 through a durable anonymizer, then for **every kill point** clones the
 state, injects the kill, recovers, re-applies the not-yet-durable suffix
 of the workload (exactly what a client that never got its acks would do),
-and asserts — with the strict audit gate enabled — that the released
-digest equals the uninterrupted run's.  Every corruption fault must raise
-:class:`~repro.durability.errors.RecoveryError` instead of releasing.
+and asserts that the release passes its audit (``release.k_satisfied``)
+and that its digest equals the uninterrupted run's.  Every corruption
+fault must raise :class:`~repro.durability.errors.RecoveryError` instead
+of releasing.
 """
 
 from __future__ import annotations
@@ -269,7 +270,6 @@ def run_fault_grid(
     from repro.core.anonymizer import DEFAULT_BASE_K, RTreeAnonymizer
     from repro.durability.manager import DurabilityConfig
     from repro.durability.recovery import recover
-    from repro.obs import AUDITOR
 
     workdir = Path(workdir)
     scenario = "checkpointed" if checkpoint_after_op is not None else "plain"
@@ -286,14 +286,16 @@ def run_fault_grid(
         lsns.extend(_apply_ops(anonymizer, [op]))
         if checkpoint_after_op is not None and index == checkpoint_after_op:
             anonymizer.checkpoint()
-    AUDITOR.enable(strict=True, reset=True)
     try:
-        reference_digest = anonymizer.release(k).digest
+        reference = anonymizer.release(k)
     finally:
-        AUDITOR.disable()
         anonymizer.close()
 
-    report = GridReport(reference_digest=reference_digest)
+    report = GridReport(reference_digest=reference.digest)
+    if not reference.k_satisfied:
+        report.cells.append(
+            GridCell(scenario, "reference", False, _audit_failure(reference))
+        )
     boundaries = frame_boundaries(reference_dir)
     start_lsn = read_wal(reference_dir / WAL_NAME).start_lsn
     kill_lsns = [start_lsn] + [lsn for lsn, _offset in boundaries]
@@ -310,15 +312,13 @@ def run_fault_grid(
                 # client without acks would, then compare releases.
                 suffix = [op for op, lsn in zip(ops, lsns) if lsn > kill]
                 _apply_ops(recovered, suffix)
-                AUDITOR.enable(strict=True, reset=True)
-                try:
-                    digest = recovered.release(k).digest
-                finally:
-                    AUDITOR.disable()
+                release = recovered.release(k)
             finally:
                 recovered.close()
-            if digest != reference_digest:
-                ok, detail = False, f"digest diverged: {digest[:16]}…"
+            if not release.k_satisfied:
+                ok, detail = False, _audit_failure(release)
+            elif release.digest != reference.digest:
+                ok, detail = False, f"digest diverged: {release.digest[:16]}…"
         except Exception as error:  # noqa: BLE001 - report, don't crash the grid
             ok, detail = False, f"unexpected {type(error).__name__}: {error}"
         report.cells.append(GridCell(scenario, f"kill@{kill}", ok, detail))
@@ -348,6 +348,13 @@ def run_fault_grid(
         if verbose:
             print(f"  {fault}: {'ok' if ok else detail}")
     return report
+
+
+def _audit_failure(release) -> str:
+    """A failed cell's detail for a release that failed its audit."""
+    return "release failed its privacy audit: " + "; ".join(
+        release.audit["problems"]
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

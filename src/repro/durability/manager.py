@@ -15,10 +15,10 @@ Protocol invariants the recovery path relies on:
   batch and bulk ingestion logs members with the *batched* flag and seals
   them with one ``batch-commit`` frame — an unsealed batch is, by
   definition, unacknowledged and is discarded by recovery;
-* a checkpoint first publishes the snapshot atomically, then rotates the
-  WAL to start at the snapshot LSN; a crash between the two leaves a
-  snapshot plus a WAL whose early frames it already covers, which
-  recovery skips by LSN.
+* a checkpoint first publishes the snapshot (tree and schema, nothing
+  about past releases) atomically, then rotates the WAL to start at the
+  snapshot LSN; a crash between the two leaves a snapshot plus a WAL
+  whose early frames it already covers, which recovery skips by LSN.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.dataset.record import Record
 from repro.durability.checkpoint import SNAPSHOT_NAME, write_snapshot
 from repro.durability.wal import WAL_NAME, WriteAheadLog
-from repro.obs import AUDITOR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataset.schema import Schema
@@ -117,9 +116,7 @@ class DurabilityManager:
                 f"{directory} already holds durable state; recover it with "
                 "repro.api.recover(dir) instead of opening it fresh"
             )
-        write_snapshot(
-            config.snapshot_path, tree=tree, schema=schema, lsn=0, watermarks={}
-        )
+        write_snapshot(config.snapshot_path, tree=tree, schema=schema, lsn=0)
         wal = WriteAheadLog(
             config.wal_path,
             start_lsn=0,
@@ -211,17 +208,7 @@ class DurabilityManager:
         self._assert_no_open_batch("checkpoint")
         self._wal.sync()
         lsn = self._wal.lsn
-        watermarks: dict[str, object] = {
-            "audit_sequence": AUDITOR.sequence,
-            "releases": len(AUDITOR.records),
-        }
-        write_snapshot(
-            self._config.snapshot_path,
-            tree=tree,
-            schema=schema,
-            lsn=lsn,
-            watermarks=watermarks,
-        )
+        write_snapshot(self._config.snapshot_path, tree=tree, schema=schema, lsn=lsn)
         # Rotate: the snapshot now covers everything up to ``lsn``, so the
         # WAL restarts there.  A crash before this line leaves frames the
         # snapshot already covers; recovery skips them by LSN.

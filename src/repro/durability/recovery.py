@@ -18,6 +18,10 @@ last *acknowledged* operation:
 5. reattach a :class:`~repro.durability.manager.DurabilityManager` so the
    recovered anonymizer keeps logging where the old one stopped.
 
+Only the tree comes back, not a history of releases: every release
+carries its own audit, so the recovered anonymizer's next release is
+audited exactly as the pre-crash one's would have been.
+
 Determinism caveat: a tree built with a non-default split policy must be
 recovered with the same policy (policies are code and are not serialized).
 """
@@ -32,7 +36,7 @@ from repro.durability.checkpoint import SNAPSHOT_NAME, read_snapshot
 from repro.durability.errors import RecoveryError
 from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.durability.wal import WAL_NAME, WalOp, read_wal
-from repro.obs import AUDITOR, OBS, span
+from repro.obs import OBS, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.anonymizer import RTreeAnonymizer
@@ -97,7 +101,6 @@ def recover(
             # and the reattached appender — see only committed frames.
             with open(scan.path, "r+b") as handle:
                 handle.truncate(keep_until)
-        _restore_watermarks(snapshot.watermarks)
         if OBS.enabled:
             OBS.count("recovery.replayed_ops", replayed)
             OBS.count("recovery.discarded_ops", discarded)
@@ -205,9 +208,3 @@ def _offset_before(scan, lsn: int) -> int:
         previous_end = op.end_offset
     return previous_end
 
-
-def _restore_watermarks(watermarks: dict[str, object]) -> None:
-    """Resume the audit sequence so post-recovery records keep numbering."""
-    sequence = watermarks.get("audit_sequence")
-    if isinstance(sequence, int) and AUDITOR.enabled:
-        AUDITOR.resume_from(sequence)

@@ -79,9 +79,6 @@ class RPlusTree:
     k:
         Minimum records per leaf — the anonymity parameter (the paper's
         "base k" for bulk loads).
-    capacity_factor:
-        Leaves split when they exceed ``capacity_factor * k`` records
-        (the ``c`` of §3's "between k and ck records").
     max_fanout:
         Internal nodes split when they exceed this many children.
     split_policy:
@@ -93,13 +90,17 @@ class RPlusTree:
     leaf_store:
         Optional paged mirror for I/O accounting
         (:class:`~repro.index.leaf_store.PagedLeafStore`).
+    leaf_capacity:
+        Leaves split when they exceed this many records (the ``ck`` of
+        §3's "between k and ck records"); defaults to
+        ``DEFAULT_CAPACITY_FACTOR * k`` and must be at least ``2k - 1`` so
+        a split can leave k records on both sides.
     """
 
     def __init__(
         self,
         dimensions: int,
         k: int,
-        capacity_factor: int = DEFAULT_CAPACITY_FACTOR,
         max_fanout: int = DEFAULT_MAX_FANOUT,
         split_policy: SplitPolicy | None = None,
         domain_extents: Sequence[float] | None = None,
@@ -110,11 +111,6 @@ class RPlusTree:
             raise ValueError("dimensions must be at least 1")
         if k < 1:
             raise ValueError("k must be at least 1")
-        if capacity_factor < 2:
-            raise ValueError(
-                "capacity_factor must be at least 2 so splits can satisfy "
-                "the k-record minimum on both sides"
-            )
         if max_fanout < 2:
             raise ValueError("max_fanout must be at least 2")
         if leaf_capacity is not None and leaf_capacity < 2 * k - 1:
@@ -125,7 +121,9 @@ class RPlusTree:
         self._dimensions = dimensions
         self._k = k
         self._leaf_capacity = (
-            leaf_capacity if leaf_capacity is not None else capacity_factor * k
+            leaf_capacity
+            if leaf_capacity is not None
+            else DEFAULT_CAPACITY_FACTOR * k
         )
         self._max_fanout = max_fanout
         self._policy = split_policy if split_policy is not None else MinMarginSplitPolicy()

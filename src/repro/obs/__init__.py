@@ -1,17 +1,18 @@
 """repro.obs — observability for the index/loader/storage stack.
 
-Three process-wide singletons, each off by default and guarded by one
+Two process-wide singletons, each off by default and guarded by one
 boolean check per hook while off:
 
 * :data:`OBS` — the :class:`~repro.obs.registry.MetricsRegistry` of
   aggregate counters, gauges and histograms;
 * :data:`TRACE` — the :class:`~repro.obs.trace.Tracer`, a bounded
   ring buffer of *individual* timed events exportable to Chrome/Perfetto
-  ``traceEvents`` JSON (``repro <experiment> --trace out.json``);
-* :data:`AUDITOR` — the :class:`~repro.obs.audit.ReleaseAuditor`, which
-  builds one structured privacy-audit record per published release (k
-  verdict, occupancy/volume distributions, quality metrics) and can gate
-  publishes in strict mode.
+  ``traceEvents`` JSON (``repro <experiment> --trace out.json``).
+
+A release's privacy audit (:func:`~repro.obs.audit.audit_release`: k
+verdict, occupancy/volume distributions, quality metrics) is not process
+state: every published :class:`~repro.core.partition.Release` carries its
+own as ``release.audit``.
 
 Every timed phase is one :class:`span` (or one :func:`record`, for a
 duration timed elsewhere).  A span named ``core.release`` feeds the
@@ -47,8 +48,6 @@ import time
 from repro.obs.audit import (
     AUDIT_RECORD_KEYS,
     AUDIT_SCHEMA_VERSION,
-    AuditFailure,
-    ReleaseAuditor,
     audit_release,
 )
 from repro.obs.registry import (
@@ -80,10 +79,6 @@ TRACE = Tracer()
 # Snapshots surface the tracer's drop counts so truncated traces are
 # visible in ``repro stats`` / ``--profile`` output.
 OBS.attach_tracer(TRACE)
-
-#: The process-wide release auditor the anonymizer publishes through.
-AUDITOR = ReleaseAuditor()
-
 
 class span:
     """Time one phase: ``with span("core.release", k=k) as timed: ...``.
@@ -169,8 +164,6 @@ def render_table() -> str:
 __all__ = [
     "AUDIT_RECORD_KEYS",
     "AUDIT_SCHEMA_VERSION",
-    "AUDITOR",
-    "AuditFailure",
     "DEFAULT_COUNTERS",
     "DEFAULT_GAUGES",
     "DEFAULT_HISTOGRAMS",
@@ -180,7 +173,6 @@ __all__ = [
     "JsonLinesSink",
     "MetricsRegistry",
     "OBS",
-    "ReleaseAuditor",
     "SPAN_NAMES",
     "Sink",
     "TRACE",

@@ -73,21 +73,6 @@ def test_release_result_carries_audit_and_digest(schema3):
     assert handle.release(k=10).digest == result.digest
 
 
-def test_release_audit_goes_through_global_auditor_when_enabled(schema3):
-    from repro import obs
-
-    table = Table(schema3, tuple(random_records(100, seed=3)))
-    handle = api.open(table, base_k=5)
-    handle.load(table)
-    obs.AUDITOR.enable(reset=True)
-    try:
-        result = handle.release(k=5)
-        assert obs.AUDITOR.latest is result.audit
-        assert len(obs.AUDITOR.records) == 1
-    finally:
-        obs.AUDITOR.disable()
-
-
 def test_release_composes_constraint_sequences(schema3):
     """``release`` takes one constraint; a caller composes several itself."""
     table = Table(schema3, tuple(random_records(200, seed=2)))

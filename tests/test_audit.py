@@ -1,4 +1,4 @@
-"""Release audits: record schema, verdicts, strict mode, anonymizer wiring."""
+"""Release audits: record schema, verdicts, and the audit on every release."""
 
 from __future__ import annotations
 
@@ -10,23 +10,8 @@ from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import AnonymizedTable, Partition
 from repro.dataset.table import Table
 from repro.geometry.box import Box
-from repro.obs import (
-    AUDIT_RECORD_KEYS,
-    AUDIT_SCHEMA_VERSION,
-    AUDITOR,
-    AuditFailure,
-    ReleaseAuditor,
-    audit_release,
-)
+from repro.obs import AUDIT_RECORD_KEYS, AUDIT_SCHEMA_VERSION, TRACE, audit_release
 from tests.conftest import bulk_release, random_records
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_auditor():
-    """Keep the process-wide auditor off between tests."""
-    yield
-    AUDITOR.disable()
-    AUDITOR.reset()
 
 
 def _release_with_undersized_partition(schema) -> AnonymizedTable:
@@ -109,76 +94,70 @@ class TestAuditRecord:
         assert record["problems"]
 
 
-class TestReleaseAuditor:
-    def test_collects_records_in_publish_order(self, schema3) -> None:
-        release = _release_with_undersized_partition(schema3)
-        auditor = ReleaseAuditor()
-        auditor.enable()
-        auditor.on_release(release, k=2)
-        auditor.on_release(release, k=2)
-        assert [record["sequence"] for record in auditor.records] == [0, 1]
-        assert auditor.latest["sequence"] == 1
-        assert auditor.failed_records() == []
-
-    def test_strict_mode_raises_but_keeps_the_record(self, schema3) -> None:
-        release = _release_with_undersized_partition(schema3)
-        auditor = ReleaseAuditor()
-        auditor.enable(strict=True)
-        with pytest.raises(AuditFailure) as excinfo:
-            auditor.on_release(release, k=5)
-        assert excinfo.value.record["k_satisfied"] is False
-        # The trail still shows what was rejected.
-        assert len(auditor.records) == 1
-        assert auditor.failed_records() == auditor.records
-
-    def test_non_strict_mode_records_failures_silently(self, schema3) -> None:
-        release = _release_with_undersized_partition(schema3)
-        auditor = ReleaseAuditor()
-        auditor.enable()
-        record = auditor.on_release(release, k=5)
-        assert record["k_satisfied"] is False
-        assert len(auditor.failed_records()) == 1
-
-    def test_reference_table_applies_to_every_audit(
-        self, medium_table: Table
-    ) -> None:
-        release = bulk_release(medium_table, 10)
-        auditor = ReleaseAuditor()
-        auditor.enable(reference=medium_table)
-        record = auditor.on_release(release, k=10)
-        assert record["certainty"] is not None
+#: The keys of a version-2 audit record, pinned for trail consumers.
+V2_KEYS = {
+    "schema_version",
+    "k_requested",
+    "k_effective",
+    "k_satisfied",
+    "base_k",
+    "record_count",
+    "partition_count",
+    "occupancy",
+    "mbr_volume",
+    "discernibility",
+    "discernibility_per_record",
+    "certainty",
+    "certainty_per_record",
+    "problems",
+}
 
 
 class TestAnonymizerWiring:
-    def test_every_release_is_audited_when_enabled(
+    def test_every_release_carries_its_own_audit(
         self, medium_table: Table
     ) -> None:
-        AUDITOR.enable(reference=medium_table)
         anonymizer = RTreeAnonymizer(medium_table, base_k=5)
         anonymizer.bulk_load(medium_table)
+        assert AUDIT_SCHEMA_VERSION == 2
+        assert AUDIT_RECORD_KEYS == V2_KEYS
         for k in (5, 10, 25):
-            anonymizer.anonymize(k)
-        assert len(AUDITOR.records) == 3
-        for record, k in zip(AUDITOR.records, (5, 10, 25)):
-            assert record["k_requested"] == k
-            assert record["base_k"] == 5
-            assert record["k_satisfied"] is True
-            assert record["problems"] == []
+            for strategy in ("subtree", "sequential"):
+                release = anonymizer.release(k, strategy=strategy)
+                assert set(release.audit) == V2_KEYS
+                assert release.audit == audit_release(
+                    release.table, k, base_k=5
+                )
+                assert release.audit["k_requested"] == k
+                assert release.k_satisfied
+                # The full release-vs-original verification is one call away.
+                full = audit_release(release.table, k, original=medium_table)
+                assert full["k_satisfied"] is True
+                assert full["problems"] == []
 
     def test_incremental_releases_carry_audit_records(self, schema3) -> None:
         records = random_records(1_200, seed=13)
         table = Table(schema3, records[:800])
-        AUDITOR.enable(strict=True)
         anonymizer = RTreeAnonymizer(table, base_k=5)
         anonymizer.bulk_load(table)
-        anonymizer.anonymize(10)
+        before = anonymizer.release(10)
         anonymizer.insert_batch(records[800:])
-        anonymizer.anonymize(10)
-        assert len(AUDITOR.records) == 2
-        assert all(record["k_satisfied"] for record in AUDITOR.records)
-        assert AUDITOR.records[1]["record_count"] == 1_200
+        after = anonymizer.release(10)
+        assert before.k_satisfied and after.k_satisfied
+        assert before.audit["record_count"] == 800
+        assert after.audit["record_count"] == 1_200
 
-    def test_disabled_auditor_collects_nothing(self, medium_table: Table) -> None:
-        assert not AUDITOR.enabled
-        bulk_release(medium_table, 10)
-        assert AUDITOR.records == []
+    def test_anonymize_audits_nothing(self, medium_table: Table) -> None:
+        anonymizer = RTreeAnonymizer(medium_table, base_k=5)
+        anonymizer.bulk_load(medium_table)
+        TRACE.enable()
+        try:
+            anonymizer.anonymize(10)
+            names = TRACE.event_names()
+            assert "core.release" in names
+            assert "obs.audit" not in names
+            anonymizer.release(10)
+            assert "obs.audit" in TRACE.event_names()
+        finally:
+            TRACE.disable()
+            TRACE.reset()

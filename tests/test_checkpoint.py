@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.dataset.table import Table
+from repro.durability import DurabilityConfig, recover
 from repro.durability.checkpoint import (
+    _HEADER,
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_NAME,
+    SNAPSHOT_VERSION,
     read_snapshot,
     restore_schema,
     restore_tree,
@@ -66,19 +74,41 @@ def test_schema_round_trip(schema3):
 def test_snapshot_file_round_trip(tmp_path, schema3):
     anonymizer = built_anonymizer(schema3)
     path = tmp_path / "checkpoint.snap"
-    write_snapshot(
-        path,
-        tree=anonymizer.tree,
-        schema=schema3,
-        lsn=123,
-        watermarks={"audit_sequence": 7},
-    )
+    write_snapshot(path, tree=anonymizer.tree, schema=schema3, lsn=123)
     snapshot = read_snapshot(path)
     assert snapshot.lsn == 123
     assert snapshot.base_k == 5
-    assert snapshot.watermarks == {"audit_sequence": 7}
     assert len(snapshot.tree) == len(anonymizer.tree)
     snapshot.tree.check_invariants()
+
+
+def test_snapshot_with_release_watermarks_still_recovers(tmp_path, schema3):
+    """Earlier writers stored release counters in a ``watermarks`` block
+    beside the tree; the reader ignores it, so their directories recover
+    to the same release."""
+    directory = tmp_path / "state"
+    table = Table(schema3, random_records(300, seed=4))
+    anonymizer = RTreeAnonymizer(
+        table, base_k=5, durability=DurabilityConfig(directory)
+    )
+    anonymizer.bulk_load(table)
+    lsn = anonymizer.checkpoint().lsn
+    digest = anonymizer.release(10).digest
+    anonymizer.close()
+    path = directory / SNAPSHOT_NAME
+    document = json.loads(path.read_bytes()[_HEADER.size :])
+    assert "watermarks" not in document
+    document["watermarks"] = {"audit_sequence": 2, "releases": 2}
+    payload = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(
+        _HEADER.pack(
+            SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(payload), zlib.crc32(payload)
+        )
+        + payload
+    )
+    assert read_snapshot(path).lsn == lsn
+    with recover(directory).anonymizer as restored:
+        assert restored.release(10).digest == digest
 
 
 def test_snapshot_write_is_atomic(tmp_path, schema3):

@@ -112,6 +112,42 @@ def test_anonymize_recover_checkpoint_round_trip(tmp_path, capsys):
     assert "replayed:   0 op(s)" in second_out
 
 
+def test_recover_replays_a_wal_tail(tmp_path, capsys, schema3):
+    """A directory whose WAL holds acknowledged writes past its checkpoint:
+    ``repro recover`` replays exactly that tail and prints the digest the
+    library's own release of the state gives."""
+    from repro import api
+    from repro.dataset.record import Record
+    from repro.dataset.table import Table
+    from tests.conftest import random_records
+
+    state = tmp_path / "state"
+    records = random_records(320, seed=41)
+    table = Table(schema3, tuple(records[:300]))
+    with api.open(
+        table, base_k=5, durability=api.DurabilityConfig(state)
+    ) as handle:
+        handle.load(table)
+        checkpoint = handle.checkpoint()
+        for record in records[300:]:
+            handle.insert(record)
+        victim, mover = records[0], records[1]
+        handle.delete(victim.rid, victim.point)
+        handle.update(
+            mover.rid,
+            mover.point,
+            Record(mover.rid, records[2].point, mover.sensitive),
+        )
+        tail = handle.durability.lsn - checkpoint.lsn
+        digest = handle.release(k=10).digest
+    assert tail == 20 + 1 + 1
+
+    code, output = run_cli(capsys, ["recover", "--dir", str(state), "--k", "10"])
+    assert code == 0
+    assert f"replayed:   {tail} op(s)" in output
+    assert grep_line(output, "digest:").split() == ["digest:", digest]
+
+
 def test_recover_requires_dir(capsys):
     code = cli.main(["recover"])
     assert code == 2
@@ -214,6 +250,17 @@ def test_top_renders_one_frame_from_live_service(small_table, capsys):
         service.close()
         obs.disable()
         obs.reset()
+
+
+def test_top_rejects_a_negative_interval(capsys):
+    # Refused before any scrape (time.sleep would raise after one frame).
+    code = cli.main(
+        ["top", "--url", "http://127.0.0.1:9", "--interval", "-1", "--no-clear"]
+    )
+    assert code == 2
+    error = capsys.readouterr().err
+    assert "--interval" in error
+    assert "cannot scrape" not in error
 
 
 def test_top_reports_unreachable_endpoint(capsys):

@@ -111,3 +111,27 @@ def test_release_digest_differs_across_seeds(tmp_path):
     first = run_fault_grid(tmp_path / "one", records=24, k=5, seed=7)
     second = run_fault_grid(tmp_path / "two", records=24, k=5, seed=8)
     assert first.reference_digest != second.reference_digest
+
+
+def test_fault_grid_fails_every_cell_whose_release_fails_its_audit(
+    tmp_path, monkeypatch
+):
+    """A release that is not k-satisfied is a failed cell, the reference
+    run's included, and the report is not ok."""
+    import repro.core.anonymizer
+
+    audit_release = repro.core.anonymizer.audit_release
+
+    def failing_audit(*args, **kwargs):
+        record = audit_release(*args, **kwargs)
+        return {**record, "k_satisfied": False, "problems": ["injected"]}
+
+    monkeypatch.setattr(repro.core.anonymizer, "audit_release", failing_audit)
+    report = run_fault_grid(
+        tmp_path / "grid", records=24, k=5, seed=7, checkpoint_after_op=0
+    )
+    assert not report.ok
+    failed = {cell.fault: cell.detail for cell in report.cells if not cell.ok}
+    kills = {cell.fault for cell in report.cells if cell.fault.startswith("kill@")}
+    assert set(failed) == {"reference"} | kills
+    assert all("privacy audit: injected" in detail for detail in failed.values())

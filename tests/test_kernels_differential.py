@@ -10,7 +10,7 @@ level by level:
   oracle's record stream (file order, or the scalar ``(key, rid)`` sort of
   the file), compared at the four levels of the serial/parallel
   differential suite: leaf regions, partition boxes and membership, the
-  release digest, and the audit record (modulo its sequence field);
+  release digest, and the release's audit record;
 * the Hilbert order, and each slice's sorted run;
 * page decode and encode, byte for byte.
 
@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.core.anonymizer import RTreeAnonymizer
-from repro.core.partition import release_digest
 from repro.dataset import io as io_module
 from repro.dataset.agrawal import make_agrawal_table
 from repro.dataset.census import make_census_table
@@ -40,7 +39,6 @@ from repro.index.bulk import (
     hilbert_ordered,
     hilbert_partitions,
 )
-from repro.obs import AUDITOR
 from repro.parallel.engine import _scan_slice, slice_bounds
 from tests import oracles
 
@@ -101,13 +99,8 @@ def _release_snapshot(
             oracles.hilbert_ordered(list(oracles.read_records(path)), lows, highs)
         )
     assert consumed == records
-    AUDITOR.enable(reset=True)
-    try:
-        release = anonymizer.anonymize(k)
-        audit = dict(AUDITOR.latest)
-    finally:
-        AUDITOR.disable()
-    audit.pop("sequence", None)
+    published = anonymizer.release(k)
+    release = published.table
     regions = [
         (region.lows, region.highs) for region in oracles.leaf_regions(anonymizer)
     ]
@@ -115,7 +108,7 @@ def _release_snapshot(
         ((p.box.lows, p.box.highs), sorted(p.rids()))
         for p in release.partitions
     ]
-    return regions, partitions, release_digest(release), audit
+    return regions, partitions, published.digest, published.audit
 
 
 def _assert_matches_oracle(dataset, k, workers, records, path) -> None:

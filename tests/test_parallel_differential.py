@@ -13,7 +13,7 @@ levels:
 3. the published release through :class:`RTreeAnonymizer` from a staged
    record file (leaf regions, partition boxes and membership, digest),
 4. the privacy/quality verdicts (`is_k_anonymous`, discernibility,
-   certainty) and the auditor's record, modulo its sequence field.
+   certainty) and the release's audit record.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.dataset.landsend import make_landsend_table
 from repro.index.bulk import chunk_with_floor, hilbert_partitions
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.discernibility import discernibility_penalty
-from repro.obs import AUDITOR
 from repro.parallel import scan_file_shards
 from repro.privacy.kanonymity import is_k_anonymous
 from tests import oracles
@@ -138,16 +137,11 @@ def _released(dataset: str, k: int, workers: int, path: str):
     anonymizer = RTreeAnonymizer(table, base_k=min(5, k))
     consumed = anonymizer.bulk_load_file(path, workers=workers)
     assert consumed == RECORDS
-    AUDITOR.enable(reset=True)
-    try:
-        release = anonymizer.anonymize(k)
-        audit = dict(AUDITOR.latest)
-    finally:
-        AUDITOR.disable()
+    published = anonymizer.release(k)
     regions = [
         (region.lows, region.highs) for region in oracles.leaf_regions(anonymizer)
     ]
-    return release, regions, audit
+    return published.table, regions, published.audit
 
 
 @pytest.mark.parametrize(("dataset", "k"), GRID)
@@ -169,7 +163,6 @@ def test_release_from_file_matches_serial(dataset: str, k: int, record_files) ->
             certainty_penalty(release, table),
         )
         digest = release_digest(release)
-        audit.pop("sequence", None)
         snapshot = (regions, partitions, verdict, metrics, digest, audit)
         if reference is None:
             reference = snapshot

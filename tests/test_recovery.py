@@ -141,27 +141,6 @@ def test_fresh_directory_refuses_existing_state(tmp_path, schema3, records):
         )
 
 
-def test_audit_watermark_resumes_sequence(tmp_path, schema3, records):
-    from repro import obs
-
-    directory = tmp_path / "state"
-    anonymizer = durable(schema3, directory, records)
-    obs.AUDITOR.enable(reset=True)
-    try:
-        anonymizer.anonymize(10)
-        anonymizer.anonymize(20)
-        assert obs.AUDITOR.sequence == 2
-        anonymizer.checkpoint()
-        anonymizer.close()
-        obs.AUDITOR.reset()
-        with closing(recover(directory).anonymizer) as restored:
-            assert obs.AUDITOR.sequence == 2
-            restored.anonymize(10)
-            assert obs.AUDITOR.latest["sequence"] == 2
-    finally:
-        obs.AUDITOR.disable()
-
-
 def test_checkpoint_requires_durability(schema3, records):
     table = Table(schema3, tuple(records[:100]))
     anonymizer = RTreeAnonymizer(table, base_k=5)

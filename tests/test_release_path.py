@@ -2,7 +2,7 @@
 
 The engine is the only place a release is grouped, audited and digested.
 These tests pin what that buys: the two handles publish equal releases
-for the same records, and a release's audit is the record of that very
+for the same records, and a release's audit is the audit of that very
 table even when another handle publishes in between.
 """
 
@@ -12,11 +12,11 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro import api, obs
+from repro import api
 from repro.core.partition import Release
 from repro.dataset.table import Table
 from repro.geometry.box import Box
-from repro.obs.audit import ReleaseAuditor
+from repro.obs.audit import audit_release
 from repro.query.ranges import RangeQuery
 from tests.conftest import random_records
 
@@ -38,48 +38,26 @@ def serve_handle(table: Table):
     return service
 
 
-@pytest.fixture
-def audited():
-    obs.AUDITOR.enable(reset=True)
-    try:
-        yield obs.AUDITOR
-    finally:
-        obs.AUDITOR.disable()
-        obs.AUDITOR.reset()
-
-
 @pytest.mark.parametrize("make_handle", [open_handle, serve_handle])
-def test_release_audit_survives_a_racing_publish(
-    schema3, monkeypatch, audited, make_handle
-) -> None:
-    """Another handle's publish lands right after this release's audit.
-
-    The release must still carry its own audit record: the one the auditor
-    returned for its table, not the auditor's latest record.
-    """
-    table = Table(schema3, tuple(random_records(600, seed=31)))
-    other = open_handle(table)
-    original = ReleaseAuditor.on_release
-    raced: list[Release | None] = []
-
-    def on_release(self, *args, **kwargs):
-        record = original(self, *args, **kwargs)
-        if not raced:
-            raced.append(None)  # the racer's own audit must not race again
-            raced[0] = other.release(k=50)
-        return record
-
-    monkeypatch.setattr(ReleaseAuditor, "on_release", on_release)
-    handle = make_handle(table)
+def test_release_audit_survives_a_racing_publish(schema3, make_handle) -> None:
+    """Two handles over different tables publish in turn; each release's
+    audit is the audit of that release's own table, whatever the other
+    handle published in between."""
+    handle = make_handle(Table(schema3, tuple(random_records(600, seed=31))))
+    other = open_handle(Table(schema3, tuple(random_records(400, seed=34))))
+    published = []
     try:
-        release = handle.release(k=10)
+        for k in (10, 50, 25):
+            published.append((handle.release(k), k, 600))
+            published.append((other.release(k * 2), k * 2, 400))
     finally:
         handle.close()
-    assert raced and raced[0].audit["k_requested"] == 50
-    assert audited.latest is raced[0].audit  # the racer published last
-    assert release.audit["k_requested"] == release.k == 10
-    assert release.audit["partition_count"] == release.partition_count
-    assert release.audit["record_count"] == release.record_count
+        other.close()
+    for release, k, count in published:
+        assert release.audit == audit_release(release.table, k, base_k=5)
+        assert release.audit["k_requested"] == release.k == k
+        assert release.audit["record_count"] == release.record_count == count
+        assert release.audit["partition_count"] == release.partition_count
 
 
 RECIPES = [

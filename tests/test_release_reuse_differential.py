@@ -31,7 +31,7 @@ from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
 from repro.durability import DurabilityConfig
-from repro.obs import AUDITOR, OBS
+from repro.obs import OBS
 from repro.obs.audit import audit_release
 from repro.privacy.ldiversity import DistinctLDiversity
 from tests import oracles
@@ -229,7 +229,7 @@ def test_release_after_a_failed_delete_restores_through_the_fail_safe_path() -> 
     orphans and the victim back into neighbouring leaves, whose runs the
     previous release kept."""
     # Roomy leaves, so the restored records fit without a split.
-    anonymizer = _loaded(seed=22, capacity_factor=8)
+    anonymizer = _loaded(seed=22, leaf_capacity=24)
     tree = anonymizer.tree
     _assert_full_recompute(anonymizer, 3, "subtree")
     leaf = min(
@@ -291,35 +291,6 @@ def test_release_after_a_failed_wal_append(
             _assert_full_recompute(anonymizer, k, "sequential")
     finally:
         anonymizer.close()
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_audited_releases_number_in_sequence(strict: bool) -> None:
-    """With the auditor on, each release carries the record the auditor
-    appended for it, equal to a full audit at that sequence number."""
-    anonymizer = _loaded()
-    AUDITOR.enable(strict=strict, reset=True)
-    try:
-        published = []
-        fresh = []
-        for step in range(3):
-            victim = anonymizer.tree.leaves()[step].records[0]
-            anonymizer.delete(victim.rid, victim.point)
-            published.append(anonymizer.release(3))
-            expected = oracles.release_partitions(anonymizer, 3, True)
-            fresh.append(AnonymizedTable(anonymizer.schema, expected))
-        assert len(AUDITOR.records) == 3
-        for sequence, release in enumerate(published):
-            assert release.audit is AUDITOR.records[sequence]
-            assert release.audit == audit_release(
-                release.table, 3, base_k=3, sequence=sequence
-            )
-            assert release.audit == audit_release(
-                fresh[sequence], 3, base_k=3, sequence=sequence
-            )
-    finally:
-        AUDITOR.disable()
-        AUDITOR.reset()
 
 
 #: The one constraint object every constrained recipe below shares.

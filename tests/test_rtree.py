@@ -31,8 +31,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RPlusTree(dimensions=2, k=0)
         with pytest.raises(ValueError):
-            RPlusTree(dimensions=2, k=3, capacity_factor=1)
-        with pytest.raises(ValueError):
             RPlusTree(dimensions=2, k=3, max_fanout=1)
         with pytest.raises(ValueError):
             RPlusTree(dimensions=2, k=5, leaf_capacity=8)

@@ -5,8 +5,9 @@
 
 * **bulk anonymization** (§2.1): load a whole table through the buffer-tree
   loader;
-* **incremental anonymization** (§2.2): insert/delete records or batches at
-  any time — index maintenance keeps the leaf partitioning k-anonymous;
+* **incremental anonymization** (§2.2): insert/delete/update records at
+  any time, as write groups (:meth:`RTreeAnonymizer.write`) — index
+  maintenance keeps the leaf partitioning k-anonymous;
 * **release generation** (§3.2): emit a k1-anonymous table for any
   ``k1 >= base k`` by leaf-scanning, optionally under an extra per-partition
   constraint (l-diversity etc.), each partition published under its
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
@@ -67,6 +68,10 @@ MAX_RECIPES = 64
 #: leaves' versions.
 Recipe = tuple[int, str, Constraint | None]
 RunKey = tuple[int, ...]
+
+#: The ops :meth:`RTreeAnonymizer.write` applies; the first two form runs.
+WRITE_KINDS = ("insert", "insert_batch", "delete", "update")
+_INSERTS = ("insert", "insert_batch")
 
 
 def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
@@ -206,40 +211,8 @@ class RTreeAnonymizer:
 
         Returns the number of records the loader consumed.
         """
-        stream = records.records if isinstance(records, Table) else records
         with span("index.load"):
-            return self._logged_batch(self._loader.load, stream)
-
-    def _logged_batch(
-        self, load: Callable[[Iterable[Record]], int], stream: Iterable[Record]
-    ) -> int:
-        """Run ``load`` over ``stream`` as one WAL batch when durable.
-
-        Members are logged as the loader consumes them and become durable
-        only at the final batch-commit — a crash mid-batch discards the
-        whole (unacknowledged) batch rather than half of it.  If the stream
-        raises, the loader has applied every record it consumed, and each
-        was logged: that prefix is drained into the leaves and sealed
-        before the error propagates, so memory, the WAL and a replay agree.
-        """
-        durability = self._durability
-        if durability is not None:
-            durability.begin_batch()
-            stream = self._log_batch_members(stream)
-        try:
-            return load(stream)
-        except BaseException:
-            self._loader.drain()
-            raise
-        finally:
-            if durability is not None:
-                durability.commit_batch()
-
-    def _log_batch_members(self, stream: Iterable[Record]) -> Iterable[Record]:
-        assert self._durability is not None
-        for record in stream:
-            self._durability.log_batched_insert(record)
-            yield record
+            return self._write_one(("insert_batch", records))
 
     def bulk_load_file(
         self,
@@ -286,73 +259,131 @@ class RTreeAnonymizer:
                     workers=workers,
                     first_rid=first_rid,
                 )
-            return self._logged_batch(self._loader.load, stream)
+            return self._write_one(("insert_batch", stream))
 
     def insert_batch(self, records: Iterable[Record] | Table) -> int:
         """Incrementally anonymize a new batch (§2.2, Figure 7(b)).
 
         Uses the same buffered path as the bulk load so batch cost is
         amortized; drains before returning so the partitioning immediately
-        reflects the batch.
+        reflects the batch.  Returns the number of records consumed.
         """
-        stream = records.records if isinstance(records, Table) else records
-
-        def insert_and_drain(batch: Iterable[Record]) -> int:
-            consumed = self._loader.insert_batch(batch)
-            self._loader.drain()
-            return consumed
-
-        return self._logged_batch(insert_and_drain, stream)
+        return self._write_one(("insert_batch", records))
 
     def insert(self, record: Record) -> None:
-        """Insert one record through the ordinary index-maintenance path.
-
-        Apply-then-log, with compensation: if the write-ahead log append
-        fails (disk full, I/O error) the in-memory insert is rolled back
-        before the exception propagates, so memory and the WAL never
-        diverge — a checkpoint after the failure would otherwise persist an
-        operation that a recovery from the *previous* checkpoint replays
-        without.
-        """
-        self._tree.insert(record)
-        if self._durability is not None:
-            try:
-                self._durability.log_insert(record)
-            except BaseException:
-                self._tree.delete(record.rid, record.point)
-                raise
+        """Insert one record through the ordinary index-maintenance path."""
+        self._write_one(("insert", record))
 
     def delete(self, rid: int, point: Sequence[float]) -> Record:
         """Delete one record; the occupancy floor is restored before returning.
 
-        Compensates like :meth:`insert`: a failed WAL append reinserts the
-        removed record so the acknowledged state equals the logged state.
+        Raises ``KeyError`` when no record ``rid`` lives at ``point``.
         """
-        removed = self._tree.delete(rid, point)
-        if self._durability is not None:
-            try:
-                self._durability.log_delete(rid, point)
-            except BaseException:
-                self._tree.insert(removed)
-                raise
-        return removed
+        return self._write_one(("delete", rid, point))
 
     def update(
         self, rid: int, old_point: Sequence[float], record: Record
     ) -> Record:
         """Update a record's quasi-identifiers (a move between leaves).
 
-        Compensates like :meth:`insert`: a failed WAL append reverses the
-        move (the new record comes out, the replaced one goes back in).
+        Returns the replaced record; raises ``KeyError`` for an unknown
+        ``rid`` and ``ValueError`` for a record of the wrong dimension.
         """
-        replaced = self._tree.update(rid, old_point, record)
-        if self._durability is not None:
-            try:
-                self._durability.log_update(rid, old_point, record)
-            except BaseException:
-                self._tree.update(record.rid, record.point, replaced)
-                raise
-        return replaced
+        return self._write_one(("update", rid, old_point, record))
+
+    def _write_one(self, op: tuple) -> object:
+        (result,) = self.write([op])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    # -- the write path ------------------------------------------------------------
+
+    def write(self, ops: Iterable[tuple]) -> list:
+        """Apply an ordered group of writes; return each op's own result.
+
+        Ops: ``("insert", record)``, ``("insert_batch", records)``,
+        ``("delete", rid, point)``, ``("update", rid, old_point, record)``.
+        A maximal run of inserts takes one loader pass, except a group of
+        exactly one ``("insert", record)``.  Results: ``None``, the
+        consumed count, the removed record; a delete or update the tree
+        refuses before changing state gets its ``KeyError``/``ValueError``
+        (nothing logged, the group goes on).  Any other error seals what
+        was applied, then raises.  Durable, a group is one WAL commit and
+        fsync, and a failed log write stops the handle (``DurabilityError``).
+        """
+        ops = list(ops)
+        unknown = [op[0] for op in ops if op[0] not in WRITE_KINDS]
+        if unknown:
+            raise ValueError(f"unknown write op {unknown[0]!r}; expected {WRITE_KINDS}")
+        batched = len(ops) != 1 or ops[0][0] == "insert_batch"
+        durability = self._durability
+        if durability is None:
+            return self._apply(ops, batched, None)
+        durability.begin(batched)
+        try:
+            return self._apply(ops, batched, durability)
+        finally:
+            durability.commit()
+
+    def _apply(
+        self, ops: list[tuple], batched: bool, log: DurabilityManager | None
+    ) -> list:
+        """Apply a group's ops in order, logging each through ``log``;
+        recovery replays through here, where ``("batch_commit", 0)`` is a
+        logged run break."""
+        results: list = []
+        run: list[tuple] = []
+        for op in [*ops, ("batch_commit", 0)]:
+            if batched and op[0] in _INSERTS:
+                run.append(op)
+                continue
+            if run:
+                if log is not None:
+                    log.start_run()
+                results += self._load_run(run, log)
+                run = []
+            if op[0] == "batch_commit":
+                continue
+            if op[0] == "insert":
+                result = self._tree.insert(op[1])
+            else:
+                change = self._tree.delete if op[0] == "delete" else self._tree.update
+                try:
+                    result = change(*op[1:])
+                except (KeyError, ValueError) as refused:
+                    results.append(refused)
+                    continue
+            if log is not None:
+                log.log(op)
+            results.append(result)
+        return results
+
+    def _load_run(
+        self, run: list[tuple], log: DurabilityManager | None
+    ) -> list[int | None]:
+        """One loader pass over a run of inserts, logging each record as it
+        is consumed; a raising stream's consumed prefix is drained first."""
+        counts = [0] * len(run)
+
+        def records() -> Iterable[Record]:
+            for slot, op in enumerate(run):
+                for record in (op[1],) if op[0] == "insert" else op[1]:
+                    if log is not None:
+                        log.log(("insert", record))
+                    counts[slot] += 1
+                    yield record
+
+        # A plain load takes its stream as is, with no per-record wrapper.
+        plain = log is None and len(run) == 1 and run[0][0] == "insert_batch"
+        try:
+            consumed = self._loader.load(run[0][1] if plain else records())
+        except BaseException:
+            self._loader.drain()
+            raise
+        if plain:
+            return [consumed]
+        return [None if op[0] == "insert" else n for op, n in zip(run, counts)]
 
     # -- releases ------------------------------------------------------------------
 
@@ -375,6 +406,8 @@ class RTreeAnonymizer:
         ``"sequential"`` is the literal Figure 5 scan.  Both carry the same
         Lemma 1 multi-release guarantee (whole leaves, sequential order).
         """
+        if self._durability is not None:
+            self._durability.check()
         self.check_recipe(k, strategy)
         self._settle()
         if len(self._tree) < k:

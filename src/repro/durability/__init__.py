@@ -9,6 +9,7 @@ See :mod:`repro.durability.manager` for the protocol invariants, and
   (also :func:`repro.api.recover`); the :class:`RecoveryResult` holds
   the live anonymizer and the replay evidence;
 * :class:`RecoveryError` and its subclasses — every corruption is loud;
+* :class:`DurabilityError` — a handle whose log write failed has stopped;
 * :mod:`repro.durability.faults` — the fault-injection harness CI runs.
 """
 
@@ -19,6 +20,7 @@ from repro.durability.checkpoint import (
     write_snapshot,
 )
 from repro.durability.errors import (
+    DurabilityError,
     RecoveryError,
     SnapshotCorruption,
     WalCorruption,
@@ -29,6 +31,7 @@ from repro.durability.wal import WAL_NAME, WriteAheadLog, read_wal
 
 __all__ = [
     "DurabilityConfig",
+    "DurabilityError",
     "DurabilityManager",
     "RecoveryError",
     "RecoveryResult",

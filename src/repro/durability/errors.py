@@ -36,3 +36,8 @@ class SnapshotCorruption(RecoveryError):
         super().__init__(f"{path}: snapshot corrupt: {reason}")
         self.path = str(path)
         self.reason = reason
+
+
+class DurabilityError(RuntimeError):
+    """A write-ahead-log write failed, so the durable handle stopped: every
+    later write, release and checkpoint raises this, chained to it."""

@@ -11,10 +11,12 @@ failures would:
 * :func:`flip_bit` — flip one payload bit in the WAL or the snapshot.
 
 :func:`run_fault_grid` is the acceptance harness (run by CI as
-``python -m repro.durability.faults``): it drives a scripted workload
-through a durable anonymizer, then for **every kill point** clones the
-state, injects the kill, recovers, re-applies the not-yet-durable suffix
-of the workload (exactly what a client that never got its acks would do),
+``python -m repro.durability.faults``): it drives a scripted workload of
+write groups through a durable anonymizer's
+:meth:`~repro.core.anonymizer.RTreeAnonymizer.write`, then for **every
+kill point** — frames inside a group included — clones the state,
+injects the kill, recovers, re-applies the groups whose commit was not
+yet durable (exactly what a client that never got its acks would do),
 and asserts that the release passes its audit (``release.k_satisfied``)
 and that its digest equals the uninterrupted run's.  Every corruption
 fault must raise :class:`~repro.durability.errors.RecoveryError` instead
@@ -182,11 +184,10 @@ class GridReport:
 
 
 def _grid_workload(records: int, seed: int) -> tuple[list, "object"]:
-    """A scripted mixed workload: one batch load, then singles, then a batch.
+    """A scripted workload of write groups, and its empty schema table.
 
-    Returns ``(ops, schema_table)`` where each op is a tuple the applier
-    understands: ``("batch", records)``, ``("insert", record)``,
-    ``("delete", rid, point)``, ``("update", rid, old_point, record)``.
+    A batch load, single ops, one mixed group (an insert batch, a delete
+    of a record it inserts, another delete, two updates), then a batch.
     """
     import random
 
@@ -210,45 +211,34 @@ def _grid_workload(records: int, seed: int) -> tuple[list, "object"]:
         )
 
     base = [fresh(rid) for rid in range(records)]
-    ops: list = [("batch", tuple(base))]
+    groups: list = [[("insert_batch", tuple(base))]]
     live = {record.rid: record for record in base}
     next_rid = records
-    for _ in range(6):
-        record = fresh(next_rid)
-        ops.append(("insert", record))
-        live[record.rid] = record
-        next_rid += 1
-    for _ in range(3):
+
+    def delete() -> tuple:
         rid = rng.choice(sorted(live))
-        victim = live.pop(rid)
-        ops.append(("delete", rid, victim.point))
-    for _ in range(3):
+        return ("delete", rid, live.pop(rid).point)
+
+    def update() -> tuple:
         rid = rng.choice(sorted(live))
         old = live[rid]
-        moved = Record(rid, fresh(0).point, old.sensitive)
-        ops.append(("update", rid, old.point, moved))
-        live[rid] = moved
-    tail = [fresh(next_rid + i) for i in range(8)]
-    ops.append(("batch", tuple(tail)))
-    return ops, Table(schema, [])
+        live[rid] = Record(rid, fresh(0).point, old.sensitive)
+        return ("update", rid, old.point, live[rid])
 
-
-def _apply_ops(anonymizer, ops: Sequence[tuple]) -> list[int]:
-    """Apply workload ops, returning the durable LSN after each op."""
-    lsns: list[int] = []
-    for op in ops:
-        if op[0] == "batch":
-            anonymizer.insert_batch(list(op[1]))
-        elif op[0] == "insert":
-            anonymizer.insert(op[1])
-        elif op[0] == "delete":
-            anonymizer.delete(op[1], op[2])
-        elif op[0] == "update":
-            anonymizer.update(op[1], op[2], op[3])
-        else:
-            raise ValueError(f"unknown workload op {op[0]!r}")
-        lsns.append(anonymizer.durability.lsn)
-    return lsns
+    for _ in range(6):
+        record = fresh(next_rid)
+        groups.append([("insert", record)])
+        live[record.rid] = record
+        next_rid += 1
+    groups.extend([delete()] for _ in range(3))
+    groups.extend([update()] for _ in range(3))
+    batch = [fresh(next_rid + i) for i in range(4)]
+    live.update((record.rid, record) for record in batch[1:])
+    first = ("delete", batch[0].rid, batch[0].point)
+    groups.append([("insert_batch", tuple(batch)), first, delete(), update(), update()])
+    tail = [fresh(next_rid + 4 + i) for i in range(8)]
+    groups.append([("insert_batch", tuple(tail))])
+    return groups, Table(schema, [])
 
 
 def run_fault_grid(
@@ -262,7 +252,7 @@ def run_fault_grid(
 ) -> GridReport:
     """Run the crash-at-any-LSN property plus every corruption fault.
 
-    ``checkpoint_after_op`` writes a checkpoint after that workload op, so
+    ``checkpoint_after_op`` writes a checkpoint after that workload group, so
     the grid also covers recovery from snapshot + WAL tail (kill points
     before the checkpoint LSN are then unreachable from the final state
     and are skipped — their crashes belong to the no-checkpoint scenario).
@@ -273,7 +263,7 @@ def run_fault_grid(
 
     workdir = Path(workdir)
     scenario = "checkpointed" if checkpoint_after_op is not None else "plain"
-    ops, schema_table = _grid_workload(records, seed)
+    groups, schema_table = _grid_workload(records, seed)
     base_k = min(DEFAULT_BASE_K, k)
 
     # The uninterrupted reference run.
@@ -282,8 +272,9 @@ def run_fault_grid(
         schema_table, base_k=base_k, durability=DurabilityConfig(reference_dir)
     )
     lsns: list[int] = []
-    for index, op in enumerate(ops):
-        lsns.extend(_apply_ops(anonymizer, [op]))
+    for index, group in enumerate(groups):
+        anonymizer.write(group)
+        lsns.append(anonymizer.durability.lsn)
         if checkpoint_after_op is not None and index == checkpoint_after_op:
             anonymizer.checkpoint()
     try:
@@ -310,8 +301,9 @@ def run_fault_grid(
             try:
                 # Re-apply the suffix the crash never acknowledged, the way a
                 # client without acks would, then compare releases.
-                suffix = [op for op, lsn in zip(ops, lsns) if lsn > kill]
-                _apply_ops(recovered, suffix)
+                for group, lsn in zip(groups, lsns):
+                    if lsn > kill:
+                        recovered.write(group)
                 release = recovered.release(k)
             finally:
                 recovered.close()

@@ -3,18 +3,22 @@
 :class:`DurabilityConfig` is the opt-in knob callers hand to
 :class:`~repro.core.anonymizer.RTreeAnonymizer` (or
 :func:`repro.api.open`); :class:`DurabilityManager` owns the directory's
-write-ahead log and checkpoint file and exposes the logging hooks the
-anonymizer calls *after* each successfully applied mutation.
+write-ahead log and checkpoint file and logs each write group
+(:meth:`~repro.core.anonymizer.RTreeAnonymizer.write`) through one
+begin/log/commit sequence.
 
 Protocol invariants the recovery path relies on:
 
 * creating a manager on a fresh directory writes an **initial snapshot**
   of the empty tree at LSN 0, so recovery always has a schema and tree
   configuration to start from — a WAL is never the only durable artifact;
-* single operations are logged (and group-commit-synced) one frame each;
-  batch and bulk ingestion logs members with the *batched* flag and seals
-  them with one ``batch-commit`` frame — an unsealed batch is, by
-  definition, unacknowledged and is discarded by recovery;
+* a group of exactly one insert, delete or update is one unbatched,
+  fsynced frame; any other group is *batched* members sealed by one
+  fsynced ``batch-commit`` frame — an unsealed batch is, by definition,
+  unacknowledged and is discarded by recovery;
+* a failed append or commit stops the manager: every later group and
+  checkpoint (and the anonymizer's releases) raise
+  :class:`~repro.durability.errors.DurabilityError`;
 * a checkpoint first publishes the snapshot (tree and schema, nothing
   about past releases) atomically, then rotates the WAL to start at the
   snapshot LSN; a crash between the two leaves a snapshot plus a WAL
@@ -25,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.dataset.record import Record
 from repro.durability.checkpoint import SNAPSHOT_NAME, write_snapshot
+from repro.durability.errors import DurabilityError
 from repro.durability.wal import WAL_NAME, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,15 +46,11 @@ class DurabilityConfig:
     """Opt-in durability settings for an anonymizer.
 
     ``dir`` is the durability directory (created if absent; must not
-    already hold another store's state — recover that instead).
-    ``group_commit_window`` is the fsync batching window in seconds: 0
-    syncs every acknowledged operation, a positive value lets consecutive
-    single-op appends share one fsync until the window elapses (batch
-    ingestion always groups its members under the batch-commit's fsync).
+    already hold another store's state — recover that instead).  Each
+    write group is fsynced once before it is acknowledged.
     """
 
     dir: str | Path
-    group_commit_window: float = 0.0
 
     @property
     def directory(self) -> Path:
@@ -91,7 +91,9 @@ class DurabilityManager:
         self._config = config
         self._wal = wal
         self._io_stats = io_stats
-        self._open_batch: int | None = None
+        #: The open batched group's member count (None otherwise).
+        self._members: int | None = None
+        self._failure: BaseException | None = None
 
     @classmethod
     def create(
@@ -117,12 +119,7 @@ class DurabilityManager:
                 "repro.api.recover(dir) instead of opening it fresh"
             )
         write_snapshot(config.snapshot_path, tree=tree, schema=schema, lsn=0)
-        wal = WriteAheadLog(
-            config.wal_path,
-            start_lsn=0,
-            group_commit_window=config.group_commit_window,
-            io_stats=io_stats,
-        )
+        wal = WriteAheadLog(config.wal_path, start_lsn=0, io_stats=io_stats)
         return cls(config, wal, io_stats=io_stats)
 
     @classmethod
@@ -133,18 +130,10 @@ class DurabilityManager:
         io_stats: "IOStats | None" = None,
     ) -> "DurabilityManager":
         """Reattach to an already-recovered directory for further appends."""
-        wal = WriteAheadLog.open_existing(
-            config.wal_path,
-            group_commit_window=config.group_commit_window,
-            io_stats=io_stats,
-        )
+        wal = WriteAheadLog.open_existing(config.wal_path, io_stats=io_stats)
         return cls(config, wal, io_stats=io_stats)
 
     # -- accessors -----------------------------------------------------------
-
-    @property
-    def config(self) -> DurabilityConfig:
-        return self._config
 
     @property
     def directory(self) -> Path:
@@ -155,46 +144,51 @@ class DurabilityManager:
         """The LSN of the most recently logged operation."""
         return self._wal.lsn
 
-    # -- mutation logging (called after the in-memory apply succeeds) --------
+    def check(self) -> None:
+        """Raise :class:`DurabilityError` once a log write has failed."""
+        if self._failure is not None:
+            raise DurabilityError(
+                f"the write-ahead log in {self.directory} failed "
+                f"({self._failure!r}); this handle is stopped — recover "
+                "the directory to continue from the last acknowledged write"
+            ) from self._failure
 
-    def log_insert(self, record: Record) -> int:
-        self._assert_no_open_batch("insert")
-        return self._wal.append_insert(record)
+    # -- one write group: begin, log each applied op, commit -----------------
 
-    def log_delete(self, rid: int, point: Iterable[float]) -> int:
-        self._assert_no_open_batch("delete")
-        return self._wal.append_delete(rid, tuple(point))
+    def begin(self, batched: bool) -> None:
+        """Open a write group; ``batched`` unless it is one single-record op."""
+        self.check()
+        self._members = 0 if batched else None
 
-    def log_update(
-        self, rid: int, old_point: Iterable[float], record: Record
-    ) -> int:
-        self._assert_no_open_batch("update")
-        return self._wal.append_update(rid, tuple(old_point), record)
+    def log(self, op: tuple) -> None:
+        """Log one applied op of the open group; an unbatched frame syncs."""
+        batched = self._members is not None
+        self._append(op, batched)
+        if batched:
+            self._members += 1  # type: ignore[operator]
 
-    def begin_batch(self) -> None:
-        """Start logging batch members (unsealed until :meth:`commit_batch`)."""
-        self._assert_no_open_batch("begin a batch")
-        self._open_batch = 0
+    def start_run(self) -> None:
+        """An insert run starts: after other members of its group it is
+        marked by a run break (a batched ``batch_commit`` of 0), which
+        keeps replay from loading it in one pass with an earlier run."""
+        if self._members:
+            self._append(("batch_commit", 0), True)
 
-    def log_batched_insert(self, record: Record) -> int:
-        if self._open_batch is None:
-            raise RuntimeError("no open batch; call begin_batch() first")
-        lsn = self._wal.append_insert(record, batched=True)
-        self._open_batch += 1
-        return lsn
+    def commit(self) -> None:
+        """Close the open group; a batched one is sealed by one fsynced frame.
 
-    def commit_batch(self) -> int:
-        """Seal the open batch with one fsynced batch-commit frame."""
-        if self._open_batch is None:
-            raise RuntimeError("no open batch to commit")
-        count, self._open_batch = self._open_batch, None
-        return self._wal.append_batch_commit(count)
+        After a failed append nothing is sealed.
+        """
+        members, self._members = self._members, None
+        if members is not None and self._failure is None:
+            self._append(("batch_commit", members), False)
 
-    def _assert_no_open_batch(self, action: str) -> None:
-        if self._open_batch is not None:
-            raise RuntimeError(
-                f"cannot {action} while a batch is open; commit it first"
-            )
+    def _append(self, op: tuple, batched: bool) -> None:
+        try:
+            self._wal.append(op, batched=batched)
+        except BaseException as error:
+            self._failure = error
+            raise
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -202,10 +196,12 @@ class DurabilityManager:
         """Snapshot the tree at the current LSN and truncate the WAL there.
 
         Returns the checkpoint's LSN and directory.  Must be called at a
-        quiescent point: no open batch, loader drained (the anonymizer's
+        quiescent point: no open group, loader drained (the anonymizer's
         ``checkpoint()`` guarantees both).
         """
-        self._assert_no_open_batch("checkpoint")
+        self.check()
+        if self._members is not None:
+            raise RuntimeError("cannot checkpoint while a batch is open")
         self._wal.sync()
         lsn = self._wal.lsn
         write_snapshot(self._config.snapshot_path, tree=tree, schema=schema, lsn=lsn)
@@ -214,10 +210,7 @@ class DurabilityManager:
         # snapshot already covers; recovery skips them by LSN.
         self._wal.close()
         self._wal = WriteAheadLog(
-            self._config.wal_path,
-            start_lsn=lsn,
-            group_commit_window=self._config.group_commit_window,
-            io_stats=self._io_stats,
+            self._config.wal_path, start_lsn=lsn, io_stats=self._io_stats
         )
         return CheckpointResult(lsn=lsn, directory=self.directory)
 
@@ -225,4 +218,9 @@ class DurabilityManager:
         self._wal.sync()
 
     def close(self) -> None:
-        self._wal.close()
+        """Close the log; a failed one is released without raising again."""
+        try:
+            self._wal.close()
+        except OSError:
+            if self._failure is None:
+                raise

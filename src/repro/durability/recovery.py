@@ -9,9 +9,10 @@ last *acknowledged* operation:
    manager writes an LSN-0 snapshot on creation);
 2. read and validate the WAL; every defect raises
    :class:`~repro.durability.errors.RecoveryError` rather than guessing;
-3. replay the frames past the snapshot LSN through the *same code paths*
-   the original mutations took — single ops through the tree, sealed
-   batches through a buffer-tree loader — so the split sequence, and
+3. replay the frames past the snapshot LSN through the *same apply code*
+   the live write groups took (``RTreeAnonymizer.write``'s, logging off):
+   an unbatched frame is a group of one, batched frames replay as one
+   group once their batch-commit seals them — so the split sequence, and
    therefore the leaf partitioning, reproduces exactly;
 4. discard any trailing unsealed batch members (they were never
    acknowledged) and truncate them out of the WAL file;
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 from repro.durability.checkpoint import SNAPSHOT_NAME, read_snapshot
 from repro.durability.errors import RecoveryError
 from repro.durability.manager import DurabilityConfig, DurabilityManager
-from repro.durability.wal import WAL_NAME, WalOp, read_wal
+from repro.durability.wal import _HEADER, WAL_NAME, WalOp, read_wal
 from repro.obs import OBS, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +63,6 @@ def recover(
     *,
     split_policy: "SplitPolicy | None" = None,
     pool: "BufferPool | None" = None,
-    group_commit_window: float = 0.0,
     allow_torn_tail: bool = False,
 ) -> RecoveryResult:
     """Restore a durable anonymizer from ``directory``.
@@ -104,10 +104,9 @@ def recover(
         if OBS.enabled:
             OBS.count("recovery.replayed_ops", replayed)
             OBS.count("recovery.discarded_ops", discarded)
-        config = DurabilityConfig(
-            directory, group_commit_window=group_commit_window
+        manager = DurabilityManager.attach(
+            DurabilityConfig(directory), io_stats=anonymizer.io_stats()
         )
-        manager = DurabilityManager.attach(config, io_stats=anonymizer.io_stats())
         anonymizer._attach_durability(manager)
     last_lsn = scan.last_lsn if scan is not None else snapshot.lsn
     return RecoveryResult(
@@ -139,72 +138,62 @@ def _replay(
     """
     if scan is None:
         return 0, 0, 0, 0
-    tree = anonymizer.tree
-    loader = anonymizer.loader
-    pending: list[WalOp] = []
-    replayed = 0
-    skipped = 0
-    keep_until = scan.end_offset
+    group: list[WalOp] = []  # the open batch's frames
+    replayed = skipped = 0
+    kept = _HEADER.size  # the end of the last frame outside an open batch
     with span("recovery.replay", frames=len(scan.ops)):
-        for op in scan.ops:
-            if op.lsn <= snapshot_lsn:
+        for frame in scan.ops:
+            if frame.lsn <= snapshot_lsn:
                 # Pre-rotation frames the snapshot already covers (a crash
                 # between snapshot publish and WAL rotation leaves them).
                 skipped += 1
+            elif frame.batched:
+                group.append(frame)
                 continue
-            try:
-                if op.kind == "insert" and op.batched:
-                    pending.append(op)
-                    continue
-                if pending and op.kind != "batch_commit":
-                    raise RecoveryError(
-                        f"{scan.path}: LSN {op.lsn} interleaves a "
-                        f"{op.kind} into an unsealed batch"
-                    )
-                if op.kind == "insert":
-                    tree.insert(op.record)
-                elif op.kind == "delete":
-                    tree.delete(op.rid, op.point)
-                elif op.kind == "update":
-                    tree.update(op.rid, op.point, op.record)
-                elif op.kind == "batch_commit":
-                    if op.count != len(pending):
-                        raise RecoveryError(
-                            f"{scan.path}: batch-commit at LSN {op.lsn} seals "
-                            f"{op.count} records but {len(pending)} are pending"
-                        )
-                    loader.insert_batch(item.record for item in pending)
-                    loader.drain()
-                    replayed += len(pending)
-                    pending = []
-                else:  # pragma: no cover - read_wal rejects unknown ops
-                    raise RecoveryError(f"unknown WAL op {op.kind!r}")
-            except RecoveryError:
-                raise
-            except (KeyError, ValueError) as error:
+            elif frame.kind == "batch_commit":
+                replayed += _replay_group(anonymizer, scan.path, group, frame)
+                group = []
+            elif group:
                 raise RecoveryError(
-                    f"{scan.path}: replay of {op.kind} at LSN {op.lsn} failed: "
-                    f"{error!r} — the log does not match the snapshot"
+                    f"{scan.path}: LSN {frame.lsn} interleaves a "
+                    f"{frame.kind} into an unsealed batch"
                 )
-            if op.kind != "batch_commit":
-                replayed += 1
-        discarded = len(pending)
-        if discarded:
-            # The unsealed tail was never acknowledged; keep the WAL at the
-            # last frame before the batch opened.
-            first_pending = pending[0]
-            keep_until = _offset_before(scan, first_pending.lsn)
-    return replayed, skipped, discarded, keep_until
+            else:
+                replayed += _replay_group(anonymizer, scan.path, [frame])
+            kept = frame.end_offset
+    # An unsealed tail was never acknowledged: the WAL ends before it.
+    discarded = sum(frame.kind != "batch_commit" for frame in group)
+    return replayed, skipped, discarded, kept if group else scan.end_offset
 
 
-def _offset_before(scan, lsn: int) -> int:
-    """Byte offset of the end of the last frame preceding ``lsn``."""
-    from repro.durability.wal import _HEADER
+def _replay_group(
+    anonymizer: "RTreeAnonymizer",
+    path: Path,
+    frames: list[WalOp],
+    commit: WalOp | None = None,
+) -> int:
+    """Apply one logged group through the live apply code; count its ops.
 
-    previous_end = _HEADER.size
-    for op in scan.ops:
-        if op.lsn >= lsn:
-            break
-        previous_end = op.end_offset
-    return previous_end
-
+    ``commit`` seals a batched group.  Every op must apply: an op the live
+    apply refused was never logged, so a refusal here means the log does
+    not match the snapshot.
+    """
+    ops = [frame for frame in frames if frame.kind != "batch_commit"]
+    if commit is not None and commit.count != len(ops):
+        raise RecoveryError(
+            f"{path}: batch-commit at LSN {commit.lsn} seals "
+            f"{commit.count} records but {len(ops)} are pending"
+        )
+    try:
+        results = anonymizer._apply(
+            [frame.op for frame in frames], commit is not None, None
+        )
+    except (KeyError, ValueError) as error:
+        results = [error] * len(ops)
+    for frame, result in zip(ops, results):
+        if isinstance(result, Exception):
+            raise RecoveryError(
+                f"{path}: replay of {frame.kind} at LSN {frame.lsn} failed: "
+                f"{result!r} — the log does not match the snapshot"
+            ) from result
+    return len(ops)

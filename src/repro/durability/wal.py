@@ -12,17 +12,18 @@ acknowledged.  The format is deliberately simple and self-validating:
   CRC makes torn writes and bit flips detectable; the length makes frames
   skippable without decoding.
 * **payload** — ``<u8 op><u8 flags><u64 lsn>`` followed by an op-specific
-  body.  Ops: insert, delete, update, batch-commit.  Flag bit 0 marks an
-  insert as a *batch member*: batch members are not durable (and are
-  discarded by recovery) until the batch-commit frame that seals them —
-  the group-commit unit of the bulk/batched ingestion paths.
+  body.  Ops: insert, delete, update, batch-commit.  Flag bit 0 marks a
+  *batch member*, not durable (and discarded by recovery) until the
+  batch-commit frame that seals it.  A write group
+  (:meth:`repro.core.anonymizer.RTreeAnonymizer.write`) is one unbatched
+  frame (exactly one insert, delete or update) or members of any kind
+  plus one batch-commit.  A *batched* batch-commit seals nothing: it is a
+  run break, starting an insert run that follows other members.
 
-Fsync policy is group commit: a ``group_commit_window`` of 0 (the default)
-syncs on every committed append, a positive window lets consecutive
-appends share one fsync until the window elapses, and batch members never
-sync individually — their batch-commit frame does.  Appends, bytes and
-fsyncs are metered through :data:`repro.obs.OBS` (``wal.appends``,
-``wal.bytes``, ``wal.fsyncs``) and, when the caller shares one, an
+Every unbatched frame syncs; members wait for their commit's sync — one
+fsync per write group.  Appends, bytes and fsyncs are metered through
+:data:`repro.obs.OBS` (``wal.appends``, ``wal.bytes``, ``wal.fsyncs``)
+and, when the caller shares one, an
 :class:`repro.storage.pagefile.IOStats` so WAL traffic lands in the same
 I/O ledger as the simulated page store.
 """
@@ -32,11 +33,10 @@ from __future__ import annotations
 import json
 import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Hashable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from repro.dataset.record import Record
 from repro.durability.errors import WalCorruption
@@ -129,6 +129,12 @@ class WalOp:
     #: Byte offset of the end of this op's frame (for truncation/kill points).
     end_offset: int = 0
 
+    @property
+    def op(self) -> tuple:
+        """The frame as a write op (``RTreeAnonymizer.write``'s vocabulary)."""
+        fields = (self.rid, self.point, self.record, self.count)
+        return (self.kind, *[value for value in fields if value is not None])
+
 
 @dataclass(frozen=True)
 class WalScan:
@@ -146,33 +152,27 @@ class WalScan:
 
 
 class WriteAheadLog:
-    """Appender over one WAL file with group-commit fsync batching."""
+    """Appender over one WAL file; one fsync per unbatched frame or commit."""
 
     def __init__(
         self,
         path: str | Path,
         *,
         start_lsn: int = 0,
-        group_commit_window: float = 0.0,
         io_stats: "IOStats | None" = None,
         _existing_scan: WalScan | None = None,
     ) -> None:
-        self._path = Path(path)
-        self._window = group_commit_window
         self._io_stats = io_stats
         self._dirty = False
-        self._last_sync = time.monotonic()
         if _existing_scan is None:
-            self._start_lsn = start_lsn
             self._lsn = start_lsn
-            self._handle: BinaryIO = open(self._path, "wb")
+            self._handle: BinaryIO = open(path, "wb")
             self._handle.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, start_lsn))
             self._dirty = True
             self.sync()
         else:
-            self._start_lsn = _existing_scan.start_lsn
             self._lsn = _existing_scan.last_lsn
-            self._handle = open(self._path, "r+b")
+            self._handle = open(path, "r+b")
             self._handle.seek(_existing_scan.end_offset)
             self._handle.truncate()
 
@@ -181,7 +181,6 @@ class WriteAheadLog:
         cls,
         path: str | Path,
         *,
-        group_commit_window: float = 0.0,
         io_stats: "IOStats | None" = None,
     ) -> "WriteAheadLog":
         """Reopen a validated WAL for appending (the post-recovery path).
@@ -192,68 +191,41 @@ class WriteAheadLog:
         silently appended to.
         """
         scan = read_wal(path)
-        return cls(
-            path,
-            group_commit_window=group_commit_window,
-            io_stats=io_stats,
-            _existing_scan=scan,
-        )
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def path(self) -> Path:
-        return self._path
+        return cls(path, io_stats=io_stats, _existing_scan=scan)
 
     @property
     def lsn(self) -> int:
         """The LSN of the last appended operation."""
         return self._lsn
 
-    @property
-    def start_lsn(self) -> int:
-        return self._start_lsn
-
-    @property
-    def closed(self) -> bool:
-        return self._handle.closed
-
     # -- appends -------------------------------------------------------------
 
-    def append_insert(self, record: Record, *, batched: bool = False) -> int:
-        """Log one insert; batch members defer durability to the commit."""
-        flags = FLAG_BATCHED if batched else 0
-        return self._append(OP_INSERT, flags, _pack_record(record), sync=not batched)
+    def append(self, op: tuple, *, batched: bool = False) -> int:
+        """Log a write op or ``("batch_commit", count)``; return its LSN.
 
-    def append_delete(self, rid: int, point: Sequence[float]) -> int:
-        return self._append(OP_DELETE, 0, _pack_point(rid, point), sync=True)
-
-    def append_update(
-        self, rid: int, old_point: Sequence[float], record: Record
-    ) -> int:
-        body = _pack_point(rid, old_point) + _pack_record(record)
-        return self._append(OP_UPDATE, 0, body, sync=True)
-
-    def append_batch_commit(self, count: int) -> int:
-        """Seal the preceding ``count`` batch-member inserts; always syncs."""
-        lsn = self._append(OP_BATCH_COMMIT, 0, struct.pack("<Q", count), sync=True)
-        self.sync()
-        return lsn
-
-    def _append(self, op: int, flags: int, body: bytes, *, sync: bool) -> int:
+        An unbatched frame is synced before this returns.
+        """
+        kind = op[0]
+        if kind == "insert":
+            code, body = OP_INSERT, _pack_record(op[1])
+        elif kind == "delete":
+            code, body = OP_DELETE, _pack_point(op[1], op[2])
+        elif kind == "update":
+            code, body = OP_UPDATE, _pack_point(op[1], op[2]) + _pack_record(op[3])
+        elif kind == "batch_commit":
+            code, body = OP_BATCH_COMMIT, struct.pack("<Q", op[1])
+        else:
+            raise ValueError(f"unknown WAL op {kind!r}")
         self._lsn += 1
-        payload = _PREFIX.pack(op, flags, self._lsn) + body
+        payload = _PREFIX.pack(code, FLAG_BATCHED if batched else 0, self._lsn) + body
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         self._handle.write(frame)
         self._dirty = True
         if OBS.enabled:
             OBS.count("wal.appends")
             OBS.count("wal.bytes", len(frame))
-        if sync:
-            if self._window <= 0.0:
-                self.sync()
-            elif time.monotonic() - self._last_sync >= self._window:
-                self.sync()
+        if not batched:
+            self.sync()
         return self._lsn
 
     def sync(self) -> None:
@@ -269,17 +241,19 @@ class WriteAheadLog:
             self._handle.flush()
             os.fsync(self._handle.fileno())
             self._dirty = False
-            self._last_sync = time.monotonic()
         if OBS.enabled:
             OBS.count("wal.fsyncs")
         if self._io_stats is not None:
             self._io_stats.fsyncs += 1
 
     def close(self) -> None:
+        """Sync and close; the file is closed even when the sync raises."""
         if self._handle.closed:
             return
-        self.sync()
-        self._handle.close()
+        try:
+            self.sync()
+        finally:
+            self._handle.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -379,22 +353,15 @@ def _whole_frames_from(data: bytes, offset: int) -> int:
 
 def _decode_payload(payload: bytes, end_offset: int) -> WalOp:
     op, flags, lsn = _PREFIX.unpack_from(payload, 0)
-    body_offset = _PREFIX.size
+    offset = _PREFIX.size
     kind = _OP_NAMES.get(op)
     if kind is None:
         raise ValueError(f"unknown op code {op}")
-    batched = bool(flags & FLAG_BATCHED)
-    if op == OP_INSERT:
-        record, _ = _unpack_record(payload, body_offset)
-        return WalOp(lsn, kind, batched, record=record, end_offset=end_offset)
-    if op == OP_DELETE:
-        rid, point, _ = _unpack_point(payload, body_offset)
-        return WalOp(lsn, kind, rid=rid, point=point, end_offset=end_offset)
-    if op == OP_UPDATE:
-        rid, point, next_offset = _unpack_point(payload, body_offset)
-        record, _ = _unpack_record(payload, next_offset)
-        return WalOp(
-            lsn, kind, rid=rid, point=point, record=record, end_offset=end_offset
-        )
-    (count,) = struct.unpack_from("<Q", payload, body_offset)
-    return WalOp(lsn, kind, count=count, end_offset=end_offset)
+    fields: dict = {}
+    if op in (OP_DELETE, OP_UPDATE):
+        fields["rid"], fields["point"], offset = _unpack_point(payload, offset)
+    if op in (OP_INSERT, OP_UPDATE):
+        fields["record"], _ = _unpack_record(payload, offset)
+    if op == OP_BATCH_COMMIT:
+        (fields["count"],) = struct.unpack_from("<Q", payload, offset)
+    return WalOp(lsn, kind, bool(flags & FLAG_BATCHED), end_offset=end_offset, **fields)

@@ -501,11 +501,16 @@ class RPlusTree:
                     pass  # over-full is privacy-safe; splitting is optional here
 
     def _shrink_mbrs(self, path: Sequence[LeafNode | InternalNode]) -> None:
-        """Recompute the MBRs along a root path, deepest first."""
-        for node in reversed(path):
+        """Recompute the MBRs along a root path, deepest first, up to the
+        first one that comes out unchanged: the unions above it are too."""
+        recomputed = 0
+        for recomputed, node in enumerate(reversed(path), 1):
+            old = node.mbr
             node.recompute_mbr()
-        if OBS.enabled and path:
-            OBS.count("rtree.mbr_recomputations", len(path))
+            if node.mbr == old:
+                break
+        if OBS.enabled and recomputed:
+            OBS.count("rtree.mbr_recomputations", recomputed)
 
     def _dissolve_leaf(self, leaf: LeafNode, path: list[InternalNode]) -> None:
         self._store.on_dissolve(leaf)

@@ -3,11 +3,11 @@
 Mutations enter as :class:`WriteOp` items through a ``queue.Queue`` with a
 hard size bound — a producer that outruns the writer blocks (or times
 out) instead of growing memory without limit.  The writer drains the
-queue in **groups**: a run of consecutive insert-class operations is
-coalesced into one group so the service can apply it as a single buffered
-``insert_batch`` under one WAL batch-commit (group commit); every other
-operation (delete, update, barrier) forms a group of its own, preserving
-submission order exactly.
+queue in **groups**: any run of consecutive writes — inserts, insert
+batches, deletes and updates alike — up to ``max_batch`` of them, in
+submission order, so the service applies it as one write group under
+one WAL commit (group commit).  Only a barrier (or ``max_batch``) breaks
+a run; a barrier is a group of its own.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.obs import record
-
-#: Operation kinds a WriteOp can carry.
-INSERT_KINDS = ("insert", "insert_batch")
 
 
 @dataclass
@@ -50,7 +47,7 @@ class WriteQueue:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self._queue: _queue.Queue = _queue.Queue(maxsize)
-        self._pending: list[object] = []  # one op deferred by coalescing
+        self._pending: list[object] = []  # one item deferred by coalescing
 
     @property
     def maxsize(self) -> int:
@@ -74,24 +71,24 @@ class WriteQueue:
     def take_group(self, max_batch: int) -> Sequence[WriteOp] | None:
         """Block for the next group of operations; ``None`` means stop.
 
-        A group is either a run of up to ``max_batch`` consecutive
-        insert-class operations (coalesced for group commit) or exactly
-        one non-insert operation.  An operation that would break a run is
-        deferred — never reordered — to the next call.  Each member's wait
-        since submit is reported as a ``serve.queue_wait`` span.
+        A group is either a run of up to ``max_batch`` consecutive writes
+        of any kind (coalesced for group commit) or exactly one barrier.
+        A barrier or the stop sentinel that would break a run is deferred
+        — never reordered — to the next call.  Each member's wait since
+        submit is reported as a ``serve.queue_wait`` span.
         """
         first = self._pending.pop() if self._pending else self._queue.get()
         if first is _STOP:
             return None
         assert isinstance(first, WriteOp)
         group = [first]
-        if first.kind in INSERT_KINDS:
+        if first.kind != "barrier":
             while len(group) < max_batch:
                 try:
                     item = self._queue.get_nowait()
                 except _queue.Empty:
                     break
-                if item is _STOP or item.kind not in INSERT_KINDS:  # type: ignore[union-attr]
+                if item is _STOP or item.kind == "barrier":  # type: ignore[union-attr]
                     self._pending.append(item)
                     break
                 group.append(item)  # type: ignore[arg-type]

@@ -6,8 +6,10 @@ RTreeAnonymizer` into something shaped like a database serving layer:
 * all tree mutation happens on **one writer thread**, under one lock, fed
   by the bounded :class:`~repro.serve.queue.WriteQueue` (callers get a
   :class:`~concurrent.futures.Future`, and backpressure when it is full);
-  consecutive inserts coalesce into one ``insert_batch`` group — one
-  buffered-loader pass and, with durability on, one group-commit fsync;
+  any run of consecutive writes coalesces into one write group, applied
+  by :meth:`RTreeAnonymizer.write` — each run of inserts as one buffered
+  loader pass and, with durability on, the whole group under one WAL
+  commit and one fsync; each future resolves to its own op's result;
 * every applied write group bumps the **epoch**, so a reader is never
   handed a pre-mutation release after the mutation was acknowledged;
 * readers never touch the live tree: :meth:`release` serves immutable,
@@ -56,7 +58,7 @@ from repro.obs.live import (
 from repro.query.engine import QUERY_KINDS, QueryEngine, QueryResult
 from repro.query.ranges import RangeQuery
 from repro.serve.cache import CacheKey, ReleaseCache
-from repro.serve.queue import INSERT_KINDS, WriteOp, WriteQueue
+from repro.serve.queue import WriteOp, WriteQueue
 
 # Unused here: perfbench's traced pass wraps these two names on this module
 # by attribute.  ROADMAP item 1 (perfbench reads the repo's own spans)
@@ -75,7 +77,7 @@ class ServiceConfig:
 
     ``max_queue`` bounds the write queue (submitters block when full —
     that bound *is* the backpressure).  ``max_batch`` caps how many
-    queued insert operations one group commit coalesces.  ``journal``
+    queued writes of any kind one group commit coalesces.  ``journal``
     keeps an in-memory log of every applied write group — the
     differential stress suite replays it to prove snapshot isolation —
     and costs memory proportional to the write history, so leave it off
@@ -179,9 +181,13 @@ class AnonymizerService:
         """The applied write groups, in order (``journal=True`` only).
 
         Entry ``i`` is the group whose application moved the service from
-        epoch ``i`` to ``i + 1``; replaying ``journal[:e]`` onto an
-        identically-prepared engine reproduces epoch ``e`` exactly — the
-        property the stress suite's differential check relies on.
+        epoch ``i`` to ``i + 1``: the ops tuple the engine's ``write``
+        applied (a load from memory is one ``insert_batch`` op),
+        ``("bulk_load_file", path, first_rid, workers)``, or ``("failed",
+        kind)``.  Replaying ``journal[:e]`` onto an identically-prepared
+        engine (``write`` per ops tuple; a refused op refuses again)
+        reproduces epoch ``e`` exactly — the property the stress suite's
+        differential check relies on.
         """
         if self._journal is None:
             raise ValueError("journaling is off; construct with journal=True")
@@ -277,23 +283,28 @@ class AnonymizerService:
 
         The natural call order is load first, serve after — but the lock
         makes a mid-serving load safe too: readers just block for its
-        duration.
+        duration.  The epoch moves on even if the source raises, since
+        the records read before it are applied.
         """
         self._assert_open()
         is_file = isinstance(source, (str, Path))
-        if self._journal is not None and not is_file:
-            # Journaled mode materializes so the replay sees the same
-            # records (journal=True is a test facility).
-            source = tuple(source.records if isinstance(source, Table) else source)
         with self._write_lock:
-            consumed = self._engine.load(source, workers=workers, first_rid=first_rid)
-            if is_file:
-                self._journal_append(
-                    ("bulk_load_file", str(source), first_rid, workers)
+            entry: tuple = ("failed", "load")
+            try:
+                if self._journal is not None and not is_file:
+                    # Journaled mode materializes so the replay sees the
+                    # same records (journal=True is a test facility).
+                    source = tuple(source)  # type: ignore[arg-type]
+                consumed = self._engine.load(
+                    source, workers=workers, first_rid=first_rid
                 )
-            else:
-                self._journal_append(("bulk_load", source))
-            self._bump_epoch()
+                if is_file:
+                    entry = ("bulk_load_file", str(source), first_rid, workers)
+                else:
+                    entry = (("insert_batch", source),)
+            finally:
+                self._journal_append(entry)
+                self._bump_epoch()
         return consumed
 
     # -- write path ----------------------------------------------------------
@@ -301,16 +312,15 @@ class AnonymizerService:
     def submit_insert(
         self, record: Record, timeout: float | None = None
     ) -> "Future[object]":
-        """Queue one insert; the future resolves once it is applied+logged."""
+        """Queue one insert; the future resolves to ``None`` once it is
+        applied and logged (a batch's to its count, a delete's or update's
+        to the removed record)."""
         return self._submit(WriteOp("insert", (record,)), timeout)
 
     def submit_insert_batch(
         self, records: "Table | Iterable[Record]", timeout: float | None = None
     ) -> "Future[object]":
-        stream = records.records if isinstance(records, Table) else records
-        return self._submit(
-            WriteOp("insert_batch", (tuple(stream),)), timeout
-        )
+        return self._submit(WriteOp("insert_batch", (tuple(records),)), timeout)
 
     def submit_delete(
         self, rid: int, point: Sequence[float], timeout: float | None = None
@@ -348,15 +358,10 @@ class AnonymizerService:
 
         Returns the epoch observed once the barrier drained.
         """
-        op = WriteOp("barrier", ())
-        self._submit_op(op)
-        return op.future.result(timeout)  # type: ignore[return-value]
+        future = self._submit(WriteOp("barrier", ()), None)
+        return future.result(timeout)  # type: ignore[return-value]
 
     def _submit(self, op: WriteOp, timeout: float | None) -> "Future[object]":
-        self._submit_op(op, timeout)
-        return op.future
-
-    def _submit_op(self, op: WriteOp, timeout: float | None = None) -> None:
         self._assert_open()
         self._queue.put(op, timeout=timeout)
         if OBS.enabled:
@@ -364,6 +369,7 @@ class AnonymizerService:
             OBS.count("serve.queued_writes")
             OBS.gauge("serve.queue_depth", depth)
             OBS.gauge("serve.backpressure", depth / self._queue.maxsize)
+        return op.future
 
     # -- read path -----------------------------------------------------------
 
@@ -525,30 +531,33 @@ class AnonymizerService:
         if first.kind == "barrier":
             first.future.set_result(self._epoch)
             return
-        error: BaseException | None = None
-        result: object = None
+        ops, slots = _write_ops(group)
         # The commit span starts before the write lock is taken, so its
         # histogram includes the wait behind a release in progress.
         with span("serve.commit", ops=len(group)) as commit, self._write_lock:
             try:
-                result = self._apply_locked(group)
+                results = self._engine.write(ops)
             except BaseException as exc:  # resolve futures either way
-                error = exc
+                results = [exc] * len(ops)
                 # State may have partially changed (a batch that died
                 # midway); go stale rather than serve it cached.  The
                 # journal marks the failed group so entry i keeps
                 # corresponding to the epoch-i -> i+1 transition.
                 self._journal_append(("failed", first.kind))
-                self._bump_epoch()
             else:
+                self._journal_append(tuple(ops))
+            finally:
                 self._bump_epoch()
         # Acknowledge the writers first: telemetry below must never delay
         # (or, should it fail, strand) a client blocked on its future.
-        for op in group:
-            if error is not None:
-                op.future.set_exception(error)
-            else:
-                op.future.set_result(result)
+        for op, slot in zip(group, slots):
+            outcome = results[slot]
+            if isinstance(outcome, BaseException):
+                op.future.set_exception(outcome)
+            elif op.kind == "insert_batch":
+                op.future.set_result(len(op.payload[0]))
+            else:  # an insert's None; a delete's or update's removed record
+                op.future.set_result(None if op.kind == "insert" else outcome)
         if OBS.enabled:
             OBS.count("serve.write_groups")
             OBS.observe("serve.group_size", len(group))
@@ -556,30 +565,6 @@ class AnonymizerService:
             "commit", commit.seconds, kind=first.kind, ops=len(group),
             epoch=self._epoch,
         )
-
-    def _apply_locked(self, group: list[WriteOp]) -> object:
-        first = group[0]
-        if first.kind in INSERT_KINDS:
-            records: list[Record] = []
-            for op in group:
-                if op.kind == "insert":
-                    records.append(op.payload[0])
-                else:
-                    records.extend(op.payload[0])
-            consumed = self._engine.insert_batch(records)
-            self._journal_append(("insert_batch", tuple(records)))
-            return consumed
-        if first.kind == "delete":
-            rid, point = first.payload
-            removed = self._engine.delete(rid, point)
-            self._journal_append(("delete", rid, point))
-            return removed
-        if first.kind == "update":
-            rid, old_point, record = first.payload
-            replaced = self._engine.update(rid, old_point, record)
-            self._journal_append(("update", rid, old_point, record))
-            return replaced
-        raise AssertionError(f"unknown write kind {first.kind!r}")
 
     def _journal_append(self, entry: tuple) -> None:
         if self._journal is not None:
@@ -609,3 +594,22 @@ class AnonymizerService:
         if OBS.enabled:
             OBS.count("serve.epoch_bumps")
             OBS.gauge("serve.epoch", self._epoch)
+
+
+def _write_ops(group: list[WriteOp]) -> tuple[list[tuple], list[int]]:
+    """A queued group as engine write ops, and each submission's op index.
+
+    Each run of insert submissions is one ``("insert_batch", records)`` op:
+    one loader pass, as one ``insert_batch`` call of them would be.
+    """
+    ops: list[tuple] = []
+    slots: list[int] = []
+    for op in group:
+        if op.kind not in ("insert", "insert_batch"):
+            ops.append((op.kind, *op.payload))
+        else:
+            if not ops or ops[-1][0] != "insert_batch":
+                ops.append(("insert_batch", []))
+            ops[-1][1].extend(op.payload if op.kind == "insert" else op.payload[0])
+        slots.append(len(ops) - 1)
+    return ops, slots

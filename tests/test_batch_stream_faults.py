@@ -5,7 +5,7 @@ durable anonymizer each was also logged as a batch member.  When the
 stream raises part-way, the consumed prefix must land in the tree and,
 when durable, be sealed in the WAL — so the live state, the log and a
 cold recovery all agree, and the next write does not land inside an
-unsealed batch.
+unsealed batch.  A failed log append is different: it stops the handle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import release_digest
 from repro.dataset.record import Record
 from repro.dataset.table import Table
-from repro.durability import DurabilityConfig, recover
+from repro.durability import DurabilityConfig, DurabilityError, recover
 from tests.conftest import random_records
 from tests.test_mutation_faults import FaultyWAL
 
@@ -61,15 +61,17 @@ def test_raising_batch_keeps_consumed_records(tmp_path, schema3, durable, yielde
         outcome.anonymizer.close()
 
 
-def test_failed_member_append_seals_the_logged_prefix(tmp_path, schema3):
-    """A batch member whose WAL append fails is neither applied nor counted:
-    the batch-commit seals exactly the members that reached the log."""
+def test_failed_member_append_stops_the_handle(tmp_path, schema3):
+    """A batch member whose WAL append fails stops the handle: the batch
+    was never sealed, so a later write is refused and recovery discards
+    the members that reached the log."""
     base = random_records(300, seed=43)
     table = Table(schema3, tuple(base))
     anonymizer = RTreeAnonymizer(
         table, base_k=5, durability=DurabilityConfig(tmp_path / "state")
     )
     anonymizer.bulk_load(table)
+    acknowledged = anonymizer.release(10).digest
     manager = anonymizer.durability
     wal = FaultyWAL(manager._wal)
     manager._wal = wal
@@ -86,12 +88,11 @@ def test_failed_member_append_seals_the_logged_prefix(tmp_path, schema3):
     with pytest.raises(OSError, match="injected"):
         anonymizer.insert_batch(stream())
     wal.armed = False
-
-    held = {record.rid for leaf in anonymizer.tree.leaves() for record in leaf.records}
-    assert held == {record.rid for record in base + extra[:700]}
-    anonymizer.insert(extra[701])
-    live = release_digest(anonymizer.anonymize(10))
+    with pytest.raises(DurabilityError):
+        anonymizer.insert(extra[701])
     anonymizer.close()
     outcome = recover(tmp_path / "state")
-    assert release_digest(outcome.anonymizer.anonymize(10)) == live
-    outcome.anonymizer.close()
+    with outcome.anonymizer as restored:
+        assert len(restored) == len(base)
+        assert restored.release(10).digest == acknowledged
+    assert outcome.discarded_ops == 700

@@ -97,8 +97,10 @@ def test_fault_grid_with_mid_workload_checkpoint(tmp_path):
         tmp_path / "grid", records=24, k=5, seed=7, checkpoint_after_op=0
     )
     assert report.ok, report.render()
-    # After the checkpoint the WAL rotates: far fewer live kill points.
-    assert 0 < report.kill_points < 24
+    # After the checkpoint the WAL rotates: the base load's 24 members and
+    # its commit are no longer kill points.
+    plain = run_fault_grid(tmp_path / "plain", records=24, k=5, seed=7)
+    assert 0 < report.kill_points == plain.kill_points - 25
 
 
 def test_grid_digest_is_deterministic(tmp_path):

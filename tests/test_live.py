@@ -418,14 +418,14 @@ class TestStalledWatchdog:
         )
         frozen = threading.Event()
         release_writer = threading.Event()
-        original = service.engine.insert_batch
+        original = service.engine.write
 
-        def freezing_insert_batch(records):
+        def freezing_write(ops):
             frozen.set()
             release_writer.wait(timeout=10)
-            return original(records)
+            return original(ops)
 
-        service.engine.insert_batch = freezing_insert_batch
+        service.engine.write = freezing_write
         try:
             future = service.submit_insert_batch(list(small_table.records))
             assert frozen.wait(timeout=5)

@@ -73,9 +73,9 @@ def test_unsealed_batch_is_discarded_and_truncated(tmp_path, schema3, records):
     digest = release_digest(anonymizer.anonymize(10))
     manager = anonymizer.durability
     # Simulate a crash mid-batch: members logged, commit never written.
-    manager.begin_batch()
+    manager.begin(batched=True)
     for record in records[300:310]:
-        manager.log_batched_insert(record)
+        manager.log(("insert", record))
     manager.sync()
     manager.close()
 
@@ -124,7 +124,9 @@ def test_replay_mismatch_raises(tmp_path, schema3, records):
     anonymizer = durable(schema3, directory, records)
     manager = anonymizer.durability
     # Log a delete that was never applied: replay cannot find the record.
-    manager.log_delete(9_999, (50.0, 50.0, 50.0))
+    manager.begin(batched=False)
+    manager.log(("delete", 9_999, (50.0, 50.0, 50.0)))
+    manager.commit()
     anonymizer.close()
     with pytest.raises(RecoveryError, match="does not match the snapshot"):
         recover(directory)
@@ -153,10 +155,9 @@ def test_mutations_while_batch_open_are_rejected(tmp_path, schema3, records):
     directory = tmp_path / "state"
     anonymizer = durable(schema3, directory, records)
     manager = anonymizer.durability
-    manager.begin_batch()
-    with pytest.raises(RuntimeError, match="batch is open"):
-        manager.log_insert(records[301])
+    manager.begin(batched=True)
+    manager.log(("insert", records[301]))
     with pytest.raises(RuntimeError, match="batch is open"):
         manager.checkpoint(anonymizer.tree, anonymizer.schema)
-    manager.commit_batch()
+    manager.commit()
     anonymizer.close()

@@ -30,7 +30,7 @@ from repro.core.partition import AnonymizedTable, Release, release_digest
 from repro.dataset.record import Record
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
-from repro.durability import DurabilityConfig
+from repro.durability import DurabilityConfig, DurabilityError, recover
 from repro.obs import OBS
 from repro.obs.audit import audit_release
 from repro.privacy.ldiversity import DistinctLDiversity
@@ -260,8 +260,9 @@ def test_release_after_a_failed_delete_restores_through_the_fail_safe_path() -> 
 def test_release_after_a_failed_wal_append(
     tmp_path, schema3, operation: str
 ) -> None:
-    """A write whose log append fails is compensated in the tree; the next
-    release must not serve the runs the compensated write touched."""
+    """A write whose log append fails stops the handle, so no release is
+    served from a tree the log does not hold; the recovered handle's
+    releases equal a full recompute of the last acknowledged state."""
     records = random_records(100, seed=31)
     anonymizer = RTreeAnonymizer(
         Table(schema3, tuple(records)),
@@ -273,7 +274,7 @@ def test_release_after_a_failed_wal_append(
         assert anonymizer.durability is not None
         wal = FaultyWAL(anonymizer.durability._wal)
         anonymizer.durability._wal = wal
-        _assert_full_recompute(anonymizer, 5, "subtree")
+        acknowledged = _assert_full_recompute(anonymizer, 5, "subtree")
         old = records[23]
         wal.armed = True
         with pytest.raises(OSError, match="injected"):
@@ -285,12 +286,18 @@ def test_release_after_a_failed_wal_append(
                 moved = Record(old.rid, (50.0, 50.0, 50.0), old.sensitive)
                 anonymizer.update(old.rid, old.point, moved)
         wal.armed = False
-        assert len(anonymizer) == 100
-        for k in (5, 10):
-            _assert_full_recompute(anonymizer, k, "subtree")
-            _assert_full_recompute(anonymizer, k, "sequential")
+        for strategy in ("subtree", "sequential"):
+            with pytest.raises(DurabilityError):
+                anonymizer.release(5, strategy=strategy)
     finally:
         anonymizer.close()
+    with recover(tmp_path / "state").anonymizer as recovered:
+        assert len(recovered) == 100
+        recovered_release = _assert_full_recompute(recovered, 5, "subtree")
+        assert recovered_release.digest == acknowledged.digest
+        for k in (5, 10):
+            _assert_full_recompute(recovered, k, "subtree")
+            _assert_full_recompute(recovered, k, "sequential")
 
 
 #: The one constraint object every constrained recipe below shares.

@@ -189,6 +189,38 @@ class TestDeletion:
         surviving = {r.rid for r in records} - {r.rid for r in doomed}
         assert {r.rid for leaf in tree.leaves() for r in leaf.records} == surviving
 
+    def test_mbr_shrink_stops_at_the_first_unchanged_node(self) -> None:
+        """Deletes and updates recompute MBRs up the root path only until
+        one comes out unchanged; every MBR stays exact all the same."""
+        from repro import obs
+
+        records = random_records(800, seed=11)
+        tree = fresh_tree(k=3)
+        for record in records:
+            tree.insert(record)
+        live = {record.rid: record for record in records}
+        rng = random.Random(12)
+        obs.enable()
+        try:
+            for step in range(200):
+                rid = rng.choice(sorted(live))
+                old = live.pop(rid)
+                if step % 2:
+                    tree.delete(rid, old.point)
+                else:
+                    point = tuple(float(rng.randint(0, 100)) for _ in range(3))
+                    live[rid] = Record(rid, point, old.sensitive)
+                    tree.update(rid, old.point, live[rid])
+                tree.check_invariants()
+            recomputed = obs.OBS.counter_value("rtree.mbr_recomputations")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert len(tree) == len(live)
+        # A full walk recomputes height + 1 nodes per shrink (804 here, with
+        # the splits' own); stopping early halves that at least.
+        assert 0 < recomputed < 200 * (tree.height + 1) / 2
+
     def test_drain_to_empty(self) -> None:
         records = random_records(100, seed=10)
         tree = fresh_tree(k=3)

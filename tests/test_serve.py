@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import queue as stdlib_queue
 import random
+import time
 
 import pytest
 
@@ -126,25 +127,38 @@ class TestWriteQueue:
         group = q.take_group(max_batch=8)
         assert group is not None and len(group) == 5
 
-    def test_non_insert_breaks_the_group_without_reordering(self) -> None:
+    def test_mixed_writes_coalesce_in_order(self) -> None:
+        q = WriteQueue(maxsize=16)
+        kinds = ["insert", "delete", "insert_batch", "update", "insert"]
+        for i, kind in enumerate(kinds):
+            q.put(WriteOp(kind, (i,)))
+        group = q.take_group(max_batch=8)
+        assert [op.kind for op in group] == kinds
+        assert [op.payload for op in group] == [(i,) for i in range(5)]
+
+    def test_only_a_barrier_breaks_a_group(self) -> None:
         q = WriteQueue(maxsize=16)
         q.put(WriteOp("insert", (1,)))
-        q.put(WriteOp("insert", (2,)))
-        q.put(WriteOp("delete", (3, (0.0,))))
+        q.put(WriteOp("delete", (2, (0.0,))))
+        q.put(WriteOp("barrier", ()))
+        q.put(WriteOp("update", (3, (0.0,), 3)))
         q.put(WriteOp("insert", (4,)))
+        q.put_stop()
         first = q.take_group(max_batch=8)
         second = q.take_group(max_batch=8)
         third = q.take_group(max_batch=8)
-        assert [op.kind for op in first] == ["insert", "insert"]
-        assert [op.kind for op in second] == ["delete"]
-        assert [op.kind for op in third] == ["insert"]
+        assert [op.kind for op in first] == ["insert", "delete"]
+        assert [op.kind for op in second] == ["barrier"]
+        assert [op.kind for op in third] == ["update", "insert"]
+        assert q.take_group(max_batch=8) is None
 
     def test_max_batch_caps_a_group(self) -> None:
         q = WriteQueue(maxsize=32)
         for i in range(10):
-            q.put(WriteOp("insert", (i,)))
-        group = q.take_group(max_batch=4)
-        assert group is not None and len(group) == 4
+            q.put(WriteOp("delete" if i % 3 else "insert", (i,)))
+        groups = [q.take_group(max_batch=4) for _ in range(3)]
+        assert [len(group) for group in groups] == [4, 4, 2]
+        assert [op.payload[0] for group in groups for op in group] == list(range(10))
 
     def test_full_queue_raises_on_timeout(self) -> None:
         q = WriteQueue(maxsize=1)
@@ -357,6 +371,70 @@ class TestAnonymizerService:
         assert after is not before  # epoch bumped even though the op failed
         assert after.digest == before.digest
 
+    def test_each_future_gets_its_own_result(self, service) -> None:
+        """A coalesced group resolves each future to its own op's result,
+        and a refused op fails only its own future."""
+        records = random_records(40, seed=21)
+        fresh = [Record(80_000 + r.rid, r.point, r.sensitive) for r in records]
+        victim = service.engine.tree.leaves()[0].records[0]
+        with service._write_lock:
+            # The writer takes this one and blocks on the lock, so the
+            # submissions below queue up behind it as one group.
+            blocking = service.submit_insert(fresh[0])
+            deadline = time.monotonic() + 10
+            while service._inflight != 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            futures = [
+                service.submit_insert_batch(fresh[1:11]),
+                service.submit_insert_batch(fresh[11:31]),
+                service.submit_insert(fresh[31]),
+                service.submit_delete(999_999, (0.0, 0.0, 0.0)),
+                service.submit_delete(victim.rid, victim.point),
+            ]
+            epoch = service.epoch
+        assert blocking.result(timeout=10) is None
+        assert futures[0].result(timeout=10) == 10
+        assert futures[1].result(timeout=10) == 20
+        assert futures[2].result(timeout=10) is None
+        with pytest.raises(KeyError):
+            futures[3].result(timeout=10)
+        assert futures[4].result(timeout=10) == victim
+        assert service.barrier() == epoch + 2
+        assert service.journal[-1] == (
+            ("insert_batch", fresh[1:32]),
+            ("delete", 999_999, (0.0, 0.0, 0.0)),
+            ("delete", victim.rid, tuple(victim.point)),
+        )
+
+    def test_a_load_whose_source_raises_moves_the_epoch(
+        self, schema3, service
+    ) -> None:
+        """The records a failed load read are applied, so the cached release
+        must not be served again, and the journal marks the failure."""
+        extra = [
+            Record(90_000 + r.rid, r.point, r.sensitive)
+            for r in random_records(50, seed=22)
+        ]
+
+        def broken():
+            yield from extra
+            raise OSError("source broke mid-load")
+
+        table = Table(schema3, random_records(600, seed=7))
+        with AnonymizerService(RTreeAnonymizer(table, base_k=5)) as plain:
+            plain.load(table)
+            before = plain.release(10)
+            with pytest.raises(OSError, match="mid-load"):
+                plain.load(broken())
+            assert plain.epoch == before.epoch + 1
+            after = plain.release(10)
+            assert after.record_count == len(plain) == 650
+        epoch = service.epoch
+        with pytest.raises(OSError, match="mid-load"):
+            service.load(broken())
+        assert service.epoch == epoch + 1
+        assert service.journal[-1] == ("failed", "load")
+
     def test_closed_service_rejects_reads_and_writes(self, schema3) -> None:
         table = Table(schema3, random_records(100, seed=9))
         service = AnonymizerService(RTreeAnonymizer(table, base_k=5))
@@ -511,17 +589,8 @@ def _replay(empty_table: Table, journal) -> RTreeAnonymizer:
     """Apply a service journal to a fresh engine (the differential oracle)."""
     engine = RTreeAnonymizer(empty_table, base_k=5)
     for entry in journal:
-        kind = entry[0]
-        if kind == "bulk_load":
-            engine.bulk_load(entry[1])
-        elif kind == "bulk_load_file":
+        if entry[0] == "bulk_load_file":
             engine.bulk_load_file(entry[1], first_rid=entry[2], workers=entry[3])
-        elif kind == "insert_batch":
-            engine.insert_batch(entry[1])
-        elif kind == "delete":
-            engine.delete(entry[1], entry[2])
-        elif kind == "update":
-            engine.update(entry[1], entry[2], entry[3])
-        elif kind != "failed":
-            raise AssertionError(f"unknown journal entry {kind!r}")
+        elif entry[0] != "failed":
+            engine.write(entry)
     return engine

@@ -34,17 +34,8 @@ WRITE_OPS = 300
 def _replay_to_epoch(schema, journal, epoch: int) -> RTreeAnonymizer:
     engine = RTreeAnonymizer(Table(schema, ()), base_k=5)
     for entry in journal[:epoch]:
-        kind = entry[0]
-        if kind == "bulk_load":
-            engine.bulk_load(entry[1])
-        elif kind == "insert_batch":
-            engine.insert_batch(entry[1])
-        elif kind == "delete":
-            engine.delete(entry[1], entry[2])
-        elif kind == "update":
-            engine.update(entry[1], entry[2], entry[3])
-        else:
-            raise AssertionError(f"unexpected journal entry {kind!r}")
+        assert entry[0] != "failed", f"unexpected journal entry {entry!r}"
+        engine.write(entry)
     return engine
 
 

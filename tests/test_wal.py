@@ -22,11 +22,11 @@ def sample_record(rid: int = 1) -> Record:
 def test_round_trip_all_op_kinds(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
-        wal.append_delete(2, (4.0, 5.0, 6.0))
-        wal.append_update(3, (7.0, 8.0, 9.0), sample_record(3))
-        wal.append_insert(sample_record(4), batched=True)
-        wal.append_batch_commit(1)
+        wal.append(("insert", sample_record(1)))
+        wal.append(("delete", 2, (4.0, 5.0, 6.0)))
+        wal.append(("update", 3, (7.0, 8.0, 9.0), sample_record(3)))
+        wal.append(("insert", sample_record(4)), batched=True)
+        wal.append(("batch_commit", 1))
     scan = read_wal(path)
     kinds = [op.kind for op in scan.ops]
     assert kinds == ["insert", "delete", "update", "insert", "batch_commit"]
@@ -41,10 +41,30 @@ def test_round_trip_all_op_kinds(tmp_path):
     assert scan.last_lsn == 5
 
 
+def test_every_op_kind_may_be_a_batch_member(tmp_path):
+    """A mixed write group is batch members of any kind plus one commit;
+    ``read_wal`` reports ``batched`` for each, and each frame reads back
+    as the write op it logged."""
+    path = tmp_path / "wal.log"
+    ops = [
+        ("insert", sample_record(1)),
+        ("delete", 2, (4.0, 5.0, 6.0)),
+        ("update", 3, (7.0, 8.0, 9.0), sample_record(3)),
+        ("batch_commit", 0),
+    ]
+    with WriteAheadLog(path) as wal:
+        for op in ops:
+            wal.append(op, batched=True)
+        wal.append(("batch_commit", 3))
+    scan = read_wal(path)
+    assert [op.batched for op in scan.ops] == [True, True, True, True, False]
+    assert [op.op for op in scan.ops] == [*ops, ("batch_commit", 3)]
+
+
 def test_start_lsn_continues_numbering(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path, start_lsn=40) as wal:
-        assert wal.append_insert(sample_record()) == 41
+        assert wal.append(("insert", sample_record())) == 41
     scan = read_wal(path)
     assert scan.start_lsn == 40
     assert scan.ops[0].lsn == 41
@@ -53,10 +73,10 @@ def test_start_lsn_continues_numbering(tmp_path):
 def test_open_existing_appends_after_tail(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
+        wal.append(("insert", sample_record(1)))
     with WriteAheadLog.open_existing(path) as wal:
         assert wal.lsn == 1
-        wal.append_insert(sample_record(2))
+        wal.append(("insert", sample_record(2)))
     scan = read_wal(path)
     assert [op.lsn for op in scan.ops] == [1, 2]
 
@@ -86,8 +106,8 @@ def test_truncated_header_raises(tmp_path):
 def test_torn_tail_strict_raises_lenient_discards(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
-        wal.append_insert(sample_record(2))
+        wal.append(("insert", sample_record(1)))
+        wal.append(("insert", sample_record(2)))
     data = path.read_bytes()
     path.write_bytes(data[:-5])  # tear the final frame mid-payload
     with pytest.raises(WalCorruption, match="truncated frame payload"):
@@ -99,9 +119,9 @@ def test_torn_tail_strict_raises_lenient_discards(tmp_path):
 def test_mid_file_corruption_raises_even_lenient(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
+        wal.append(("insert", sample_record(1)))
         first_end = path.stat().st_size
-        wal.append_insert(sample_record(2))
+        wal.append(("insert", sample_record(2)))
     data = bytearray(path.read_bytes())
     # Flip a bit inside the *first* frame's payload: the intact second
     # frame after it proves this is damage, not a crash-interrupted append.
@@ -115,7 +135,7 @@ def test_mid_file_corruption_raises_even_lenient(tmp_path):
 def test_bit_flip_detected_by_crc(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
+        wal.append(("insert", sample_record(1)))
     data = bytearray(path.read_bytes())
     data[-3] ^= 0x01
     path.write_bytes(bytes(data))
@@ -127,34 +147,15 @@ def test_out_of_order_lsn_raises(tmp_path):
     path = tmp_path / "a.log"
     other = tmp_path / "b.log"
     with WriteAheadLog(path) as wal:
-        wal.append_insert(sample_record(1))
+        wal.append(("insert", sample_record(1)))
     with WriteAheadLog(other, start_lsn=10) as wal:
-        wal.append_insert(sample_record(2))
+        wal.append(("insert", sample_record(2)))
     # Graft a frame numbered 11 after a frame numbered 1.
     header_size = struct.calcsize("<4sHQ")
     spliced = path.read_bytes() + other.read_bytes()[header_size:]
     path.write_bytes(spliced)
     with pytest.raises(WalCorruption, match="out of order"):
         read_wal(path)
-
-
-def test_group_commit_window_batches_fsyncs(tmp_path):
-    from repro.storage.pagefile import IOStats
-
-    per_op = IOStats()
-    with WriteAheadLog(tmp_path / "a.log", io_stats=per_op) as wal:
-        for rid in range(8):
-            wal.append_insert(sample_record(rid))
-    grouped = IOStats()
-    with WriteAheadLog(
-        tmp_path / "b.log", group_commit_window=60.0, io_stats=grouped
-    ) as wal:
-        for rid in range(8):
-            wal.append_insert(sample_record(rid))
-    # Window 0: one fsync per acknowledged append (plus the header sync).
-    assert per_op.fsyncs == 9
-    # A wide window: the header sync plus one close-time flush.
-    assert grouped.fsyncs == 2
 
 
 def test_batch_members_defer_sync_to_commit(tmp_path):
@@ -164,9 +165,9 @@ def test_batch_members_defer_sync_to_commit(tmp_path):
     with WriteAheadLog(tmp_path / "wal.log", io_stats=stats) as wal:
         after_header = stats.fsyncs
         for rid in range(10):
-            wal.append_insert(sample_record(rid), batched=True)
+            wal.append(("insert", sample_record(rid)), batched=True)
         assert stats.fsyncs == after_header  # members alone never sync
-        wal.append_batch_commit(10)
+        wal.append(("batch_commit", 10))
         assert stats.fsyncs == after_header + 1
 
 
@@ -176,8 +177,8 @@ def test_wal_counters_metered(tmp_path):
     obs.enable()
     try:
         with WriteAheadLog(tmp_path / "wal.log") as wal:
-            wal.append_insert(sample_record(1))
-            wal.append_delete(2, (1.0, 2.0, 3.0))
+            wal.append(("insert", sample_record(1)))
+            wal.append(("delete", 2, (1.0, 2.0, 3.0)))
         assert obs.OBS.counter_value("wal.appends") == 2
         assert obs.OBS.counter_value("wal.bytes") > 0
         assert obs.OBS.counter_value("wal.fsyncs") >= 2

@@ -24,12 +24,19 @@ from __future__ import annotations
 from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 # Imported with this module, not inside bulk_load_file: an import made
 # mid-load scatters long-lived objects among the load's short-lived ones,
 # which fragments the heap (about 7 MB more peak RSS on a 10^5-record load).
 from repro import parallel
-from repro.core.leafscan import Constraint, Run, sequential_scan, subtree_scan
+from repro.core.leafscan import (
+    Constraint,
+    Pieces,
+    Run,
+    sequential_scan,
+    subtree_scan,
+)
 from repro.core.partition import (
     AnonymizedTable,
     Partition,
@@ -59,9 +66,10 @@ DEFAULT_BASE_K = 5
 #: The release strategies: how a release groups whole leaves (see anonymize).
 STRATEGIES = ("subtree", "sequential")
 
-#: How many release recipes keep their runs (see _publish_runs); the least
-#: recently published recipe is dropped first.  The service's release
-#: cache holds as many recipes (:data:`repro.serve.cache.MAX_ENTRIES`).
+#: How many release recipes keep their pieces and runs (see
+#: _emit_release); the least recently published recipe is dropped first.
+#: The service's release cache holds as many recipes
+#: (:data:`repro.serve.cache.MAX_ENTRIES`).
 MAX_RECIPES = 64
 
 #: A release recipe, ``(k, strategy, constraint)``, and a run's key: its
@@ -78,7 +86,7 @@ def build_compacted_partitions(runs: Sequence[Run]) -> list[Partition]:
     """Each run of whole leaves as a partition under its minimum bounding box.
 
     The publish path of every release (:meth:`RTreeAnonymizer._publish_runs`),
-    called for the runs no kept recipe holds.  A run's
+    called once per release for the runs no kept recipe holds.  A run's
     minimum bounding box is the union of its leaves' cached MBRs, which
     the tree keeps exact (:meth:`~repro.index.rtree.RPlusTree.check_invariants`
     asserts each equals ``Box.from_points`` of the leaf's records), so no
@@ -480,75 +488,88 @@ class RTreeAnonymizer:
         """Group the tree into runs of whole leaves and box them.
 
         Both strategies group *runs of whole leaves* (slices of
-        ``tree.leaves()``).  A run publishes the union of its leaves'
-        cached MBRs, reused from a kept release when its leaves are
-        unchanged (:meth:`_publish_runs`).
+        ``tree.leaves()``).  ``subtree`` splices the pieces its recipe's
+        last release kept for the nodes no write has touched since
+        (:func:`subtree_scan`); ``sequential`` scans every leaf.  Only the
+        runs the scan closed itself are then published
+        (:meth:`_publish_runs`), each reused from a kept release when its
+        leaves are unchanged.  The recipe keeps what it published, and
+        beyond :data:`MAX_RECIPES` the least recently published recipe
+        lets its pieces and runs go.
         """
-        with span("core.group", strategy=strategy):
-            if strategy == "subtree":
-                runs = subtree_scan(self._tree, k, constraint)
-            else:
-                runs = sequential_scan(self._tree, k, constraint)
-        partitions = self._publish_runs((k, strategy, constraint), runs)
+        recipe = (k, strategy, constraint)
+        recipes = self._recipes
+        pieces = recipes.get(recipe) or Pieces()
+        # The last release's partitions stay registered while this one
+        # looks its fresh runs up.
+        previous = pieces.parts
+        try:
+            with span("core.group", strategy=strategy):
+                if strategy == "subtree":
+                    runs = subtree_scan(self._tree, k, constraint, pieces)
+                    fresh: Sequence[int] = pieces.fresh
+                else:
+                    runs = sequential_scan(self._tree, k, constraint)
+                    fresh = range(len(runs))
+            partitions = self._publish_runs(runs, fresh)
+        except BaseException:
+            if pieces.parts is not previous:  # pieces over unpublished runs
+                recipes.pop(recipe, None)
+            raise
+        pieces.parts = partitions
+        pieces.fresh = []
+        del previous
+        recipes.pop(recipe, None)
+        recipes[recipe] = pieces
+        if len(recipes) > MAX_RECIPES:
+            del recipes[next(iter(recipes))]
         if OBS.enabled:
             OBS.count("anonymizer.releases")
             OBS.count("anonymizer.partitions", len(partitions))
-        return AnonymizedTable(self._schema, partitions)
+            OBS.gauge("core.kept_runs", len(self._runs))
+        return AnonymizedTable.trusted(self._schema, partitions)
 
-    def _publish_runs(self, recipe: Recipe, runs: list[Run]) -> list[Partition]:
-        """The partitions of this release, reusing the kept runs' ones.
+    def _publish_runs(self, runs: list, fresh: Sequence[int]) -> list[Partition]:
+        """Replace the runs at ``fresh`` positions with their partitions.
 
         A run is keyed by its leaves' versions.  A leaf draws a fresh
         version from one process-wide sequence whenever its records
-        change (:meth:`~repro.index.node.LeafNode.touch`), so an equal key
-        means the same leaves holding the same records under the same
-        MBRs, and a kept partition for it still holds, with the digest
-        bytes and volume it keeps, whichever recipe published it.  Only
-        the other runs are built.  One dict holds every kept run, so each
-        key costs one lookup however many recipes are kept.  The runs kept
-        for this recipe are then exactly this release's, and beyond
-        :data:`MAX_RECIPES` the least recently published recipe lets its
-        runs go.
+        change (:mod:`repro.index.node`), so an equal key means the same
+        leaves holding the same records under the same MBRs, and a kept
+        partition for it still holds, with the digest bytes and volume it
+        keeps, whichever recipe published it.  The registry of kept runs
+        is weak-valued: a partition stays in it while a kept recipe's
+        last release holds it.  The other runs are built in one
+        :func:`build_compacted_partitions` call.  ``runs`` itself becomes
+        the release's partition list.
         """
         with span("core.compact"):
             kept = self._runs
-            keys = [tuple([leaf.version for leaf in run]) for run in runs]
-            found = [kept.get(key) for key in keys]
-            missing = [run for run, hit in zip(runs, found) if hit is None]
-            built = iter(build_compacted_partitions(missing))
-            published = []
-            for key, entry in zip(keys, found):
-                if entry is None:
-                    entry = kept[key] = [next(built), 0]
-                entry[1] += 1
-                published.append(entry[0])
-            recipes = self._recipes
-            self._release_runs(recipes.pop(recipe, ()))
-            recipes[recipe] = keys
-            if len(recipes) > MAX_RECIPES:
-                self._release_runs(recipes.pop(next(iter(recipes))))
+            missing: list[int] = []
+            keys: list[RunKey] = []
+            for position in fresh:
+                key = tuple([leaf.version for leaf in runs[position]])
+                partition = kept.get(key)
+                if partition is None:
+                    missing.append(position)
+                    keys.append(key)
+                else:
+                    runs[position] = partition
+            built = build_compacted_partitions([runs[i] for i in missing])
+            for position, key, partition in zip(missing, keys, built):
+                runs[position] = partition
+                kept[key] = partition
         if OBS.enabled:
             OBS.count("core.runs_built", len(missing))
             OBS.count("core.runs_reused", len(runs) - len(missing))
-            OBS.gauge("core.kept_runs", len(kept))
-        return published
-
-    def _release_runs(self, keys: Iterable[RunKey]) -> None:
-        """Drop a retired release's hold on its runs; free the unheld ones."""
-        kept = self._runs
-        for key in keys:
-            entry = kept[key]
-            entry[1] -= 1
-            if not entry[1]:
-                del kept[key]
+        return runs
 
     def _drop_kept_runs(self) -> None:
-        #: Every kept run by key, as ``[partition, holders]``: holders
-        #: counts the kept recipes whose latest release holds the run.
-        #: Each kept recipe's latest run keys, least recently published
-        #: first (see _publish_runs).
-        self._runs: dict[RunKey, list] = {}
-        self._recipes: dict[Recipe, list[RunKey]] = {}
+        #: Every kept run's partition by run key, while a kept recipe
+        #: holds it; and each kept recipe's pieces (for ``sequential``,
+        #: only its last partitions), least recently published first.
+        self._runs: WeakValueDictionary[RunKey, Partition] = WeakValueDictionary()
+        self._recipes: dict[Recipe, Pieces] = {}
 
     # -- durability --------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ class Partition:
     only.
     """
 
-    __slots__ = ("records", "box", "_row", "_fragment", "_volume")
+    __slots__ = ("records", "box", "_row", "_fragment", "_volume", "__weakref__")
 
     records: tuple[Record, ...]
     box: Box
@@ -127,9 +127,7 @@ class Partition:
         if memo is None or memo[0] is not schema:
             box = self.box
             fraction = 1.0
-            attributes = schema.quasi_identifiers
-            for low, high, attribute in zip(box.lows, box.highs, attributes):
-                full = attribute.domain_extent
+            for low, high, full in zip(box.lows, box.highs, schema.domain_extents()):
                 if full > 0:
                     fraction *= (high - low) / full
             memo = (schema, fraction)
@@ -174,6 +172,23 @@ class AnonymizedTable:
                 )
         self._schema = schema
         self._partitions = tuple(partitions)
+
+    @classmethod
+    def trusted(
+        cls, schema: Schema, partitions: Sequence[Partition]
+    ) -> "AnonymizedTable":
+        """Construct without the per-partition dimension check.
+
+        For the release path, whose partitions are boxed from the tree's
+        own MBRs and so have the schema's dimensions by construction, as
+        :meth:`Partition.trusted` skips containment.
+        """
+        if not partitions:
+            raise ValueError("an anonymized table needs at least one partition")
+        table = cls.__new__(cls)
+        table._schema = schema
+        table._partitions = tuple(partitions)
+        return table
 
     @property
     def schema(self) -> Schema:

@@ -131,4 +131,11 @@ class Schema:
         return tuple(attribute.domain_high for attribute in self.quasi_identifiers)
 
     def domain_extents(self) -> tuple[float, ...]:
-        return tuple(attribute.domain_extent for attribute in self.quasi_identifiers)
+        """Each attribute's domain width, computed once per schema."""
+        extents = self.__dict__.get("_extents")
+        if extents is None:
+            extents = tuple(
+                attribute.domain_extent for attribute in self.quasi_identifiers
+            )
+            object.__setattr__(self, "_extents", extents)
+        return extents

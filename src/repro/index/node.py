@@ -25,35 +25,60 @@ what the anonymizer publishes).  The MBR is always contained in the node's
 implicit region and shrink-wraps the actual data — this gap between region
 and MBR is precisely the paper's "compaction" effect (§4) arising naturally
 from R-tree bookkeeping.
+
+Every node carries a ``version`` from one process-wide sequence.  The tree
+draws a fresh one for a leaf whose records change and for every internal
+node on its root path, and for the ancestors of every structural change
+(:meth:`repro.index.rtree.RPlusTree.check_invariants` asserts that no
+node's version is below a child's).  So ``node.version > v`` means that
+something under the node changed after ``v`` was drawn: ``finish_bulk``
+and the subtree release (:func:`repro.core.leafscan.subtree_scan`) skip
+the subtrees no write touched, and an internal node's record count is
+cached against its version.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.dataset.record import Record
 from repro.geometry.box import Box
 
 _node_ids = itertools.count()
 
-#: Leaf versions: one process-wide sequence, so a version is never reused.
-_leaf_versions = itertools.count()
+#: Node versions: one process-wide sequence, so a version is never reused.
+_versions = itertools.count()
+
+
+def fresh_version() -> int:
+    """A version newer than every version drawn so far."""
+    return next(_versions)
+
+
+def touch_path(nodes: Iterable["Node"]) -> None:
+    """Give ``nodes`` one fresh version: a changed leaf and its root path,
+    or the ancestors of a structural change."""
+    version = next(_versions)
+    for node in nodes:
+        node.version = version
 
 
 class Node:
-    """Common base: identity, level (0 = leaf) and MBR.
+    """Common base: identity, level (0 = leaf), MBR and version.
 
+    A node is made with a fresh version, newer than any node under it.
     Nodes link only downward, so a tree holds no reference cycle and a
     dropped tree is freed by reference counting alone.
     """
 
-    __slots__ = ("node_id", "level", "mbr")
+    __slots__ = ("node_id", "level", "mbr", "version")
 
     def __init__(self, level: int) -> None:
         self.node_id: int = next(_node_ids)
         self.level = level
         self.mbr: Box | None = None
+        self.version = next(_versions)
 
     @property
     def is_leaf(self) -> bool:
@@ -67,23 +92,18 @@ class LeafNode(Node):
     """A leaf: the records of one k-anonymous partition.
 
     ``version`` names the leaf's record content: it is drawn fresh when
-    the leaf is made and at every change to its records (:meth:`touch`),
-    from one process-wide sequence, so two observations of a leaf with
-    equal versions saw the same records, in the same order, under the
-    same MBR.  The release path keys its reuse of unchanged leaf runs on
-    it (:meth:`repro.core.anonymizer.RTreeAnonymizer.anonymize`).
+    the leaf is made and at every change to its records, so two
+    observations of a leaf with equal versions saw the same records, in
+    the same order, under the same MBR.  The release path keys its reuse
+    of unchanged leaf runs on it
+    (:meth:`repro.core.anonymizer.RTreeAnonymizer.anonymize`).
     """
 
-    __slots__ = ("records", "version")
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
         super().__init__(level=0)
         self.records: list[Record] = []
-        self.version = next(_leaf_versions)
-
-    def touch(self) -> None:
-        """Record that ``records`` changed: draw a fresh version."""
-        self.version = next(_leaf_versions)
 
     def record_count(self) -> int:
         return len(self.records)
@@ -180,14 +200,21 @@ def find_slot(slot: Slot, target: Node) -> Slot | None:
 
 
 class InternalNode(Node):
-    """An internal node: a cut tree over its children plus cached metadata."""
+    """An internal node: a cut tree over its children plus cached metadata.
 
-    __slots__ = ("cuts", "fanout")
+    ``version`` is at least every child's, so the record count is kept
+    with the version it was counted at and recounted only after a change
+    under the node.
+    """
+
+    __slots__ = ("cuts", "fanout", "_count", "_counted")
 
     def __init__(self, level: int, cuts: Slot) -> None:
         super().__init__(level)
         self.cuts = cuts
         self.fanout = count_cut_children(cuts)
+        self._count = 0
+        self._counted = -1
 
     def children(self) -> Iterator[Node]:
         """Children left to right (spatial order)."""
@@ -234,7 +261,14 @@ class InternalNode(Node):
         raise KeyError(f"node {old.node_id} is not a child of node {self.node_id}")
 
     def record_count(self) -> int:
-        return sum(child.record_count() for child in self.children())
+        if self._counted != self.version:
+            self._count = sum([child.record_count() for child in self.children()])
+            self._counted = self.version
+        return self._count
+
+    def cached_count(self) -> int | None:
+        """The kept record count, or ``None`` if it predates ``version``."""
+        return self._count if self._counted == self.version else None
 
     def recompute_mbr(self) -> None:
         """Union the children's MBRs (children with no data contribute nothing)."""

@@ -40,8 +40,10 @@ from repro.index.node import (
     LeafNode,
     Node,
     Slot,
+    fresh_version,
     make_cut,
     route_cut,
+    touch_path,
 )
 from repro.index.split import MinMarginSplitPolicy, SplitPolicy, point_matrix
 from repro.obs import OBS, TRACE, span
@@ -139,6 +141,8 @@ class RPlusTree:
         self._root: Node | None = None
         self._count = 0
         self._split_trigger = self._leaf_capacity
+        #: The version drawn when :meth:`finish_bulk` last ended.
+        self._settled = -1
 
     # -- basic accessors -----------------------------------------------------
 
@@ -209,7 +213,7 @@ class RPlusTree:
             OBS.count("rtree.inserts")
             OBS.observe("rtree.routing_depth", len(path))
         leaf.records.append(record)
-        leaf.touch()
+        touch_path((leaf, *path))
         self._store.on_append(leaf, record)
         self._count += 1
         self._grow_mbrs(leaf, path, record.point)
@@ -256,12 +260,49 @@ class RPlusTree:
         self._split_trigger = max(trigger, self._leaf_capacity)
 
     def finish_bulk(self) -> None:
-        """Leave bulk mode: split every over-capacity leaf down to size."""
+        """Leave bulk mode: split every over-capacity leaf down to size.
+
+        Only leaves changed since the last ``finish_bulk`` ended can be
+        over capacity with a legal cut: every other one either fits or was
+        refused then, and splitting it again would refuse again.  So the
+        walk descends, in preorder, only into nodes whose version is newer
+        than that end (:meth:`_changed_leaves`), and splits the leaves
+        that ``tree.leaves()`` order would, in that order.
+        """
         self._split_trigger = self._leaf_capacity
         with span("rtree.finish_bulk"):
-            for leaf in self.leaves():
+            for leaf in self._changed_leaves(self._settled):
                 if len(leaf.records) > self._leaf_capacity:
                     self._split_leaf(leaf, self._path_to(leaf))
+            self._settled = fresh_version()
+
+    def _changed_leaves(self, since: int) -> list[LeafNode]:
+        """The leaves whose version is newer than ``since``, left to right.
+
+        The :meth:`leaves` walk, entering only nodes newer than ``since``:
+        a node's version covers every change under it.
+        """
+        found: list[LeafNode] = []
+        if self._root is None:
+            return found
+        visited = 0
+        stack: list[Node | Cut] = [self._root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Cut):
+                stack.append(item.right.inner)
+                stack.append(item.left.inner)
+                continue
+            visited += 1
+            if item.version <= since:  # type: ignore[union-attr]
+                continue
+            if isinstance(item, LeafNode):
+                found.append(item)
+            else:
+                stack.append(item.cuts.inner)  # type: ignore[union-attr]
+        if OBS.enabled:
+            OBS.count("rtree.finish_bulk_nodes", visited)
+        return found
 
     @property
     def in_bulk_mode(self) -> bool:
@@ -297,11 +338,11 @@ class RPlusTree:
         if OBS.enabled:
             OBS.count("rtree.inserts", len(records))
         leaf.records.extend(records)
-        leaf.touch()
+        path = self._path_to(leaf)
+        touch_path((leaf, *path))
         for record in records:
             self._store.on_append(leaf, record)
         self._count += len(records)
-        path = self._path_to(leaf)
         if OBS.enabled:
             for _record in records:
                 OBS.observe("rtree.routing_depth", len(path))
@@ -411,6 +452,7 @@ class RPlusTree:
             return
         parent = path[-1]
         parent.replace_child(old, cut, added=1)
+        touch_path(path)
         if parent.fanout > self._max_fanout:
             self._split_internal(parent, path[:-1])
 
@@ -429,7 +471,7 @@ class RPlusTree:
         for index, record in enumerate(leaf.records):
             if record.rid == rid:
                 removed = leaf.records.pop(index)
-                leaf.touch()
+                touch_path((leaf, *path))
                 break
         else:
             raise KeyError(rid)
@@ -485,7 +527,7 @@ class RPlusTree:
                 self._root = LeafNode()
             leaf, path = self._descend(record.point)
             leaf.records.append(record)
-            leaf.touch()
+            touch_path((leaf, *path))
             self._count += 1
             self._grow_mbrs(leaf, path, record.point)
             touched[leaf.node_id] = leaf
@@ -525,6 +567,7 @@ class RPlusTree:
             self._root = None
             return
         path[depth - 1].remove_child(node)
+        touch_path(path[:depth])
         self._shrink_mbrs(path[:depth])
         # A root with a single child loses a level.
         root = self._root
@@ -696,9 +739,11 @@ class RPlusTree:
 
         Checked: record count, uniform leaf depth, fanout bounds, leaf
         occupancy (k-floor with the documented exemptions), MBR exactness,
-        and cut separation (every record in a cut's left subtree lies at or
+        cut separation (every record in a cut's left subtree lies at or
         below the cut value; every record on the right lies strictly above —
-        i.e. sibling regions are genuinely disjoint).
+        i.e. sibling regions are genuinely disjoint), versions (no internal
+        node's version is below a child's, so a change left unbumped on a
+        root path fails here) and every kept node record count.
         """
         if self._root is None:
             assert self._count == 0, "empty tree with a nonzero record count"
@@ -748,9 +793,17 @@ class RPlusTree:
                 f"child {child.node_id} level {child.level} under level "
                 f"{internal.level} parent (leaf depth must be uniform)"
             )
+            assert child.version <= internal.version, (
+                f"child {child.node_id} version {child.version} is newer than "
+                f"its parent {node.node_id}'s {internal.version}"
+            )
             total += self._check_node(child)
             if child.mbr is not None:
                 boxes.append(child.mbr)
+        kept = internal.cached_count()
+        assert kept is None or kept == total, (
+            f"node {node.node_id} keeps a record count of {kept}, holds {total}"
+        )
         if boxes:
             expected = boxes[0]
             for box in boxes[1:]:

@@ -57,6 +57,9 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "rtree.dissolves",
     "rtree.reinserted_orphans",
     "rtree.mbr_recomputations",
+    # Nodes the last finish_bulk walk reached: it enters only nodes
+    # changed since the previous one ended.
+    "rtree.finish_bulk_nodes",
     "buffer_tree.pushes",
     "buffer_tree.pushed_records",
     "buffer_tree.flushes",
@@ -75,6 +78,10 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     # runs built afresh.
     "core.runs_reused",
     "core.runs_built",
+    # Subtree releases: internal nodes spliced from the recipe's kept
+    # pieces versus walked (pieces made afresh).
+    "core.pieces_reused",
+    "core.pieces_built",
     "kernels.keyed_records",
     "kernels.decoded_pages",
     "kernels.decoded_records",

@@ -9,7 +9,9 @@ scan and the per-record compaction) that production replaced with runs
 of whole leaves, and the leaves' region boxes that compare tree shapes
 and box the uncompacted releases the golden digests still pin.  They
 exist only so the differential suites can hold the production code to
-them record for record; nothing in ``src`` calls them.
+them record for record; nothing in ``src`` calls them.  The release
+audit's plain-Python loops stay here too (:func:`audit_release`), to
+hold the numpy distributions to them figure for figure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.leafscan import Constraint, leaf_scan
-from repro.core.partition import Partition
+from repro.core.partition import AnonymizedTable, Partition
 from repro.dataset.io import _HEADER, RecordFileReader
 from repro.dataset.record import Record
 from repro.index.bulk import DEFAULT_HILBERT_BITS
@@ -31,6 +33,7 @@ from repro.index.split import SplitDecision
 if TYPE_CHECKING:
     from repro.core.anonymizer import RTreeAnonymizer
     from repro.index.rtree import RPlusTree
+    from repro.dataset.table import Table
 
 
 def read_records(
@@ -345,3 +348,83 @@ def leaf_regions(anonymizer: "RTreeAnonymizer") -> list[Box]:
     if anonymizer.tree.root is not None:
         walk(anonymizer.tree.root, schema.domain_lows(), schema.domain_highs())
     return regions
+
+
+def _distribution(values: Sequence[float]) -> dict[str, object]:
+    """min/max/mean plus power-of-two buckets, one value at a time."""
+    if not values:
+        return {"count": 0, "min": 0, "max": 0, "mean": 0.0, "buckets": {}}
+    counts: dict[int, int] = {}
+    for value in values:
+        exponent = int(value).bit_length() if value >= 1 else 0
+        counts[exponent] = counts.get(exponent, 0) + 1
+    return {
+        "count": len(values),
+        "min": min(values),
+        "max": max(values),
+        "mean": sum(values) / len(values),
+        "buckets": {
+            f"<=2^{exponent}": counts[exponent] for exponent in sorted(counts)
+        },
+    }
+
+
+def audit_release(
+    release: AnonymizedTable,
+    k: int,
+    base_k: int | None = None,
+    original: "Table | None" = None,
+) -> dict[str, object]:
+    """:func:`repro.obs.audit.audit_release` as plain-Python passes.
+
+    One pass per figure, each box measured by the attribute domains one
+    at a time (a zero-extent attribute contributes no factor), and the
+    distributions built by :func:`_distribution`.
+    """
+    from repro.metrics.certainty import certainty_penalty
+    from repro.metrics.discernibility import discernibility_penalty
+    from repro.obs.audit import AUDIT_SCHEMA_VERSION
+    from repro.privacy.kanonymity import is_k_anonymous, verify_release
+
+    schema = release.schema
+    volumes = []
+    for partition in release.partitions:
+        fraction = 1.0
+        box = partition.box
+        for low, high, attribute in zip(box.lows, box.highs, schema.quasi_identifiers):
+            full = attribute.domain_extent
+            if full > 0:
+                fraction *= (high - low) / full
+        volumes.append(fraction)
+    sizes = [float(len(partition)) for partition in release.partitions]
+    k_satisfied = is_k_anonymous(release, k)
+    if original is not None:
+        problems = verify_release(release, original, k)
+        certainty: float | None = certainty_penalty(release, original)
+    else:
+        problems = (
+            []
+            if k_satisfied
+            else [f"smallest partition holds {release.k_effective} < k={k} records"]
+        )
+        certainty = None
+    discernibility = discernibility_penalty(release)
+    record_count = release.record_count
+    return {
+        "schema_version": AUDIT_SCHEMA_VERSION,
+        "k_requested": k,
+        "k_effective": release.k_effective,
+        "k_satisfied": k_satisfied and not problems,
+        "base_k": base_k,
+        "record_count": record_count,
+        "partition_count": len(release.partitions),
+        "occupancy": _distribution(sizes),
+        "mbr_volume": _distribution(volumes),
+        "discernibility": discernibility,
+        "discernibility_per_record": discernibility / record_count,
+        "certainty": certainty,
+        "certainty_per_record": (
+            certainty / record_count if certainty is not None else None
+        ),
+        "problems": problems,
+    }

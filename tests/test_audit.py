@@ -5,12 +5,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.mondrian import mondrian_anonymize
 from repro.core.anonymizer import RTreeAnonymizer
 from repro.core.partition import AnonymizedTable, Partition
+from repro.dataset.record import Record
+from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Table
 from repro.geometry.box import Box
 from repro.obs import AUDIT_RECORD_KEYS, AUDIT_SCHEMA_VERSION, TRACE, audit_release
+from tests import oracles
 from tests.conftest import bulk_release, random_records
 
 
@@ -161,3 +167,89 @@ class TestAnonymizerWiring:
         finally:
             TRACE.disable()
             TRACE.reset()
+
+
+def _sized_table(schema, sizes: list[int], seed: int) -> AnonymizedTable:
+    """Partitions of the given sizes over random records, each boxed by
+    its records' minimum bounding box."""
+    records = random_records(sum(sizes), dimensions=schema.dimensions, seed=seed)
+    partitions = []
+    start = 0
+    for size in sizes:
+        group = tuple(records[start : start + size])
+        partitions.append(
+            Partition.trusted(group, Box.from_points(r.point for r in group))
+        )
+        start += size
+    return AnonymizedTable(schema, partitions)
+
+
+class TestAuditEqualsTheScalarLoops:
+    """The numpy audit against ``tests.oracles.audit_release``, its
+    plain-Python form, compared by ``repr`` so that a float's bits and
+    every value's type count."""
+
+    @staticmethod
+    def _assert_same(release: AnonymizedTable, k: int, **options) -> None:
+        assert repr(audit_release(release, k, **options)) == repr(
+            oracles.audit_release(release, k, **options)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 12),
+    )
+    def test_random_tables(self, sizes: list[int], seed: int, k: int) -> None:
+        schema = Schema(
+            tuple(Attribute.numeric(name, 0, 100) for name in "abc"),
+            sensitive=("diagnosis",),
+        )
+        release = _sized_table(schema, sizes, seed)
+        self._assert_same(release, k)
+        self._assert_same(release, k, base_k=2)
+
+    def test_sizes_at_exact_powers_of_two(self, schema3) -> None:
+        release = _sized_table(schema3, [1, 2, 3, 4, 7, 8, 16, 31, 32, 64], 5)
+        self._assert_same(release, 1)
+        self._assert_same(release, 4)
+
+    def test_one_partition_tables(self, schema3) -> None:
+        for size in (1, 2, 5, 128):
+            self._assert_same(_sized_table(schema3, [size], size), 1)
+            self._assert_same(_sized_table(schema3, [size], size), 3)
+
+    def test_zero_extent_attributes(self) -> None:
+        schema = Schema(
+            (
+                Attribute.numeric("a", 0, 100),
+                Attribute.numeric("flat", 7, 7),
+                Attribute.numeric("b", 0, 100),
+            ),
+            sensitive=("diagnosis",),
+        )
+        records = [
+            Record(r.rid, (r.point[0], 7.0, r.point[1]), r.sensitive)
+            for r in random_records(90, dimensions=2, seed=11)
+        ]
+        table = Table(schema, records)
+        anonymizer = RTreeAnonymizer(table, base_k=3)
+        anonymizer.bulk_load(table)
+        for k in (3, 10):
+            self._assert_same(anonymizer.anonymize(k), k, original=table)
+
+    def test_mondrian_releases(self, medium_table: Table) -> None:
+        for k in (2, 5, 25):
+            release = mondrian_anonymize(medium_table, k)
+            self._assert_same(release, k)
+            self._assert_same(release, k, base_k=5, original=medium_table)
+            self._assert_same(release, 2 * k)
+
+    def test_subtree_and_sequential_releases(self, medium_table: Table) -> None:
+        anonymizer = RTreeAnonymizer(medium_table, base_k=5)
+        anonymizer.bulk_load(medium_table)
+        for k in (5, 16, 40):
+            for strategy in ("subtree", "sequential"):
+                table = anonymizer.anonymize(k, strategy=strategy)
+                self._assert_same(table, k, base_k=5, original=medium_table)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.leafscan import leaf_scan, subtree_scan
+from repro.core.leafscan import Pieces, leaf_scan, subtree_scan
 from repro.dataset.record import Record
 from repro.index.buffer_tree import BufferTreeLoader
+from repro.index.node import InternalNode, LeafNode, Slot, make_cut, touch_path
 from repro.index.rtree import RPlusTree
 from repro.privacy.ldiversity import DistinctLDiversity
+from tests import oracles
 from tests.conftest import random_records
 
 
@@ -191,3 +193,74 @@ class TestSubtreeScan:
         constraint = DistinctLDiversity(2)
         groups = flatten(subtree_scan(tree, 5, constraint))
         assert all(constraint(g) for g in groups)
+
+
+class TestPieces:
+    """A subtree scan that splices the pieces a previous scan kept."""
+
+    @staticmethod
+    def _leaf(records: list[Record]) -> LeafNode:
+        leaf = LeafNode()
+        leaf.records = records
+        return leaf
+
+    def test_a_spliced_piece_unfolds_the_last_run(self) -> None:
+        """Node ``p`` closes two runs; node ``t`` is the too-small tail,
+        folded into ``p``'s last run.  Once ``t`` grows past k1 it closes
+        runs of its own, and ``p``, clean and spliced, must publish its
+        last run unfolded."""
+        records = iter(Record(rid, (float(rid),)) for rid in range(100))
+        p_leaves = [self._leaf([next(records) for _ in range(3)]) for _ in range(4)]
+        t_leaves = [self._leaf([next(records)]) for _ in range(2)]
+        halves = make_cut(0, 2.0, *p_leaves[:2]), make_cut(0, 8.0, *p_leaves[2:])
+        p = InternalNode(1, Slot(make_cut(0, 5.0, *halves)))
+        t = InternalNode(1, Slot(make_cut(0, 12.0, *t_leaves)))
+        root = InternalNode(2, Slot(make_cut(0, 11.0, p, t)))
+        tree = RPlusTree(dimensions=1, k=1)
+        tree._root, tree._count = root, 14
+        pieces = Pieces()
+        first = subtree_scan(tree, 4, None, pieces)
+        assert flatten(first) == oracles.subtree_scan(tree, 4)
+        assert pieces.folded and len(first) == 2
+        t_leaves[0].records.extend(next(records) for _ in range(6))
+        touch_path((t_leaves[0], root, t))
+        tree._count += 6
+        second = subtree_scan(tree, 4, None, pieces)
+        assert flatten(second) == oracles.subtree_scan(tree, 4)
+        assert len(second) == 3
+        # ``p`` was spliced, so only its unfolded last run and ``t``'s runs
+        # are fresh.
+        assert pieces.fresh == [1, 2]
+
+    def test_a_constraint_splices_no_node_entered_with_a_carry(self) -> None:
+        """Node ``a``'s records carry into node ``b``; a constraint reads
+        them there.  When they change without changing their count, ``b``
+        (clean, same carry) must be walked again, not spliced."""
+        rids = iter(range(100))
+
+        def leaf(*diagnoses: str) -> LeafNode:
+            return self._leaf(
+                [Record(next(rids), (0.0,), (diagnosis,)) for diagnosis in diagnoses]
+            )
+
+        a_leaves = [leaf("flu"), leaf("flu", "flu")]
+        b_leaves = [leaf("cancer"), leaf("flu", "cold"), leaf("flu", "cold", "cancer")]
+        a = InternalNode(1, Slot(make_cut(0, 0.0, *a_leaves)))
+        b = InternalNode(
+            1, Slot(make_cut(0, 0.0, make_cut(0, 0.0, *b_leaves[:2]), b_leaves[2]))
+        )
+        root = InternalNode(2, Slot(make_cut(0, 0.0, a, b)))
+        tree = RPlusTree(dimensions=1, k=1)
+        tree._root, tree._count = root, 9
+        diverse = DistinctLDiversity(2)
+        pieces = Pieces()
+        first = subtree_scan(tree, 2, diverse, pieces)
+        assert flatten(first) == oracles.subtree_scan(tree, 2, diverse)
+        for node in a_leaves:
+            node.records = [
+                Record(r.rid, r.point, ("cancer",)) for r in node.records
+            ]
+            touch_path((node, root, a))
+        second = subtree_scan(tree, 2, diverse, pieces)
+        assert flatten(second) == oracles.subtree_scan(tree, 2, diverse)
+        assert flatten(second) != flatten(first)

@@ -509,3 +509,84 @@ def test_float_coordinates_maintain_invariants(points) -> None:
         tree.insert(Record(rid, point))
     tree.check_invariants()
     assert len(tree) == len(points)
+
+
+class TestVersions:
+    """Every node's version covers the changes under it, and the kept
+    node record counts follow; :meth:`RPlusTree.check_invariants` holds
+    the tree to both."""
+
+    def test_a_missed_path_bump_fails_the_invariant_check(self, monkeypatch) -> None:
+        import repro.index.rtree as rtree_module
+        from repro.index.node import touch_path
+
+        tree = fresh_tree(k=2, max_fanout=3)
+        tree.insert_all(random_records(120, seed=4))
+        tree.check_invariants()
+        # Deleting the path bump: the changed leaf draws a version newer
+        # than every ancestor's.
+        monkeypatch.setattr(
+            rtree_module, "touch_path", lambda nodes: touch_path(list(nodes)[:1])
+        )
+        tree.insert(Record(500, (50.0, 50.0, 50.0)))
+        with pytest.raises(AssertionError, match="is newer than its parent"):
+            tree.check_invariants()
+
+    def test_a_stale_kept_count_fails_the_invariant_check(self) -> None:
+        tree = fresh_tree(k=2, max_fanout=3)
+        tree.insert_all(random_records(120, seed=4))
+        root = tree.root
+        assert root.record_count() == 120
+        root._count += 1  # what a change left unbumped would keep
+        with pytest.raises(AssertionError, match="keeps a record count"):
+            tree.check_invariants()
+
+    def test_finish_bulk_enters_only_changed_nodes(self) -> None:
+        from repro.obs import OBS
+
+        tree = fresh_tree(k=2, max_fanout=3)
+        tree.insert_all(random_records(400, seed=6))
+        OBS.enable(reset=True)
+        try:
+            tree.begin_bulk()
+            tree.finish_bulk()
+            everything = OBS.counter_value("rtree.finish_bulk_nodes")
+            OBS.reset()
+            tree.begin_bulk()
+            tree.finish_bulk()
+            assert OBS.counter_value("rtree.finish_bulk_nodes") == 1  # the root
+            leaf = tree.leaves()[7]
+            tree.insert(Record(900, leaf.records[0].point))
+            OBS.reset()
+            tree.begin_bulk()
+            tree.finish_bulk()
+            walked = OBS.counter_value("rtree.finish_bulk_nodes")
+            assert tree.height + 1 <= walked < everything
+        finally:
+            OBS.disable()
+            OBS.reset()
+        tree.check_invariants()
+
+    def test_an_unchanged_refused_leaf_is_not_retried(self) -> None:
+        """A leaf of one repeated point has no legal cut: finish_bulk
+        refuses it once, and not again until its records change."""
+        from repro.obs import OBS
+
+        tree = fresh_tree(k=2)
+        OBS.enable(reset=True)
+        try:
+            tree.begin_bulk(trigger=100)
+            tree.insert_all(Record(rid, (5.0, 5.0, 5.0)) for rid in range(20))
+            tree.finish_bulk()
+            assert OBS.counter_value("rtree.split_refusals") == 1
+            tree.begin_bulk(trigger=100)
+            tree.finish_bulk()
+            assert OBS.counter_value("rtree.split_refusals") == 1
+            tree.begin_bulk(trigger=100)
+            tree.insert(Record(20, (5.0, 5.0, 5.0)))
+            tree.finish_bulk()
+            assert OBS.counter_value("rtree.split_refusals") == 2
+        finally:
+            OBS.disable()
+            OBS.reset()
+        tree.check_invariants()
